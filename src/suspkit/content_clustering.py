@@ -46,6 +46,12 @@ class ClusterAssignment:
     def members(self, cluster_id: int) -> list[int]:
         return np.flatnonzero(self.labels == cluster_id).tolist()
 
+    def member_lists(self) -> list[list[int]]:
+        """Members of every cluster in ascending item order, grouped by
+        one stable sort instead of one label scan per cluster."""
+        by_cluster = np.argsort(self.labels, kind="stable")
+        return [m.tolist() for m in np.split(by_cluster, np.cumsum(self.sizes))[:-1]]
+
 
 def _normalized_rows(X: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(X, axis=1, keepdims=True)
@@ -106,9 +112,10 @@ def cluster_report(assignment: ClusterAssignment, texts: Sequence[str],
         raise ValueError("texts and assignment differ in length")
     sizes = assignment.sizes
     order = sorted(range(assignment.n_clusters), key=lambda c: (-int(sizes[c]), c))
+    member_lists = assignment.member_lists()
     report = []
     for cid in order:
-        members = assignment.members(cid)
+        members = member_lists[cid]
         leader_row = assignment.leader_rows[cid]
         report.append(
             {
@@ -152,9 +159,9 @@ def keyword_search(assignment: ClusterAssignment, texts: Sequence[str],
         raise ValueError("texts and assignment differ in length")
     folded = [kw.casefold() for kw in keywords]
     hits = []
-    for cid in range(assignment.n_clusters):
+    for cid, members in enumerate(assignment.member_lists()):
         counts = dict.fromkeys(keywords, 0)
-        for m in assignment.members(cid):
+        for m in members:
             text = texts[m].casefold()
             for kw, kw_folded in zip(keywords, folded):
                 counts[kw] += text.count(kw_folded)

@@ -2,10 +2,37 @@
 
 Histogram-based: features are quantile-binned once (at most 256 bins,
 uint8 codes) and split gains use second-order statistics of the
-logistic loss.  Trees grow level-wise to a depth cap.  Split
-thresholds are stored as real feature values chosen so that binned
-decisions during training and float comparisons at prediction time
-agree exactly on the training data.
+logistic loss.  Split thresholds are stored as real feature values
+chosen so that binned decisions during training and float comparisons
+at prediction time agree exactly on the training data.
+
+Fitting grows each tree level-wise to a depth cap, with one histogram
+pass per level (LightGBM, Ke et al., NeurIPS 2017, without histogram
+subtraction).  A node's histogram is one row of slots holding every
+feature's own bins, so a single bincount over codes + feature offset +
+node * width fills the gradient histogram of every frontier node and
+every feature, and a second one the hessian histogram.  Totals and
+running sums follow per block of features with equal bin counts; gains
+are computed only at bins that hold rows (an empty bin repeats the gain
+of the bin before it) and one segmented argmax per level picks each
+node's split.  Ties go to the first feature, then to the first bin.  A
+feature's totals are summed over its own bins only, and the parent term
+squares them as a scalar power would, so every gain keeps the bits of a
+per-node, per-feature search.
+
+Prediction walks no tree (QuickScorer, Lucchese et al., SIGIR 2015).
+Each tree's leaves are numbered left to right, and every split node
+carries a bitmask that clears the leaves of its left subtree: the
+leaves a row cannot reach once the test x <= threshold fails.  Per
+feature, the masks of all trees are prefix-ANDed over the feature's
+distinct thresholds in ascending order, so one searchsorted code per
+feature selects the AND of every failed test on it.  The lowest set bit
+left in a tree's mask names the row's exit leaf; masks take
+ceil(leaves / 64) words per tree, so any depth runs the same code.  NaN
+fails every test, as a float comparison does.  Leaf values are added
+tree by tree in order, so scores keep the bits of a tree-at-a-time
+walk.  The tables are built whenever a model's trees are set and are
+never serialized.
 """
 
 from __future__ import annotations
@@ -15,6 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 _MAX_BINS = 256
+_WORD_BITS = 64
+_ALL_LEAVES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# Rows scored per block: bounds the (rows, trees, words) mask arrays and
+# keeps them cache-sized (512 rows scored faster than 2048 with 200 trees).
+_PREDICT_BLOCK = 512
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -66,17 +98,6 @@ class Tree:
     right: np.ndarray  # (n_nodes,) int32
     value: np.ndarray  # (n_nodes,) float64, meaningful at leaves
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[idx]
-            active = feat >= 0
-            if not active.any():
-                return self.value[idx]
-            rows = np.flatnonzero(active)
-            go_left = X[rows, feat[rows]] <= self.threshold[idx[rows]]
-            idx[rows] = np.where(go_left, self.left[idx[rows]], self.right[idx[rows]])
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
@@ -98,40 +119,223 @@ class Tree:
 
 
 @dataclass
-class _NodeBuild:
-    node_id: int
-    depth: int
-    rows: np.ndarray
+class _BinLayout:
+    """Histogram geometry shared by every tree of one fit.
+
+    A node's histogram is one row of `width` slots holding each feature's
+    own bins.  The features are sorted by bin count, so features with
+    equal counts form one (features, n_bins) block.  Candidate splits are
+    numbered by feature, then bin.
+    """
+
+    width: int  # slots per node: the sum of all bin counts
+    offset: np.ndarray  # (d,) first slot of each feature
+    position: np.ndarray  # (d,) rank of each feature in the block order
+    blocks: list[tuple[int, slice, slice]]  # (n_bins, ranks, slots) per block
+    split: np.ndarray  # (width,) candidate number of each slot, -1 for a last bin
+    leads: np.ndarray  # (width,) bool, the slot is a candidate's bin 0
+    feature: np.ndarray  # (splits,) candidate feature
+    split_bin: np.ndarray  # (splits,) candidate bin; codes <= bin go left
+
+    @classmethod
+    def of(cls, mapper: BinMapper) -> "_BinLayout":
+        n_bins = np.array([mapper.n_bins(j) for j in range(len(mapper.uppers))], dtype=np.int64)
+        by_bins = np.argsort(n_bins, kind="stable")
+        position = np.empty_like(n_bins)
+        position[by_bins] = np.arange(n_bins.size)
+        offset = np.empty_like(n_bins)
+        offset[by_bins] = np.cumsum(n_bins[by_bins]) - n_bins[by_bins]
+        counts, starts = np.unique(n_bins[by_bins], return_index=True)
+        ends = np.append(starts[1:], n_bins.size)
+        blocks = [
+            (int(c), slice(a, b), slice(offset[by_bins[a]], offset[by_bins[a]] + c * (b - a)))
+            for c, a, b in zip(counts, starts, ends)
+        ]
+        # The last bin is no split: it would send every row left.
+        feature, split_bin = np.nonzero(np.arange(n_bins.max(initial=1)) < (n_bins - 1)[:, None])
+        split = np.full(int(n_bins.sum()), -1)
+        split[offset[feature] + split_bin] = np.arange(feature.size)
+        leads = np.zeros(split.size, dtype=bool)
+        leads[offset[feature[split_bin == 0]]] = True
+        return cls(width=split.size, offset=offset, position=position, blocks=blocks,
+                   split=split, leads=leads, feature=feature, split_bin=split_bin)
 
 
-def _best_split(
-    codes_col: np.ndarray,
+def _scalar_square(x: np.ndarray) -> np.ndarray:
+    """x**2 as numpy float64 scalars compute it (libm pow); the array
+    power (x*x) differs from it in the last bit for ~0.1% of values."""
+    return (x.astype(object) ** 2).astype(np.float64)
+
+
+def _trailing_zeros(words: np.ndarray) -> np.ndarray:
+    """Trailing zero bits per uint64 word, 64 for a zero word."""
+    return np.bitwise_count(~words & (words - np.uint64(1))).astype(np.int64)
+
+
+def _best_splits(
+    codes: np.ndarray,
+    node_rows: list[np.ndarray],
     g: np.ndarray,
     h: np.ndarray,
-    rows_by_node: list[np.ndarray],
-    n_bins: int,
+    layout: _BinLayout,
     lam: float,
     min_child_hess: float,
-) -> list[tuple[float, int]]:
-    """Best (gain, split_bin) per node for one feature, histogram route."""
-    out = []
-    for rows in rows_by_node:
-        binned = codes_col[rows]
-        g_hist = np.bincount(binned, weights=g[rows], minlength=n_bins)
-        h_hist = np.bincount(binned, weights=h[rows], minlength=n_bins)
-        gl = np.cumsum(g_hist)[:-1]
-        hl = np.cumsum(h_hist)[:-1]
-        gt, ht = g_hist.sum(), h_hist.sum()
-        gr, hr = gt - gl, ht - hl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = gl**2 / (hl + lam) + gr**2 / (hr + lam) - gt**2 / (ht + lam)
-        gain[(hl < min_child_hess) | (hr < min_child_hess)] = -np.inf
-        if gain.size == 0:
-            out.append((-np.inf, -1))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gain, feature, split bin) per node, one histogram pass for all."""
+    k, d = len(node_rows), codes.shape[1]
+    if not layout.feature.size:
+        return np.full(k, -np.inf), np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    rows = np.concatenate(node_rows)
+    node_of_row = np.repeat(np.arange(k), [r.size for r in node_rows])
+    slot = (codes[rows] + (layout.offset + node_of_row[:, None] * layout.width)).ravel()
+    # (g|h, node, slot)
+    hist = np.stack([
+        np.bincount(slot, weights=np.repeat(w[rows], d), minlength=k * layout.width)
+        for w in (g, h)
+    ]).reshape(2, k, layout.width)
+    # Totals over each feature's own bins (pairwise summation rounds
+    # differently over a zero-padded row) and running sums per feature.
+    total = np.empty((2, k, d))
+    running = np.empty_like(hist)
+    for n_bins, ranks, slots in layout.blocks:
+        shape = (2, k, ranks.stop - ranks.start, n_bins)
+        block = hist[:, :, slots].reshape(shape)
+        np.sum(block, axis=-1, out=total[:, :, ranks])
+        np.cumsum(block, axis=-1, out=running[:, :, slots].reshape(shape))
+    total = total[:, :, layout.position]
+    # Only bins holding rows change the running sums: an empty bin repeats
+    # the gain of the bin before it, which wins the tie.  Bin 0 stands for
+    # the empty bins that lead a feature.
+    candidate = (hist[0] != 0) | (hist[1] != 0)
+    candidate &= layout.split >= 0
+    candidate |= layout.leads
+    node, slot = np.nonzero(candidate)
+    split = layout.split[slot]
+    feature = layout.feature[split]
+    pair = node * d + feature
+    gl, hl = running.reshape(2, -1)[:, node * layout.width + slot]
+    gr, hr = total.reshape(2, -1)[:, pair]
+    gr -= gl
+    hr -= hl
+    # gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent, in place.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = _scalar_square(total[0]) / (total[1] + lam)
+        gain = np.square(gl)
+        gain /= hl + lam
+        np.square(gr, out=gr)
+        gr /= hr + lam
+        gain += gr
+        gain -= parent.ravel()[pair]
+    gain[(hl < min_child_hess) | (hr < min_child_hess)] = -np.inf
+    nan = np.isnan(gain)
+    if nan.any():
+        # A per-feature argmax would stop at the NaN, which then loses
+        # to any gain: such a feature offers no split at that node.
+        lost = np.zeros(k * d, dtype=bool)
+        lost[pair[nan]] = True
+        gain[lost[pair]] = -np.inf
+    # The first maximum in candidate order: the first feature's first bin
+    # among equal gains.  Every node holds candidates (bin 0 of each).
+    starts = np.searchsorted(node, np.arange(k))
+    best_gain = np.maximum.reduceat(gain, starts)
+    best = np.minimum.reduceat(np.where(gain == best_gain[node], split, layout.feature.size), starts)
+    return best_gain, layout.feature[best], layout.split_bin[best]
+
+
+def _leaf_layout(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(leaf node ids left to right, first, mid): the left subtree of
+    node i holds the leaves numbered first[i] <= k < mid[i]."""
+    leaves: list[int] = []
+    first = np.zeros(tree.feature.size, dtype=np.int64)
+    mid = np.zeros(tree.feature.size, dtype=np.int64)
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        if node < 0:  # the left subtree of ~node is done
+            mid[~node] = len(leaves)
+        elif tree.feature[node] < 0:
+            leaves.append(node)
         else:
-            best = int(np.argmax(gain))
-            out.append((float(gain[best]), best))
-    return out
+            first[node] = len(leaves)
+            stack += [int(tree.right[node]), ~node, int(tree.left[node])]
+    return np.asarray(leaves, dtype=np.int64), first, mid
+
+
+@dataclass
+class _BitmaskScorer:
+    """All trees of one model as QuickScorer tables (see module docstring)."""
+
+    features: list[int]  # features tested by at least one split
+    thresholds: list[np.ndarray]  # per feature, distinct thresholds ascending
+    masks: list[np.ndarray]  # per feature, (thresholds + 1, trees, words) prefix ANDs
+    leaf_values: np.ndarray  # (trees, words * 64) learning_rate * leaf value
+    base_score: float
+
+    @classmethod
+    def build(cls, trees: list[Tree], learning_rate: float, base_score: float) -> "_BitmaskScorer":
+        layouts = [_leaf_layout(tree) for tree in trees]
+        max_leaves = max((leaves.size for leaves, _, _ in layouts), default=1)
+        n_words = -(-max_leaves // _WORD_BITS)
+        n_trees = len(trees)
+        leaf_values = np.zeros((n_trees, n_words * _WORD_BITS))
+        tree_of, feature, threshold, first, mid = [], [], [], [], []
+        for t, (tree, (leaves, lo, hi)) in enumerate(zip(trees, layouts)):
+            leaf_values[t, : leaves.size] = learning_rate * tree.value[leaves]
+            split = np.flatnonzero(tree.feature >= 0)
+            tree_of.append(np.full(split.size, t))
+            feature.append(tree.feature[split])
+            threshold.append(tree.threshold[split])
+            first.append(lo[split])
+            mid.append(hi[split])
+        tree_of, feature, threshold, first, mid = (
+            np.concatenate(a) if a else np.zeros(0, dtype=np.int64)
+            for a in (tree_of, feature, threshold, first, mid)
+        )
+        bit = np.arange(n_words * _WORD_BITS)
+        cleared = (bit >= first[:, None]) & (bit < mid[:, None])
+        node_mask = ~np.packbits(
+            cleared.reshape(-1, n_words, _WORD_BITS), axis=-1, bitorder="little"
+        ).view("<u8").reshape(-1, n_words).astype(np.uint64)
+
+        features, thresholds, masks = [], [], []
+        for f in np.unique(feature):
+            on_f = feature == f
+            values, rank = np.unique(threshold[on_f], return_inverse=True)
+            table = np.full((values.size + 1, n_trees, n_words), _ALL_LEAVES)
+            np.bitwise_and.at(table[1:], (rank, tree_of[on_f]), node_mask[on_f])
+            np.bitwise_and.accumulate(table, axis=0, out=table)
+            features.append(int(f))
+            thresholds.append(values)
+            masks.append(table)
+        return cls(features, thresholds, masks, leaf_values, base_score)
+
+    def score(self, X: np.ndarray) -> np.ndarray:
+        n = X.shape[0]
+        n_trees, n_bits = self.leaf_values.shape
+        n_words = n_bits // _WORD_BITS
+        # Code c selects the AND over the c smallest thresholds, the
+        # tests that x > threshold fails; NaN sorts past them all.
+        codes = [np.searchsorted(t, X[:, f], side="left")
+                 for f, t in zip(self.features, self.thresholds)]
+        leaf_base = np.arange(n_trees)[:, None] * n_bits
+        flat_values = self.leaf_values.ravel()
+        raw = np.empty(n)
+        for start in range(0, n, _PREDICT_BLOCK):
+            stop = min(n, start + _PREDICT_BLOCK)
+            alive = np.full((stop - start, n_trees, n_words), _ALL_LEAVES)
+            for code, table in zip(codes, self.masks):
+                alive &= table[code[start:stop]]
+            # The exit leaf is the lowest set bit; an empty word counts 64.
+            leaf = _trailing_zeros(alive[..., 0])
+            for w in range(1, n_words):
+                empty = leaf == w * _WORD_BITS
+                leaf[empty] += _trailing_zeros(alive[..., w][empty])
+            terms = flat_values[leaf.T + leaf_base]  # (trees, rows)
+            block = np.full(stop - start, self.base_score)
+            for term in terms:
+                block += term
+            raw[start:stop] = block
+        return raw
 
 
 class GbdtClassifier:
@@ -157,6 +361,7 @@ class GbdtClassifier:
         self.train_loss: list[float] = []
         self.n_features = 0
         self._split_gain: np.ndarray | None = None
+        self._scorer: _BitmaskScorer | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GbdtClassifier":
         X = np.asarray(X, dtype=np.float64)
@@ -171,6 +376,7 @@ class GbdtClassifier:
         self.n_features = d
         mapper = BinMapper.fit(X, self.max_bins)
         codes = mapper.transform(X)
+        layout = _BinLayout.of(mapper)
 
         pos_rate = np.clip(y.mean(), 1e-6, 1.0 - 1e-6)
         self.base_score = float(np.log(pos_rate / (1.0 - pos_rate)))
@@ -183,92 +389,80 @@ class GbdtClassifier:
             p = sigmoid(raw)
             g = p - y
             h = p * (1.0 - p)
-            tree = self._grow_tree(codes, mapper, g, h)
+            tree, leaves = self._grow_tree(codes, mapper, layout, g, h)
             self.trees.append(tree)
-            raw += self.learning_rate * tree.predict(X)
+            for rows, value in leaves:
+                raw[rows] += self.learning_rate * value
             self.train_loss.append(log_loss(y, sigmoid(raw)))
+        self._set_scorer()
         return self
 
     def _grow_tree(
-        self, codes: np.ndarray, mapper: BinMapper, g: np.ndarray, h: np.ndarray
-    ) -> Tree:
+        self, codes: np.ndarray, mapper: BinMapper, layout: _BinLayout,
+        g: np.ndarray, h: np.ndarray,
+    ) -> tuple[Tree, list[tuple[np.ndarray, float]]]:
+        """The tree, and (rows, value) of each of its leaves."""
         lam = self.reg_lambda
         feature = [np.int32(-1)]
         threshold = [0.0]
         left = [np.int32(-1)]
         right = [np.int32(-1)]
         value = [0.0]
+        leaves: list[tuple[np.ndarray, float]] = []
 
-        frontier = [_NodeBuild(node_id=0, depth=0, rows=np.arange(codes.shape[0]))]
-        while frontier:
-            splittable: list[_NodeBuild] = []
-            settled: list[_NodeBuild] = []
-            for nb in frontier:
-                if nb.depth < self.max_depth and nb.rows.size > 1:
-                    splittable.append(nb)
+        def settle(node_id: int, rows: np.ndarray) -> None:
+            value[node_id] = -g[rows].sum() / (h[rows].sum() + lam)
+            leaves.append((rows, value[node_id]))
+
+        frontier = [(0, np.arange(codes.shape[0]))]  # (node id, rows) of one level
+        for depth in range(self.max_depth + 1):
+            splittable = []
+            for node_id, rows in frontier:
+                if depth < self.max_depth and rows.size > 1:
+                    splittable.append((node_id, rows))
                 else:
-                    settled.append(nb)
-            for nb in settled:
-                gs, hs = g[nb.rows].sum(), h[nb.rows].sum()
-                value[nb.node_id] = -gs / (hs + lam)
+                    settle(node_id, rows)
             if not splittable:
                 break
-
-            rows_by_node = [nb.rows for nb in splittable]
-            best_gain = np.full(len(splittable), -np.inf)
-            best_feat = np.full(len(splittable), -1, dtype=np.int64)
-            best_bin = np.full(len(splittable), -1, dtype=np.int64)
-            for j in range(codes.shape[1]):
-                n_bins = mapper.n_bins(j)
-                if n_bins < 2:
-                    continue
-                for i, (gain, split_bin) in enumerate(
-                    _best_split(codes[:, j], g, h, rows_by_node, n_bins, lam, self.min_child_hess)
-                ):
-                    if gain > best_gain[i]:
-                        best_gain[i] = gain
-                        best_feat[i] = j
-                        best_bin[i] = split_bin
-
-            next_frontier: list[_NodeBuild] = []
-            for i, nb in enumerate(splittable):
+            best_gain, best_feat, best_bin = _best_splits(
+                codes, [rows for _, rows in splittable], g, h, layout, lam, self.min_child_hess
+            )
+            frontier = []
+            for i, (node_id, rows) in enumerate(splittable):
                 if best_gain[i] <= 0.0:
-                    gs, hs = g[nb.rows].sum(), h[nb.rows].sum()
-                    value[nb.node_id] = -gs / (hs + lam)
+                    settle(node_id, rows)
                     continue
                 j, s = int(best_feat[i]), int(best_bin[i])
                 self._split_gain[j] += best_gain[i]
-                go_left = codes[nb.rows, j] <= s
-                feature[nb.node_id] = np.int32(j)
-                threshold[nb.node_id] = float(mapper.uppers[j][s])
+                go_left = codes[rows, j] <= s
+                feature[node_id] = np.int32(j)
+                threshold[node_id] = float(mapper.uppers[j][s])
                 for mask in (go_left, ~go_left):
-                    child = len(feature)
+                    frontier.append((len(feature), rows[mask]))
                     feature.append(np.int32(-1))
                     threshold.append(0.0)
                     left.append(np.int32(-1))
                     right.append(np.int32(-1))
                     value.append(0.0)
-                    next_frontier.append(
-                        _NodeBuild(node_id=child, depth=nb.depth + 1, rows=nb.rows[mask])
-                    )
-                left[nb.node_id] = np.int32(len(feature) - 2)
-                right[nb.node_id] = np.int32(len(feature) - 1)
-            frontier = next_frontier
+                left[node_id] = np.int32(len(feature) - 2)
+                right[node_id] = np.int32(len(feature) - 1)
 
-        return Tree(
+        tree = Tree(
             feature=np.asarray(feature, dtype=np.int32),
             threshold=np.asarray(threshold, dtype=np.float64),
             left=np.asarray(left, dtype=np.int32),
             right=np.asarray(right, dtype=np.int32),
             value=np.asarray(value, dtype=np.float64),
         )
+        return tree, leaves
+
+    def _set_scorer(self) -> None:
+        self._scorer = _BitmaskScorer.build(self.trees, self.learning_rate, self.base_score)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        raw = np.full(X.shape[0], self.base_score)
-        for tree in self.trees:
-            raw += self.learning_rate * tree.predict(X)
-        return raw
+        if self._scorer is None:
+            raise ValueError("model not fitted")
+        return self._scorer.score(np.asarray(X, dtype=np.float64))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.decision_function(X))
@@ -312,4 +506,5 @@ class GbdtClassifier:
         if data.get("split_gain") is not None:
             model._split_gain = np.asarray(data["split_gain"], dtype=np.float64)
         model.trees = [Tree.from_dict(t) for t in data["trees"]]
+        model._set_scorer()
         return model

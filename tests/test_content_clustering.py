@@ -239,3 +239,13 @@ class TestAssignmentValidation:
         got = cluster_cosine(np.array([[1.0, 0], [1.0, 0], [0, 1.0]]), 0.9)
         assert got.members(0) == [0, 1]
         assert got.members(1) == [2]
+
+    def test_member_lists_match_per_cluster_scans(self):
+        rng = np.random.default_rng(7)
+        got = cluster_cosine(rng.standard_normal((60, 3)), 0.8)
+        assert got.n_clusters > 3
+        assert got.member_lists() == [got.members(c) for c in range(got.n_clusters)]
+
+    def test_member_lists_of_empty_assignment(self):
+        got = cluster_cosine(np.zeros((0, 2)), 0.5)
+        assert got.member_lists() == []

@@ -1,9 +1,11 @@
+import bisect
+import json
 import math
 
 import numpy as np
 import pytest
 
-from suspkit.gbdt import GbdtClassifier, log_loss, sigmoid
+from suspkit.gbdt import BinMapper, GbdtClassifier, _scalar_square, log_loss, sigmoid
 
 
 class TestSigmoid:
@@ -112,3 +114,224 @@ class TestSerialization:
         assert clone.n_rounds == 7
         assert clone.learning_rate == 0.05
         assert clone.max_depth == 4
+
+
+def _reference_fit(X, y, n_rounds, learning_rate, max_depth, reg_lambda=1.0, min_child_hess=1e-3):
+    """Pure-Python boosting: one split search per node, feature and bin.
+
+    Bin sums and running sums add in row and bin order; a feature's
+    totals are numpy's sum over its own bins, and the parent term squares
+    them as a float power.  The first (feature, bin) with the largest
+    gain wins.
+    """
+    n, d = X.shape
+    uppers = [u.tolist() for u in BinMapper.fit(X).uppers]
+    codes = [[bisect.bisect_left(uppers[j], X[i, j]) for j in range(d)] for i in range(n)]
+    pos_rate = np.clip(y.mean(), 1e-6, 1.0 - 1e-6)
+    base_score = float(np.log(pos_rate / (1.0 - pos_rate)))
+    raw = [base_score] * n
+    split_gain = np.zeros(d)
+    trees, losses = [], []
+    for _ in range(n_rounds):
+        p = sigmoid(np.array(raw))
+        g, h = (p - y).tolist(), (p * (1.0 - p)).tolist()
+        tree = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [0.0]}
+        frontier = [(0, list(range(n)))]
+        for depth in range(max_depth + 1):
+            next_frontier = []
+            for node, rows in frontier:
+                best = None
+                if depth < max_depth and len(rows) > 1:
+                    for j in range(d):
+                        n_bins = len(uppers[j]) + 1
+                        g_hist = [np.float64(0.0)] * n_bins
+                        h_hist = [np.float64(0.0)] * n_bins
+                        for r in rows:
+                            g_hist[codes[r][j]] += g[r]
+                            h_hist[codes[r][j]] += h[r]
+                        gt, ht = np.sum(g_hist), np.sum(h_hist)
+                        gl = hl = np.float64(0.0)
+                        gains = []
+                        for b in range(n_bins - 1):
+                            gl += g_hist[b]
+                            hl += h_hist[b]
+                            gr, hr = gt - gl, ht - hl
+                            if hl < min_child_hess or hr < min_child_hess:
+                                gains.append(-math.inf)
+                                continue
+                            gains.append(gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda)
+                                         - gt**2 / (ht + reg_lambda))
+                        if not gains or any(math.isnan(v) for v in gains):
+                            continue  # argmax would land on the NaN, which no gain beats
+                        b = gains.index(max(gains))
+                        if best is None or gains[b] > best[0]:
+                            best = (gains[b], j, b)
+                if best is None or best[0] <= 0.0:
+                    gs, hs = np.sum([g[r] for r in rows]), np.sum([h[r] for r in rows])
+                    tree["value"][node] = -gs / (hs + reg_lambda)
+                    for r in rows:
+                        raw[r] += learning_rate * tree["value"][node]
+                    continue
+                gain, j, b = best
+                split_gain[j] += gain
+                tree["feature"][node], tree["threshold"][node] = j, uppers[j][b]
+                for part in ([r for r in rows if codes[r][j] <= b], [r for r in rows if codes[r][j] > b]):
+                    next_frontier.append((len(tree["feature"]), part))
+                    for key, empty in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                                       ("right", -1), ("value", 0.0)):
+                        tree[key].append(empty)
+                tree["left"][node] = len(tree["feature"]) - 2
+                tree["right"][node] = len(tree["feature"]) - 1
+            frontier = next_frontier
+        trees.append(tree)
+        losses.append(log_loss(y, sigmoid(np.array(raw))))
+    return {"base_score": base_score, "split_gain": split_gain.tolist(), "trees": trees}, losses
+
+
+def _split_search_data(seed):
+    """Normal, rounded, 2- and 3-valued and constant columns, plus a
+    duplicate of column 0 so that gains tie exactly across features."""
+    rng = np.random.default_rng(seed)
+    n = 70
+    X = np.column_stack([
+        rng.standard_normal(n),
+        np.round(rng.standard_normal(n), 1),
+        rng.integers(0, 2, n).astype(float),
+        rng.integers(0, 3, n) * 0.5,
+        np.full(n, 2.5),
+        rng.uniform(-1, 1, n),
+    ])
+    X = np.column_stack([X, X[:, 0]])
+    y = (X[:, 0] + X[:, 2] + 0.7 * rng.standard_normal(n) > 0.5).astype(float)
+    return X, y
+
+
+def _walk(model, x):
+    """Score of one row by a scalar walk of each tree in turn."""
+    raw = model.base_score
+    for tree in model.trees:
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        raw += model.learning_rate * float(tree.value[node])
+    return raw
+
+
+def _probe_rows(model, X, seed):
+    """Training rows, rows sitting exactly on split thresholds, and NaNs."""
+    rng = np.random.default_rng(seed)
+    thresholds = [(j, t) for tree in model.trees
+                  for j, t in zip(tree.feature, tree.threshold) if j >= 0]
+    on_split = X[rng.integers(0, X.shape[0], len(thresholds))].copy()
+    for row, (j, t) in zip(on_split, thresholds):
+        row[j] = t
+    with_nan = X[:40].copy()
+    with_nan[rng.random(with_nan.shape) < 0.3] = np.nan
+    return np.vstack([X, on_split, with_nan, np.full((1, X.shape[1]), np.nan)])
+
+
+def _max_leaves(model):
+    return max(int(np.sum(tree.feature < 0)) for tree in model.trees)
+
+
+@pytest.fixture(scope="module")
+def deep_model():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((700, 4))
+    y = (X[:, 0] * X[:, 1] + 0.8 * rng.standard_normal(700) > 0).astype(float)
+    model = GbdtClassifier(n_rounds=4, learning_rate=0.3, max_depth=8).fit(X, y)
+    return model, X
+
+
+class TestSplitSearchOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_trees_match_brute_force(self, seed):
+        X, y = _split_search_data(seed)
+        model = GbdtClassifier(n_rounds=6, learning_rate=0.3, max_depth=3).fit(X, y)
+        expected, losses = _reference_fit(X, y, 6, 0.3, 3)
+        self._assert_same(model, expected, losses)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nan_gains_without_regularization(self, seed):
+        # With no lambda and no hessian floor an empty left child gives
+        # 0/0: a feature with a NaN gain offers no split at that node.
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, (40, 3)).astype(float)
+        y = (rng.random(40) > 0.5).astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            model = GbdtClassifier(n_rounds=4, learning_rate=0.3, max_depth=3,
+                                   reg_lambda=0.0, min_child_hess=0.0).fit(X, y)
+            expected, losses = _reference_fit(X, y, 4, 0.3, 3, reg_lambda=0.0, min_child_hess=0.0)
+        self._assert_same(model, expected, losses)
+
+    def test_node_whose_rows_fill_only_last_bins(self):
+        # The last bin holds only the values above the top quantile cut: the
+        # first split isolates those rows, whose child then has no bin with
+        # rows that could split it.
+        x = np.arange(600.0)
+        X = np.column_stack([x, x[::-1] * -1.0])
+        y = (x >= 597).astype(float)
+        model = GbdtClassifier(n_rounds=3, learning_rate=0.3, max_depth=2).fit(X, y)
+        assert np.sum(x > model.trees[0].threshold[0]) == 3
+        expected, losses = _reference_fit(X, y, 3, 0.3, 2)
+        self._assert_same(model, expected, losses)
+
+    @staticmethod
+    def _assert_same(model, expected, losses):
+        got = model.to_dict()
+        assert json.dumps(got["trees"]) == json.dumps(expected["trees"])
+        assert json.dumps(got["split_gain"]) == json.dumps(expected["split_gain"])
+        assert got["base_score"] == expected["base_score"]
+        assert model.train_loss == losses
+
+    def test_duplicate_column_never_wins_a_tie(self):
+        X, y = _split_search_data(0)
+        model = GbdtClassifier(n_rounds=6, learning_rate=0.3, max_depth=3).fit(X, y)
+        used = {int(j) for tree in model.trees for j in tree.feature if j >= 0}
+        assert 0 in used and X.shape[1] - 1 not in used
+        assert 4 not in used  # the constant column
+
+    def test_parent_term_squares_like_a_scalar_power(self):
+        x = np.random.default_rng(5).standard_normal(20000) * 30
+        expected = np.array([np.float64(v) ** 2 for v in x])
+        assert _scalar_square(x).tobytes() == expected.tobytes()
+
+
+class TestBitmaskPrediction:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_scalar_walk(self, seed):
+        X, y = _split_search_data(seed)
+        model = GbdtClassifier(n_rounds=8, learning_rate=0.3, max_depth=4).fit(X, y)
+        probe = _probe_rows(model, X, seed)
+        expected = np.array([_walk(model, row) for row in probe])
+        assert model.decision_function(probe).tobytes() == expected.tobytes()
+
+    def test_single_leaf_trees(self):
+        X, _ = _split_search_data(4)
+        model = GbdtClassifier(n_rounds=3).fit(X, np.ones(X.shape[0]))
+        assert _max_leaves(model) == 1
+        probe = _probe_rows(model, X, 4)
+        expected = np.array([_walk(model, row) for row in probe])
+        assert model.decision_function(probe).tobytes() == expected.tobytes()
+
+    def test_more_than_64_leaves(self, deep_model):
+        model, X = deep_model
+        assert _max_leaves(model) > 64
+        probe = _probe_rows(model, X, 6)
+        expected = np.array([_walk(model, row) for row in probe])
+        assert model.decision_function(probe).tobytes() == expected.tobytes()
+
+    def test_roundtrip_keeps_deep_predictions(self, deep_model):
+        model, X = deep_model
+        clone = GbdtClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
+        probe = _probe_rows(model, X, 7)
+        assert clone.decision_function(probe).tobytes() == model.decision_function(probe).tobytes()
+
+    def test_empty_input(self, deep_model):
+        model, X = deep_model
+        assert model.decision_function(X[:0]).shape == (0,)
+
+    def test_unfitted_model_refuses_to_predict(self):
+        with pytest.raises(ValueError):
+            GbdtClassifier().decision_function(np.zeros((2, 2)))
