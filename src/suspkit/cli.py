@@ -68,7 +68,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
     config = PipelineConfig.from_dict(data)
     overrides = {}
-    for name in ("workdir", "seed", "threads"):
+    for name in ("workdir", "seed"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -493,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--workdir", help="artifact directory (overrides config)")
     parser.add_argument("--seed", type=int, help="root seed (overrides config)")
-    parser.add_argument("--threads", type=int, help="intra-stage thread cap")
     sub = parser.add_subparsers(dest="stage", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")

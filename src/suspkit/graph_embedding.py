@@ -3,15 +3,13 @@
 Edges come from retweets, quotes, and mentions inside a time window.
 Embeddings are trained with a diagonal bilinear scoring function
 (score = sum_i s_i * w_ri * d_i) against uniformly corrupted
-destinations under a sampled softmax cross-entropy loss.  Single
-threaded training is bit-deterministic for a fixed seed; the threaded
-mode trades that away for speed.
+destinations under a sampled softmax cross-entropy loss.  Training is
+bit-deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -164,6 +162,10 @@ def _edge_arrays(
     )
 
 
+def _flat_index(rows: np.ndarray, dim: int) -> np.ndarray:
+    return (rows[:, None] * dim + np.arange(dim)).ravel()
+
+
 def _batch_update(
     E: np.ndarray,
     W: np.ndarray,
@@ -174,6 +176,7 @@ def _batch_update(
     lr: float,
 ) -> float:
     """One SGD step on a batch; returns the mean batch loss."""
+    dim = E.shape[1]
     S, Wr, D = E[src], W[rel], E[dst]
     Dn = E[neg]  # (B, K, dim)
     left = S * Wr
@@ -194,10 +197,16 @@ def _batch_update(
     # dense graphs.
     M = g0[:, None] * D + np.einsum("bk,bkd->bd", pn, Dn)
     scale = lr / src.shape[0]
-    np.add.at(E, src, -scale * (Wr * M))
-    np.add.at(W, rel, -scale * (S * M))
-    np.add.at(E, dst, -scale * (g0[:, None] * left))
-    np.add.at(E, neg.ravel(), -scale * (pn[:, :, None] * left[:, None, :]).reshape(-1, E.shape[1]))
+    # One scatter per table on its flat view (the tables are contiguous,
+    # so reshape(-1) is a view): numpy's indexed fast loop handles 1-D
+    # ufunc.at only.  Each lane still receives its additions in row
+    # order src, dst, neg, one at a time onto the table's own value.
+    rows = np.concatenate([src, dst, neg.ravel()])
+    upd = np.concatenate(
+        [Wr * M, g0[:, None] * left, (pn[:, :, None] * left[:, None, :]).reshape(-1, dim)]
+    )
+    np.add.at(E.reshape(-1), _flat_index(rows, dim), (-scale * upd).ravel())
+    np.add.at(W.reshape(-1), _flat_index(rel, dim), (-scale * (S * M)).ravel())
     return loss
 
 
@@ -209,7 +218,6 @@ def train_embeddings(
     negatives_per_edge: int = 5,
     batch_size: int = 1024,
     seed: int = 0,
-    threads: int = 1,
 ) -> NodeEmbeddings:
     if graph.n_edges == 0:
         raise EmptyGraph("cannot train on a graph with no edges")
@@ -228,27 +236,15 @@ def train_embeddings(
     losses: list[float] = []
     for _ in range(epochs):
         order = rng.permutation(n)
-        neg = rng.integers(0, graph.n_nodes, size=(n, negatives_per_edge))
-        starts = range(0, n, batch_size)
-        if threads <= 1:
-            epoch_loss = [
-                _batch_update(
-                    E, W, src[order[b : b + batch_size]], rel[order[b : b + batch_size]],
-                    dst[order[b : b + batch_size]], neg[order[b : b + batch_size]], lr,
-                )
-                for b in starts
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                epoch_loss = list(
-                    pool.map(
-                        lambda b: _batch_update(
-                            E, W, src[order[b : b + batch_size]], rel[order[b : b + batch_size]],
-                            dst[order[b : b + batch_size]], neg[order[b : b + batch_size]], lr,
-                        ),
-                        starts,
-                    )
-                )
+        neg = rng.integers(0, graph.n_nodes, size=(n, negatives_per_edge))[order]
+        s, r, d = src[order], rel[order], dst[order]
+        epoch_loss = [
+            _batch_update(
+                E, W, s[b : b + batch_size], r[b : b + batch_size],
+                d[b : b + batch_size], neg[b : b + batch_size], lr,
+            )
+            for b in range(0, n, batch_size)
+        ]
         losses.append(float(np.mean(epoch_loss)))
 
     return NodeEmbeddings(

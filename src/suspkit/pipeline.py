@@ -119,7 +119,6 @@ class PipelineConfig:
     shap_samples: int = 8
     explain_method: str = "auto"
     toxicity_threshold: float = 0.5
-    threads: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -318,7 +317,6 @@ def extract_window_features(
                     negatives_per_edge=config.graph_negatives,
                     batch_size=config.graph_batch,
                     seed=stage_seed(config.seed, "graph"),
-                    threads=config.threads,
                 )
             out_context.graph_window = g_window
             out_context.graph = graph
@@ -573,7 +571,6 @@ def run_graph_stage(
         negatives_per_edge=config.graph_negatives,
         batch_size=config.graph_batch,
         seed=stage_seed(config.seed, "graph"),
-        threads=config.threads,
     )
     ranking = evaluate_ranking(
         emb, held_out, negatives_per_positive=100, seed=stage_seed(config.seed, "graph-neg")

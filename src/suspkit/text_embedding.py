@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import KIND_ORIGINAL, KIND_QUOTE, KIND_RETWEET
 from .errors import SuspkitError
@@ -27,6 +26,12 @@ KIND_ORDER = (KIND_ORIGINAL, KIND_RETWEET, KIND_QUOTE)
 # FNV-1a 64-bit constants.
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
+
+# The encoder hashes texts in blocks of about _BLOCK_BYTES bytes; the
+# count cap bounds a block's bucket rows (texts x dim floats) when the
+# texts are short.
+_BLOCK_BYTES = 1 << 16
+_BLOCK_TEXTS = 1024
 
 
 class MissingEmbedding(SuspkitError):
@@ -77,53 +82,73 @@ class HashedNgramEncoder:
     hashing over UTF-8 bytes, signed buckets, L2-normalized rows.
 
     Texts too short to yield any n-gram are hashed whole, so every row
-    has unit norm.
+    has unit norm.  All rows come from one batched pass over blocks of
+    concatenated texts; bucket sums are small integers and so are their
+    squares, which makes every row bit-identical to hashing its text
+    alone.
     """
 
     def __init__(self, dim: int = 768, min_n: int = 3, max_n: int = 5):
         if dim < 1:
             raise ValueError("dim must be positive")
+        if not 1 <= min_n <= max_n:
+            raise ValueError("need 1 <= min_n <= max_n")
         self.dim = dim
         self.min_n = min_n
         self.max_n = max_n
 
-    def _accumulate(self, hashes: np.ndarray, out: np.ndarray) -> None:
-        buckets = (hashes % np.uint64(self.dim)).astype(np.int64)
-        signs = 1.0 - 2.0 * (hashes >> np.uint64(63)).astype(np.float64)
-        out += np.bincount(buckets, weights=signs, minlength=self.dim)
-
     def encode(self, text: str) -> np.ndarray:
-        data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        out = np.zeros(self.dim)
-        seen = False
-        for n in range(self.min_n, self.max_n + 1):
-            if len(data) < n:
-                break
-            windows = sliding_window_view(data, n)
-            h = np.full(windows.shape[0], _FNV_OFFSET, dtype=np.uint64)
-            for j in range(n):
-                h = (h ^ windows[:, j].astype(np.uint64)) * _FNV_PRIME
-            self._accumulate(h, out)
-            seen = True
-        if not seen:
-            h = _fnv1a_scalar(text.encode("utf-8"))
-            out[h % self.dim] = 1.0 - 2.0 * (h >> 63)
-        norm = np.linalg.norm(out)
-        return out / norm if norm else out
+        row = np.empty((1, self.dim))
+        self._encode_into([text], row)
+        return row[0]
 
     def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> EmbeddingMatrix:
         rows = np.empty((len(texts), self.dim))
-        for i, text in enumerate(texts):
-            rows[i] = self.encode(text)
+        self._encode_into(texts, rows)
         return EmbeddingMatrix(item_ids=list(item_ids), vectors=rows)
 
+    def _encode_into(self, texts: Sequence[str], out: np.ndarray) -> None:
+        # Texts are encoded to bytes block by block, so only one block's
+        # bytes and bucket counts are alive at a time.
+        block: list[bytes] = []
+        size = start = 0
+        for i, text in enumerate(texts):
+            data = text.encode("utf-8")
+            block.append(data)
+            size += len(data)
+            if size >= _BLOCK_BYTES or len(block) == _BLOCK_TEXTS:
+                self._hash_block(block, out[start : i + 1])
+                block, size, start = [], 0, i + 1
+        if block:
+            self._hash_block(block, out[start:])
 
-def embed_documents(
-    item_ids: Sequence[str], texts: Sequence[str], provider: EmbeddingProvider
-) -> EmbeddingMatrix:
-    if len(item_ids) != len(texts):
-        raise ValueError("item_ids and texts differ in length")
-    return provider.embed(item_ids, texts)
+    def _hash_block(self, chunks: list[bytes], out: np.ndarray) -> None:
+        dim = self.dim
+        lengths = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
+        data = np.frombuffer(b"".join(chunks), dtype=np.uint8).astype(np.uint64)
+        row_of = np.repeat(np.arange(len(chunks)), lengths)
+        # Bytes from each position to the end of its own text.
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(data.size)
+        keys, signs = [], []
+        h = np.full(data.size, _FNV_OFFSET)
+        for n in range(1, self.max_n + 1):
+            # FNV-1a of the n-gram at p extends that of the (n-1)-gram at p.
+            h = (h[: max(data.size - n + 1, 0)] ^ data[n - 1 :]) * _FNV_PRIME
+            if n < self.min_n:
+                continue
+            inside = left[: h.size] >= n
+            hn = h[inside]
+            keys.append(row_of[: h.size][inside] * dim + (hn % np.uint64(dim)).astype(np.int64))
+            signs.append(1.0 - 2.0 * (hn >> np.uint64(63)).astype(np.float64))
+        rows = np.bincount(
+            np.concatenate(keys), weights=np.concatenate(signs), minlength=len(chunks) * dim
+        ).reshape(len(chunks), dim)
+        for r in np.flatnonzero(lengths < self.min_n):
+            whole = _fnv1a_scalar(chunks[r])
+            rows[r, whole % dim] = 1.0 - 2.0 * (whole >> 63)
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        norms[norms == 0.0] = 1.0
+        np.divide(rows, norms[:, None], out=out)
 
 
 @dataclass

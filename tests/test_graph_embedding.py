@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from suspkit.corpus import CorpusStore, TimeWindow
+from suspkit import graph_embedding
 from suspkit.graph_embedding import (
     EmptyGraph,
     NodeEmbeddings,
@@ -226,6 +227,85 @@ class TestTraining:
         emb = train_embeddings(small_graph(), dim=4, epochs=1, seed=0)
         with pytest.raises(ValueError):
             evaluate(emb, [])
+
+
+def reference_batch_update(E, W, src, rel, dst, neg, lr):
+    """The batch step as four row-wise 2-D ``np.add.at`` scatters."""
+    S, Wr, D = E[src], W[rel], E[dst]
+    Dn = E[neg]
+    left = S * Wr
+    pos_scores = np.sum(left * D, axis=1)
+    neg_scores = np.einsum("bd,bkd->bk", left, Dn)
+    logits = np.concatenate([pos_scores[:, None], neg_scores], axis=1)
+    logits -= logits.max(axis=1, keepdims=True)
+    expl = np.exp(logits)
+    probs = expl / expl.sum(axis=1, keepdims=True)
+    loss = float(np.mean(-np.log(probs[:, 0] + 1e-300)))
+    g0 = probs[:, 0] - 1.0
+    pn = probs[:, 1:]
+    M = g0[:, None] * D + np.einsum("bk,bkd->bd", pn, Dn)
+    scale = lr / src.shape[0]
+    np.add.at(E, src, -scale * (Wr * M))
+    np.add.at(W, rel, -scale * (S * M))
+    np.add.at(E, dst, -scale * (g0[:, None] * left))
+    np.add.at(E, neg.ravel(), -scale * (pn[:, :, None] * left[:, None, :]).reshape(-1, E.shape[1]))
+    return loss
+
+
+def reference_train(graph, dim, epochs, lr, negatives_per_edge, batch_size, seed):
+    node_index = {node: i for i, node in enumerate(graph.nodes)}
+    rel_index = {rel: i for i, rel in enumerate(graph.relations)}
+    src, rel, dst = graph_embedding._edge_arrays(graph, node_index, rel_index)
+    rng = np.random.default_rng(seed)
+    E = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(graph.n_nodes, dim))
+    W = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(len(rel_index), dim))
+    n = src.shape[0]
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        neg = rng.integers(0, graph.n_nodes, size=(n, negatives_per_edge))
+        batch_losses = []
+        for b in range(0, n, batch_size):
+            idx = order[b : b + batch_size]
+            batch_losses.append(
+                reference_batch_update(E, W, src[idx], rel[idx], dst[idx], neg[idx], lr)
+            )
+        losses.append(float(np.mean(batch_losses)))
+    return E, W, losses
+
+
+class TestFlatScatterOracle:
+    def check(self, graph, **kw):
+        E, W, losses = reference_train(graph, **kw)
+        emb = train_embeddings(graph, **kw)
+        assert emb.vectors.tobytes() == E.tobytes()
+        assert emb.relation_vectors.tobytes() == W.tobytes()
+        assert emb.train_loss == losses
+
+    def test_dense_graph_with_repeats_and_ragged_batches(self):
+        # Five nodes, every ordered pair under two relations, some edges
+        # weighted: each node is a source, destination and negative many
+        # times within one batch.
+        edges = [
+            (f"n{i}", rel, f"n{j}")
+            for i in range(5)
+            for j in range(5)
+            if i != j
+            for rel in ("mention", "retweet")
+        ]
+        edges += [("n0", "retweet", "n1")] * 3 + [("n2", "mention", "n0")] * 2
+        g = RelationGraph.from_edges(edges)
+        assert g.total_weight % 7 != 0
+        self.check(g, dim=6, epochs=4, lr=0.5, negatives_per_edge=5, batch_size=7, seed=11)
+
+    def test_single_batch_and_one_relation(self):
+        g = small_graph()
+        self.check(g, dim=3, epochs=3, lr=0.1, negatives_per_edge=4, batch_size=1024, seed=2)
+        edges = [(f"n{i}", "retweet", f"n{(i * 3) % 13}") for i in range(1, 13)]
+        self.check(
+            RelationGraph.from_edges(edges),
+            dim=5, epochs=3, lr=0.3, negatives_per_edge=2, batch_size=5, seed=4,
+        )
 
 
 class TestPersistence:

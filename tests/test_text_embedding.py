@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
+from suspkit import text_embedding
 from suspkit.text_embedding import (
     DimensionMismatch,
     HashedNgramEncoder,
     MissingEmbedding,
     PrecomputedEmbeddings,
     aggregate_post_embeddings,
-    embed_documents,
     load_pca,
     pca_fit,
     pca_inverse_transform,
     pca_transform,
     post_embedding_feature_names,
     save_pca,
+    _fnv1a_scalar,
 )
 from suspkit.vectors import EmbeddingMatrix, write_emb1
 
@@ -70,6 +71,92 @@ class TestHashedEncoder:
             HashedNgramEncoder(dim=0)
 
 
+def oracle_counts(text, dim, min_n=3, max_n=5):
+    """Per-text scalar hashing: signed bucket counts before normalizing."""
+    data = text.encode("utf-8")
+    row = np.zeros(dim)
+    if len(data) < min_n:
+        h = _fnv1a_scalar(data)
+        row[h % dim] = 1.0 - 2.0 * (h >> 63)
+        return row
+    for n in range(min_n, max_n + 1):
+        for p in range(len(data) - n + 1):
+            h = _fnv1a_scalar(data[p : p + n])
+            row[h % dim] += 1.0 - 2.0 * (h >> 63)
+    return row
+
+
+def oracle_rows(texts, dim, min_n=3, max_n=5):
+    raw = np.array([oracle_counts(t, dim, min_n, max_n) for t in texts])
+    norms = np.array([np.linalg.norm(r) for r in raw])
+    return raw, np.array([r / n if n else r for r, n in zip(raw, norms)]), norms
+
+
+ORACLE_TEXTS = [
+    "",
+    "a",
+    "ab",
+    "abc",
+    "é",  # 2 bytes
+    "€",  # 3 bytes
+    "привет, мир",
+    "moon 🚀🚀 soon 😀",
+    "mixed ascii и кириллица 🙂 text",
+]
+
+
+class TestBatchedEncoderOracle:
+    def check(self, texts, dim, min_n=3, max_n=5):
+        raw, expected, norms = oracle_rows(texts, dim, min_n, max_n)
+        enc = HashedNgramEncoder(dim=dim, min_n=min_n, max_n=max_n)
+        got = enc.embed([str(i) for i in range(len(texts))], texts).vectors
+        np.testing.assert_array_equal(got, expected)
+        # The batched kernel normalizes by sqrt of a row's dot product;
+        # the counts are integers, so that is np.linalg.norm exactly.
+        np.testing.assert_array_equal(np.sqrt(np.einsum("ij,ij->i", raw, raw)), norms)
+        for text, row in zip(texts[:20], expected):
+            np.testing.assert_array_equal(enc.encode(text), row)
+
+    def test_short_and_multibyte_texts(self):
+        self.check(ORACLE_TEXTS, dim=64)
+
+    def test_other_ngram_ranges(self):
+        self.check(ORACLE_TEXTS, dim=32, min_n=1, max_n=2)
+        self.check(ORACLE_TEXTS, dim=32, min_n=2, max_n=6)
+
+    def test_text_longer_than_a_block(self):
+        rng = np.random.default_rng(0)
+        alphabet = list("abcdefgh ") + ["ж", "🙂"]
+        long_text = "".join(rng.choice(alphabet, 70_000))
+        assert len(long_text.encode("utf-8")) > text_embedding._BLOCK_BYTES
+        self.check(["xy", long_text, "tail text"], dim=128)
+
+    def test_many_texts_span_blocks(self):
+        rng = np.random.default_rng(1)
+        alphabet = list("abc xyz") + ["é", "ё", "😀"]
+        texts = [
+            "".join(rng.choice(alphabet, int(rng.integers(0, 100)))) for _ in range(3000)
+        ]
+        texts[1023:1026] = ["", "ab", "é"]
+        assert len(texts) > text_embedding._BLOCK_TEXTS
+        assert sum(len(t.encode("utf-8")) for t in texts) > 2 * text_embedding._BLOCK_BYTES
+        self.check(texts, dim=48)
+
+    def test_cancelled_rows_stay_zero(self):
+        rng = np.random.default_rng(2)
+        # 7 bytes give 12 n-grams, so their signs can cancel.
+        texts = ["".join(rng.choice(list("abcdef"), 7)) for _ in range(60)]
+        raw, _, norms = oracle_rows(texts, dim=1)
+        assert (norms == 0).any()
+        self.check(texts, dim=1)
+
+    def test_invalid_ngram_range(self):
+        with pytest.raises(ValueError):
+            HashedNgramEncoder(dim=8, min_n=4, max_n=3)
+        with pytest.raises(ValueError):
+            HashedNgramEncoder(dim=8, min_n=0, max_n=3)
+
+
 class TestPrecomputedProvider:
     def test_lookup_by_item_id(self, tmp_path):
         stored = EmbeddingMatrix(item_ids=["a", "b"], vectors=np.eye(2, dtype=np.float32))
@@ -83,11 +170,6 @@ class TestPrecomputedProvider:
         provider = PrecomputedEmbeddings(EmbeddingMatrix(["a"], np.ones((1, 2))))
         with pytest.raises(MissingEmbedding):
             provider.embed(["ghost"], ["text"])
-
-    def test_embed_documents_length_check(self):
-        provider = HashedNgramEncoder(dim=8)
-        with pytest.raises(ValueError):
-            embed_documents(["a"], [], provider)
 
 
 class TestPca:
