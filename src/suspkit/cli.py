@@ -4,7 +4,9 @@ One root seed and one JSON config drive every stage; flags override
 config values.  Each stage writes versioned artifacts plus a manifest
 (config hash, seed, output hashes) into the workdir, and a separate
 timing sidecar, so reruns with the same config and seed produce
-byte-identical manifests.
+byte-identical manifests.  The `features` and `train` stages make the
+same two `pipeline` calls as `pipeline.run_training`, so the CLI and
+the library produce the same splits, model and reports.
 
 Exit codes: 0 success, 2 usage error, 3 data or dependency error,
 4 internal error.
@@ -16,12 +18,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import sqlite3
 import sys
 import time
 from pathlib import Path
 
 from .content_clustering import toxicity_summary, write_cluster_report
-from .corpus import CorpusStore, EmptyClass, TimeWindow
+from .corpus import CorpusStore
 from .errors import MissingArtifact, SuspkitError
 from .explainability import (
     explain_matrix,
@@ -39,20 +42,16 @@ from .manifest import (
     write_timing,
 )
 from .pipeline import (
-    ExtractionContext,
     PipelineConfig,
-    extract_window_features,
+    extract_split_features,
     run_clustering,
     run_graph_stage,
-    select_users_for_window,
-    split_users,
-    train_on_matrix,
+    train_with_cv,
 )
 from .suspension_model import (
     SPLIT_SECOND_TEST,
     SPLIT_TEST,
     FeatureMatrix,
-    kfold_cv,
     load_model,
     save_model,
     evaluate as evaluate_model,
@@ -159,13 +158,18 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> None:
         if not Path(value).exists():
             raise MissingArtifact(f"{name} file not found: {value}")
     db = _store_path(config)
-    db.unlink(missing_ok=True)
-    with CorpusStore(db) as store:
-        stats = {
-            "tweets": store.ingest_tweets(config.tweets),
-            "snapshots": store.ingest_snapshots(config.snapshots),
-            "labels": store.ingest_labels(config.labels),
-        }
+    # The store is built beside the old one and replaces it only once
+    # every file has been ingested; a stale temp store (and its journal)
+    # from a killed run is removed first.
+    with atomic_path(db) as tmp:
+        for stale in (tmp, tmp.with_name(tmp.name + "-journal")):
+            stale.unlink(missing_ok=True)
+        with CorpusStore(tmp) as store:
+            stats = {
+                "tweets": store.ingest_tweets(config.tweets),
+                "snapshots": store.ingest_snapshots(config.snapshots),
+                "labels": store.ingest_labels(config.labels),
+            }
     payload = {
         name: {"parsed": s.parsed, "skipped": s.skipped, "inserted": s.inserted}
         for name, s in stats.items()
@@ -181,45 +185,13 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> None:
 def cmd_features(config: PipelineConfig, args: argparse.Namespace) -> None:
     started = time.monotonic()
     workdir = _workdir(config)
-    first, second = config.windows()
-    outputs: list[Path] = []
     with _open_store(config) as store:
-        users = select_users_for_window(
-            store, first, stage_seed(config.seed, f"balance:{first.start}:{first.end}")
-        )
-        train_users, test_users = split_users(
-            users, config.test_fraction, stage_seed(config.seed, "split")
-        )
-        feats_train = extract_window_features(store, first, train_users, config)
-        feats_test = None
-        if test_users:
-            feats_test = extract_window_features(
-                store, first, test_users, config, context=feats_train.context
-            )
-        feats_second = None
-        try:
-            users2 = select_users_for_window(
-                store, second,
-                stage_seed(config.seed, f"balance:{second.start}:{second.end}"),
-            )
-        except EmptyClass:
-            users2 = {}
-        if users2:
-            graph_window = TimeWindow(first.start, max(first.end, second.end))
-            context = ExtractionContext(
-                provider=feats_train.context.provider,
-                idf=feats_train.context.idf,
-                pca=feats_train.context.pca,
-            )
-            feats_second = extract_window_features(
-                store, second, users2, config,
-                context=context, graph_window=graph_window,
-            )
-
+        split = extract_split_features(store, config)
+    outputs: list[Path] = []
     for name, feats in (
-        ("train", feats_train),
-        ("test", feats_test),
-        ("second_test", feats_second),
+        ("train", split.train),
+        ("test", split.test),
+        ("second_test", split.second_test),
     ):
         if feats is None:
             continue
@@ -230,18 +202,18 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace) -> None:
     families_path = workdir / "families.json"
     _write_json(
         families_path,
-        {name: list(mat.feature_names) for name, mat in feats_train.families.items()},
+        {name: list(mat.feature_names) for name, mat in split.train.families.items()},
     )
     outputs.append(families_path)
     users_path = workdir / "users.json"
     _write_json(
         users_path,
         {
-            "train": train_users,
-            "test": test_users,
-            "second_test": users2,
-            "dropped": feats_train.dropped_users
-            + (feats_test.dropped_users if feats_test else []),
+            "train": split.train_users,
+            "test": split.test_users,
+            "second_test": split.second_users,
+            "dropped": split.train.dropped_users
+            + (split.test.dropped_users if split.test else []),
         },
     )
     outputs.append(users_path)
@@ -249,10 +221,10 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace) -> None:
         config, "features", {"corpus": str(_store_path(config))}, outputs, started
     )
     print(
-        f"features: train={len(feats_train.combined.user_ids)}"
-        f" test={len(feats_test.combined.user_ids) if feats_test else 0}"
-        f" second_test={len(feats_second.combined.user_ids) if feats_second else 0}"
-        f" columns={len(feats_train.combined.feature_names)}"
+        f"features: train={len(split.train.combined.user_ids)}"
+        f" test={len(split.test.combined.user_ids) if split.test else 0}"
+        f" second_test={len(split.second_test.combined.user_ids) if split.second_test else 0}"
+        f" columns={len(split.train.combined.feature_names)}"
     )
 
 
@@ -261,20 +233,7 @@ def cmd_train(config: PipelineConfig, args: argparse.Namespace) -> None:
     workdir = _workdir(config)
     train_path = _require_artifact(workdir, "features_train.csv", "features")
     matrix = FeatureMatrix.from_csv(train_path)
-    model, mask = train_on_matrix(matrix, config)
-    selected = FeatureMatrix(
-        feature_names=model.feature_names,
-        user_ids=matrix.user_ids,
-        X=matrix.X[:, mask],
-        y=matrix.y,
-    )
-    fold_reports, cv_mean = kfold_cv(
-        selected,
-        k=config.k_folds,
-        seed=stage_seed(config.seed, "folds"),
-        kind=config.model_kind,
-        hyper=config.hyper(),
-    )
+    model, _, fold_reports, cv_mean = train_with_cv(matrix, config)
     model_path = workdir / "model.json"
     with atomic_path(model_path) as tmp:
         save_model(tmp, model)
@@ -546,7 +505,9 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         _COMMANDS[args.stage](config, args)
-    except (SuspkitError, FileNotFoundError, ValueError) as exc:
+    # A corrupt or truncated corpus.sqlite surfaces as sqlite3.DatabaseError
+    # on the first query that touches the damaged pages.
+    except (SuspkitError, FileNotFoundError, ValueError, sqlite3.DatabaseError) as exc:
         line = {"error": type(exc).__name__, "message": str(exc), "stage": args.stage}
         print(json.dumps(line, sort_keys=True), file=sys.stderr)
         return 3

@@ -500,9 +500,6 @@ class CorpusStore:
     def tweet_count(self) -> int:
         return self._conn.execute("SELECT COUNT(*) FROM tweets").fetchone()[0]
 
-    def tweet_ids(self) -> set[str]:
-        return {r[0] for r in self._conn.execute("SELECT tweet_id FROM tweets")}
-
     def user_timeline(self, user_id: str, window: TimeWindow) -> list[Tweet]:
         """All in-window tweets of a user, ascending by time then id.
 

@@ -73,12 +73,6 @@ class RelationGraph:
     def relations(self) -> list[str]:
         return sorted({rel for _, rel, _ in self.edges})
 
-    def union(self, other: "RelationGraph") -> "RelationGraph":
-        edges = dict(self.edges)
-        for key, weight in other.edges.items():
-            edges[key] = edges.get(key, 0) + weight
-        return RelationGraph(nodes=sorted(set(self.nodes) | set(other.nodes)), edges=edges)
-
 
 def build_graph(
     store: CorpusStore,
@@ -254,15 +248,6 @@ def train_embeddings(
         relation_vectors=W,
         train_loss=losses,
     )
-
-
-def score_edges(emb: NodeEmbeddings, edges: Sequence[tuple[str, str, str]]) -> np.ndarray:
-    node_index = emb.node_index()
-    rel_index = emb.relation_index()
-    src = np.asarray([node_index[s] for s, _, _ in edges])
-    rel = np.asarray([rel_index[r] for _, r, _ in edges])
-    dst = np.asarray([node_index[d] for _, _, d in edges])
-    return np.sum(emb.vectors[src] * emb.relation_vectors[rel] * emb.vectors[dst], axis=1)
 
 
 def ranking_metrics(pos_scores: np.ndarray, neg_scores: np.ndarray) -> tuple[float, float]:

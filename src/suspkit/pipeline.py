@@ -9,7 +9,7 @@ reproduces the training features bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ from .content_clustering import (
 from .corpus import (
     STATUS_SUSPENDED,
     CorpusStore,
+    EmptyClass,
     TimeWindow,
     parse_status_date,
     select_window_users,
@@ -239,14 +240,7 @@ def extract_window_features(
     need_timeline = bool({"activity", "textual", "post_embedding"} & set(families))
     timelines = {u: store.user_timeline(u, window) for u in kept} if need_timeline else {}
 
-    out_context = ExtractionContext(
-        provider=context.provider if context else None,
-        idf=context.idf if context else None,
-        pca=context.pca if context else None,
-        graph_window=context.graph_window if context else None,
-        graph=context.graph if context else None,
-        node_embeddings=context.node_embeddings if context else None,
-    )
+    out_context = replace(context) if context else ExtractionContext()
     mats: dict[str, FeatureMatrix] = {}
 
     if "profile" in families:
@@ -337,13 +331,16 @@ def extract_window_features(
     )
 
 
-def _window_tag(window: TimeWindow) -> str:
-    return f"{window.start}:{window.end}"
-
-
 def select_users_for_window(store: CorpusStore, window: TimeWindow, seed: int) -> dict[str, int]:
     users = select_window_users(window, store.labels(), store.active_users(window))
     return undersample_balance(users, seed)
+
+
+def _balanced_users(
+    store: CorpusStore, config: PipelineConfig, window: TimeWindow
+) -> dict[str, int]:
+    seed = stage_seed(config.seed, f"balance:{window.start}:{window.end}")
+    return select_users_for_window(store, window, seed)
 
 
 def split_users(
@@ -366,15 +363,71 @@ def split_users(
     return train_part, test
 
 
+def _second_window_features(
+    store: CorpusStore,
+    config: PipelineConfig,
+    windows: tuple[TimeWindow, TimeWindow],
+    users: dict[str, int],
+    context: ExtractionContext,
+    families: Sequence[str] | None = None,
+) -> WindowFeatures:
+    """Window-2 features under the training context.  Graph features are
+    computed over the union time range so training-window edges are
+    retained; the graph model is refitted when that range differs from
+    the one the context was fitted on."""
+    first, second = windows
+    graph_window = TimeWindow(min(first.start, second.start), max(first.end, second.end))
+    return extract_window_features(
+        store, second, users, config, context=context,
+        graph_window=graph_window, families=families,
+    )
+
+
 @dataclass
-class TrainingArtifacts:
-    model: TrainedModel
-    selection_mask: np.ndarray
-    fold_reports: list[EvalReport]
-    cv_mean: EvalReport
-    test_report: EvalReport | None
-    features_train: WindowFeatures
-    features_test: WindowFeatures | None
+class SplitFeatures:
+    """Users and features of the three evaluation splits: window-1
+    train and test, and the window-2 second test."""
+
+    train_users: dict[str, int]
+    test_users: dict[str, int]
+    second_users: dict[str, int]
+    train: WindowFeatures
+    test: WindowFeatures | None
+    second_test: WindowFeatures | None
+
+
+def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitFeatures:
+    """Balance and split the window-1 users, then extract train, test
+    and (when window 2 has users of both classes) second-test features,
+    the last two under the context fitted on the train split."""
+    windows = config.windows()
+    users = _balanced_users(store, config, windows[0])
+    train_users, test_users = split_users(
+        users, config.test_fraction, stage_seed(config.seed, "split")
+    )
+    train = extract_window_features(store, windows[0], train_users, config)
+    test = None
+    if test_users:
+        test = extract_window_features(
+            store, windows[0], test_users, config, context=train.context
+        )
+    try:
+        second_users = _balanced_users(store, config, windows[1])
+    except EmptyClass:
+        second_users = {}
+    second_test = None
+    if second_users:
+        second_test = _second_window_features(
+            store, config, windows, second_users, train.context
+        )
+    return SplitFeatures(
+        train_users=train_users,
+        test_users=test_users,
+        second_users=second_users,
+        train=train,
+        test=test,
+        second_test=second_test,
+    )
 
 
 def train_on_matrix(
@@ -398,35 +451,17 @@ def train_on_matrix(
     return model, mask
 
 
-def train_model_on_features(
-    features: WindowFeatures, config: PipelineConfig, families: Sequence[str] | None = None
-) -> tuple[TrainedModel, np.ndarray]:
-    matrix = (
-        features.combined
-        if families is None
-        else assemble({name: features.families[name] for name in families})
-    )
-    return train_on_matrix(matrix, config)
-
-
-def run_training(store: CorpusStore, config: PipelineConfig) -> TrainingArtifacts:
-    """Window-1 protocol: balance, user-level split, feature
-    selection, K-fold cross-validation, and held-out evaluation."""
-    first, _ = config.windows()
-    users = select_users_for_window(
-        store, first, stage_seed(config.seed, f"balance:{_window_tag(first)}")
-    )
-    train_users, test_users = split_users(
-        users, config.test_fraction, stage_seed(config.seed, "split")
-    )
-    features_train = extract_window_features(store, first, train_users, config)
-    model, mask = train_model_on_features(features_train, config)
-
+def train_with_cv(
+    matrix: FeatureMatrix, config: PipelineConfig
+) -> tuple[TrainedModel, np.ndarray, list[EvalReport], EvalReport]:
+    """Selection and the final fit, then K-fold cross-validation on the
+    selected columns: (model, selection mask, fold reports, CV mean)."""
+    model, mask = train_on_matrix(matrix, config)
     selected = FeatureMatrix(
         feature_names=model.feature_names,
-        user_ids=features_train.combined.user_ids,
-        X=features_train.combined.X[:, mask],
-        y=features_train.combined.y,
+        user_ids=matrix.user_ids,
+        X=matrix.X[:, mask],
+        y=matrix.y,
     )
     fold_reports, cv_mean = kfold_cv(
         selected,
@@ -435,22 +470,43 @@ def run_training(store: CorpusStore, config: PipelineConfig) -> TrainingArtifact
         kind=config.model_kind,
         hyper=config.hyper(),
     )
+    return model, mask, fold_reports, cv_mean
 
-    features_test = None
-    test_report = None
-    if test_users:
-        features_test = extract_window_features(
-            store, first, test_users, config, context=features_train.context
-        )
-        test_report = evaluate_model(model, features_test.combined, SPLIT_TEST)
+
+@dataclass
+class TrainingArtifacts:
+    model: TrainedModel
+    selection_mask: np.ndarray
+    fold_reports: list[EvalReport]
+    cv_mean: EvalReport
+    test_report: EvalReport | None
+    second_report: EvalReport | None
+    features_train: WindowFeatures
+    features_test: WindowFeatures | None
+    features_second: WindowFeatures | None
+
+
+def run_training(store: CorpusStore, config: PipelineConfig) -> TrainingArtifacts:
+    """The paper's protocol: balance, user-level split, feature
+    selection, K-fold cross-validation, held-out evaluation, and
+    evaluation on window 2 when it has users."""
+    split = extract_split_features(store, config)
+    model, mask, fold_reports, cv_mean = train_with_cv(split.train.combined, config)
     return TrainingArtifacts(
         model=model,
         selection_mask=mask,
         fold_reports=fold_reports,
         cv_mean=cv_mean,
-        test_report=test_report,
-        features_train=features_train,
-        features_test=features_test,
+        test_report=(
+            evaluate_model(model, split.test.combined, SPLIT_TEST) if split.test else None
+        ),
+        second_report=(
+            evaluate_model(model, split.second_test.combined, SPLIT_SECOND_TEST)
+            if split.second_test else None
+        ),
+        features_train=split.train,
+        features_test=split.test,
+        features_second=split.second_test,
     )
 
 
@@ -462,31 +518,17 @@ def second_window_protocol(
 ) -> tuple[EvalReport, EvalReport]:
     """Train on all window-1 users, evaluate on window-2 users.
 
-    Window-2 graph features are computed over the union time range so
-    training-window edges are retained.  When the two windows are the
-    same, the pair of reports is identical by construction.
+    When the two windows are the same, the pair of reports is identical
+    by construction.
     """
-    first, second = windows if windows is not None else config.windows()
-    users1 = select_users_for_window(
-        store, first, stage_seed(config.seed, f"balance:{_window_tag(first)}")
-    )
-    users2 = select_users_for_window(
-        store, second, stage_seed(config.seed, f"balance:{_window_tag(second)}")
-    )
-    features1 = extract_window_features(store, first, users1, config, families=families)
-    model, _ = train_model_on_features(features1, config)
+    windows = windows if windows is not None else config.windows()
+    users1 = _balanced_users(store, config, windows[0])
+    users2 = _balanced_users(store, config, windows[1])
+    features1 = extract_window_features(store, windows[0], users1, config, families=families)
+    model, _ = train_on_matrix(features1.combined, config)
     report1 = evaluate_model(model, features1.combined, SPLIT_TEST)
-
-    graph_window = TimeWindow(min(first.start, second.start), max(first.end, second.end))
-    context = features1.context
-    if "graph_embedding" in (families or config.families):
-        # Retrain embeddings over the combined range for window 2.
-        context = ExtractionContext(
-            provider=context.provider, idf=context.idf, pca=context.pca
-        )
-    features2 = extract_window_features(
-        store, second, users2, config, context=context,
-        graph_window=graph_window, families=families,
+    features2 = _second_window_features(
+        store, config, windows, users2, features1.context, families
     )
     report2 = evaluate_model(model, features2.combined, SPLIT_SECOND_TEST)
     return report1, report2

@@ -98,12 +98,17 @@ class FeatureMatrix:
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if not header or header[0] != "user_id" or header[-1] != "label":
                 raise SchemaMismatch(f"{path}: expected user_id ... label header")
             names = tuple(header[1:-1])
             user_ids, rows, labels = [], [], []
             for record in reader:
+                if len(record) != len(header):
+                    raise SchemaMismatch(
+                        f"{path}: line {reader.line_num} has {len(record)} cells,"
+                        f" the header has {len(header)}"
+                    )
                 user_ids.append(record[0])
                 rows.append([float(cell) if cell else math.nan for cell in record[1:-1]])
                 labels.append(int(record[-1]))

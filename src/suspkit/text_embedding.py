@@ -9,8 +9,6 @@ across runs and platforms.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -244,40 +242,6 @@ def pca_transform(model: PcaModel, X: np.ndarray | EmbeddingMatrix) -> np.ndarra
             f"expected {model.dim_in} input dims, got {X.shape[1] if X.ndim == 2 else X.shape}"
         )
     return (X - model.mean) @ model.components.T
-
-
-def pca_inverse_transform(model: PcaModel, T: np.ndarray) -> np.ndarray:
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim != 2 or T.shape[1] != model.k:
-        raise DimensionMismatch(f"expected {model.k} reduced dims")
-    return T @ model.components + model.mean
-
-
-_PCA_MAGIC = b"PCA1\n"
-
-
-def save_pca(path: str | Path, model: PcaModel) -> None:
-    header = json.dumps({"dim_in": model.dim_in, "k": model.k}).encode() + b"\n"
-    with open(path, "wb") as fh:
-        fh.write(_PCA_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(np.ascontiguousarray(model.mean, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(model.components, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(model.explained_variance, dtype="<f4").tobytes())
-
-
-def load_pca(path: str | Path) -> PcaModel:
-    with open(path, "rb") as fh:
-        if fh.read(5) != _PCA_MAGIC:
-            raise SuspkitError(f"{path}: not a PCA model file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen))
-        d, k = header["dim_in"], header["k"]
-        mean = np.frombuffer(fh.read(d * 4), dtype="<f4").astype(np.float64)
-        comps = np.frombuffer(fh.read(k * d * 4), dtype="<f4").astype(np.float64)
-        var = np.frombuffer(fh.read(k * 4), dtype="<f4").astype(np.float64)
-    return PcaModel(mean=mean, components=comps.reshape(k, d), explained_variance=var)
 
 
 def aggregate_post_embeddings(

@@ -3,7 +3,10 @@ import json
 import pytest
 
 from suspkit import cli
-from suspkit.manifest import read_manifest
+from suspkit.corpus import CorpusStore
+from suspkit.manifest import canonical_json, read_manifest
+from suspkit.pipeline import PipelineConfig, run_training
+from suspkit.suspension_model import save_model
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +167,119 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "InternalError"
         assert err["type"] == "RuntimeError"
+
+    def test_failed_ingest_keeps_the_previous_store(self, workdir, tmp_path, capsys):
+        wd, _ = workdir
+        (tmp_path / "corpus.sqlite").write_bytes((wd / "corpus.sqlite").read_bytes())
+        before = (tmp_path / "corpus.sqlite").read_bytes()
+        bad_labels = tmp_path / "labels.csv"
+        bad_labels.write_bytes(
+            (wd / "synth" / "labels.csv").read_bytes().replace(b"\n", b"\n\xff", 1)
+        )
+        code = cli.main(
+            ["--workdir", str(tmp_path), "--seed", "3", "ingest",
+             "--tweets", str(wd / "synth" / "tweets.jsonl"),
+             "--snapshots", str(wd / "synth" / "snapshots.jsonl"),
+             "--labels", str(bad_labels)]
+        )
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip())["stage"] == "ingest"
+        assert (tmp_path / "corpus.sqlite").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir() if ".tmp" in p.name] == []
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            ("", None),
+            ("user_id,a,b,label\nu1,1.0,2.0,1\nu2,3.0,0\n", 3),
+        ],
+        ids=["empty", "ragged"],
+    )
+    def test_malformed_feature_csv_exits_3(self, tmp_path, capsys, content, line):
+        (tmp_path / "features_train.csv").write_text(content, encoding="utf-8")
+        code = cli.main(["--workdir", str(tmp_path), "train"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "SchemaMismatch"
+        if line is not None:
+            assert f"line {line} " in err["message"]
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_corrupt_store_exits_3(self, workdir, tmp_path, capsys, damage):
+        wd, _ = workdir
+        good = (wd / "corpus.sqlite").read_bytes()
+        bad = b"not a database " * 64 if damage == "garbage" else good[: len(good) // 3]
+        (tmp_path / "corpus.sqlite").write_bytes(bad)
+        code = cli.main(["--workdir", str(tmp_path), "features"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "DatabaseError"
+
+
+FAST_CONFIG = {
+    "encoder_dim": 64,
+    "pca_components": 8,
+    "graph_dim": 8,
+    "graph_epochs": 30,
+    "graph_batch": 64,
+    "n_rounds": 30,
+    "max_depth": 3,
+    "k_folds": 3,
+}
+
+
+@pytest.fixture(scope="module")
+def two_window_run(tmp_path_factory):
+    """CLI features, train and both evaluations on a two-window corpus."""
+    wd = tmp_path_factory.mktemp("cli-two-windows")
+    config_path = wd / "config.json"
+    config_path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    synth_dir = wd / "synth"
+    base = ["--config", str(config_path), "--workdir", str(wd), "--seed", "3"]
+    sequence = [
+        ["synth", "--out", str(synth_dir), "--suspended", "30", "--normal", "30",
+         "--windows", "2"],
+        ["ingest",
+         "--tweets", str(synth_dir / "tweets.jsonl"),
+         "--snapshots", str(synth_dir / "snapshots.jsonl"),
+         "--labels", str(synth_dir / "labels.csv")],
+        ["features"],
+        ["train"],
+        ["evaluate", "--split", "test"],
+        ["evaluate", "--split", "second_test"],
+    ]
+    for args in sequence:
+        assert cli.main(base + args) == 0, args
+    return wd
+
+
+class TestCliMatchesPipeline:
+    def test_artifacts_equal_run_training(self, two_window_run, tmp_path):
+        wd = two_window_run
+        config = PipelineConfig.from_dict(dict(FAST_CONFIG, seed=3))
+        with CorpusStore(wd / "corpus.sqlite") as store:
+            artifacts = run_training(store, config)
+        assert artifacts.features_second is not None
+
+        expected = {
+            "cv_report.json": canonical_json({
+                "folds": [r.to_dict() for r in artifacts.fold_reports],
+                "mean": artifacts.cv_mean.to_dict(),
+            }) + "\n",
+            "report_test.json": canonical_json(artifacts.test_report.to_dict()) + "\n",
+            "report_second_test.json":
+                canonical_json(artifacts.second_report.to_dict()) + "\n",
+        }
+        for name, text in expected.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        save_model(tmp_path / "model.json", artifacts.model)
+        for split, feats in (
+            ("train", artifacts.features_train),
+            ("test", artifacts.features_test),
+            ("second_test", artifacts.features_second),
+        ):
+            feats.combined.to_csv(tmp_path / f"features_{split}.csv")
+
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert len(names) == 7
+        for name in names:
+            assert (wd / name).read_bytes() == (tmp_path / name).read_bytes(), name

@@ -14,7 +14,6 @@ from suspkit.graph_embedding import (
     ranking_metrics,
     read_graph_csv,
     save_embeddings,
-    score_edges,
     split_edges,
     train_embeddings,
     write_graph_csv,
@@ -43,12 +42,6 @@ class TestRelationGraph:
 
     def test_relations_sorted(self):
         assert small_graph().relations == ["mention", "quote", "retweet"]
-
-    def test_union_sums_weights(self):
-        g = small_graph()
-        merged = g.union(RelationGraph.from_edges([("a", "retweet", "b"), ("d", "mention", "a")]))
-        assert merged.edges[("a", "retweet", "b")] == 3
-        assert "d" in merged.nodes
 
     def test_endpoint_validation(self):
         with pytest.raises(ValueError):
@@ -198,21 +191,6 @@ class TestTraining:
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraph):
             train_embeddings(RelationGraph(nodes=["a"], edges={}))
-
-    def test_score_edges_matches_manual(self):
-        g = small_graph()
-        emb = train_embeddings(g, dim=4, epochs=2, seed=1)
-        key = ("a", "retweet", "b")
-        idx = emb.node_index()
-        rel = emb.relation_index()
-        expected = float(
-            np.sum(
-                emb.vectors[idx["a"]]
-                * emb.relation_vectors[rel["retweet"]]
-                * emb.vectors[idx["b"]]
-            )
-        )
-        assert score_edges(emb, [key])[0] == pytest.approx(expected)
 
     def test_evaluate_returns_bounded_metrics(self):
         edges = [(f"n{i}", "retweet", f"n{(i + 1) % 8}") for i in range(8)]

@@ -8,12 +8,9 @@ from suspkit.text_embedding import (
     MissingEmbedding,
     PrecomputedEmbeddings,
     aggregate_post_embeddings,
-    load_pca,
     pca_fit,
-    pca_inverse_transform,
     pca_transform,
     post_embedding_feature_names,
-    save_pca,
     _fnv1a_scalar,
 )
 from suspkit.vectors import EmbeddingMatrix, write_emb1
@@ -203,7 +200,7 @@ class TestPca:
         rng = np.random.default_rng(11)
         X = rng.standard_normal((25, 6))
         model = pca_fit(X, k=6)
-        back = pca_inverse_transform(model, pca_transform(model, X))
+        back = pca_transform(model, X) @ model.components + model.mean
         np.testing.assert_allclose(back, X, atol=1e-9)
 
     def test_transform_is_centered_projection(self):
@@ -232,8 +229,6 @@ class TestPca:
         model = pca_fit(rng.standard_normal((10, 4)), k=2)
         with pytest.raises(DimensionMismatch):
             pca_transform(model, np.ones((3, 5)))
-        with pytest.raises(DimensionMismatch):
-            pca_inverse_transform(model, np.ones((3, 3)))
 
     def test_sample_cap_is_deterministic(self):
         rng = np.random.default_rng(14)
@@ -253,17 +248,6 @@ class TestPca:
         oracle_vals, oracle_vecs = oracle_eigen(X, 3)
         np.testing.assert_allclose(model.explained_variance, oracle_vals, rtol=1e-6)
         assert subspace_angle(model.components, oracle_vecs) <= 1e-5
-
-    def test_save_load_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(16)
-        model = pca_fit(rng.standard_normal((20, 6)), k=3)
-        path = tmp_path / "model.pca"
-        save_pca(path, model)
-        loaded = load_pca(path)
-        assert loaded.k == 3 and loaded.dim_in == 6
-        # storage is float32
-        np.testing.assert_allclose(loaded.components, model.components, atol=1e-6)
-        np.testing.assert_allclose(loaded.mean, model.mean, atol=1e-6)
 
 
 class TestAggregation:
