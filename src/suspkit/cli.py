@@ -171,7 +171,8 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> None:
                 "labels": store.ingest_labels(config.labels),
             }
     payload = {
-        name: {"parsed": s.parsed, "skipped": s.skipped, "inserted": s.inserted}
+        name: {"parsed": s.parsed, "skipped": s.skipped, "inserted": s.inserted,
+               "skipped_by_reason": s.skipped_by_reason}
         for name, s in stats.items()
     }
     stats_path = workdir / "ingest_stats.json"
@@ -299,9 +300,7 @@ def cmd_explain(config: PipelineConfig, args: argparse.Namespace) -> None:
         background,
         rows=rows,
         background_size=config.background_size,
-        samples=config.shap_samples,
         seed=stage_seed(config.seed, "explain"),
-        method=config.explain_method,
     )
     summary = impact_summary(explanations)
     exp_path = workdir / "explanations.csv"

@@ -13,7 +13,7 @@ import csv
 import json
 import logging
 import sqlite3
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -41,7 +41,16 @@ _WARN_LIMIT = 5
 
 
 class MalformedRecord(SuspkitError):
-    """A record that cannot be parsed; skipped and counted, never fatal."""
+    """A record that cannot be parsed; skipped and counted, never fatal.
+
+    `reason` names the kind of fault, for the per-reason skip counts:
+    invalid_utf8, invalid_json, missing_field, inconsistent, or
+    bad_value for a field of the wrong type or out of range.
+    """
+
+    def __init__(self, message: str, reason: str = "bad_value"):
+        super().__init__(message)
+        self.reason = reason
 
 
 class EmptyClass(SuspkitError):
@@ -111,15 +120,32 @@ class IngestStats:
     parsed: int = 0
     skipped: int = 0
     inserted: int = 0
+    skipped_by_reason: dict[str, int] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
         return self.parsed + self.skipped
 
+    def skip(self, exc: MalformedRecord) -> None:
+        self.skipped += 1
+        self.skipped_by_reason[exc.reason] = self.skipped_by_reason.get(exc.reason, 0) + 1
+        if self.skipped <= _WARN_LIMIT:
+            logger.warning("skipping malformed record: %s", exc)
+
+
+def _require_utf8(text: str) -> None:
+    """Input files are read with errors="surrogateescape", so a byte that
+    is not UTF-8 arrives as a lone surrogate, which cannot be encoded."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRecord("invalid UTF-8 byte", reason="invalid_utf8") from None
+
 
 def _require(obj: dict, key: str):
     if key not in obj or obj[key] is None:
-        raise MalformedRecord(f"missing required field {key!r}")
+        raise MalformedRecord(f"missing required field {key!r}", reason="missing_field")
     return obj[key]
 
 
@@ -170,9 +196,9 @@ def parse_tweet_record(line: str) -> Tweet:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"invalid JSON: {exc}") from None
+        raise MalformedRecord(f"invalid JSON: {exc}", reason="invalid_json") from None
     if not isinstance(obj, dict):
-        raise MalformedRecord("record is not a JSON object")
+        raise MalformedRecord("record is not a JSON object", reason="invalid_json")
 
     tweet_id = _as_str(_require(obj, "id"), "id")
     user_id = _as_str(_require(obj, "user_id"), "user_id")
@@ -189,7 +215,8 @@ def parse_tweet_record(line: str) -> Tweet:
         if not present:
             continue
         if len(present) != len(fields):
-            raise MalformedRecord(f"partial {candidate} reference: only {present} set")
+            raise MalformedRecord(f"partial {candidate} reference: only {present} set",
+                                  reason="inconsistent")
         kind = candidate
         ref_id = _as_str(obj[fields[0]], fields[0])
         ref_user = _as_str(obj[fields[1]], fields[1])
@@ -197,7 +224,8 @@ def parse_tweet_record(line: str) -> Tweet:
         break
 
     if ref_created is not None and ref_created > created_at:
-        raise MalformedRecord("referenced post is newer than the referencing post")
+        raise MalformedRecord("referenced post is newer than the referencing post",
+                              reason="inconsistent")
 
     hashtags = tuple(h.lstrip("#") for h in _str_list(obj, "hashtags"))
     lang = obj.get("lang") or "und"
@@ -229,15 +257,15 @@ def parse_snapshot_record(line: str) -> UserSnapshot:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"invalid JSON: {exc}") from None
+        raise MalformedRecord(f"invalid JSON: {exc}", reason="invalid_json") from None
     if not isinstance(obj, dict):
-        raise MalformedRecord("record is not a JSON object")
+        raise MalformedRecord("record is not a JSON object", reason="invalid_json")
 
     user_id = _as_str(_require(obj, "user_id"), "user_id")
     observed_at = _as_epoch(_require(obj, "observed_at"), "observed_at")
     account_created_at = _as_epoch(_require(obj, "account_created_at"), "account_created_at")
     if account_created_at > observed_at:
-        raise MalformedRecord("account created after it was observed")
+        raise MalformedRecord("account created after it was observed", reason="inconsistent")
 
     counts = {}
     for field in _SNAPSHOT_COUNTS:
@@ -283,12 +311,12 @@ def parse_label_row(row: dict[str, str]) -> AccountLabel:
     user_id = (row.get("user_id") or "").strip()
     status = (row.get("status") or "").strip()
     if not user_id:
-        raise MalformedRecord("label row without user_id")
+        raise MalformedRecord("label row without user_id", reason="missing_field")
     if status not in STATUSES:
         raise MalformedRecord(f"unknown status {status!r}")
     status_date = parse_status_date(row.get("status_date") or "")
     if status in (STATUS_SUSPENDED, STATUS_DEACTIVATED) and status_date is None:
-        raise MalformedRecord(f"{status} label without status_date")
+        raise MalformedRecord(f"{status} label without status_date", reason="missing_field")
     return AccountLabel(user_id=user_id, status=status, status_date=status_date)
 
 
@@ -378,11 +406,10 @@ class CorpusStore:
             if not line.strip():
                 continue
             try:
+                _require_utf8(line)
                 batch.append(parse(line))
             except MalformedRecord as exc:
-                stats.skipped += 1
-                if stats.skipped <= _WARN_LIMIT:
-                    logger.warning("skipping malformed record: %s", exc)
+                stats.skip(exc)
                 continue
             stats.parsed += 1
             if len(batch) >= _INGEST_BATCH:
@@ -446,28 +473,29 @@ class CorpusStore:
     def ingest_tweets(self, source: str | Path | Iterable[str]) -> IngestStats:
         """Ingest a JSON-Lines tweet file (or an iterable of lines)."""
         if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8") as fh:
+            with open(source, encoding="utf-8", errors="surrogateescape") as fh:
                 return self._ingest_lines(fh, parse_tweet_record, self._insert_tweets)
         return self._ingest_lines(source, parse_tweet_record, self._insert_tweets)
 
     def ingest_snapshots(self, source: str | Path | Iterable[str]) -> IngestStats:
         if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8") as fh:
+            with open(source, encoding="utf-8", errors="surrogateescape") as fh:
                 return self._ingest_lines(fh, parse_snapshot_record, self._insert_snapshots)
         return self._ingest_lines(source, parse_snapshot_record, self._insert_snapshots)
 
     def ingest_labels(self, source: str | Path) -> IngestStats:
         stats = IngestStats()
-        with open(source, encoding="utf-8", newline="") as fh:
+        with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.DictReader(fh)
             batch = []
             for row in reader:
                 try:
+                    for value in row.values():
+                        if isinstance(value, str):
+                            _require_utf8(value)
                     batch.append(parse_label_row(row))
                 except MalformedRecord as exc:
-                    stats.skipped += 1
-                    if stats.skipped <= _WARN_LIMIT:
-                        logger.warning("skipping malformed label: %s", exc)
+                    stats.skip(exc)
                     continue
                 stats.parsed += 1
             cur = self._conn.executemany(

@@ -1,10 +1,16 @@
 """Shapley-value attributions for trained classifiers.
 
-Coalition value v(S) is the mean model output over a background set
-with the features in S taken from the explained instance.  Exact mode
-enumerates all coalitions (feature count capped at 15); sampled mode
-averages marginal contributions over antithetic permutation pairs and
-then distributes the efficiency residual proportionally to |phi|.
+`explain_matrix` explains the margin (log-odds) of a trained model in
+closed form, exactly, at any feature count: interventional TreeSHAP for
+boosted trees (`GbdtClassifier.shap_values`) and linear SHAP for the
+logistic model (`LogisticModel.shap_values`).  Both play the game
+v(S) = mean over background rows b of f(x on S, b elsewhere), so
+sum(phi) + base_value = f(x), with base_value the background's mean
+margin.
+
+`shapley_exact` evaluates the same game by enumerating all coalitions of
+any predictor (feature count capped at 15); it is the oracle the closed
+forms are tested against.
 """
 
 from __future__ import annotations
@@ -102,58 +108,6 @@ def shapley_exact(
     return phi, float(v[0]), float(v[-1])
 
 
-def shapley_sampled(
-    predict: Predictor,
-    x: np.ndarray,
-    background: np.ndarray,
-    samples: int = 64,
-    seed: int = 0,
-) -> tuple[np.ndarray, float, float]:
-    """Permutation-sampling Shapley estimate with antithetic pairs.
-
-    The efficiency residual is redistributed proportionally to |phi|
-    so that sum(phi) + base_value equals the instance output.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    background = _as_2d(background)
-    r, m = background.shape
-    if m != x.shape[0]:
-        raise SchemaMismatch("background width differs from the instance")
-
-    rng = np.random.default_rng(seed)
-    perms = []
-    while len(perms) < samples:
-        perm = rng.permutation(m)
-        perms.append(perm)
-        if len(perms) < samples:
-            perms.append(perm[::-1])
-
-    base_value = float(predict(background).mean())
-    output = float(predict(x[None, :])[0])
-
-    phi = np.zeros(m)
-    for perm in perms:
-        # Position j of the stack has the first j permuted features
-        # from the instance; m+1 coalition rows per permutation.
-        stacked = np.broadcast_to(background, (m + 1, r, m)).copy()
-        for j, feat in enumerate(perm):
-            stacked[j + 1 :, :, feat] = x[feat]
-        v = predict(stacked.reshape((m + 1) * r, m)).reshape(m + 1, r).mean(axis=1)
-        phi[perm] += np.diff(v)
-    phi /= len(perms)
-
-    residual = (output - base_value) - phi.sum()
-    weights = np.abs(phi)
-    total = weights.sum()
-    if total > 0.0:
-        phi += residual * weights / total
-    else:
-        phi += residual / m
-    return phi, base_value, output
-
-
 def explain_matrix(
     model: TrainedModel,
     matrix: FeatureMatrix,
@@ -164,18 +118,18 @@ def explain_matrix(
     seed: int = 0,
     method: str = "auto",
 ) -> list[Explanation]:
-    """Explanations for selected rows of a matrix, using a seeded
-    background sample drawn from the training matrix."""
+    """Exact margin-space explanations for selected rows of a matrix,
+    against a seeded background sample drawn from the training matrix.
+
+    `samples` is ignored: no attribution is sampled.  `method` must be
+    "auto"; both are kept so existing callers still work.
+    """
+    if method != "auto":
+        raise ValueError(f"unknown method {method!r}")
     if matrix.feature_names != model.input_feature_names:
         raise SchemaMismatch("matrix schema differs from the model's")
     if background.feature_names != model.input_feature_names:
         raise SchemaMismatch("background schema differs from the model's")
-    names = model.feature_names
-    m = len(names)
-    if method == "auto":
-        method = "exact" if m <= MAX_EXACT_FEATURES else "sampled"
-    if method not in ("exact", "sampled"):
-        raise ValueError(f"unknown method {method!r}")
 
     def imputed_selected(fm: FeatureMatrix) -> np.ndarray:
         X = fm.X[:, model.selection_mask]
@@ -189,27 +143,22 @@ def explain_matrix(
     if bg.shape[0] > background_size:
         bg = bg[np.sort(rng.choice(bg.shape[0], size=background_size, replace=False))]
 
-    X = imputed_selected(matrix)
-    if rows is None:
-        rows = range(matrix.n)
-    predict = model.predict_proba_selected
-    explanations = []
-    for i in rows:
-        if method == "exact":
-            phi, base, out = shapley_exact(predict, X[i], bg)
-        else:
-            phi, base, out = shapley_sampled(predict, X[i], bg, samples=samples, seed=seed)
-        explanations.append(
-            Explanation(
-                feature_names=names,
-                values=X[i].copy(),
-                phi=phi,
-                base_value=base,
-                output=out,
-                user_id=matrix.user_ids[i],
-            )
+    rows = list(range(matrix.n) if rows is None else rows)
+    X = imputed_selected(matrix)[rows]
+    phi = model.inner.shap_values(X, bg)
+    output = model.inner.decision_function(X)
+    base = float(model.inner.decision_function(bg).mean())
+    return [
+        Explanation(
+            feature_names=model.feature_names,
+            values=X[j],
+            phi=phi[j],
+            base_value=base,
+            output=float(output[j]),
+            user_id=matrix.user_ids[i],
         )
-    return explanations
+        for j, i in enumerate(rows)
+    ]
 
 
 @dataclass

@@ -33,15 +33,25 @@ fails every test, as a float comparison does.  Leaf values are added
 tree by tree in order, so scores keep the bits of a tree-at-a-time
 walk.  The tables are built whenever a model's trees are set and are
 never serialized.
+
+Attributions (`shap_values`) are exact interventional TreeSHAP values
+of the margin, computed leaf by leaf from each row's path masks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _MAX_BINS = 256
+# Leaves with at most this many path features are attributed through a
+# (2^k, 2^k * k) table of pair values (4 MB at k = 8); leaves with more
+# pair every explained row with every background row instead.
+_TABLE_MAX_FEATURES = 8
+# Elements of the largest intermediate array per block of TreeSHAP work.
+_SHAP_BLOCK = 1 << 20
 _WORD_BITS = 64
 _ALL_LEAVES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 # Rows scored per block: bounds the (rows, trees, words) mask arrays and
@@ -261,6 +271,75 @@ def _leaf_layout(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.asarray(leaves, dtype=np.int64), first, mid
 
 
+def shap_inputs(X: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both as float64, checked for the shapes `shap_values` needs."""
+    X = np.asarray(X, dtype=np.float64)
+    background = np.asarray(background, dtype=np.float64)
+    if X.ndim != 2 or background.ndim != 2 or background.shape[1] != X.shape[1]:
+        raise ValueError("X and background must be 2-D with equal widths")
+    if not background.shape[0]:
+        raise ValueError("background must hold at least one row")
+    return X, background
+
+
+def _leaf_paths(tree: Tree) -> list[tuple[int, dict[int, tuple[float, float]]]]:
+    """(leaf node id, {feature: (lo, hi)}) per leaf.  A row reaches the
+    leaf iff, for every feature on its path, `x <= lo` fails and
+    `x <= hi` holds; NaN bounds stand for no such test."""
+    paths = []
+    stack: list[tuple[int, dict[int, tuple[float, float]]]] = [(0, {})]
+    while stack:
+        node, bounds = stack.pop()
+        f = int(tree.feature[node])
+        if f < 0:
+            paths.append((node, bounds))
+            continue
+        t = float(tree.threshold[node])
+        lo, hi = bounds.get(f, (np.nan, np.nan))
+        stack.append((int(tree.right[node]), {**bounds, f: (np.fmax(lo, t), hi)}))
+        stack.append((int(tree.left[node]), {**bounds, f: (lo, np.fmin(hi, t))}))
+    return paths
+
+
+def _path_masks(X: np.ndarray, feature: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(rows, leaves) k-bit masks: bit i is set when the row's value of
+    the leaf's i-th path feature passes every test the path puts on it,
+    by the scorer's rule (x <= threshold goes left, NaN goes right)."""
+    x = X[:, feature]  # (rows, leaves, k)
+    passes = ~(x <= lo) & ((x <= hi) | np.isnan(hi))
+    return passes @ (1 << np.arange(feature.shape[1]))
+
+
+def _pair_phi(sx: np.ndarray, sb: np.ndarray, k: int) -> np.ndarray:
+    """Shapley values of a leaf's k path features, per unit of leaf value,
+    for the game v(S) = [the hybrid (x on S, b elsewhere) reaches the
+    leaf], from the path masks sx of x and sb of b (broadcast): (..., k).
+
+    The hybrid reaches the leaf iff every feature passes for x or for b.
+    Then S must hold A = {passes for x only} and miss B = {passes for b
+    only}, and the game is the unanimity-style 1[A in S, B out of S]:
+    each i in A gets (|A|-1)!|B|!/(|A|+|B|)!, each i in B loses
+    |A|!(|B|-1)!/(|A|+|B|)!."""
+    fact = [math.factorial(j) for j in range(2 * k + 1)]
+    gain = np.zeros((k + 1, k + 1))
+    loss = np.zeros((k + 1, k + 1))
+    for a in range(k + 1):
+        for b in range(k + 1 - a):
+            if a:
+                gain[a, b] = fact[a - 1] * fact[b] / fact[a + b]
+            if b:
+                loss[a, b] = fact[a] * fact[b - 1] / fact[a + b]
+    bits = 1 << np.arange(k)
+    sx, sb = np.broadcast_arrays(sx, sb)
+    reached = (sx | sb) == (1 << k) - 1
+    # On a reached pair, A is the complement of sb and B that of sx.
+    a = np.where(reached, k - np.bitwise_count(sb), 0)
+    b = np.where(reached, k - np.bitwise_count(sx), 0)
+    in_a = (sb[..., None] & bits) == 0
+    in_b = (sx[..., None] & bits) == 0
+    return gain[a, b][..., None] * in_a - loss[a, b][..., None] * in_b
+
+
 @dataclass
 class _BitmaskScorer:
     """All trees of one model as QuickScorer tables (see module docstring)."""
@@ -466,6 +545,68 @@ class GbdtClassifier:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.decision_function(X))
+
+    def shap_values(self, X: np.ndarray, background: np.ndarray) -> np.ndarray:
+        """Interventional TreeSHAP (Lundberg et al., Nature MI 2020):
+        exact Shapley values of the margin, (rows, features), for the game
+        v(S) = mean over background rows b of f(x on S, b elsewhere).
+
+        The game is a sum over leaves (_pair_phi), so each leaf needs only
+        the path masks of the rows.  The background masks are counted
+        into 2^k patterns and contracted with the table of pair values
+        once per leaf; on paths longer than the table takes, each row is
+        paired with each background row.  base_score and single-leaf
+        trees add the same constant to every hybrid, so they go to the
+        base value only.
+        """
+        if self._scorer is None:
+            raise ValueError("model not fitted")
+        X, background = shap_inputs(X, background)
+        n, d = X.shape
+        r = background.shape[0]
+        by_k: dict[int, list[tuple[list[int], tuple, tuple, float]]] = {}
+        for tree in self.trees:
+            for node, bounds in _leaf_paths(tree):
+                if bounds:
+                    lo, hi = zip(*bounds.values())
+                    by_k.setdefault(len(bounds), []).append(
+                        (list(bounds), lo, hi, self.learning_rate * tree.value[node]))
+        phi = np.zeros(n * d)
+        for k, leaves in sorted(by_k.items()):
+            feature, lo, hi, value = (np.asarray(a) for a in zip(*leaves))
+            # A block of leaves holds (r, leaves, k) background values and
+            # (leaves, 2^k, k) summed pair values; a block of rows
+            # (rows, paired, leaves, k) pair values.
+            if k <= _TABLE_MAX_FEATURES:
+                patterns = np.arange(1 << k)
+                table = _pair_phi(patterns[None, :], patterns[:, None], k).reshape(1 << k, -1)
+                leaf_width, paired = max(r, 1 << k), 1
+            else:
+                table = None
+                leaf_width, paired = r, r
+            step = max(1, _SHAP_BLOCK // (k * leaf_width))
+            for s in range(0, len(leaves), step):
+                leaf = slice(s, s + step)
+                sb = _path_masks(background, feature[leaf], lo[leaf], hi[leaf])  # (r, L)
+                n_leaves = sb.shape[1]
+                scale = value[leaf] / r
+                if table is not None:
+                    # (leaves, sx, k): summed pair values over the background.
+                    counts = np.bincount((sb + (np.arange(n_leaves) << k)).ravel(),
+                                         minlength=n_leaves << k).reshape(n_leaves, -1)
+                    summed = (counts @ table).reshape(n_leaves, 1 << k, k)
+                rows_per_block = max(1, _SHAP_BLOCK // (n_leaves * k * paired))
+                for start in range(0, n, rows_per_block):
+                    rows = np.arange(start, min(n, start + rows_per_block))
+                    sx = _path_masks(X[rows], feature[leaf], lo[leaf], hi[leaf])  # (rows, L)
+                    if table is not None:
+                        contrib = summed[np.arange(n_leaves), sx]
+                    else:
+                        contrib = _pair_phi(sx[:, None, :], sb[None, :, :], k).sum(axis=1)
+                    contrib *= scale[:, None]
+                    slot = rows[:, None, None] * d + feature[leaf]
+                    phi += np.bincount(slot.ravel(), weights=contrib.ravel(), minlength=n * d)
+        return phi.reshape(n, d)
 
     def feature_importance(self) -> np.ndarray:
         """Total split gain per feature, normalized to sum to 1."""

@@ -117,8 +117,6 @@ class PipelineConfig:
     test_fraction: float = 0.25
     explain_instances: int = 64
     background_size: int = 64
-    shap_samples: int = 8
-    explain_method: str = "auto"
     toxicity_threshold: float = 0.5
     seed: int = 0
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SuspkitError
-from .gbdt import GbdtClassifier, sigmoid
+from .gbdt import GbdtClassifier, shap_inputs, sigmoid
 
 FAMILY_ORDER = ("profile", "activity", "textual", "post_embedding", "graph_embedding")
 
@@ -197,6 +197,12 @@ class LogisticModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.decision_function(X))
+
+    def shap_values(self, X: np.ndarray, background: np.ndarray) -> np.ndarray:
+        """Exact Shapley values of the margin against the mean over the
+        background (linear SHAP): coef / scale * (x - background mean)."""
+        X, background = shap_inputs(X, background)
+        return self.coef / self.scale * (X - background.mean(axis=0))
 
     def feature_importance(self) -> np.ndarray:
         weights = np.abs(self.coef)

@@ -168,14 +168,22 @@ class TestFailureModes:
         assert err["error"] == "InternalError"
         assert err["type"] == "RuntimeError"
 
-    def test_failed_ingest_keeps_the_previous_store(self, workdir, tmp_path, capsys):
+    def test_failed_ingest_keeps_the_previous_store(self, workdir, tmp_path, capsys, monkeypatch):
         wd, _ = workdir
         (tmp_path / "corpus.sqlite").write_bytes((wd / "corpus.sqlite").read_bytes())
         before = (tmp_path / "corpus.sqlite").read_bytes()
         bad_labels = tmp_path / "labels.csv"
-        bad_labels.write_bytes(
-            (wd / "synth" / "labels.csv").read_bytes().replace(b"\n", b"\n\xff", 1)
-        )
+        bad_labels.write_bytes((wd / "synth" / "labels.csv").read_bytes())
+        ingest_snapshots = CorpusStore.ingest_snapshots
+
+        def then_lose_the_labels(store, source):
+            # The labels file vanishes after tweets and snapshots are in
+            # the new store: reading it fails midway with FileNotFoundError.
+            stats = ingest_snapshots(store, source)
+            bad_labels.unlink()
+            return stats
+
+        monkeypatch.setattr(CorpusStore, "ingest_snapshots", then_lose_the_labels)
         code = cli.main(
             ["--workdir", str(tmp_path), "--seed", "3", "ingest",
              "--tweets", str(wd / "synth" / "tweets.jsonl"),
@@ -186,6 +194,27 @@ class TestFailureModes:
         assert json.loads(capsys.readouterr().err.strip())["stage"] == "ingest"
         assert (tmp_path / "corpus.sqlite").read_bytes() == before
         assert [p.name for p in tmp_path.iterdir() if ".tmp" in p.name] == []
+
+    def test_invalid_utf8_records_are_skipped_and_counted(self, workdir, tmp_path):
+        wd, _ = workdir
+        tweets = (wd / "synth" / "tweets.jsonl").read_bytes()
+        labels = (wd / "synth" / "labels.csv").read_bytes()
+        (tmp_path / "tweets.jsonl").write_bytes(tweets.replace(b'"text": "', b'"text": "\xff', 1))
+        (tmp_path / "labels.csv").write_bytes(labels.replace(b"\n", b"\n\xff", 1))
+        code = cli.main(
+            ["--workdir", str(tmp_path), "--seed", "3", "ingest",
+             "--tweets", str(tmp_path / "tweets.jsonl"),
+             "--snapshots", str(wd / "synth" / "snapshots.jsonl"),
+             "--labels", str(tmp_path / "labels.csv")]
+        )
+        assert code == 0
+        stats = json.loads((tmp_path / "ingest_stats.json").read_text())
+        clean = json.loads((wd / "ingest_stats.json").read_text())
+        for name in ("tweets", "labels"):
+            assert stats[name]["skipped"] == 1
+            assert stats[name]["skipped_by_reason"] == {"invalid_utf8": 1}
+            assert stats[name]["parsed"] == clean[name]["parsed"] - 1
+        assert stats["snapshots"] == clean["snapshots"]
 
     @pytest.mark.parametrize(
         "content, line",

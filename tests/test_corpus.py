@@ -171,6 +171,45 @@ class TestCorpusStore:
         assert (stats.parsed, stats.skipped, stats.inserted) == (3, 1, 3)
         assert store.tweet_count() == 3
 
+    def test_skips_are_counted_by_reason(self):
+        store = CorpusStore()
+        lines = [
+            tweet_line(id="ok"),
+            "{broken",
+            "[1, 2]",
+            json.dumps({"id": "t1", "user_id": "u1", "text": "x"}),
+            tweet_line(id="t2", created_at="soon"),
+            "\udcff" + tweet_line(id="t3"),
+        ]
+        stats = store.ingest_tweets(lines)
+        assert (stats.parsed, stats.skipped) == (1, 5)
+        assert stats.skipped_by_reason == {
+            "invalid_json": 2, "missing_field": 1, "bad_value": 1, "invalid_utf8": 1,
+        }
+
+    def test_invalid_utf8_skips_only_its_record(self, tmp_path):
+        tweets = tmp_path / "tweets.jsonl"
+        text = "caf\u00e9 \u2615".encode()
+        good = [tweet_line(id=f"t{i}", text="XX").encode().replace(b"XX", text) for i in range(3)]
+        bad = tweet_line(id="bad", text="XX").encode().replace(b"XX", b"X\xffX")
+        tweets.write_bytes(b"\n".join([good[0], bad, *good[1:]]))
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"user_id,status,status_date\n"
+                           b"u1,normal,\n"
+                           b"u\xfe2,normal,\n"
+                           b"u3,suspended,2022-03-01\n")
+        store = CorpusStore()
+        tweet_stats = store.ingest_tweets(tweets)
+        label_stats = store.ingest_labels(labels)
+        assert (tweet_stats.parsed, tweet_stats.skipped) == (3, 1)
+        assert tweet_stats.skipped_by_reason == {"invalid_utf8": 1}
+        assert (label_stats.parsed, label_stats.skipped) == (2, 1)
+        assert label_stats.skipped_by_reason == {"invalid_utf8": 1}
+        assert store.tweet_count() == 3
+        texts = {t.text for t in store.tweets_in_window(TimeWindow(WINDOW_START, WINDOW_START + 1))}
+        assert texts == {"caf\u00e9 \u2615"}
+        assert sorted(store.labels()) == ["u1", "u3"]
+
     def test_reingest_is_idempotent(self):
         store = CorpusStore()
         lines = [tweet_line(id=f"t{i}") for i in range(4)]

@@ -12,14 +12,15 @@ from suspkit.explainability import (
     explain_matrix,
     impact_summary,
     shapley_exact,
-    shapley_sampled,
     write_explanations_csv,
     write_summary_csv,
 )
 from suspkit.gbdt import GbdtClassifier
 from suspkit.suspension_model import (
+    MODEL_KIND_GBDT,
     MODEL_KIND_LOGISTIC,
     FeatureMatrix,
+    LogisticModel,
     SchemaMismatch,
     train,
 )
@@ -145,47 +146,32 @@ class TestShapleyAxioms:
             shapley_exact(lambda X: X.sum(axis=1), np.zeros(3), np.zeros((2, 4)))
 
 
-class TestSampled:
-    def test_linear_model_is_exact_for_any_sample_count(self):
-        # Every permutation yields the same marginal for a linear map,
-        # so even two samples reproduce the closed form.
-        w = np.array([1.5, -0.5, 0.25])
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(3)
-        background = rng.standard_normal((30, 3))
-        phi, base, out = shapley_sampled(linear_predictor(w), x, background, samples=2, seed=0)
-        np.testing.assert_allclose(phi, w * (x - background.mean(axis=0)), atol=1e-9)
-        assert abs(phi.sum() + base - out) <= 1e-12
+class TestLinearShap:
+    @pytest.mark.parametrize("m", [1, 6, 15])
+    def test_matches_enumeration_of_the_margin(self, m):
+        rng = np.random.default_rng(20 + m)
+        X = rng.standard_normal((80, m)) * rng.uniform(0.1, 5.0, m)
+        y = (X @ rng.standard_normal(m) + 0.3 * rng.standard_normal(80) > 0).astype(float)
+        model = LogisticModel().fit(X, y)
+        rows, background = rng.standard_normal((4, m)), X[:12]
+        phi = model.shap_values(rows, background)
+        for x, row_phi in zip(rows, phi):
+            expected, base, out = shapley_exact(model.decision_function, x, background)
+            np.testing.assert_allclose(row_phi, expected, atol=1e-9, rtol=0)
+            assert abs(row_phi.sum() + base - out) <= 1e-9
 
-    def test_efficiency_holds_by_construction(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal(4)
-        background = rng.standard_normal((25, 4))
-        phi, base, out = shapley_sampled(product_predictor, x, background, samples=6, seed=1)
-        assert abs(phi.sum() + base - out) <= 1e-9
-
-    def test_deterministic_for_seed(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(4)
-        background = rng.standard_normal((10, 4))
-        a = shapley_sampled(product_predictor, x, background, samples=8, seed=5)
-        b = shapley_sampled(product_predictor, x, background, samples=8, seed=5)
-        np.testing.assert_array_equal(a[0], b[0])
-
-    def test_converges_to_exact(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(5)
-        background = rng.standard_normal((20, 5))
-        exact, _, _ = shapley_exact(product_predictor, x, background)
-        approx, _, _ = shapley_sampled(product_predictor, x, background, samples=400, seed=2)
-        np.testing.assert_allclose(approx, exact, atol=0.05)
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            shapley_sampled(lambda X: X.sum(axis=1), np.zeros(2), np.zeros((2, 2)), samples=0)
+    def test_zero_coefficient_gets_exact_zero(self):
+        model = LogisticModel()
+        model.mean = np.array([0.5, -1.0, 2.0])
+        model.scale = np.array([2.0, 1.0, 0.5])
+        model.coef = np.array([1.5, 0.0, -0.25])
+        rng = np.random.default_rng(30)
+        phi = model.shap_values(rng.standard_normal((5, 3)), rng.standard_normal((7, 3)))
+        assert np.all(phi[:, 1] == 0.0)
+        assert np.all(phi[:, [0, 2]] != 0.0)
 
 
-def tiny_model_and_matrices(n_features=4, n=40, seed=0):
+def tiny_model_and_matrices(n_features=4, n=40, seed=0, kind=MODEL_KIND_LOGISTIC):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, n_features))
     y = (X[:, 0] > 0).astype(int)
@@ -196,8 +182,16 @@ def tiny_model_and_matrices(n_features=4, n=40, seed=0):
     train_m = make([f"tr{i}" for i in range(n)], X, y)
     X2 = rng.standard_normal((10, n_features))
     test_m = make([f"te{i}" for i in range(10)], X2, (X2[:, 0] > 0).astype(int))
-    model = train(train_m, kind=MODEL_KIND_LOGISTIC)
+    hyper = {"n_rounds": 6, "max_depth": 3, "learning_rate": 0.3}
+    model = train(train_m, kind=kind, hyper=hyper if kind == MODEL_KIND_GBDT else None)
     return model, train_m, test_m
+
+
+def explain_background(model, train_m, background_size, seed):
+    """The background rows explain_matrix draws, drawn the same way."""
+    bg = train_m.X[:, model.selection_mask]
+    rng = np.random.default_rng(seed)
+    return bg[np.sort(rng.choice(bg.shape[0], size=background_size, replace=False))]
 
 
 class TestExplainMatrix:
@@ -213,11 +207,21 @@ class TestExplainMatrix:
         exps = explain_matrix(model, test_m, train_m, rows=[1], background_size=1000)
         bg = train_m.X[:, model.selection_mask]
         phi, base, out = shapley_exact(
-            model.predict_proba_selected, test_m.X[1, model.selection_mask], bg
+            model.inner.decision_function, test_m.X[1, model.selection_mask], bg
         )
         np.testing.assert_allclose(exps[0].phi, phi, atol=1e-12)
-        assert exps[0].base_value == base
-        assert exps[0].output == out
+        assert exps[0].base_value == pytest.approx(base, abs=1e-12)
+        assert exps[0].output == pytest.approx(out, abs=1e-12)
+
+    def test_explains_the_margin(self):
+        model, train_m, test_m = tiny_model_and_matrices(n=120, kind=MODEL_KIND_GBDT)
+        exps = explain_matrix(model, test_m, train_m, rows=[0, 2, 5], background_size=8, seed=1)
+        bg = explain_background(model, train_m, background_size=8, seed=1)
+        margin = model.inner.decision_function(test_m.X[:, model.selection_mask])
+        assert [e.output for e in exps] == [margin[0], margin[2], margin[5]]
+        assert exps[0].base_value == float(model.inner.decision_function(bg).mean())
+        for exp in exps:
+            assert exp.efficiency_gap <= 1e-12
 
     def test_background_subsample_is_seeded(self):
         model, train_m, test_m = tiny_model_and_matrices()
@@ -227,15 +231,43 @@ class TestExplainMatrix:
         np.testing.assert_array_equal(a[0].phi, b[0].phi)
         assert not np.array_equal(a[0].phi, c[0].phi)
 
-    def test_sampled_method_for_wide_schemas(self):
-        model, train_m, test_m = tiny_model_and_matrices(n_features=16)
-        exps = explain_matrix(
-            model, test_m, train_m, rows=[0], background_size=8, samples=4, seed=0
-        )
-        assert exps[0].phi.shape == (16,)
-        assert exps[0].efficiency_gap <= 1e-9
-        with pytest.raises(TooManyFeatures):
-            explain_matrix(model, test_m, train_m, rows=[0], method="exact")
+    def test_twenty_feature_gbdt_is_explained_exactly(self):
+        model, train_m, test_m = tiny_model_and_matrices(n_features=20, n=120, kind=MODEL_KIND_GBDT)
+        assert len(model.feature_names) == 20 > MAX_EXACT_FEATURES
+        exps = explain_matrix(model, test_m, train_m, rows=[0, 1], background_size=8, seed=0)
+        bg = explain_background(model, train_m, background_size=8, seed=0)
+        # Features the trees never read are null players: the Shapley
+        # values of the others are those of the game on the others alone.
+        read = np.unique([f for tree in model.inner.trees for f in tree.feature if f >= 0])
+        assert 0 < read.size <= MAX_EXACT_FEATURES
+        unread = np.setdiff1d(np.arange(20), read)
+        for exp in exps:
+            assert exp.phi.shape == (20,)
+            assert exp.efficiency_gap <= 1e-9
+            assert np.all(exp.phi[unread] == 0.0)
+
+            def on_read(Z, x=exp.values):
+                full = np.broadcast_to(x, (Z.shape[0], 20)).copy()
+                full[:, read] = Z
+                return model.inner.decision_function(full)
+
+            expected, _, _ = shapley_exact(on_read, exp.values[read], bg[:, read])
+            np.testing.assert_allclose(exp.phi[read], expected, atol=1e-9, rtol=0)
+
+    def test_twenty_feature_logistic_is_explained_exactly(self):
+        model, train_m, test_m = tiny_model_and_matrices(n_features=20)
+        assert len(model.feature_names) == 20 > MAX_EXACT_FEATURES
+        exps = explain_matrix(model, test_m, train_m, rows=[0, 1], background_size=8, seed=0)
+        bg = explain_background(model, train_m, background_size=8, seed=0)
+        margin = model.inner.decision_function
+        for exp in exps:
+            assert exp.efficiency_gap <= 1e-9
+            # An additive game gives each feature its own mean marginal.
+            for j in range(20):
+                moved = bg.copy()
+                moved[:, j] = exp.values[j]
+                expected = float(np.mean(margin(moved) - margin(bg)))
+                assert exp.phi[j] == pytest.approx(expected, abs=1e-9)
 
     def test_schema_mismatch(self):
         model, train_m, test_m = tiny_model_and_matrices()
@@ -252,8 +284,9 @@ class TestExplainMatrix:
 
     def test_unknown_method(self):
         model, train_m, test_m = tiny_model_and_matrices()
-        with pytest.raises(ValueError):
-            explain_matrix(model, test_m, train_m, method="kernel")
+        for method in ("kernel", "exact", "sampled"):
+            with pytest.raises(ValueError):
+                explain_matrix(model, test_m, train_m, method=method)
 
 
 def hand_explanations():

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from suspkit.gbdt import BinMapper, GbdtClassifier, _scalar_square, log_loss, sigmoid
+from suspkit import gbdt
+from suspkit.explainability import shapley_exact
+from suspkit.gbdt import (
+    BinMapper,
+    GbdtClassifier,
+    _leaf_paths,
+    _scalar_square,
+    log_loss,
+    sigmoid,
+)
 
 
 class TestSigmoid:
@@ -335,3 +344,145 @@ class TestBitmaskPrediction:
     def test_unfitted_model_refuses_to_predict(self):
         with pytest.raises(ValueError):
             GbdtClassifier().decision_function(np.zeros((2, 2)))
+
+
+def _enumerated_phi(model, X, background):
+    """Margin-space Shapley values by coalition enumeration, row by row."""
+    return np.array([shapley_exact(model.decision_function, x, background)[0] for x in X])
+
+
+def _max_path_features(model):
+    return max(len(bounds) for tree in model.trees for _, bounds in _leaf_paths(tree))
+
+
+def _tested_twice_on_a_path(model):
+    """Whether some root-to-leaf path tests one feature more than once."""
+    for tree in model.trees:
+        stack = [(0, ())]
+        while stack:
+            node, seen = stack.pop()
+            f = int(tree.feature[node])
+            if f < 0:
+                continue
+            if f in seen:
+                return True
+            stack += [(int(tree.left[node]), seen + (f,)), (int(tree.right[node]), seen + (f,))]
+    return False
+
+
+def _explained_rows(model, X, seed):
+    """A few training rows, rows on split thresholds, and rows with NaN."""
+    probe = _probe_rows(model, X, seed)
+    rng = np.random.default_rng(seed)
+    return probe[np.sort(rng.choice(probe.shape[0], size=12, replace=False))]
+
+
+class TestTreeShap:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_enumeration(self, seed):
+        X, y = _split_search_data(seed)
+        model = GbdtClassifier(n_rounds=12, learning_rate=0.3, max_depth=4).fit(X, y)
+        rows = _explained_rows(model, X, seed)
+        background = np.vstack([X[:10], _probe_rows(model, X, seed + 10)[70:76]])
+        phi = model.shap_values(rows, background)
+        np.testing.assert_allclose(phi, _enumerated_phi(model, rows, background),
+                                   atol=1e-9, rtol=0)
+        gap = model.decision_function(rows) - model.decision_function(background).mean()
+        np.testing.assert_allclose(phi.sum(axis=1), gap, atol=1e-12, rtol=0)
+
+    def test_feature_tested_twice_on_a_path(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((300, 3))
+        y = (np.abs(X[:, 0]) < 0.6).astype(float)
+        model = GbdtClassifier(n_rounds=5, learning_rate=0.5, max_depth=4).fit(X, y)
+        assert _tested_twice_on_a_path(model)
+        rows = _explained_rows(model, X, 5)
+        phi = model.shap_values(rows, X[:15])
+        np.testing.assert_allclose(phi, _enumerated_phi(model, rows, X[:15]), atol=1e-9, rtol=0)
+
+    def test_unreachable_leaves_behind_redundant_tests(self):
+        # x0 <= 0, then x0 <= 1 again on the left and x0 <= -1 on the
+        # right: the leaves behind the second tests can never be reached.
+        tree = {
+            "feature": [0, 0, 1, -1, -1, -1, 0, -1, -1],
+            "threshold": [0.0, 1.0, 0.5, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+            "left": [1, 3, 5, -1, -1, -1, 7, -1, -1],
+            "right": [2, 4, 6, -1, -1, -1, 8, -1, -1],
+            "value": [0.0, 0.0, 0.0, 1.0, 7.0, -2.0, 0.0, 5.0, 3.0],
+        }
+        model = GbdtClassifier.from_dict({
+            "n_rounds": 1, "learning_rate": 1.0, "max_depth": 3, "reg_lambda": 1.0,
+            "min_child_hess": 1e-3, "max_bins": 256, "base_score": 0.25, "n_features": 2,
+            "split_gain": None, "trees": [tree],
+        })
+        grid = np.array([-1.5, -1.0, 0.0, 0.5, 1.0, 2.0])
+        rows = np.column_stack([grid, grid[::-1]])
+        background = np.column_stack([np.roll(grid, 2), grid])
+        phi = model.shap_values(rows, background)
+        np.testing.assert_allclose(phi, _enumerated_phi(model, rows, background),
+                                   atol=1e-12, rtol=0)
+
+    def test_single_leaf_trees_attribute_nothing(self):
+        X, _ = _split_search_data(4)
+        model = GbdtClassifier(n_rounds=3).fit(X, np.ones(X.shape[0]))
+        assert _max_leaves(model) == 1
+        phi = model.shap_values(X[:5], X[5:20])
+        assert np.all(phi == 0.0)
+
+    def test_max_depth_8(self, deep_model):
+        model, X = deep_model
+        assert _max_path_features(model) == 4
+        rows = _explained_rows(model, X, 8)
+        phi = model.shap_values(rows, X[:16])
+        np.testing.assert_allclose(phi, _enumerated_phi(model, rows, X[:16]), atol=1e-9, rtol=0)
+
+    def test_paths_longer_than_the_table(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((800, 12))
+        y = (np.sign(X).sum(axis=1) + 0.5 * rng.standard_normal(800) > 0).astype(float)
+        model = GbdtClassifier(n_rounds=2, learning_rate=0.3, max_depth=12).fit(X, y)
+        assert _max_path_features(model) > gbdt._TABLE_MAX_FEATURES
+        rows = X[:4]
+        phi = model.shap_values(rows, X[4:14])
+        np.testing.assert_allclose(phi, _enumerated_phi(model, rows, X[4:14]), atol=1e-9, rtol=0)
+
+    def test_pairwise_and_blocked_paths_agree_with_the_table(self, monkeypatch):
+        X, y = _split_search_data(1)
+        model = GbdtClassifier(n_rounds=10, learning_rate=0.3, max_depth=5).fit(X, y)
+        rows = _explained_rows(model, X, 1)
+        expected = model.shap_values(rows, X[:20])
+        monkeypatch.setattr(gbdt, "_SHAP_BLOCK", 16)
+        np.testing.assert_allclose(model.shap_values(rows, X[:20]), expected, atol=1e-12, rtol=0)
+        monkeypatch.setattr(gbdt, "_TABLE_MAX_FEATURES", 0)
+        np.testing.assert_allclose(model.shap_values(rows, X[:20]), expected, atol=1e-12, rtol=0)
+
+    def test_sum_of_single_tree_values(self):
+        X, y = _split_search_data(2)
+        model = GbdtClassifier(n_rounds=8, learning_rate=0.3, max_depth=4).fit(X, y)
+        rows, background = X[:9], X[30:50]
+        total = np.zeros((9, X.shape[1]))
+        for tree in model.trees:
+            single = GbdtClassifier.from_dict({**model.to_dict(), "base_score": 0.0,
+                                               "trees": [tree.to_dict()]})
+            total += single.shap_values(rows, background)
+        np.testing.assert_allclose(model.shap_values(rows, background), total,
+                                   atol=1e-12, rtol=0)
+
+    def test_unread_features_get_exact_zero(self):
+        X, y = _split_search_data(3)
+        model = GbdtClassifier(n_rounds=10, learning_rate=0.3, max_depth=3).fit(X, y)
+        read = {int(f) for tree in model.trees for f in tree.feature if f >= 0}
+        unread = sorted(set(range(X.shape[1])) - read)
+        assert 4 in unread  # the constant column
+        phi = model.shap_values(_explained_rows(model, X, 3), X[:20])
+        assert np.all(phi[:, unread] == 0.0)
+
+    def test_input_validation(self, deep_model):
+        model, X = deep_model
+        with pytest.raises(ValueError):
+            model.shap_values(X[:2], X[:0])
+        with pytest.raises(ValueError):
+            model.shap_values(X[:2], X[:5, :3])
+        with pytest.raises(ValueError):
+            GbdtClassifier().shap_values(X[:2], X[:5])
+        assert model.shap_values(X[:0], X[:5]).shape == (0, X.shape[1])

@@ -41,7 +41,6 @@ def fast_config(**overrides):
         k_folds=3,
         explain_instances=8,
         background_size=16,
-        shap_samples=4,
         seed=0,
     )
     defaults.update(overrides)
