@@ -15,8 +15,6 @@ from .corpus import (
     KIND_ORIGINAL,
     KIND_QUOTE,
     KIND_RETWEET,
-    CorpusStore,
-    TimeWindow,
     Tweet,
     DAY_SECONDS,
 )
@@ -130,9 +128,3 @@ def features_from_timeline(timeline: list[Tweet]) -> dict[str, float]:
 
 
 ACTIVITY_FEATURE_NAMES: tuple[str, ...] = tuple(features_from_timeline([]))
-
-
-def extract_activity_features(
-    store: CorpusStore, user_id: str, window: TimeWindow
-) -> dict[str, float]:
-    return features_from_timeline(store.user_timeline(user_id, window))

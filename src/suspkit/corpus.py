@@ -1,10 +1,14 @@
 """Corpus ingestion, storage, labeling, windowing and class balancing.
 
 Raw inputs are JSON-Lines tweet and snapshot files plus a label CSV.
-Everything downstream (feature extractors, clustering, graph building)
-reads only through :class:`CorpusStore`, an embedded single-file sqlite
-store indexed by user and timestamp.  Ingestion is idempotent: records
-are keyed by their natural ids and re-ingesting a file changes nothing.
+Everything downstream reads only through :class:`CorpusStore`, an
+embedded single-file sqlite store indexed by user and timestamp.
+Ingestion is idempotent: records are keyed by their natural ids and
+re-ingesting a file changes nothing.
+
+A window's tweets are decoded in one :meth:`CorpusStore.tweets_in_window`
+pass; :func:`read_window` groups it per user, and that one table feeds
+every feature family, the graph build and content clustering.
 """
 
 from __future__ import annotations
@@ -588,6 +592,15 @@ class CorpusStore:
             r[0]: AccountLabel(user_id=r[0], status=r[1], status_date=r[2])
             for r in self._conn.execute("SELECT user_id, status, status_date FROM labels")
         }
+
+
+def read_window(store: CorpusStore, window: TimeWindow) -> dict[str, list[Tweet]]:
+    """The window's tweets grouped per user, in one pass.  Each list is in
+    `user_timeline` order; users without an in-window tweet have no entry."""
+    table: dict[str, list[Tweet]] = {}
+    for tweet in store.tweets_in_window(window):
+        table.setdefault(tweet.user_id, []).append(tweet)
+    return table
 
 
 def select_window_users(

@@ -10,13 +10,14 @@ bit-deterministic for a fixed seed.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import KIND_QUOTE, KIND_RETWEET, CorpusStore, TimeWindow
+from .corpus import KIND_QUOTE, KIND_RETWEET, Tweet
 from .errors import SuspkitError
 from .vectors import EmbeddingMatrix, read_emb1, write_emb1
 
@@ -57,6 +58,13 @@ class RelationGraph:
             nodes.add(dst)
         return cls(nodes=sorted(nodes), edges=weights)
 
+    def merged(self, other: "RelationGraph") -> "RelationGraph":
+        """Both graphs' edges with their weights summed, over the union
+        of their nodes: the graph of two disjoint sets of tweets."""
+        edges = Counter(self.edges)
+        edges.update(other.edges)
+        return RelationGraph(nodes=sorted({*self.nodes, *other.nodes}), edges=dict(edges))
+
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -75,18 +83,17 @@ class RelationGraph:
 
 
 def build_graph(
-    store: CorpusStore,
-    window: TimeWindow,
+    tweets: Iterable[Tweet],
     relations: Sequence[str] = RELATIONS,
 ) -> RelationGraph:
-    """One edge occurrence per interaction inside the window."""
+    """One edge occurrence per interaction in the tweets."""
     selected = set(relations)
     unknown = selected - set(RELATIONS)
     if unknown:
         raise ValueError(f"unknown relations: {sorted(unknown)}")
 
     def edge_stream():
-        for tweet in store.tweets_in_window(window):
+        for tweet in tweets:
             if tweet.kind == KIND_RETWEET and REL_RETWEET in selected:
                 if tweet.referenced_user_id:
                     yield tweet.user_id, REL_RETWEET, tweet.referenced_user_id

@@ -1,7 +1,7 @@
 """End-to-end orchestration: user selection, per-family feature
 extraction, training, clustering, and the two-window protocol.
 
-All state fitted on training data (IDF table, PCA basis, graph
+All state fitted on training data (IDF table, PCA basis, graph and its
 embeddings) is carried in an ExtractionContext and reused verbatim
 for evaluation windows, so evaluating on the training window itself
 reproduces the training features bit for bit.
@@ -10,6 +10,7 @@ reproduces the training features bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,9 @@ from .corpus import (
     CorpusStore,
     EmptyClass,
     TimeWindow,
+    Tweet,
     parse_status_date,
+    read_window,
     select_window_users,
     split_windows,
     undersample_balance,
@@ -204,17 +207,20 @@ def _embed_posts(
 def extract_window_features(
     store: CorpusStore,
     window: TimeWindow,
+    tweets: dict[str, list[Tweet]],
     users: dict[str, int],
     config: PipelineConfig,
     context: ExtractionContext | None = None,
-    graph_window: TimeWindow | None = None,
     families: Sequence[str] | None = None,
 ) -> WindowFeatures:
     """Per-family feature matrices for one window's labeled users.
 
-    Users without any in-window profile snapshot are dropped from all
-    families so every family covers the same user set.  Pass the
-    training window's context when extracting an evaluation window.
+    `tweets` is the window's `read_window` table of all users, so the
+    store is read only for snapshots.  Users without any in-window
+    profile snapshot are dropped from all families so every family
+    covers the same user set.  Pass the training window's context when
+    extracting an evaluation window; the window right after the
+    context's graph extends that graph by its own edges.
     """
     families = tuple(families if families is not None else config.families)
     unknown = set(families) - set(FAMILY_ORDER)
@@ -234,9 +240,7 @@ def extract_window_features(
         else:
             dropped.append(user)
     y = np.asarray([users[u] for u in kept], dtype=np.int64)
-
-    need_timeline = bool({"activity", "textual", "post_embedding"} & set(families))
-    timelines = {u: store.user_timeline(u, window) for u in kept} if need_timeline else {}
+    timelines = {u: tweets.get(u, []) for u in kept}
 
     out_context = replace(context) if context else ExtractionContext()
     mats: dict[str, FeatureMatrix] = {}
@@ -293,12 +297,15 @@ def extract_window_features(
         mats["post_embedding"] = FeatureMatrix(names, list(kept), X, y)
 
     if "graph_embedding" in families:
-        g_window = graph_window or window
-        if (
-            out_context.node_embeddings is None
-            or out_context.graph_window != g_window
-        ):
-            graph = build_graph(store, g_window, config.relations)
+        if out_context.graph_window != window:
+            graph = build_graph(chain.from_iterable(tweets.values()), config.relations)
+            g_window = window
+            if out_context.graph is not None:
+                # Exact only when no tweet falls between the two windows.
+                if out_context.graph_window.end != window.start:
+                    raise ValueError("a window's graph extends only the window just before it")
+                graph = out_context.graph.merged(graph)
+                g_window = TimeWindow(out_context.graph_window.start, window.end)
             emb = None
             if graph.n_edges:
                 emb = train_embeddings(
@@ -361,26 +368,6 @@ def split_users(
     return train_part, test
 
 
-def _second_window_features(
-    store: CorpusStore,
-    config: PipelineConfig,
-    windows: tuple[TimeWindow, TimeWindow],
-    users: dict[str, int],
-    context: ExtractionContext,
-    families: Sequence[str] | None = None,
-) -> WindowFeatures:
-    """Window-2 features under the training context.  Graph features are
-    computed over the union time range so training-window edges are
-    retained; the graph model is refitted when that range differs from
-    the one the context was fitted on."""
-    first, second = windows
-    graph_window = TimeWindow(min(first.start, second.start), max(first.end, second.end))
-    return extract_window_features(
-        store, second, users, config, context=context,
-        graph_window=graph_window, families=families,
-    )
-
-
 @dataclass
 class SplitFeatures:
     """Users and features of the three evaluation splits: window-1
@@ -397,26 +384,30 @@ class SplitFeatures:
 def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitFeatures:
     """Balance and split the window-1 users, then extract train, test
     and (when window 2 has users of both classes) second-test features,
-    the last two under the context fitted on the train split."""
+    the last two under the context fitted on the train split.  Each
+    window is read once, window 1 freed before window 2 is read."""
     windows = config.windows()
     users = _balanced_users(store, config, windows[0])
     train_users, test_users = split_users(
         users, config.test_fraction, stage_seed(config.seed, "split")
     )
-    train = extract_window_features(store, windows[0], train_users, config)
+    tweets = read_window(store, windows[0])
+    train = extract_window_features(store, windows[0], tweets, train_users, config)
     test = None
     if test_users:
         test = extract_window_features(
-            store, windows[0], test_users, config, context=train.context
+            store, windows[0], tweets, test_users, config, context=train.context
         )
+    del tweets
     try:
         second_users = _balanced_users(store, config, windows[1])
     except EmptyClass:
         second_users = {}
     second_test = None
     if second_users:
-        second_test = _second_window_features(
-            store, config, windows, second_users, train.context
+        second_test = extract_window_features(
+            store, windows[1], read_window(store, windows[1]), second_users, config,
+            context=train.context,
         )
     return SplitFeatures(
         train_users=train_users,
@@ -522,11 +513,14 @@ def second_window_protocol(
     windows = windows if windows is not None else config.windows()
     users1 = _balanced_users(store, config, windows[0])
     users2 = _balanced_users(store, config, windows[1])
-    features1 = extract_window_features(store, windows[0], users1, config, families=families)
+    features1 = extract_window_features(
+        store, windows[0], read_window(store, windows[0]), users1, config, families=families
+    )
     model, _ = train_on_matrix(features1.combined, config)
     report1 = evaluate_model(model, features1.combined, SPLIT_TEST)
-    features2 = _second_window_features(
-        store, config, windows, users2, features1.context, families
+    features2 = extract_window_features(
+        store, windows[1], read_window(store, windows[1]), users2, config,
+        context=features1.context, families=families,
     )
     report2 = evaluate_model(model, features2.combined, SPLIT_SECOND_TEST)
     return report1, report2
@@ -556,9 +550,9 @@ def run_clustering(
         and lab.status_date is not None
         and window.contains(lab.status_date)
     )
-    posts = []
-    for user in suspended:
-        posts.extend(store.user_timeline(user, window))
+    tweets = read_window(store, window)
+    posts = [t for user in suspended for t in tweets.get(user, ())]
+    del tweets
 
     texts = [t.text for t in posts]
     post_ids = [t.tweet_id for t in posts]
@@ -599,7 +593,7 @@ def run_graph_stage(
     and report ranking metrics."""
     if window is None:
         window, _ = config.windows()
-    graph = build_graph(store, window, config.relations)
+    graph = build_graph(store.tweets_in_window(window), config.relations)
     train_graph, held_out = split_edges(
         graph, config.graph_holdout_fraction, seed=stage_seed(config.seed, "graph-split")
     )

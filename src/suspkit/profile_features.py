@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .corpus import CorpusStore, TimeWindow, UserSnapshot, DAY_SECONDS
+from .corpus import TimeWindow, UserSnapshot, DAY_SECONDS
 from .errors import SuspkitError
 
 
@@ -153,11 +153,3 @@ def features_from_snapshots(
                  "favourites_by_age", "listed_by_age"):
         assert feats[name] >= 0 and math.isfinite(feats[name])
     return feats
-
-
-def extract_profile_features(
-    store: CorpusStore, user_id: str, window: TimeWindow
-) -> dict[str, float]:
-    """Profile feature map for one user; raises NoSnapshot when the
-    window contains no profile observation for them."""
-    return features_from_snapshots(store.snapshots(user_id, window), window)

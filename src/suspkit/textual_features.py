@@ -21,8 +21,6 @@ from .corpus import (
     KIND_QUOTE,
     KIND_RETWEET,
     KINDS,
-    CorpusStore,
-    TimeWindow,
     Tweet,
 )
 
@@ -150,12 +148,6 @@ def features_from_timeline(
 TEXTUAL_FEATURE_NAMES: tuple[str, ...] = tuple(
     features_from_timeline([], HashtagIdfTable())
 )
-
-
-def extract_textual_features(
-    store: CorpusStore, user_id: str, window: TimeWindow, idf: HashtagIdfTable
-) -> dict[str, float]:
-    return features_from_timeline(store.user_timeline(user_id, window), idf)
 
 
 def idf_to_csv_rows(table: HashtagIdfTable) -> list[tuple[str, int]]:

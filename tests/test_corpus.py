@@ -13,6 +13,7 @@ from suspkit.corpus import (
     parse_snapshot_record,
     parse_status_date,
     parse_tweet_record,
+    read_window,
     select_window_users,
     split_windows,
     undersample_balance,
@@ -243,6 +244,27 @@ class TestCorpusStore:
 
     def test_unknown_user_gets_empty_timeline(self, window):
         assert CorpusStore().user_timeline("ghost", window) == []
+
+    def test_read_window_groups_user_timelines(self, window):
+        store = CorpusStore()
+        store.ingest_tweets(
+            [
+                tweet_line(id="b", user_id="u1", created_at=WINDOW_START + 10),
+                tweet_line(id="a", user_id="u1", created_at=WINDOW_START + 10),
+                tweet_line(id="c", user_id="u1", created_at=WINDOW_START + 5),
+                tweet_line(id="d", user_id="u2", created_at=window.start),
+                tweet_line(id="e", user_id="u2", created_at=window.end),
+                tweet_line(id="f", user_id="u3", created_at=window.start - 1),
+            ]
+        )
+        table = read_window(store, window)
+        assert sorted(table) == store.active_users(window) == ["u1", "u2"]
+        for user in ("u1", "u2", "u3"):
+            assert table.get(user, []) == store.user_timeline(user, window)
+        # Equal timestamps are ordered by id.
+        assert [t.tweet_id for t in table["u1"]] == ["c", "a", "b"]
+        assert [t.tweet_id for t in table["u2"]] == ["d"]
+        assert store.user_timeline("u3", window) == []
 
     def test_active_users_distinct_sorted(self, window):
         store = CorpusStore()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from suspkit.corpus import CorpusStore, MalformedRecord
+from suspkit.corpus import DAY_SECONDS, CorpusStore, MalformedRecord, TimeWindow, read_window
+from suspkit.graph_embedding import build_graph
 from suspkit.pipeline import (
     ExtractionContext,
     PipelineConfig,
+    extract_split_features,
     extract_window_features,
     run_clustering,
     run_graph_stage,
@@ -22,6 +24,18 @@ from suspkit.synth import GeneratorConfig, generate
 def store(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth-corpus")
     paths = generate(GeneratorConfig(n_suspended=30, n_normal=30), seed=0, out_dir=out)
+    store = CorpusStore()
+    store.ingest_tweets(paths["tweets"])
+    store.ingest_snapshots(paths["snapshots"])
+    store.ingest_labels(paths["labels"])
+    return store
+
+
+@pytest.fixture(scope="module")
+def two_window_store(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth-two-windows")
+    paths = generate(GeneratorConfig(n_suspended=20, n_normal=20, n_windows=2),
+                     seed=0, out_dir=out)
     store = CorpusStore()
     store.ingest_tweets(paths["tweets"])
     store.ingest_snapshots(paths["snapshots"])
@@ -107,7 +121,7 @@ class TestExtraction:
         config = fast_config()
         window, _ = config.windows()
         users = select_users_for_window(store, window, seed=0)
-        features = extract_window_features(store, window, users, config)
+        features = extract_window_features(store, window, read_window(store, window), users, config)
         assert set(features.families) == set(FAMILY_ORDER)
         total = sum(m.width for m in features.families.values())
         assert features.combined.width == total
@@ -121,7 +135,8 @@ class TestExtraction:
         window, _ = config.windows()
         users = select_users_for_window(store, window, seed=0)
         features = extract_window_features(
-            store, window, users, config, families=("profile", "activity")
+            store, window, read_window(store, window), users, config,
+            families=("profile", "activity"),
         )
         assert set(features.families) == {"profile", "activity"}
 
@@ -129,9 +144,9 @@ class TestExtraction:
         config = fast_config(families=("textual", "post_embedding"))
         window, _ = config.windows()
         users = select_users_for_window(store, window, seed=0)
-        first = extract_window_features(store, window, users, config)
+        first = extract_window_features(store, window, read_window(store, window), users, config)
         again = extract_window_features(
-            store, window, users, config, context=first.context
+            store, window, read_window(store, window), users, config, context=first.context
         )
         assert np.array_equal(first.combined.X, again.combined.X, equal_nan=True)
 
@@ -139,13 +154,57 @@ class TestExtraction:
         config = fast_config()
         window, _ = config.windows()
         with pytest.raises(ValueError):
-            extract_window_features(store, window, {}, config, families=("weather",))
+            extract_window_features(
+                store, window, read_window(store, window), {}, config, families=("weather",)
+            )
 
     def test_empty_family_list_rejected(self, store):
         config = fast_config()
         window, _ = config.windows()
         with pytest.raises(ValueError):
-            extract_window_features(store, window, {}, config, families=())
+            extract_window_features(
+                store, window, read_window(store, window), {}, config, families=()
+            )
+
+
+class TestWindowReads:
+    def test_split_features_decode_each_tweet_once(self, two_window_store, monkeypatch):
+        store = two_window_store
+        config = fast_config()
+        first, second = config.windows()
+        span = TimeWindow(first.start, second.end)
+        expected = sorted(t.tweet_id for t in store.tweets_in_window(span))
+        decode = CorpusStore._row_to_tweet
+        decoded = []
+
+        def counted(row):
+            decoded.append(row[0])
+            return decode(row)
+
+        monkeypatch.setattr(CorpusStore, "_row_to_tweet", staticmethod(counted))
+        split = extract_split_features(store, config)
+        monkeypatch.undo()
+        assert split.test is not None and split.second_test is not None
+        assert sorted(decoded) == expected
+        # The window-2 graph extends the window-1 graph: it is the graph
+        # of the span, and the train and test splits share the first.
+        assert split.train.context.graph is split.test.context.graph
+        assert split.second_test.context.graph_window == span
+        span_graph = build_graph(store.tweets_in_window(span), config.relations)
+        assert split.second_test.context.graph.nodes == span_graph.nodes
+        assert split.second_test.context.graph.edges == span_graph.edges
+
+    def test_graph_extends_only_the_adjacent_window(self, two_window_store):
+        store = two_window_store
+        config = fast_config(families=("graph_embedding",))
+        first, second = config.windows()
+        users = select_users_for_window(store, first, seed=0)
+        features = extract_window_features(store, first, read_window(store, first), users, config)
+        later = TimeWindow(second.start + DAY_SECONDS, second.end)
+        with pytest.raises(ValueError, match="extends only"):
+            extract_window_features(
+                store, later, read_window(store, later), {}, config, context=features.context
+            )
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +235,7 @@ class TestTraining:
         config = fast_config(families=("profile",))
         window, _ = config.windows()
         users = select_users_for_window(store, window, seed=0)
-        features = extract_window_features(store, window, users, config)
+        features = extract_window_features(store, window, read_window(store, window), users, config)
         model, mask = train_on_matrix(features.combined, config)
         assert model.medians.shape == (int(mask.sum()),)
 
@@ -203,6 +262,16 @@ class TestClustering:
         assignment = artifacts.assignment
         assert assignment.n_clusters >= 1
         assert len(artifacts.texts) == len(assignment.item_ids) > 0
+        # Leader clustering depends on post order: suspended users in id
+        # order, each user's posts in timeline order.
+        window, _ = config.windows()
+        suspended = sorted(
+            u for u, lab in store.labels().items()
+            if lab.status == "suspended" and window.contains(lab.status_date)
+        )
+        assert assignment.item_ids == [
+            t.tweet_id for u in suspended for t in store.user_timeline(u, window)
+        ]
         assert artifacts.report
         assert artifacts.report[0]["size"] >= artifacts.report[-1]["size"]
         # the planted promo text repeats, so wallets must surface
