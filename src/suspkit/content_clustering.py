@@ -3,7 +3,11 @@
 Single pass in input order: each item joins the existing leader of
 maximal cosine similarity when that similarity clears the threshold
 (ties broken by earliest leader), otherwise it founds a new cluster.
-The leader scan is a vectorized exhaustive comparison, so results are
+Items are scanned in blocks: one GEMM per block and tile of the leaders
+that exist when the block starts, and the block's own Gram matrix for
+the leaders it founds.  Only an item whose best similarity lies within
+a rounding margin of the threshold or of a rival is recomputed with the
+exact per-item product against every leader, so labels and leaders are
 identical to a naive pairwise loop.
 """
 
@@ -59,6 +63,62 @@ def _normalized_rows(X: np.ndarray) -> np.ndarray:
     return X / safe
 
 
+# Items per block and leaders per GEMM tile: a tile of similarities is
+# _BLOCK x _TILE float64s, 1 MB, and stays in cache while it is reduced.
+_BLOCK = 128
+_TILE = 1024
+# A dot product of two unit vectors of dimension d is within d*u
+# (u = 2**-53) of its exact value in any order of summation, with or
+# without FMA (Higham, Accuracy and Stability of Numerical Algorithms,
+# sec. 3.1), so a GEMM entry and the per-item GEMV that defines the
+# result differ by at most 2*d*u: 4.4e-15 for d = 20.  A decision whose
+# margin to tau and to every rival exceeds eps is therefore the GEMV's;
+# the rest are recomputed with the GEMV.  eps is _EPS, or 8*d*u where
+# that is larger (d above ~1,100), so it stays 4x the bound.
+_EPS = 1e-12
+
+
+def _reserve(buf: np.ndarray, rows: int) -> np.ndarray:
+    """buf, or a copy of it with the capacity doubled until rows fit."""
+    cap = buf.shape[0]
+    if rows <= cap:
+        return buf
+    while cap < rows:
+        cap *= 2
+    grown = np.empty((cap, buf.shape[1]))
+    grown[: buf.shape[0]] = buf
+    return grown
+
+
+def _best_leaders(block: np.ndarray, leaders: np.ndarray,
+                  floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per block row: the highest GEMM similarity to any leader, that
+    leader's index (earliest on ties) and the second highest, for rows
+    whose highest reaches floor; -inf, -1, -inf for the others."""
+    b = block.shape[0]
+    top = np.full(b, -np.inf)
+    top_at = np.full(b, -1, dtype=np.int64)
+    runner_up = np.full(b, -np.inf)
+    for start in range(0, leaders.shape[0], _TILE):
+        sims = block @ leaders[start:start + _TILE].T
+        row_max = sims.max(axis=1)
+        rows = np.flatnonzero(row_max >= floor)
+        if not rows.size:
+            continue
+        hit = sims[rows]
+        at = hit.argmax(axis=1)
+        best = row_max[rows]
+        hit[np.arange(rows.size), at] = -np.inf
+        second = hit.max(axis=1)
+        prev_top = top[rows]
+        wins = best > prev_top
+        runner_up[rows] = np.where(wins, np.maximum(prev_top, second),
+                                   np.maximum(runner_up[rows], best))
+        top[rows] = np.where(wins, best, prev_top)
+        top_at[rows] = np.where(wins, at + start, top_at[rows])
+    return top, top_at, runner_up
+
+
 def cluster_cosine(X: EmbeddingMatrix | np.ndarray, tau: float,
                    item_ids: Sequence[str] | None = None) -> ClusterAssignment:
     if not 0.0 < tau <= 1.0:
@@ -69,6 +129,8 @@ def cluster_cosine(X: EmbeddingMatrix | np.ndarray, tau: float,
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
     n, d = X.shape
     if item_ids is None:
         item_ids = [str(i) for i in range(n)]
@@ -76,22 +138,52 @@ def cluster_cosine(X: EmbeddingMatrix | np.ndarray, tau: float,
         raise ValueError("item_ids and rows differ in length")
 
     unit = _normalized_rows(X)
+    eps = max(_EPS, 4.0 * d * np.finfo(np.float64).eps)
+    floor, sure = tau - eps, tau + eps
     labels = np.empty(n, dtype=np.int64)
     leader_rows: list[int] = []
     leader_buf = np.empty((16, d))
-    for i in range(n):
-        k = len(leader_rows)
-        if k:
-            sims = leader_buf[:k] @ unit[i]
-            best = int(np.argmax(sims))
-            if sims[best] >= tau:
-                labels[i] = best
-                continue
-        if k == leader_buf.shape[0]:
-            leader_buf = np.concatenate([leader_buf, np.empty_like(leader_buf)])
-        leader_buf[k] = unit[i]
-        leader_rows.append(i)
-        labels[i] = k
+    for start in range(0, n, _BLOCK):
+        block = unit[start:start + _BLOCK]
+        k0 = len(leader_rows)
+        top, top_at, runner_up = _best_leaders(block, leader_buf[:k0], floor)
+        gram = block @ block.T
+        # reach[r, j]: an earlier row j of the block is a candidate for r
+        # if j founds a cluster.
+        reach = np.tril(gram >= floor, -1)
+        founds = (top < floor) & ~reach.any(axis=1)
+        for r in np.flatnonzero(~founds):
+            best, best_label, rival = top[r], top_at[r], runner_up[r]
+            mates = np.flatnonzero(reach[r, :r] & founds[:r])
+            if mates.size:
+                sims = gram[r, mates]
+                j = int(np.argmax(sims))
+                mate_best = sims[j]
+                if mate_best > best:
+                    sims[j] = -np.inf
+                    best, rival = mate_best, max(best, sims.max())
+                    best_label = k0 + int(np.count_nonzero(founds[:mates[j]]))
+                else:
+                    rival = max(rival, mate_best)
+            if best < floor:
+                founds[r] = True
+            elif best < sure or best - rival <= eps:
+                k = k0 + int(np.count_nonzero(founds[:r]))
+                leader_buf = _reserve(leader_buf, k)
+                leader_buf[k0:k] = block[:r][founds[:r]]
+                sims = leader_buf[:k] @ unit[start + r]
+                exact = int(np.argmax(sims))
+                if sims[exact] >= tau:
+                    labels[start + r] = exact
+                else:
+                    founds[r] = True
+            else:
+                labels[start + r] = best_label
+        new = np.flatnonzero(founds)
+        leader_buf = _reserve(leader_buf, k0 + new.size)
+        leader_buf[k0:k0 + new.size] = block[new]
+        labels[start + new] = k0 + np.arange(new.size)
+        leader_rows.extend((start + new).tolist())
 
     k = len(leader_rows)
     centroids = np.zeros((k, d))

@@ -125,7 +125,8 @@ def split_edges(
         k = min(len(keys), max(1, round(fraction * len(keys))))
         chosen = rng.choice(len(keys), size=k, replace=False)
         held_out.extend(keys[i] for i in np.sort(chosen))
-    train_edges = {k: w for k, w in graph.edges.items() if k not in set(held_out)}
+    held = set(held_out)
+    train_edges = {k: w for k, w in graph.edges.items() if k not in held}
     return RelationGraph(nodes=list(graph.nodes), edges=train_edges), held_out
 
 

@@ -28,7 +28,15 @@ _B58_INDEX = {ch: i for i, ch in enumerate(_B58_ALPHABET)}
 _BECH32_CHARSET = "qpzry9x8gf2tvdw0s3jn54khce6mua7l"
 _BECH32_GEN = (0x3B6A57B2, 0x26508E6D, 0x1EA119FA, 0x3D4233DD, 0x2A1462B3)
 
-_TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
+# Maximal alphanumeric tokens of the only shapes an address can take:
+# "0x" and 40 more characters (Ethereum), 26-35 characters starting with
+# 1 or 3 (Base58Check) and a "bc1" prefix in any case (bech32).  Tokens
+# of any other shape never reach the classifiers.
+_CANDIDATE_RE = re.compile(
+    r"(?<![0-9A-Za-z])"
+    r"(?:0x[0-9A-Za-z]{40}|[13][0-9A-Za-z]{25,34}|[bB][cC]1[0-9A-Za-z]*)"
+    r"(?![0-9A-Za-z])"
+)
 _HEX_RE = re.compile(r"[0-9a-fA-F]{40}\Z")
 
 
@@ -155,7 +163,7 @@ def classify_address(token: str) -> str | None:
 def find_addresses(text: str) -> list[tuple[str, str]]:
     """All (address, chain) pairs in the text, in match order."""
     out = []
-    for match in _TOKEN_RE.finditer(text):
+    for match in _CANDIDATE_RE.finditer(text):
         chain = classify_address(match.group())
         if chain is not None:
             out.append((match.group(), chain))

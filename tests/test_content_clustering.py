@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from suspkit import content_clustering
 from suspkit.content_clustering import (
     ClusterAssignment,
     cluster_cosine,
@@ -39,6 +40,40 @@ def naive_leader_clustering(vectors, tau):
             leaders.append(i)
             labels.append(len(leaders) - 1)
     return labels, leaders
+
+
+def gemv_leader_clustering(X, tau):
+    """The per-post scan the blocked one replaced, kept as its bit-exact
+    reference: one matrix-vector product of each post against every
+    leader so far; the first maximum at or above tau wins."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    unit = X / np.where(norms == 0.0, 1.0, norms)
+    labels = np.empty(n, dtype=np.int64)
+    leader_rows = []
+    leader_buf = np.empty((16, d))
+    for i in range(n):
+        k = len(leader_rows)
+        if k:
+            sims = leader_buf[:k] @ unit[i]
+            best = int(np.argmax(sims))
+            if sims[best] >= tau:
+                labels[i] = best
+                continue
+        if k == leader_buf.shape[0]:
+            leader_buf = np.concatenate([leader_buf, np.empty_like(leader_buf)])
+        leader_buf[k] = unit[i]
+        leader_rows.append(i)
+        labels[i] = k
+    k = len(leader_rows)
+    centroids = np.zeros((k, d))
+    if n:
+        np.add.at(centroids, labels, unit)
+        means = centroids / np.bincount(labels, minlength=k)[:, None]
+        mean_norms = np.linalg.norm(means, axis=1, keepdims=True)
+        centroids = means / np.where(mean_norms == 0.0, 1.0, mean_norms)
+    return labels, leader_rows, centroids
 
 
 def random_unit_rows(rng, n, d):
@@ -138,6 +173,134 @@ class TestClusterCosine:
         # each leader labels itself
         for c, row in enumerate(got.leader_rows):
             assert got.labels[row] == c
+
+
+def campaign_rows(rng, n, d, campaigns=3, noise=0.05):
+    """Posts of a few near-duplicate campaigns among random posts, the
+    shape of a scam burst: every third post copies a campaign vector."""
+    bases = rng.standard_normal((campaigns, d))
+    X = rng.standard_normal((n, d))
+    copies = np.arange(0, n, 3)
+    X[copies] = bases[copies % campaigns] + noise * rng.standard_normal((copies.size, d))
+    return X
+
+
+class TestBlockedScan:
+    """cluster_cosine against the per-post GEMV scan, bit for bit."""
+
+    def assert_same(self, X, tau):
+        got = cluster_cosine(X, tau)
+        labels, leaders, centroids = gemv_leader_clustering(X, tau)
+        assert got.labels.tolist() == labels.tolist()
+        assert got.leader_rows == leaders
+        np.testing.assert_array_equal(got.centroids, centroids)
+        return got
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_size_boundaries(self, offset):
+        rng = np.random.default_rng(10 + offset)
+        n = content_clustering._BLOCK + offset
+        got = self.assert_same(campaign_rows(rng, n, 20), 0.9)
+        assert 3 < got.n_clusters < n
+
+    def test_more_leaders_than_one_tile(self):
+        rng = np.random.default_rng(11)
+        n = 2 * content_clustering._TILE
+        got = self.assert_same(campaign_rows(rng, n, 20), 0.8)
+        assert got.n_clusters > content_clustering._TILE
+
+    @pytest.mark.parametrize("block,tile", [(1, 1), (3, 2), (5, 7), (16, 4)])
+    def test_small_blocks_and_tiles(self, monkeypatch, block, tile):
+        monkeypatch.setattr(content_clustering, "_BLOCK", block)
+        monkeypatch.setattr(content_clustering, "_TILE", tile)
+        rng = np.random.default_rng(block * 100 + tile)
+        for tau in (0.3, 0.7, 0.95):
+            self.assert_same(campaign_rows(rng, 90, 6), tau)
+
+    @pytest.mark.parametrize("block", [1, 2, 256])
+    def test_similarity_at_and_one_ulp_from_tau(self, monkeypatch, block):
+        # tau is set to the reference's own GEMV similarity of a post to
+        # its leader, and to the floats either side of it; wherever the
+        # blocked GEMM rounds that similarity differently, only the
+        # exact recompute decides it like the reference.
+        monkeypatch.setattr(content_clustering, "_BLOCK", block)
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            X = random_unit_rows(rng, 2, 20)
+            X[1] = X[0] + 0.3 * X[1]
+            unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+            sim = float((unit[:1] @ unit[1])[0])
+            for tau in (sim, np.nextafter(sim, 0.0), np.nextafter(sim, 2.0)):
+                if tau <= 1.0:
+                    self.assert_same(X, float(tau))
+        exact = cluster_cosine(np.array([[3.0, 4.0], [4.0, 3.0]]), 0.96)
+        assert exact.labels.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("block", [1, 2, 256])
+    def test_tied_leaders_earliest_wins(self, monkeypatch, block):
+        monkeypatch.setattr(content_clustering, "_BLOCK", block)
+        monkeypatch.setattr(content_clustering, "_TILE", 1)
+        X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                      [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        got = self.assert_same(X, 0.5)
+        assert got.labels.tolist() == [0, 1, 2, 1, 0, 0]
+
+    @pytest.mark.parametrize("block", [1, 2, 256])
+    def test_leaders_tied_within_rounding(self, monkeypatch, block):
+        # A post on the bisector of two leaders is as similar to both up
+        # to rounding, and GEMM and GEMV may order the two differently;
+        # only the recompute follows the reference's order.
+        monkeypatch.setattr(content_clustering, "_BLOCK", block)
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            a, b = random_unit_rows(rng, 2, 20)
+            if a @ b >= 0.5:
+                continue
+            self.assert_same(np.stack([a, b, a + b]), 0.5)
+
+    def test_zero_rows_found_a_cluster_each(self):
+        X = np.zeros((5, 4))
+        X[1] = X[3] = [1.0, 2.0, 0.0, 0.0]
+        got = self.assert_same(X, 0.5)
+        assert got.labels.tolist() == [0, 1, 2, 1, 3]
+        got = self.assert_same(np.zeros((300, 3)), 1e-13)
+        assert got.n_clusters == 300
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(13)
+        X = campaign_rows(rng, 400, 20, campaigns=5, noise=0.0)
+        X[1::7] = X[0]
+        self.assert_same(X, 0.9)
+
+    def test_tau_one(self):
+        # A post's dot product with an identical leader may round below
+        # 1.0, in which case it founds its own cluster.
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((8, 20))[rng.integers(0, 8, size=600)]
+        got = self.assert_same(X, 1.0)
+        assert got.n_clusters >= 8
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_inputs(self, n):
+        got = self.assert_same(np.ones((n, 3)), 0.5)
+        assert got.leader_rows == list(range(n))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), tau=st.floats(0.05, 1.0),
+           n=st.integers(0, 70), block=st.integers(1, 9), tile=st.integers(1, 9))
+    def test_matches_gemv_reference(self, seed, tau, n, block, tile):
+        rng = np.random.default_rng(seed)
+        X = campaign_rows(rng, n, 4, noise=0.2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(content_clustering, "_BLOCK", block)
+            mp.setattr(content_clustering, "_TILE", tile)
+            self.assert_same(X, tau)
+
+    def test_rejects_non_finite_rows(self):
+        with pytest.raises(ValueError):
+            cluster_cosine(np.array([[1.0, 0.0], [np.nan, 1.0]]), 0.5)
+        with pytest.raises(ValueError):
+            cluster_cosine(np.array([[np.inf, 0.0]]), 0.5)
 
 
 class TestClusterReport:

@@ -161,6 +161,30 @@ class TestSplitEdges:
         _, held2 = split_edges(g, 0.2, seed=5)
         assert held1 == held2
 
+    def test_matches_per_edge_set_comprehension(self):
+        def reference(graph, fraction, seed):
+            # The split as first written, with the held-out set rebuilt
+            # for every edge.
+            rng = np.random.default_rng(seed)
+            held_out = []
+            for rel in graph.relations:
+                keys = sorted(key for key in graph.edges if key[1] == rel)
+                k = min(len(keys), max(1, round(fraction * len(keys))))
+                chosen = rng.choice(len(keys), size=k, replace=False)
+                held_out.extend(keys[i] for i in np.sort(chosen))
+            return {k: w for k, w in graph.edges.items() if k not in set(held_out)}, held_out
+
+        rng = np.random.default_rng(8)
+        edges = [(f"u{rng.integers(40)}", ("retweet", "mention", "reply")[rng.integers(3)],
+                  f"u{rng.integers(40)}") for _ in range(600)]
+        g = RelationGraph.from_edges(edges)
+        for fraction, seed in ((0.05, 0), (0.3, 7), (0.9, 2)):
+            train_g, held = split_edges(g, fraction, seed=seed)
+            ref_edges, ref_held = reference(g, fraction, seed)
+            assert held == ref_held
+            assert list(train_g.edges.items()) == list(ref_edges.items())
+            assert train_g.nodes == g.nodes
+
     def test_fraction_validation(self):
         g = small_graph()
         with pytest.raises(ValueError):

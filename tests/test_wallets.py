@@ -1,4 +1,6 @@
 import hashlib
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,40 @@ class TestFindAddresses:
         eth = fresh_eth_address(b"a")
         hits = find_addresses(f"{GENESIS_BTC} then {eth}")
         assert hits == [(GENESIS_BTC, "bitcoin"), (eth, "ethereum")]
+
+
+def token_scan(text):
+    """Every maximal alphanumeric token through the classifiers: the
+    reference for the shape-filtered candidate scan."""
+    out = []
+    for match in re.finditer(r"[0-9A-Za-z]+", text):
+        chain = classify_address(match.group())
+        if chain is not None:
+            out.append((match.group(), chain))
+    return out
+
+
+class TestCandidateScan:
+    PIECES = [
+        GENESIS_BTC, SEGWIT_BTC, SEGWIT_BTC.upper(), "bC1" + SEGWIT_BTC[3:],
+        fresh_btc_address(b"p2pkh"), fresh_btc_address(b"p2sh", version=5),
+        fresh_segwit_address(b"s"), fresh_eth_address(b"e"),
+        fresh_eth_address(b"E").upper().replace("0X", "0x"),
+        "0X" + fresh_eth_address(b"x")[2:], "0x" + "g" * 40, "0x" + "a" * 39,
+        "1" * 25, "1" * 26, "3" * 35, "3" * 36, "bc1", "BC1", "free", "crypto",
+        "", " ", "!", "-", "é", "9", "x", "0x", "bc", "\n",
+    ]
+
+    def test_matches_token_scan(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            text = "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 8)))
+            assert find_addresses(text) == token_scan(text), text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="0123bcBCxX ae!", max_size=80))
+    def test_matches_token_scan_on_short_alphabets(self, text):
+        assert find_addresses(text) == token_scan(text)
 
 
 class TestExtractWallets:
