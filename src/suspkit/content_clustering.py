@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -31,6 +31,9 @@ class ClusterAssignment:
     labels: np.ndarray  # (n,) cluster index per item
     leader_rows: list[int]  # item row founding each cluster
     centroids: np.ndarray  # (k, d) renormalized member means
+    _member_lists: list[list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.item_ids) != self.labels.shape[0]:
@@ -52,9 +55,14 @@ class ClusterAssignment:
 
     def member_lists(self) -> list[list[int]]:
         """Members of every cluster in ascending item order, grouped by
-        one stable sort instead of one label scan per cluster."""
-        by_cluster = np.argsort(self.labels, kind="stable")
-        return [m.tolist() for m in np.split(by_cluster, np.cumsum(self.sizes))[:-1]]
+        one stable sort instead of one label scan per cluster.  Computed
+        once and cached: the report and the keyword scan share it."""
+        if self._member_lists is None:
+            by_cluster = np.argsort(self.labels, kind="stable")
+            self._member_lists = [
+                m.tolist() for m in np.split(by_cluster, np.cumsum(self.sizes))[:-1]
+            ]
+        return self._member_lists
 
 
 def _normalized_rows(X: np.ndarray) -> np.ndarray:

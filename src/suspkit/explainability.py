@@ -114,18 +114,10 @@ def explain_matrix(
     background: FeatureMatrix,
     rows: Sequence[int] | None = None,
     background_size: int = 100,
-    samples: int = 64,
     seed: int = 0,
-    method: str = "auto",
 ) -> list[Explanation]:
     """Exact margin-space explanations for selected rows of a matrix,
-    against a seeded background sample drawn from the training matrix.
-
-    `samples` is ignored: no attribution is sampled.  `method` must be
-    "auto"; both are kept so existing callers still work.
-    """
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
+    against a seeded background sample drawn from the training matrix."""
     if matrix.feature_names != model.input_feature_names:
         raise SchemaMismatch("matrix schema differs from the model's")
     if background.feature_names != model.input_feature_names:

@@ -10,7 +10,6 @@ bit-deterministic for a fixed seed.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -57,13 +56,6 @@ class RelationGraph:
             nodes.add(src)
             nodes.add(dst)
         return cls(nodes=sorted(nodes), edges=weights)
-
-    def merged(self, other: "RelationGraph") -> "RelationGraph":
-        """Both graphs' edges with their weights summed, over the union
-        of their nodes: the graph of two disjoint sets of tweets."""
-        edges = Counter(self.edges)
-        edges.update(other.edges)
-        return RelationGraph(nodes=sorted({*self.nodes, *other.nodes}), edges=dict(edges))
 
     @property
     def n_nodes(self) -> int:

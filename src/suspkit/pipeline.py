@@ -177,7 +177,6 @@ class ExtractionContext:
     provider: EmbeddingProvider | None = None
     idf: HashtagIdfTable | None = None
     pca: PcaModel | None = None
-    graph_window: TimeWindow | None = None
     graph: RelationGraph | None = None
     node_embeddings: NodeEmbeddings | None = None
 
@@ -219,8 +218,10 @@ def extract_window_features(
     store is read only for snapshots.  Users without any in-window
     profile snapshot are dropped from all families so every family
     covers the same user set.  Pass the training window's context when
-    extracting an evaluation window; the window right after the
-    context's graph extends that graph by its own edges.
+    extracting an evaluation window: its IDF table, PCA basis, graph and
+    node embeddings are reused as they are, whatever the window.  A user
+    outside the context's graph gets an all-NaN graph row, which the
+    model imputes with its training medians.
     """
     families = tuple(families if families is not None else config.families)
     unknown = set(families) - set(FAMILY_ORDER)
@@ -297,19 +298,13 @@ def extract_window_features(
         mats["post_embedding"] = FeatureMatrix(names, list(kept), X, y)
 
     if "graph_embedding" in families:
-        if out_context.graph_window != window:
-            graph = build_graph(chain.from_iterable(tweets.values()), config.relations)
-            g_window = window
-            if out_context.graph is not None:
-                # Exact only when no tweet falls between the two windows.
-                if out_context.graph_window.end != window.start:
-                    raise ValueError("a window's graph extends only the window just before it")
-                graph = out_context.graph.merged(graph)
-                g_window = TimeWindow(out_context.graph_window.start, window.end)
-            emb = None
-            if graph.n_edges:
-                emb = train_embeddings(
-                    graph,
+        if out_context.graph is None:
+            out_context.graph = build_graph(
+                chain.from_iterable(tweets.values()), config.relations
+            )
+            if out_context.graph.n_edges:
+                out_context.node_embeddings = train_embeddings(
+                    out_context.graph,
                     dim=config.graph_dim,
                     epochs=config.graph_epochs,
                     lr=config.graph_lr,
@@ -317,9 +312,6 @@ def extract_window_features(
                     batch_size=config.graph_batch,
                     seed=stage_seed(config.seed, "graph"),
                 )
-            out_context.graph_window = g_window
-            out_context.graph = graph
-            out_context.node_embeddings = emb
         names = graph_feature_names(config.graph_dim)
         if out_context.node_embeddings is not None:
             X = export_node_features(out_context.node_embeddings, kept)

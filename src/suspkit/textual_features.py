@@ -14,8 +14,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .activity_features import _stats_block
 from .corpus import (
     KIND_ORIGINAL,
     KIND_QUOTE,
@@ -23,8 +22,6 @@ from .corpus import (
     KINDS,
     Tweet,
 )
-
-MISSING = float("nan")
 
 ENTITIES = ("hashtags", "urls", "mentions")
 
@@ -48,18 +45,6 @@ class HashtagIdfTable:
 
 def _fold_tag(hashtag: str) -> str:
     return hashtag.casefold()
-
-
-def _stats_block(values: list[float]) -> dict[str, float]:
-    if not values:
-        return {"min": MISSING, "max": MISSING, "mean": MISSING, "std": MISSING}
-    arr = np.asarray(values, dtype=float)
-    return {
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
-        "std": float(arr.std()),
-    }
 
 
 def entity_stats(timeline: list[Tweet], kind: str, entity: str) -> dict[str, float]:

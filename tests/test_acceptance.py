@@ -297,9 +297,7 @@ def test_criterion_08_age_and_rate_features_dominate(large_run):
         train_matrix,
         rows=range(min(64, test_matrix.n)),
         background_size=64,
-        samples=8,
         seed=stage_seed(config.seed, "explain"),
-        method="auto",
     )
     summary = impact_summary(explanations)
     top5 = summary.ranking[:5]

@@ -282,12 +282,6 @@ class TestExplainMatrix:
         with pytest.raises(SchemaMismatch):
             explain_matrix(model, test_m, other)
 
-    def test_unknown_method(self):
-        model, train_m, test_m = tiny_model_and_matrices()
-        for method in ("kernel", "exact", "sampled"):
-            with pytest.raises(ValueError):
-                explain_matrix(model, test_m, train_m, method=method)
-
 
 def hand_explanations():
     names = ("alpha", "beta")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from suspkit.corpus import CorpusStore, TimeWindow, split_windows
+from suspkit.corpus import CorpusStore, TimeWindow
 from suspkit import graph_embedding
 from suspkit.graph_embedding import (
     EmptyGraph,
@@ -18,8 +18,6 @@ from suspkit.graph_embedding import (
     train_embeddings,
     write_graph_csv,
 )
-
-from suspkit.synth import GeneratorConfig, generate
 
 from conftest import WINDOW_START, tweet_line
 
@@ -101,43 +99,6 @@ class TestBuildGraph:
         late = TimeWindow(WINDOW_START - 2000, WINDOW_START - 1)
         g = build_graph(self._store().tweets_in_window(late))
         assert g.n_edges == 0
-
-
-class TestMergedGraph:
-    def test_weights_add_and_nodes_unite(self):
-        first = RelationGraph.from_edges([("a", "retweet", "b"), ("a", "retweet", "b")])
-        second = RelationGraph.from_edges([("a", "retweet", "b"), ("c", "mention", "a")])
-        merged = first.merged(second)
-        assert merged.nodes == ["a", "b", "c"]
-        assert merged.edges == {("a", "retweet", "b"): 3, ("c", "mention", "a"): 1}
-        assert first.edges == {("a", "retweet", "b"): 2}
-        assert second.nodes == ["a", "b", "c"]
-
-    def test_back_to_back_windows_equal_the_span(self, tmp_path):
-        paths = generate(GeneratorConfig(n_suspended=15, n_normal=15, n_windows=2),
-                         seed=0, out_dir=tmp_path)
-        store = CorpusStore()
-        store.ingest_tweets(paths["tweets"])
-        first, second = split_windows(WINDOW_START)
-        # One interaction repeated on both sides of the window boundary.
-        store.ingest_tweets(
-            [
-                tweet_line(id=f"x{i}", user_id="x1", created_at=ts, mentions=["x2"])
-                for i, ts in enumerate((first.end - 1, second.start))
-            ]
-        )
-        merged = build_graph(store.tweets_in_window(first)).merged(
-            build_graph(store.tweets_in_window(second))
-        )
-        span = build_graph(store.tweets_in_window(TimeWindow(first.start, second.end)))
-        assert merged.edges[("x1", "mention", "x2")] == 2
-        assert merged.nodes == span.nodes
-        assert merged.edges == span.edges
-        a = train_embeddings(merged, dim=8, epochs=5, seed=3)
-        b = train_embeddings(span, dim=8, epochs=5, seed=3)
-        assert a.node_ids == b.node_ids
-        assert a.vectors.tobytes() == b.vectors.tobytes()
-        assert a.relation_vectors.tobytes() == b.relation_vectors.tobytes()
 
 
 class TestSplitEdges:

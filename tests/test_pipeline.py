@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from suspkit.corpus import DAY_SECONDS, CorpusStore, MalformedRecord, TimeWindow, read_window
-from suspkit.graph_embedding import build_graph
+from suspkit import pipeline
+from suspkit.corpus import CorpusStore, MalformedRecord, TimeWindow, read_window
+from suspkit.graph_embedding import build_graph, train_embeddings
 from suspkit.pipeline import (
     ExtractionContext,
     PipelineConfig,
@@ -18,6 +19,8 @@ from suspkit.pipeline import (
 )
 from suspkit.suspension_model import FAMILY_ORDER
 from suspkit.synth import GeneratorConfig, generate
+
+from conftest import tweet_line
 
 
 @pytest.fixture(scope="module")
@@ -186,25 +189,65 @@ class TestWindowReads:
         monkeypatch.undo()
         assert split.test is not None and split.second_test is not None
         assert sorted(decoded) == expected
-        # The window-2 graph extends the window-1 graph: it is the graph
-        # of the span, and the train and test splits share the first.
+        # Train, test and second test share the graph fitted on window 1.
         assert split.train.context.graph is split.test.context.graph
-        assert split.second_test.context.graph_window == span
-        span_graph = build_graph(store.tweets_in_window(span), config.relations)
-        assert split.second_test.context.graph.nodes == span_graph.nodes
-        assert split.second_test.context.graph.edges == span_graph.edges
+        assert split.second_test.context.graph is split.train.context.graph
 
-    def test_graph_extends_only_the_adjacent_window(self, two_window_store):
-        store = two_window_store
-        config = fast_config(families=("graph_embedding",))
+
+class TestGraphReuse:
+    """Window 2 is scored in the coordinates of the window-1 graph fit."""
+
+    @pytest.fixture(scope="class")
+    def bridged_split(self, tmp_path_factory):
+        # A window-1 user mentions a window-2 user, so that user is a
+        # node of both windows' graphs.
+        out = tmp_path_factory.mktemp("synth-bridged")
+        paths = generate(GeneratorConfig(n_suspended=20, n_normal=20, n_windows=2),
+                         seed=0, out_dir=out)
+        store = CorpusStore()
+        store.ingest_tweets(paths["tweets"])
+        store.ingest_snapshots(paths["snapshots"])
+        store.ingest_labels(paths["labels"])
+        config = fast_config()
         first, second = config.windows()
-        users = select_users_for_window(store, first, seed=0)
-        features = extract_window_features(store, first, read_window(store, first), users, config)
-        later = TimeWindow(second.start + DAY_SECONDS, second.end)
-        with pytest.raises(ValueError, match="extends only"):
-            extract_window_features(
-                store, later, read_window(store, later), {}, config, context=features.context
-            )
+        store.ingest_tweets([tweet_line(id="bridge", user_id="n1_00000",
+                                        created_at=first.start + 3600, mentions=["n2_00000"])])
+        second_graph = build_graph(store.tweets_in_window(second), config.relations)
+        return extract_split_features(store, config), second_graph
+
+    @staticmethod
+    def graph_rows(features):
+        matrix = features.families["graph_embedding"]
+        return dict(zip(matrix.user_ids, matrix.X))
+
+    def test_shared_user_keeps_its_window1_vector(self, bridged_split):
+        split, second_graph = bridged_split
+        emb = split.train.context.node_embeddings
+        assert "n2_00000" in emb.node_ids and "n2_00000" in second_graph.nodes
+        row = self.graph_rows(split.second_test)["n2_00000"]
+        assert row.tobytes() == emb.vectors[emb.node_index()["n2_00000"]].tobytes()
+
+    def test_user_outside_window1_graph_gets_nan(self, bridged_split):
+        split, second_graph = bridged_split
+        window1_nodes = set(split.train.context.graph.nodes)
+        rows = self.graph_rows(split.second_test)
+        outside = [u for u in rows if u not in window1_nodes]
+        assert outside and all(u in second_graph.nodes for u in outside)
+        for user in outside:
+            assert np.isnan(rows[user]).all()
+        assert np.isfinite(rows["n2_00000"]).all()
+
+    def test_one_graph_fit_per_split_extraction(self, two_window_store, monkeypatch):
+        fits = []
+
+        def counted(graph, **kwargs):
+            fits.append(graph.n_nodes)
+            return train_embeddings(graph, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_embeddings", counted)
+        split = extract_split_features(two_window_store, fast_config())
+        assert split.second_test is not None
+        assert len(fits) == 1
 
 
 @pytest.fixture(scope="module")
