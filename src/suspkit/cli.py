@@ -218,6 +218,20 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace) -> None:
         },
     )
     outputs.append(users_path)
+    # The graph stage ranks these two.  A file this run does not write is
+    # removed, so that the graph stage cannot rank one left by an earlier run.
+    context = split.train.context
+    for name, artifact, write in (
+        ("graph.csv", context.graph, write_graph_csv),
+        ("graph_embeddings.emb1", context.node_embeddings, save_embeddings),
+    ):
+        path = workdir / name
+        if artifact is None:
+            path.unlink(missing_ok=True)
+            continue
+        with atomic_path(path) as tmp:
+            write(tmp, artifact)
+        outputs.append(path)
     _finish_stage(
         config, "features", {"corpus": str(_store_path(config))}, outputs, started
     )
@@ -365,14 +379,9 @@ def cmd_cluster(config: PipelineConfig, args: argparse.Namespace) -> None:
 def cmd_graph(config: PipelineConfig, args: argparse.Namespace) -> None:
     started = time.monotonic()
     workdir = _workdir(config)
-    with _open_store(config) as store:
-        artifacts = run_graph_stage(store, config)
-    graph_path = workdir / "graph.csv"
-    with atomic_path(graph_path) as tmp:
-        write_graph_csv(tmp, artifacts.graph)
+    graph_path = _require_artifact(workdir, "graph.csv", "features")
     emb_path = workdir / "graph_embeddings.emb1"
-    with atomic_path(emb_path) as tmp:
-        save_embeddings(tmp, artifacts.embeddings)
+    artifacts = run_graph_stage(graph_path, emb_path, config)
     ranking_path = workdir / "graph_ranking.json"
     _write_json(
         ranking_path,
@@ -388,8 +397,8 @@ def cmd_graph(config: PipelineConfig, args: argparse.Namespace) -> None:
     _finish_stage(
         config,
         "graph",
-        {"corpus": str(_store_path(config))},
-        [graph_path, emb_path, ranking_path],
+        {"graph": str(graph_path), "embeddings": str(emb_path)},
+        [ranking_path],
         started,
     )
     print(
@@ -480,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float)
     p.add_argument("--toxicity-scores", dest="toxicity_scores")
 
-    sub.add_parser("graph", help="train and evaluate graph embeddings")
+    sub.add_parser("graph", help="rank held-out edges with the graph embeddings")
     sub.add_parser("report", help="aggregate stage outputs into one digest")
     return parser
 

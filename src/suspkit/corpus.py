@@ -378,6 +378,11 @@ CREATE TABLE IF NOT EXISTS labels (
 _INGEST_BATCH = 5000
 
 
+def _decode_list(raw: str) -> tuple[str, ...]:
+    """A stored JSON list as a tuple; most stored lists are empty."""
+    return () if raw == "[]" else tuple(json.loads(raw))
+
+
 class CorpusStore:
     """Embedded single-file tweet corpus.
 
@@ -523,9 +528,9 @@ class CorpusStore:
             referenced_user_id=row[5],
             referenced_created_at=row[6],
             text=row[7],
-            hashtags=tuple(json.loads(row[8])),
-            urls=tuple(json.loads(row[9])),
-            mentions=tuple(json.loads(row[10])),
+            hashtags=_decode_list(row[8]),
+            urls=_decode_list(row[9]),
+            mentions=_decode_list(row[10]),
             lang=row[11],
         )
 

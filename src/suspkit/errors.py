@@ -11,3 +11,7 @@ class SuspkitError(Exception):
 
 class MissingArtifact(SuspkitError):
     """A stage was invoked before the artifacts it depends on exist."""
+
+
+class StaleArtifact(SuspkitError):
+    """An input artifact does not match the artifacts it was built with."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from itertools import chain
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -35,9 +36,10 @@ from .corpus import (
     split_windows,
     undersample_balance,
 )
-from .errors import SuspkitError
+from .errors import MissingArtifact, StaleArtifact, SuspkitError
 from .graph_embedding import (
     RELATIONS,
+    EmptyGraph,
     NodeEmbeddings,
     RankingEval,
     RelationGraph,
@@ -45,6 +47,8 @@ from .graph_embedding import (
     evaluate as evaluate_ranking,
     export_node_features,
     graph_feature_names,
+    load_embeddings,
+    read_graph_csv,
     split_edges,
     train_embeddings,
 )
@@ -172,7 +176,12 @@ def make_provider(config: PipelineConfig) -> EmbeddingProvider:
 
 @dataclass
 class ExtractionContext:
-    """State fitted on the training window and reused elsewhere."""
+    """State fitted on the training window and reused elsewhere.
+
+    `graph` is the full training-window graph; `node_embeddings` are
+    fitted on it minus its held-out edges, and stay None when no
+    training edge is left.
+    """
 
     provider: EmbeddingProvider | None = None
     idf: HashtagIdfTable | None = None
@@ -219,9 +228,12 @@ def extract_window_features(
     profile snapshot are dropped from all families so every family
     covers the same user set.  Pass the training window's context when
     extracting an evaluation window: its IDF table, PCA basis, graph and
-    node embeddings are reused as they are, whatever the window.  A user
-    outside the context's graph gets an all-NaN graph row, which the
-    model imputes with its training medians.
+    node embeddings are reused as they are, whatever the window.  The
+    node embeddings are the run's one graph fit: on the window graph
+    minus the edges the graph stage holds out for ranking.  A user
+    outside the context's graph, or every user when no training edge is
+    left, gets an all-NaN graph row, which the model imputes with its
+    training medians.
     """
     families = tuple(families if families is not None else config.families)
     unknown = set(families) - set(FAMILY_ORDER)
@@ -302,9 +314,10 @@ def extract_window_features(
             out_context.graph = build_graph(
                 chain.from_iterable(tweets.values()), config.relations
             )
-            if out_context.graph.n_edges:
+            train_graph = _graph_split(out_context.graph, config)[0]
+            if train_graph.n_edges:
                 out_context.node_embeddings = train_embeddings(
-                    out_context.graph,
+                    train_graph,
                     dim=config.graph_dim,
                     epochs=config.graph_epochs,
                     lr=config.graph_lr,
@@ -572,39 +585,51 @@ def run_clustering(
 @dataclass
 class GraphArtifacts:
     graph: RelationGraph
-    train_graph: RelationGraph
     held_out: list[tuple[str, str, str]]
-    embeddings: NodeEmbeddings
     ranking: RankingEval
 
 
-def run_graph_stage(
-    store: CorpusStore, config: PipelineConfig, window: TimeWindow | None = None
-) -> GraphArtifacts:
-    """Build the window graph, train embeddings on a held-out split,
-    and report ranking metrics."""
-    if window is None:
-        window, _ = config.windows()
-    graph = build_graph(store.tweets_in_window(window), config.relations)
-    train_graph, held_out = split_edges(
+def _graph_split(
+    graph: RelationGraph, config: PipelineConfig
+) -> tuple[RelationGraph, list[tuple[str, str, str]]]:
+    """The training graph and held-out edges of the one graph fit."""
+    return split_edges(
         graph, config.graph_holdout_fraction, seed=stage_seed(config.seed, "graph-split")
     )
-    emb = train_embeddings(
-        train_graph,
-        dim=config.graph_dim,
-        epochs=config.graph_epochs,
-        lr=config.graph_lr,
-        negatives_per_edge=config.graph_negatives,
-        batch_size=config.graph_batch,
-        seed=stage_seed(config.seed, "graph"),
-    )
+
+
+def run_graph_stage(
+    graph_path: str | Path, embeddings_path: str | Path, config: PipelineConfig
+) -> GraphArtifacts:
+    """Rank the held-out edges of the window-1 graph with its embeddings.
+
+    Both files come from the features stage: the full graph and the
+    embeddings it fitted on that graph minus the held-out edges, which
+    are recomputed here with the same split.  Embeddings that do not
+    match the graph (other nodes or relations, or another dimension
+    than `config.graph_dim`) are a stale artifact.
+    """
+    graph = read_graph_csv(graph_path)
+    train_graph, held_out = _graph_split(graph, config)
+    if not train_graph.n_edges:
+        raise EmptyGraph("the window-1 graph has no edges left after the hold-out split")
+    untrained = sorted({rel for _, rel, _ in held_out} - set(train_graph.relations))
+    if untrained:
+        raise EmptyGraph(f"held-out relations without a training edge: {untrained}")
+    if not Path(embeddings_path).exists():
+        raise MissingArtifact(f"{embeddings_path} not found; run features first")
+    emb = load_embeddings(embeddings_path)
+    for what, found, expected in (
+        ("node ids", emb.node_ids, graph.nodes),
+        ("relation ids", emb.relation_ids, train_graph.relations),
+        ("dimension", emb.dim, config.graph_dim),
+    ):
+        if found != expected:
+            raise StaleArtifact(
+                f"{embeddings_path} does not match {graph_path} and the config"
+                f" ({what}); rerun features"
+            )
     ranking = evaluate_ranking(
         emb, held_out, negatives_per_positive=100, seed=stage_seed(config.seed, "graph-neg")
     )
-    return GraphArtifacts(
-        graph=graph,
-        train_graph=train_graph,
-        held_out=held_out,
-        embeddings=emb,
-        ranking=ranking,
-    )
+    return GraphArtifacts(graph=graph, held_out=held_out, ranking=ranking)

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from suspkit.corpus import DAY_SECONDS, TimeWindow, Tweet
+from suspkit.graph_embedding import split_edges, train_embeddings
+from suspkit.manifest import stage_seed
 
 WINDOW_START = 1_645_574_400  # 2022-02-23T00:00:00Z
 WINDOW_DAYS = 21
@@ -75,3 +77,21 @@ def snapshot_line(**fields) -> str:
     }
     record.update(fields)
     return json.dumps({k: v for k, v in record.items() if v is not None})
+
+
+def graph_split_fit(graph, config):
+    """The run's graph fit, rebuilt apart from the pipeline: embeddings
+    trained on the graph minus its held-out edges, and those edges."""
+    train_graph, held_out = split_edges(
+        graph, config.graph_holdout_fraction, seed=stage_seed(config.seed, "graph-split")
+    )
+    emb = train_embeddings(
+        train_graph,
+        dim=config.graph_dim,
+        epochs=config.graph_epochs,
+        lr=config.graph_lr,
+        negatives_per_edge=config.graph_negatives,
+        batch_size=config.graph_batch,
+        seed=stage_seed(config.seed, "graph"),
+    )
+    return emb, held_out

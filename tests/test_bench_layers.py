@@ -2,6 +2,9 @@
 must exist, or `layer_trace.Tracer.install()` fails at bench time."""
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +35,45 @@ def test_every_traced_name_resolves():
             if not found:
                 missing.append(f"{module_name}.{qualname}")
     assert missing == []
+
+
+def test_traced_pass_counts_one_graph_fit(tmp_path):
+    """Run the traced pass as the benchmark does: one process, stages
+    through `suspkit.cli.main`, layers wrapped by name."""
+    from suspkit.graph_embedding import read_graph_csv, split_edges
+    from suspkit.manifest import stage_seed
+    from suspkit.pipeline import PipelineConfig
+
+    config = {"graph_dim": 8, "graph_epochs": 30, "graph_batch": 64, "encoder_dim": 64,
+              "pca_components": 8}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    wd, synth = tmp_path / "work", tmp_path / "synth"
+    base = ["--config", str(config_path), "--workdir", str(wd), "--seed", "3"]
+    stages = [
+        ["synth", base + ["synth", "--out", str(synth), "--suspended", "12", "--normal", "12"]],
+        ["ingest", base + ["ingest", "--tweets", str(synth / "tweets.jsonl"),
+                           "--snapshots", str(synth / "snapshots.jsonl"),
+                           "--labels", str(synth / "labels.csv")]],
+        ["features", base + ["features"]],
+        ["graph", base + ["graph"]],
+    ]
+    plan = tmp_path / "plan.json"
+    out = tmp_path / "trace.json"
+    plan.write_text(json.dumps({"stages": stages, "out": str(out)}), encoding="utf-8")
+    src = str(BENCH_DIR.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "layer_trace.py"), str(plan)],
+        cwd=BENCH_DIR.parent, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(out.read_text())["counts"]
+    assert counts["graph_embedding.fits"] == 1
+    # The one fit trains on the window graph minus its held-out edges.
+    train_graph, _ = split_edges(
+        read_graph_csv(wd / "graph.csv"), PipelineConfig().graph_holdout_fraction,
+        seed=stage_seed(3, "graph-split"),
+    )
+    assert counts["graph_embedding.edge_epochs"] == train_graph.total_weight * config["graph_epochs"]

@@ -2,11 +2,24 @@ import json
 
 import pytest
 
-from suspkit import cli
+from suspkit import cli, pipeline
 from suspkit.corpus import CorpusStore
-from suspkit.manifest import canonical_json, read_manifest
+from suspkit.graph_embedding import (
+    build_graph,
+    evaluate as evaluate_ranking,
+    export_node_features,
+    load_embeddings,
+    read_graph_csv,
+    save_embeddings,
+    split_edges,
+    train_embeddings,
+    write_graph_csv,
+)
+from suspkit.manifest import canonical_json, read_manifest, stage_seed
 from suspkit.pipeline import PipelineConfig, run_training
-from suspkit.suspension_model import save_model
+from suspkit.suspension_model import FeatureMatrix, save_model
+
+from conftest import graph_split_fit
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +325,113 @@ class TestCliMatchesPipeline:
         assert len(names) == 7
         for name in names:
             assert (wd / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def graph_run(workdir, tmp_path_factory):
+    """CLI `features` then `graph` on the small corpus, each graph fit
+    recorded with the stage that made it."""
+    source, _ = workdir
+    wd = tmp_path_factory.mktemp("cli-graph-fit")
+    (wd / "corpus.sqlite").write_bytes((source / "corpus.sqlite").read_bytes())
+    config_path = wd / "config.json"
+    config_path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    fits, stage = [], []
+
+    def counted(graph, **kwargs):
+        fits.append(stage[-1])
+        return train_embeddings(graph, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "train_embeddings", counted)
+        for name in ("features", "graph"):
+            stage.append(name)
+            argv = ["--config", str(config_path), "--workdir", str(wd), "--seed", "3", name]
+            assert cli.main(argv) == 0, name
+    return wd, PipelineConfig.from_dict(dict(FAST_CONFIG, seed=3)), fits
+
+
+def _copy(names, source, dest):
+    for name in names:
+        (dest / name).write_bytes((source / name).read_bytes())
+
+
+class TestOneGraphFit:
+    def test_one_fit_in_features(self, graph_run):
+        _, _, fits = graph_run
+        assert fits == ["features"]
+
+    def test_features_writes_the_split_fit(self, graph_run, tmp_path):
+        wd, config, _ = graph_run
+        with CorpusStore(wd / "corpus.sqlite") as store:
+            graph = build_graph(store.tweets_in_window(config.windows()[0]), config.relations)
+        emb, _ = graph_split_fit(graph, config)
+        write_graph_csv(tmp_path / "graph.csv", graph)
+        save_embeddings(tmp_path / "graph_embeddings.emb1", emb)
+        outputs = read_manifest(wd / "features.manifest.json")["outputs"]
+        for name in ("graph.csv", "graph_embeddings.emb1"):
+            assert (wd / name).read_bytes() == (tmp_path / name).read_bytes(), name
+            assert name in outputs
+        for split in ("train", "test"):
+            matrix = FeatureMatrix.from_csv(wd / f"features_{split}.csv")
+            columns = [i for i, n in enumerate(matrix.feature_names) if n.startswith("graph_vec_")]
+            expected = export_node_features(emb, matrix.user_ids)
+            assert matrix.X[:, columns].tobytes() == expected.tobytes(), split
+
+    def test_graph_ranks_the_stored_embeddings(self, graph_run, tmp_path):
+        wd, config, _ = graph_run
+        _, held_out = split_edges(
+            read_graph_csv(wd / "graph.csv"), config.graph_holdout_fraction,
+            seed=stage_seed(3, "graph-split"),
+        )
+
+        def check(run_dir):
+            ranking = json.loads((run_dir / "graph_ranking.json").read_text())
+            expected = evaluate_ranking(
+                load_embeddings(run_dir / "graph_embeddings.emb1"), held_out,
+                negatives_per_positive=100, seed=stage_seed(3, "graph-neg"),
+            )
+            assert (ranking["mrr"], ranking["auc"]) == (expected.mrr, expected.auc)
+            assert ranking["held_out_edges"] == len(held_out)
+            return ranking["mrr"]
+
+        mrr = check(wd)
+        # The stage ranks whatever embeddings it finds and needs no store:
+        # with the relation vectors negated, the ranking follows the file.
+        _copy(["graph.csv", "config.json"], wd, tmp_path)
+        emb = load_embeddings(wd / "graph_embeddings.emb1")
+        emb.relation_vectors = -emb.relation_vectors
+        save_embeddings(tmp_path / "graph_embeddings.emb1", emb)
+        argv = ["--config", str(tmp_path / "config.json"), "--workdir", str(tmp_path),
+                "--seed", "3", "graph"]
+        assert cli.main(argv) == 0
+        assert check(tmp_path) != mrr
+        inputs = read_manifest(tmp_path / "graph.manifest.json")["inputs"]
+        assert inputs == {"graph": str(tmp_path / "graph.csv"),
+                          "embeddings": str(tmp_path / "graph_embeddings.emb1")}
+
+    def test_stale_embeddings_exit_3(self, graph_run, tmp_path, capsys):
+        wd, _, _ = graph_run
+        _copy(["graph.csv", "graph_embeddings.emb1"], wd, tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(dict(FAST_CONFIG, graph_dim=4)), encoding="utf-8")
+        code = cli.main(["--config", str(config_path), "--workdir", str(tmp_path), "graph"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "StaleArtifact"
+
+    def test_features_without_graph_removes_graph_artifacts(self, graph_run, tmp_path, capsys):
+        wd, _, _ = graph_run
+        _copy(["corpus.sqlite", "graph.csv", "graph_embeddings.emb1"], wd, tmp_path)
+        base = ["--workdir", str(tmp_path), "--seed", "3"]
+        assert cli.main(base + ["features", "--families", "profile,activity"]) == 0
+        assert not (tmp_path / "graph.csv").exists()
+        assert not (tmp_path / "graph_embeddings.emb1").exists()
+        capsys.readouterr()
+        assert cli.main(base + ["graph"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "MissingArtifact" and "run features" in err["message"]
+
+    def test_graph_without_training_edges_exits_3(self, tmp_path, capsys):
+        (tmp_path / "graph.csv").write_text("source,relation,destination,weight\nu1,mention,u2,1\n")
+        assert cli.main(["--workdir", str(tmp_path), "graph"]) == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "EmptyGraph"

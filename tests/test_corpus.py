@@ -18,6 +18,7 @@ from suspkit.corpus import (
     split_windows,
     undersample_balance,
     DAY_SECONDS,
+    _decode_list,
 )
 
 from conftest import WINDOW_START, snapshot_line, tweet_line
@@ -165,6 +166,12 @@ class TestTimeWindow:
 
 
 class TestCorpusStore:
+    @pytest.mark.parametrize(
+        "raw", ["[]", "[ ]", '["a"]', '["#x", "y z"]', '["[]"]', '["caf\\u00e9"]']
+    )
+    def test_decode_list_matches_json(self, raw):
+        assert _decode_list(raw) == tuple(json.loads(raw))
+
     def test_ingest_counts_and_skips(self, window):
         store = CorpusStore()
         lines = [tweet_line(id=f"t{i}") for i in range(3)] + ["{broken", ""]

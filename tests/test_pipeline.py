@@ -3,7 +3,18 @@ import pytest
 
 from suspkit import pipeline
 from suspkit.corpus import CorpusStore, MalformedRecord, TimeWindow, read_window
-from suspkit.graph_embedding import build_graph, train_embeddings
+from suspkit.errors import MissingArtifact, StaleArtifact
+from suspkit.graph_embedding import (
+    EmptyGraph,
+    NodeEmbeddings,
+    build_graph,
+    load_embeddings,
+    save_embeddings,
+    split_edges,
+    train_embeddings,
+    write_graph_csv,
+)
+from suspkit.manifest import stage_seed
 from suspkit.pipeline import (
     ExtractionContext,
     PipelineConfig,
@@ -20,7 +31,7 @@ from suspkit.pipeline import (
 from suspkit.suspension_model import FAMILY_ORDER
 from suspkit.synth import GeneratorConfig, generate
 
-from conftest import tweet_line
+from conftest import snapshot_line, tweet_line
 
 
 @pytest.fixture(scope="module")
@@ -323,11 +334,73 @@ class TestClustering:
 
 
 class TestGraphStage:
-    def test_artifacts(self, store):
-        artifacts = run_graph_stage(store, fast_config())
+    @pytest.fixture(scope="class")
+    def fitted(self, store, tmp_path_factory):
+        """graph.csv and graph_embeddings.emb1 as the features stage writes them."""
+        config = fast_config(families=("graph_embedding",))
+        context = extract_split_features(store, config).train.context
+        out = tmp_path_factory.mktemp("graph-stage")
+        write_graph_csv(out / "graph.csv", context.graph)
+        save_embeddings(out / "graph_embeddings.emb1", context.node_embeddings)
+        return config, out / "graph.csv", out / "graph_embeddings.emb1"
+
+    def test_artifacts(self, fitted):
+        config, graph_path, emb_path = fitted
+        artifacts = run_graph_stage(graph_path, emb_path, config)
         g = artifacts.graph
-        assert artifacts.train_graph.n_edges == g.n_edges - len(artifacts.held_out)
+        train_graph, held_out = split_edges(
+            g, config.graph_holdout_fraction, seed=stage_seed(config.seed, "graph-split")
+        )
+        assert artifacts.held_out == held_out
+        assert train_graph.n_edges == g.n_edges - len(artifacts.held_out)
         assert artifacts.held_out
-        assert artifacts.embeddings.vectors.shape[1] == 8
+        assert load_embeddings(emb_path).vectors.shape[1] == 8
         assert 0.0 <= artifacts.ranking.auc <= 1.0
         assert 0.0 < artifacts.ranking.mrr <= 1.0
+
+    @pytest.mark.parametrize("change", ["nodes", "relations", "dim"])
+    def test_mismatched_embeddings_are_stale(self, fitted, tmp_path, change):
+        config, graph_path, emb_path = fitted
+        emb = load_embeddings(emb_path)
+        if change == "nodes":
+            emb = NodeEmbeddings(emb.node_ids[1:], emb.vectors[1:],
+                                 emb.relation_ids, emb.relation_vectors)
+        elif change == "relations":
+            emb.relation_ids = [rel + "s" for rel in emb.relation_ids]
+        else:
+            config = fast_config(families=("graph_embedding",), graph_dim=4)
+        stale = tmp_path / "graph_embeddings.emb1"
+        save_embeddings(stale, emb)
+        with pytest.raises(StaleArtifact):
+            run_graph_stage(graph_path, stale, config)
+
+    def test_missing_embeddings(self, fitted, tmp_path):
+        config, graph_path, _ = fitted
+        with pytest.raises(MissingArtifact, match="run features"):
+            run_graph_stage(graph_path, tmp_path / "graph_embeddings.emb1", config)
+
+    def test_held_out_relation_without_training_edges(self, tmp_path):
+        # The only quote edge is held out, so no quote vector is trained.
+        graph_path = tmp_path / "graph.csv"
+        rows = [f"u{i},mention,u{i + 1},1" for i in range(4)] + ["u0,quote,u3,2"]
+        graph_path.write_text("source,relation,destination,weight\n" + "\n".join(rows) + "\n")
+        with pytest.raises(EmptyGraph, match="quote"):
+            run_graph_stage(graph_path, tmp_path / "graph_embeddings.emb1", fast_config())
+
+    def test_window_without_training_edges(self, window, tmp_path):
+        # split_edges holds out at least one edge per relation, so a
+        # one-edge window leaves nothing to train on.
+        store = CorpusStore()
+        store.ingest_tweets([tweet_line(id="t1", user_id="u1", mentions=["u2"])])
+        store.ingest_snapshots([snapshot_line(user_id="u1"), snapshot_line(user_id="u2")])
+        config = fast_config(families=("graph_embedding",))
+        features = extract_window_features(
+            store, window, read_window(store, window), {"u1": 1, "u2": 0}, config
+        )
+        assert features.context.graph.n_edges == 1
+        assert features.context.node_embeddings is None
+        assert np.isnan(features.combined.X).all()
+        graph_path = tmp_path / "graph.csv"
+        write_graph_csv(graph_path, features.context.graph)
+        with pytest.raises(EmptyGraph):
+            run_graph_stage(graph_path, tmp_path / "graph_embeddings.emb1", config)
