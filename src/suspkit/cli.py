@@ -4,9 +4,10 @@ One root seed and one JSON config drive every stage; flags override
 config values.  Each stage writes versioned artifacts plus a manifest
 (config hash, seed, output hashes) into the workdir, and a separate
 timing sidecar, so reruns with the same config and seed produce
-byte-identical manifests.  The `features` and `train` stages make the
-same two `pipeline` calls as `pipeline.run_training`, so the CLI and
-the library produce the same splits, model and reports.
+byte-identical manifests.  The `features`, `train` and `evaluate`
+stages make the library's calls, `pipeline.extract_split_features`,
+`pipeline.train_with_cv` and `suspension_model.evaluate`, so the CLI
+and the library produce the same splits, model and reports.
 
 Exit codes: 0 success, 2 usage error, 3 data or dependency error,
 4 internal error.
@@ -248,7 +249,7 @@ def cmd_train(config: PipelineConfig, args: argparse.Namespace) -> None:
     workdir = _workdir(config)
     train_path = _require_artifact(workdir, "features_train.csv", "features")
     matrix = FeatureMatrix.from_csv(train_path)
-    model, _, fold_reports, cv_mean = train_with_cv(matrix, config)
+    model, fold_reports, cv_mean = train_with_cv(matrix, config)
     model_path = workdir / "model.json"
     with atomic_path(model_path) as tmp:
         save_model(tmp, model)

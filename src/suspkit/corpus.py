@@ -534,9 +534,6 @@ class CorpusStore:
             lang=row[11],
         )
 
-    def tweet_count(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM tweets").fetchone()[0]
-
     def user_timeline(self, user_id: str, window: TimeWindow) -> list[Tweet]:
         """All in-window tweets of a user, ascending by time then id.
 

@@ -117,26 +117,15 @@ def explain_matrix(
     seed: int = 0,
 ) -> list[Explanation]:
     """Exact margin-space explanations for selected rows of a matrix,
-    against a seeded background sample drawn from the training matrix."""
-    if matrix.feature_names != model.input_feature_names:
-        raise SchemaMismatch("matrix schema differs from the model's")
-    if background.feature_names != model.input_feature_names:
-        raise SchemaMismatch("background schema differs from the model's")
-
-    def imputed_selected(fm: FeatureMatrix) -> np.ndarray:
-        X = fm.X[:, model.selection_mask]
-        out = np.array(X, copy=True)
-        missing = np.isnan(out)
-        out[missing] = np.broadcast_to(model.medians, out.shape)[missing]
-        return out
-
+    against a seeded background sample drawn from the training matrix.
+    Both matrices must have the model's input schema."""
     rng = np.random.default_rng(seed)
-    bg = imputed_selected(background)
+    bg = model._prepare(background)
     if bg.shape[0] > background_size:
         bg = bg[np.sort(rng.choice(bg.shape[0], size=background_size, replace=False))]
 
     rows = list(range(matrix.n) if rows is None else rows)
-    X = imputed_selected(matrix)[rows]
+    X = model._prepare(matrix)[rows]
     phi = model.inner.shap_values(X, bg)
     output = model.inner.decision_function(X)
     base = float(model.inner.decision_function(bg).mean())
@@ -159,9 +148,6 @@ class ImpactSummary:
     mean_abs_phi: np.ndarray
     ranking: list[str]  # names sorted by mean |phi| descending
     scatter: dict[str, list[tuple[float, float]]]  # name -> (value, phi)
-
-    def rank_of(self, name: str) -> int:
-        return self.ranking.index(name) + 1
 
 
 def impact_summary(explanations: Sequence[Explanation]) -> ImpactSummary:

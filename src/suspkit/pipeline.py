@@ -1,5 +1,7 @@
-"""End-to-end orchestration: user selection, per-family feature
-extraction, training, clustering, and the two-window protocol.
+"""End-to-end orchestration: user selection, the window-1 train/test
+split, per-family feature extraction for it and for window 2, training
+with cross-validation, clustering and graph ranking.  The CLI stages
+are thin wrappers over these calls.
 
 All state fitted on training data (IDF table, PCA basis, graph and its
 embeddings) is carried in an ExtractionContext and reused verbatim
@@ -57,13 +59,10 @@ from .profile_features import PROFILE_FEATURE_NAMES, features_from_snapshots
 from .suspension_model import (
     FAMILY_ORDER,
     MODEL_KIND_GBDT,
-    SPLIT_SECOND_TEST,
-    SPLIT_TEST,
     EvalReport,
     FeatureMatrix,
     TrainedModel,
     assemble,
-    evaluate as evaluate_model,
     kfold_cv,
     select_features,
     train,
@@ -161,6 +160,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -424,10 +425,12 @@ def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitF
     )
 
 
-def train_on_matrix(
+def train_with_cv(
     matrix: FeatureMatrix, config: PipelineConfig
-) -> tuple[TrainedModel, np.ndarray]:
-    """Feature selection followed by a fit on the selected columns."""
+) -> tuple[TrainedModel, list[EvalReport], EvalReport]:
+    """Feature selection and the final fit on the selected columns,
+    then K-fold cross-validation on those columns: (model, fold
+    reports, CV mean)."""
     mask = select_features(
         matrix,
         config.select_threshold,
@@ -442,15 +445,6 @@ def train_on_matrix(
         seed=stage_seed(config.seed, "train"),
         mask=mask,
     )
-    return model, mask
-
-
-def train_with_cv(
-    matrix: FeatureMatrix, config: PipelineConfig
-) -> tuple[TrainedModel, np.ndarray, list[EvalReport], EvalReport]:
-    """Selection and the final fit, then K-fold cross-validation on the
-    selected columns: (model, selection mask, fold reports, CV mean)."""
-    model, mask = train_on_matrix(matrix, config)
     selected = FeatureMatrix(
         feature_names=model.feature_names,
         user_ids=matrix.user_ids,
@@ -464,71 +458,7 @@ def train_with_cv(
         kind=config.model_kind,
         hyper=config.hyper(),
     )
-    return model, mask, fold_reports, cv_mean
-
-
-@dataclass
-class TrainingArtifacts:
-    model: TrainedModel
-    selection_mask: np.ndarray
-    fold_reports: list[EvalReport]
-    cv_mean: EvalReport
-    test_report: EvalReport | None
-    second_report: EvalReport | None
-    features_train: WindowFeatures
-    features_test: WindowFeatures | None
-    features_second: WindowFeatures | None
-
-
-def run_training(store: CorpusStore, config: PipelineConfig) -> TrainingArtifacts:
-    """The paper's protocol: balance, user-level split, feature
-    selection, K-fold cross-validation, held-out evaluation, and
-    evaluation on window 2 when it has users."""
-    split = extract_split_features(store, config)
-    model, mask, fold_reports, cv_mean = train_with_cv(split.train.combined, config)
-    return TrainingArtifacts(
-        model=model,
-        selection_mask=mask,
-        fold_reports=fold_reports,
-        cv_mean=cv_mean,
-        test_report=(
-            evaluate_model(model, split.test.combined, SPLIT_TEST) if split.test else None
-        ),
-        second_report=(
-            evaluate_model(model, split.second_test.combined, SPLIT_SECOND_TEST)
-            if split.second_test else None
-        ),
-        features_train=split.train,
-        features_test=split.test,
-        features_second=split.second_test,
-    )
-
-
-def second_window_protocol(
-    store: CorpusStore,
-    config: PipelineConfig,
-    families: Sequence[str] | None = None,
-    windows: tuple[TimeWindow, TimeWindow] | None = None,
-) -> tuple[EvalReport, EvalReport]:
-    """Train on all window-1 users, evaluate on window-2 users.
-
-    When the two windows are the same, the pair of reports is identical
-    by construction.
-    """
-    windows = windows if windows is not None else config.windows()
-    users1 = _balanced_users(store, config, windows[0])
-    users2 = _balanced_users(store, config, windows[1])
-    features1 = extract_window_features(
-        store, windows[0], read_window(store, windows[0]), users1, config, families=families
-    )
-    model, _ = train_on_matrix(features1.combined, config)
-    report1 = evaluate_model(model, features1.combined, SPLIT_TEST)
-    features2 = extract_window_features(
-        store, windows[1], read_window(store, windows[1]), users2, config,
-        context=features1.context, families=families,
-    )
-    report2 = evaluate_model(model, features2.combined, SPLIT_SECOND_TEST)
-    return report1, report2
+    return model, fold_reports, cv_mean
 
 
 @dataclass

@@ -133,8 +133,3 @@ def features_from_timeline(
 TEXTUAL_FEATURE_NAMES: tuple[str, ...] = tuple(
     features_from_timeline([], HashtagIdfTable())
 )
-
-
-def idf_to_csv_rows(table: HashtagIdfTable) -> list[tuple[str, int]]:
-    """Serializable `hashtag,df` rows, sorted for stable output."""
-    return sorted(table.df.items())

@@ -25,8 +25,13 @@ from suspkit.graph_embedding import (
     train_embeddings,
 )
 from suspkit.manifest import stage_seed
-from suspkit.pipeline import PipelineConfig, run_training, second_window_protocol
-from suspkit.suspension_model import LogisticModel
+from suspkit.pipeline import PipelineConfig, extract_split_features, train_with_cv
+from suspkit.suspension_model import (
+    SPLIT_SECOND_TEST,
+    SPLIT_TEST,
+    LogisticModel,
+    evaluate as evaluate_model,
+)
 from suspkit.synth import GeneratorConfig, generate
 from suspkit.text_embedding import pca_fit, pca_transform
 from suspkit.wallets import base58check_decode, bech32_encode, bech32_verify, extract_wallets
@@ -269,15 +274,17 @@ def large_run(tmp_path_factory):
     )
     store = ingest_generated(paths)
     config = PipelineConfig(seed=3)
-    artifacts = run_training(store, config)
+    split = extract_split_features(store, config)
+    model, _, cv_mean = train_with_cv(split.train.combined, config)
+    test_report = evaluate_model(model, split.test.combined, SPLIT_TEST)
     elapsed = time.perf_counter() - started
-    return artifacts, config, elapsed
+    return split, model, cv_mean, test_report, config, elapsed
 
 
 def test_criterion_07_synthetic_corpus_classification(large_run):
-    artifacts, _, elapsed = large_run
-    cv_f1 = artifacts.cv_mean.f1
-    test_f1 = artifacts.test_report.f1
+    _, _, cv_mean, test_report, _, elapsed = large_run
+    cv_f1 = cv_mean.f1
+    test_f1 = test_report.f1
     ok = cv_f1 >= 0.95 and test_f1 >= 0.90 and elapsed <= 300.0
     verdict(
         "criterion 07 large synthetic corpus classification",
@@ -288,11 +295,11 @@ def test_criterion_07_synthetic_corpus_classification(large_run):
 
 
 def test_criterion_08_age_and_rate_features_dominate(large_run):
-    artifacts, config, _ = large_run
-    test_matrix = artifacts.features_test.combined
-    train_matrix = artifacts.features_train.combined
+    split, model, _, _, config, _ = large_run
+    test_matrix = split.test.combined
+    train_matrix = split.train.combined
     explanations = explain_matrix(
-        artifacts.model,
+        model,
         test_matrix,
         train_matrix,
         rows=range(min(64, test_matrix.n)),
@@ -317,19 +324,29 @@ def test_criterion_09_drift_hits_content_but_not_profile(tmp_path_factory):
         out_dir=out,
     )
     store = ingest_generated(paths)
-    config = PipelineConfig(seed=3)
 
-    r1_prof, r2_prof = second_window_protocol(store, config, families=("profile",))
-    profile_drop = r1_prof.f1 - r2_prof.f1
-    r1_emb, r2_emb = second_window_protocol(store, config, families=("post_embedding",))
-    embedding_drop = r1_emb.f1 - r2_emb.f1
+    def held_out_and_second_f1(family: str) -> tuple[float, float]:
+        # The CLI's path: fit on the window-1 train users, score the
+        # held-out window-1 users and the window-2 users.
+        config = PipelineConfig(seed=3, families=(family,))
+        split = extract_split_features(store, config)
+        model, _, _ = train_with_cv(split.train.combined, config)
+        test = evaluate_model(model, split.test.combined, SPLIT_TEST)
+        second = evaluate_model(model, split.second_test.combined, SPLIT_SECOND_TEST)
+        return test.f1, second.f1
+
+    prof1, prof2 = held_out_and_second_f1("profile")
+    profile_drop = prof1 - prof2
+    emb1, emb2 = held_out_and_second_f1("post_embedding")
+    embedding_drop = emb1 - emb2
 
     ok = profile_drop <= 0.05 and embedding_drop >= 0.20
     verdict(
         "criterion 09 content drift degrades embeddings not profiles",
         ok,
-        f"profile_f1 {r1_prof.f1:.4f}->{r2_prof.f1:.4f} drop={profile_drop:.4f} (<=0.05)"
-        f" embedding_f1 {r1_emb.f1:.4f}->{r2_emb.f1:.4f} drop={embedding_drop:.4f} (>=0.20)",
+        f"held-out->window-2 profile_f1 {prof1:.4f}->{prof2:.4f}"
+        f" drop={profile_drop:.4f} (<=0.05)"
+        f" embedding_f1 {emb1:.4f}->{emb2:.4f} drop={embedding_drop:.4f} (>=0.20)",
     )
 
 

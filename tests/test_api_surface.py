@@ -1,0 +1,112 @@
+"""API-surface guard: every public function, class and method in
+`src/suspkit` and `bench` is referenced somewhere in that code outside
+its own definition.
+
+References are matched by name: a bare name, an attribute, an imported
+name, or a word of a string constant (`bench/layer_trace.py` wraps
+functions it names in strings such as "CorpusStore.user_timeline").
+Tests do not count as references, so a name only tests use fails here
+unless it is on the allowlist with its reason.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = (ROOT / "src" / "suspkit", ROOT / "bench")
+
+# name -> why it stays public although no program code calls it
+ALLOWED = {
+    "shapley_exact": "brute-force Shapley oracle that tests check the closed forms against",
+    "efficiency_gap": "Explanation's sum(phi) check that the Shapley tests assert on",
+    "bech32_encode": "builds the wallet test vectors that extraction is checked against",
+    "read_manifest": "manifest reader kept for artifact lineage checks",
+}
+
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _definitions(tree: ast.Module) -> list[ast.AST]:
+    """Module-level functions and classes, and the methods of classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                item for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return [node for node in found if not node.name.startswith("_")]
+
+
+def _docstrings(node: ast.AST) -> set[int]:
+    """ids of the docstring constants under a node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = sub.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                found.add(id(body[0].value))
+    return found
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names used under a node; a docstring that mentions a name is no use of it."""
+    docstrings = _docstrings(node)
+    names: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.rsplit(".", 1)[-1]] += 1
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and id(sub) not in docstrings):
+            names.update(WORD.findall(sub.value))
+    return names
+
+
+def unreferenced_names(roots=SCANNED) -> set[str]:
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for root in roots
+        for path in sorted(root.rglob("*.py"))
+    ]
+    everywhere: Counter = Counter()
+    for tree in trees:
+        everywhere.update(_references(tree))
+    unused = set()
+    for tree in trees:
+        for node in _definitions(tree):
+            # A recursive call is no use from outside.
+            if everywhere[node.name] - _references(node)[node.name] <= 0:
+                unused.add(node.name)
+    return unused
+
+
+def test_every_public_name_is_used_by_the_program():
+    unused = unreferenced_names()
+    assert unused - set(ALLOWED) == set(), "public names nothing in src/ or bench/ uses"
+
+
+def test_allowlist_holds_only_unused_names():
+    assert set(ALLOWED) <= unreferenced_names()
+
+
+def test_guard_catches_an_unused_function(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Mentions `unused` and `Lid` in a docstring."""\n\n'
+        "def used():\n    return 1\n\n"
+        "def unused():\n    return unused()\n\n"
+        "class Box:\n    def open(self):\n        return used()\n\n"
+        "class Lid:\n    def _hinge(self):\n        return 0\n\n"
+        "WRAPPED = ['Box.open']\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_names([tmp_path]) == {"unused", "Lid"}

@@ -16,8 +16,14 @@ from suspkit.graph_embedding import (
     write_graph_csv,
 )
 from suspkit.manifest import canonical_json, read_manifest, stage_seed
-from suspkit.pipeline import PipelineConfig, run_training
-from suspkit.suspension_model import FeatureMatrix, save_model
+from suspkit.pipeline import PipelineConfig, extract_split_features, train_with_cv
+from suspkit.suspension_model import (
+    SPLIT_SECOND_TEST,
+    SPLIT_TEST,
+    FeatureMatrix,
+    evaluate as evaluate_model,
+    save_model,
+)
 
 from conftest import graph_split_fit
 
@@ -170,6 +176,16 @@ class TestFailureModes:
         assert code == 3
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
 
+    @pytest.mark.parametrize("content", ["[]", "null", '"x"'], ids=["list", "null", "string"])
+    def test_config_that_is_not_an_object_exits_3(self, tmp_path, capsys, content):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        code = cli.main(["--config", str(config), "--workdir", str(tmp_path), "report"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "JSON object" in err["message"]
+
     def test_unexpected_exception_exits_4(self, tmp_path, capsys, monkeypatch):
         def boom(config, args):
             raise RuntimeError("wires crossed")
@@ -295,31 +311,35 @@ def two_window_run(tmp_path_factory):
 
 
 class TestCliMatchesPipeline:
-    def test_artifacts_equal_run_training(self, two_window_run, tmp_path):
+    def test_artifacts_equal_pipeline_calls(self, two_window_run, tmp_path):
         wd = two_window_run
         config = PipelineConfig.from_dict(dict(FAST_CONFIG, seed=3))
         with CorpusStore(wd / "corpus.sqlite") as store:
-            artifacts = run_training(store, config)
-        assert artifacts.features_second is not None
+            split = extract_split_features(store, config)
+        assert split.second_test is not None
+        model, fold_reports, cv_mean = train_with_cv(split.train.combined, config)
 
         expected = {
             "cv_report.json": canonical_json({
-                "folds": [r.to_dict() for r in artifacts.fold_reports],
-                "mean": artifacts.cv_mean.to_dict(),
+                "folds": [r.to_dict() for r in fold_reports],
+                "mean": cv_mean.to_dict(),
             }) + "\n",
-            "report_test.json": canonical_json(artifacts.test_report.to_dict()) + "\n",
-            "report_second_test.json":
-                canonical_json(artifacts.second_report.to_dict()) + "\n",
+            "report_test.json": canonical_json(
+                evaluate_model(model, split.test.combined, SPLIT_TEST).to_dict()
+            ) + "\n",
+            "report_second_test.json": canonical_json(
+                evaluate_model(model, split.second_test.combined, SPLIT_SECOND_TEST).to_dict()
+            ) + "\n",
         }
         for name, text in expected.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
-        save_model(tmp_path / "model.json", artifacts.model)
-        for split, feats in (
-            ("train", artifacts.features_train),
-            ("test", artifacts.features_test),
-            ("second_test", artifacts.features_second),
+        save_model(tmp_path / "model.json", model)
+        for name, feats in (
+            ("train", split.train),
+            ("test", split.test),
+            ("second_test", split.second_test),
         ):
-            feats.combined.to_csv(tmp_path / f"features_{split}.csv")
+            feats.combined.to_csv(tmp_path / f"features_{name}.csv")
 
         names = sorted(p.name for p in tmp_path.iterdir())
         assert len(names) == 7

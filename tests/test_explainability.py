@@ -310,8 +310,6 @@ class TestImpactSummary:
         summary = impact_summary(hand_explanations())
         np.testing.assert_allclose(summary.mean_abs_phi, [0.2, 0.3])
         assert summary.ranking == ["beta", "alpha"]
-        assert summary.rank_of("beta") == 1
-        assert summary.rank_of("alpha") == 2
 
     def test_scatter_collects_value_phi_pairs(self):
         summary = impact_summary(hand_explanations())

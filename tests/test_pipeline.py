@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,11 @@ from suspkit.pipeline import (
     extract_window_features,
     run_clustering,
     run_graph_stage,
-    run_training,
-    second_window_protocol,
     select_users_for_window,
     split_users,
-    train_on_matrix,
+    train_with_cv,
 )
-from suspkit.suspension_model import FAMILY_ORDER
+from suspkit.suspension_model import FAMILY_ORDER, SPLIT_TEST, evaluate as evaluate_model
 from suspkit.synth import GeneratorConfig, generate
 
 from conftest import snapshot_line, tweet_line
@@ -263,7 +263,18 @@ class TestGraphReuse:
 
 @pytest.fixture(scope="module")
 def artifacts(store):
-    return run_training(store, fast_config())
+    """The CLI's calls: split features, train with CV, evaluate the test split."""
+    config = fast_config()
+    split = extract_split_features(store, config)
+    model, fold_reports, cv_mean = train_with_cv(split.train.combined, config)
+    return SimpleNamespace(
+        config=config,
+        split=split,
+        model=model,
+        fold_reports=fold_reports,
+        cv_mean=cv_mean,
+        test_report=evaluate_model(model, split.test.combined, SPLIT_TEST),
+    )
 
 
 class TestTraining:
@@ -275,38 +286,40 @@ class TestTraining:
 
     def test_learns_the_synthetic_classes(self, artifacts):
         assert artifacts.cv_mean.f1 > 0.8
-        assert artifacts.test_report is not None
         assert artifacts.test_report.f1 > 0.8
         assert artifacts.test_report.split == "test"
 
     def test_selection_mask_matches_model(self, artifacts):
-        mask = artifacts.selection_mask
+        mask = artifacts.model.selection_mask
         assert mask.dtype == bool
-        assert mask.shape == (artifacts.features_train.combined.width,)
+        assert mask.shape == (artifacts.split.train.combined.width,)
         assert len(artifacts.model.feature_names) == int(mask.sum())
 
-    def test_train_on_matrix_applies_mask(self, store):
+    def test_train_with_cv_applies_mask(self, store):
         config = fast_config(families=("profile",))
         window, _ = config.windows()
         users = select_users_for_window(store, window, seed=0)
         features = extract_window_features(store, window, read_window(store, window), users, config)
-        model, mask = train_on_matrix(features.combined, config)
-        assert model.medians.shape == (int(mask.sum()),)
+        model, _, _ = train_with_cv(features.combined, config)
+        assert model.medians.shape == (int(model.selection_mask.sum()),)
 
 
-class TestSecondWindowProtocol:
-    def test_identical_windows_give_identical_reports(self, store):
-        config = fast_config(families=("profile",))
-        window, _ = config.windows()
-        r1, r2 = second_window_protocol(
-            store, config, families=("profile",), windows=(window, window)
+class TestSplitContext:
+    def test_reextracting_train_users_reproduces_train_matrix(self, store, artifacts):
+        # The fitted context (IDF table, PCA basis, graph embeddings) is
+        # reused as it is, so the train users extracted again from their
+        # own window under it give the train matrix bit for bit.
+        split, config = artifacts.split, artifacts.config
+        window = split.train.window
+        again = extract_window_features(
+            store, window, read_window(store, window), split.train_users, config,
+            context=split.train.context,
         )
-        assert (r1.split, r2.split) == ("test", "second_test")
-        assert r1.f1 == r2.f1
-        assert r1.roc_auc == r2.roc_auc
-        assert r1.accuracy == r2.accuracy
-        assert r1.roc_points == r2.roc_points
-        assert r1.pr_points == r2.pr_points
+        expected = split.train.combined
+        assert again.combined.feature_names == expected.feature_names
+        assert again.combined.user_ids == expected.user_ids
+        assert again.combined.y.tobytes() == expected.y.tobytes()
+        assert again.combined.X.tobytes() == expected.X.tobytes()
 
 
 class TestClustering:

@@ -9,7 +9,6 @@ from suspkit.textual_features import (
     entity_stats,
     features_from_timeline,
     hashtag_tfidf_stats,
-    idf_to_csv_rows,
     user_hashtag_counts,
     vocabulary_size,
 )
@@ -49,10 +48,6 @@ class TestIdf:
 
     def test_empty_table(self):
         assert HashtagIdfTable().idf("anything") == 0.0
-
-    def test_csv_rows_sorted(self):
-        table = build_idf({"u1": {"b": 1, "a": 2}})
-        assert idf_to_csv_rows(table) == [("a", 1), ("b", 1)]
 
 
 class TestTfidfStats:
