@@ -7,12 +7,9 @@ emit NaN, the missing-value sentinel imputed at the model boundary.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .corpus import (
-    KIND_ORIGINAL,
     KIND_QUOTE,
     KIND_RETWEET,
     Tweet,

@@ -206,13 +206,16 @@ def _batch_update(
 
 def train_embeddings(
     graph: RelationGraph,
-    dim: int = 50,
-    epochs: int = 10,
-    lr: float = 0.1,
-    negatives_per_edge: int = 5,
-    batch_size: int = 1024,
+    *,
+    dim: int,
+    epochs: int,
+    lr: float,
+    negatives_per_edge: int,
+    batch_size: int,
     seed: int = 0,
 ) -> NodeEmbeddings:
+    """Minibatch SGD fit of node and relation vectors.  The schedule
+    has no defaults here: the pipeline's lives in `PipelineConfig`."""
     if graph.n_edges == 0:
         raise EmptyGraph("cannot train on a graph with no edges")
     if dim < 1:

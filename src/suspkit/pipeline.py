@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -108,8 +107,8 @@ class PipelineConfig:
     keywords: tuple[str, ...] = ("crypto", "nft", "donation")
     relations: tuple[str, ...] = RELATIONS
     graph_dim: int = 16
-    graph_epochs: int = 100
-    graph_lr: float = 0.5
+    graph_epochs: int = 20
+    graph_lr: float = 2.0
     graph_negatives: int = 5
     graph_batch: int = 256
     graph_holdout_fraction: float = 0.05
@@ -220,9 +219,8 @@ def extract_window_features(
     users: dict[str, int],
     config: PipelineConfig,
     context: ExtractionContext | None = None,
-    families: Sequence[str] | None = None,
 ) -> WindowFeatures:
-    """Per-family feature matrices for one window's labeled users.
+    """Feature matrices of `config.families` for one window's labeled users.
 
     `tweets` is the window's `read_window` table of all users, so the
     store is read only for snapshots.  Users without any in-window
@@ -236,12 +234,7 @@ def extract_window_features(
     left, gets an all-NaN graph row, which the model imputes with its
     training medians.
     """
-    families = tuple(families if families is not None else config.families)
-    unknown = set(families) - set(FAMILY_ORDER)
-    if unknown:
-        raise ValueError(f"unknown families: {sorted(unknown)}")
-    if not families:
-        raise ValueError("no families requested")
+    families = config.families
 
     kept: list[str] = []
     dropped: list[str] = []

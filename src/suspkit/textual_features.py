@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from .activity_features import _stats_block
 from .corpus import (
     KIND_ORIGINAL,
-    KIND_QUOTE,
-    KIND_RETWEET,
     KINDS,
     Tweet,
 )

@@ -316,6 +316,26 @@ def test_criterion_08_age_and_rate_features_dominate(large_run):
     )
 
 
+def test_default_graph_schedule_leaves_the_loss_plateau(large_run):
+    # The small initialisation starts every fit on the log(1 + K) loss
+    # plateau of K uniform negatives.  The default schedule must leave
+    # it within its epochs without diverging on the hub-heavy graph.
+    split, _, _, _, config, _ = large_run
+    losses = split.train.context.node_embeddings.train_loss
+    plateau = np.log(1 + config.graph_negatives)
+    ok = (
+        len(losses) == config.graph_epochs
+        and bool(np.isfinite(losses).all())
+        and losses[-1] < 0.5 * plateau
+    )
+    verdict(
+        "default graph schedule leaves the loss plateau",
+        ok,
+        f"lr={config.graph_lr} epochs={len(losses)} first={losses[0]:.4f}"
+        f" last={losses[-1]:.4f} (<{0.5 * plateau:.4f})",
+    )
+
+
 def test_criterion_09_drift_hits_content_but_not_profile(tmp_path_factory):
     out = tmp_path_factory.mktemp("drift-synth")
     paths = generate(

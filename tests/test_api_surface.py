@@ -1,6 +1,7 @@
-"""API-surface guard: every public function, class and method in
+"""API-surface guards: every public function, class and method in
 `src/suspkit` and `bench` is referenced somewhere in that code outside
-its own definition.
+its own definition, and every name a module of `src/suspkit` imports
+is used in that module.
 
 References are matched by name: a bare name, an attribute, an imported
 name, or a word of a string constant (`bench/layer_trace.py` wraps
@@ -15,7 +16,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = (ROOT / "src" / "suspkit", ROOT / "bench")
+PACKAGE = ROOT / "src" / "suspkit"
+SCANNED = (PACKAGE, ROOT / "bench")
 
 # name -> why it stays public although no program code calls it
 ALLOWED = {
@@ -90,6 +92,33 @@ def unreferenced_names(roots=SCANNED) -> set[str]:
     return unused
 
 
+def unused_imports(root=PACKAGE) -> set[str]:
+    """`module:name` for each imported name its module never uses.
+
+    A use is a load of the name or a word of a string constant that is
+    not a docstring (quoted annotations, `__all__` re-exports).
+    """
+    unused = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.extend(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.extend(a.asname or a.name for a in node.names)
+        docstrings = _docstrings(tree)
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                used.update(WORD.findall(node.value))
+        unused.update(f"{path.stem}:{name}" for name in imported if name not in used)
+    return unused
+
+
 def test_every_public_name_is_used_by_the_program():
     unused = unreferenced_names()
     assert unused - set(ALLOWED) == set(), "public names nothing in src/ or bench/ uses"
@@ -110,3 +139,20 @@ def test_guard_catches_an_unused_function(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced_names([tmp_path]) == {"unused", "Lid"}
+
+
+def test_every_import_is_used():
+    assert unused_imports() == set()
+
+
+def test_import_guard_catches_an_unused_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Mentions math and Path in a docstring."""\n\n'
+        "from __future__ import annotations\n\n"
+        "import math\nimport os.path\nimport numpy as np\n"
+        "from pathlib import Path, PurePath\nfrom typing import Sequence\n\n"
+        "__all__ = ['PurePath']\n\n"
+        "def f(x: 'Sequence[int]') -> int:\n    return len(os.path.sep) + len(x)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(tmp_path) == {"mod:math", "mod:np", "mod:Path"}

@@ -21,6 +21,10 @@ from suspkit.graph_embedding import (
 
 from conftest import WINDOW_START, tweet_line
 
+# Step size, width and batching for the small unit fits; each test
+# sets its own epoch count.
+SMALL_FIT = dict(dim=4, lr=0.1, negatives_per_edge=5, batch_size=1024)
+
 
 def small_graph():
     edges = [
@@ -195,38 +199,40 @@ class TestTraining:
     def test_loss_decreases_on_learnable_graph(self):
         edges = [(f"n{i}", "retweet", f"n{j}") for i in range(6) for j in range(6) if i != j]
         g = RelationGraph.from_edges(edges)
-        emb = train_embeddings(g, dim=8, epochs=40, lr=0.5, batch_size=16, seed=0)
+        emb = train_embeddings(
+            g, dim=8, epochs=40, lr=0.5, negatives_per_edge=5, batch_size=16, seed=0
+        )
         assert emb.train_loss[-1] < emb.train_loss[0]
 
     def test_deterministic_for_fixed_seed(self):
         g = small_graph()
-        a = train_embeddings(g, dim=4, epochs=5, seed=9)
-        b = train_embeddings(g, dim=4, epochs=5, seed=9)
+        a = train_embeddings(g, **SMALL_FIT, epochs=5, seed=9)
+        b = train_embeddings(g, **SMALL_FIT, epochs=5, seed=9)
         np.testing.assert_array_equal(a.vectors, b.vectors)
         np.testing.assert_array_equal(a.relation_vectors, b.relation_vectors)
 
     def test_row_order_matches_graph_nodes(self):
         g = small_graph()
-        emb = train_embeddings(g, dim=4, epochs=1, seed=0)
+        emb = train_embeddings(g, **SMALL_FIT, epochs=1, seed=0)
         assert emb.node_ids == g.nodes
         assert emb.relation_ids == g.relations
         assert emb.vectors.shape == (3, 4)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraph):
-            train_embeddings(RelationGraph(nodes=["a"], edges={}))
+            train_embeddings(RelationGraph(nodes=["a"], edges={}), **SMALL_FIT, epochs=1)
 
     def test_evaluate_returns_bounded_metrics(self):
         edges = [(f"n{i}", "retweet", f"n{(i + 1) % 8}") for i in range(8)]
         g = RelationGraph.from_edges(edges)
-        emb = train_embeddings(g, dim=4, epochs=10, seed=0)
+        emb = train_embeddings(g, **SMALL_FIT, epochs=10, seed=0)
         result = evaluate(emb, list(g.edges), negatives_per_positive=20, seed=0)
         assert isinstance(result, RankingEval)
         assert 0.0 <= result.auc <= 1.0
         assert 0.0 < result.mrr <= 1.0
 
     def test_evaluate_requires_edges(self):
-        emb = train_embeddings(small_graph(), dim=4, epochs=1, seed=0)
+        emb = train_embeddings(small_graph(), **SMALL_FIT, epochs=1, seed=0)
         with pytest.raises(ValueError):
             evaluate(emb, [])
 
@@ -320,7 +326,7 @@ class TestPersistence:
         assert loaded.nodes == g.nodes
 
     def test_embeddings_roundtrip(self, tmp_path):
-        emb = train_embeddings(small_graph(), dim=4, epochs=2, seed=3)
+        emb = train_embeddings(small_graph(), **SMALL_FIT, epochs=2, seed=3)
         path = tmp_path / "emb.emb1"
         save_embeddings(path, emb)
         loaded = load_embeddings(path)

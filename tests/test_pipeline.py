@@ -145,13 +145,10 @@ class TestExtraction:
             assert matrix.user_ids == features.combined.user_ids
 
     def test_family_subset(self, store):
-        config = fast_config()
+        config = fast_config(families=("profile", "activity"))
         window, _ = config.windows()
         users = select_users_for_window(store, window, seed=0)
-        features = extract_window_features(
-            store, window, read_window(store, window), users, config,
-            families=("profile", "activity"),
-        )
+        features = extract_window_features(store, window, read_window(store, window), users, config)
         assert set(features.families) == {"profile", "activity"}
 
     def test_context_reuse_is_bit_identical(self, store):
@@ -164,21 +161,15 @@ class TestExtraction:
         )
         assert np.array_equal(first.combined.X, again.combined.X, equal_nan=True)
 
-    def test_unknown_family_rejected(self, store):
-        config = fast_config()
-        window, _ = config.windows()
-        with pytest.raises(ValueError):
-            extract_window_features(
-                store, window, read_window(store, window), {}, config, families=("weather",)
-            )
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown families"):
+            fast_config(families=("weather",))
 
     def test_empty_family_list_rejected(self, store):
-        config = fast_config()
+        config = fast_config(families=())
         window, _ = config.windows()
-        with pytest.raises(ValueError):
-            extract_window_features(
-                store, window, read_window(store, window), {}, config, families=()
-            )
+        with pytest.raises(ValueError, match="no families"):
+            extract_window_features(store, window, read_window(store, window), {}, config)
 
 
 class TestWindowReads:
