@@ -220,7 +220,9 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace) -> None:
     )
     outputs.append(users_path)
     # The graph stage ranks these two.  A file this run does not write is
-    # removed, so that the graph stage cannot rank one left by an earlier run.
+    # removed, so that the graph stage cannot rank one left by an earlier
+    # run; the ranking derived from the old pair goes in either case.
+    (workdir / "graph_ranking.json").unlink(missing_ok=True)
     context = split.train.context
     for name, artifact, write in (
         ("graph.csv", context.graph, write_graph_csv),

@@ -50,9 +50,6 @@ class ClusterAssignment:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_clusters).astype(np.int64)
 
-    def members(self, cluster_id: int) -> list[int]:
-        return np.flatnonzero(self.labels == cluster_id).tolist()
-
     def member_lists(self) -> list[list[int]]:
         """Members of every cluster in ascending item order, grouped by
         one stable sort instead of one label scan per cluster.  Computed
@@ -202,8 +199,8 @@ def cluster_cosine(X: EmbeddingMatrix | np.ndarray, tau: float,
                              leader_rows=leader_rows, centroids=centroids)
 
 
-def cluster_report(assignment: ClusterAssignment, texts: Sequence[str],
-                   sample_n: int = 10) -> list[dict]:
+def cluster_report(assignment: ClusterAssignment, texts: Sequence[str], *,
+                   sample_n: int) -> list[dict]:
     """Cluster summaries sorted by size descending, ties by cluster id.
 
     Samples are the first sample_n member texts in item order.
@@ -231,12 +228,10 @@ def cluster_report(assignment: ClusterAssignment, texts: Sequence[str],
 
 
 def write_cluster_report(report: Sequence[dict], jsonl_path: str | Path,
-                         digest_path: str | Path | None = None) -> None:
+                         digest_path: str | Path) -> None:
     with open(jsonl_path, "w", encoding="utf-8") as fh:
         for entry in report:
             fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
-    if digest_path is None:
-        return
     total = sum(entry["size"] for entry in report)
     lines = [f"{len(report)} clusters over {total} items", ""]
     for entry in report:
@@ -283,17 +278,12 @@ class ToxicitySummary:
     def fraction(self) -> float:
         return self.toxic / self.scored if self.scored else 0.0
 
-    @property
-    def empty(self) -> bool:
-        return self.scored == 0
 
-
-def toxicity_summary(path: str | Path, known_ids: set[str] | None = None,
-                     threshold: float = 0.5) -> ToxicitySummary:
+def toxicity_summary(path: str | Path, *, known_ids: set[str],
+                     threshold: float) -> ToxicitySummary:
     """Fraction of scored posts above the threshold.
 
-    Rows whose tweet id is not in known_ids are skipped and counted;
-    pass known_ids=None to accept every row.
+    Rows whose tweet id is not in known_ids are skipped and counted.
     """
     scored = toxic = skipped = 0
     with open(path, newline="", encoding="utf-8") as fh:
@@ -304,7 +294,7 @@ def toxicity_summary(path: str | Path, known_ids: set[str] | None = None,
                 raise MalformedRecord(f"bad toxicity row: {row!r}") from None
             if not 0.0 <= score <= 1.0:
                 raise MalformedRecord(f"score out of range: {score}")
-            if known_ids is not None and row["tweet_id"] not in known_ids:
+            if row["tweet_id"] not in known_ids:
                 skipped += 1
                 continue
             scored += 1

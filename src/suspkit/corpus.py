@@ -126,10 +126,6 @@ class IngestStats:
     inserted: int = 0
     skipped_by_reason: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total(self) -> int:
-        return self.parsed + self.skipped
-
     def skip(self, exc: MalformedRecord) -> None:
         self.skipped += 1
         self.skipped_by_reason[exc.reason] = self.skipped_by_reason.get(exc.reason, 0) + 1
@@ -324,7 +320,7 @@ def parse_label_row(row: dict[str, str]) -> AccountLabel:
     return AccountLabel(user_id=user_id, status=status, status_date=status_date)
 
 
-def split_windows(corpus_start: int, window_days: int = 21) -> tuple[TimeWindow, TimeWindow]:
+def split_windows(corpus_start: int, *, window_days: int) -> tuple[TimeWindow, TimeWindow]:
     """Two back-to-back monitoring windows of exactly window_days each."""
     if window_days < 1:
         raise ValueError("window_days must be >= 1")

@@ -112,9 +112,10 @@ def explain_matrix(
     model: TrainedModel,
     matrix: FeatureMatrix,
     background: FeatureMatrix,
-    rows: Sequence[int] | None = None,
-    background_size: int = 100,
-    seed: int = 0,
+    *,
+    rows: Sequence[int],
+    background_size: int,
+    seed: int,
 ) -> list[Explanation]:
     """Exact margin-space explanations for selected rows of a matrix,
     against a seeded background sample drawn from the training matrix.
@@ -124,7 +125,7 @@ def explain_matrix(
     if bg.shape[0] > background_size:
         bg = bg[np.sort(rng.choice(bg.shape[0], size=background_size, replace=False))]
 
-    rows = list(range(matrix.n) if rows is None else rows)
+    rows = list(rows)
     X = model._prepare(matrix)[rows]
     phi = model.inner.shap_values(X, bg)
     output = model.inner.decision_function(X)
@@ -147,7 +148,6 @@ class ImpactSummary:
     feature_names: tuple[str, ...]
     mean_abs_phi: np.ndarray
     ranking: list[str]  # names sorted by mean |phi| descending
-    scatter: dict[str, list[tuple[float, float]]]  # name -> (value, phi)
 
 
 def impact_summary(explanations: Sequence[Explanation]) -> ImpactSummary:
@@ -160,15 +160,10 @@ def impact_summary(explanations: Sequence[Explanation]) -> ImpactSummary:
     phis = np.stack([exp.phi for exp in explanations])
     mean_abs = np.abs(phis).mean(axis=0)
     order = sorted(range(len(names)), key=lambda i: (-mean_abs[i], i))
-    scatter = {
-        name: [(float(exp.values[i]), float(exp.phi[i])) for exp in explanations]
-        for i, name in enumerate(names)
-    }
     return ImpactSummary(
         feature_names=names,
         mean_abs_phi=mean_abs,
         ranking=[names[i] for i in order],
-        scatter=scatter,
     )
 
 

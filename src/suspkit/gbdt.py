@@ -422,10 +422,11 @@ class GbdtClassifier:
 
     def __init__(
         self,
-        n_rounds: int = 200,
-        learning_rate: float = 0.1,
-        max_depth: int = 6,
-        reg_lambda: float = 1.0,
+        *,
+        n_rounds: int,
+        learning_rate: float,
+        max_depth: int,
+        reg_lambda: float,
         min_child_hess: float = 1e-3,
         max_bins: int = _MAX_BINS,
     ):

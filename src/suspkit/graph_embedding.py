@@ -74,10 +74,7 @@ class RelationGraph:
         return sorted({rel for _, rel, _ in self.edges})
 
 
-def build_graph(
-    tweets: Iterable[Tweet],
-    relations: Sequence[str] = RELATIONS,
-) -> RelationGraph:
+def build_graph(tweets: Iterable[Tweet], *, relations: Sequence[str]) -> RelationGraph:
     """One edge occurrence per interaction in the tweets."""
     selected = set(relations)
     unknown = selected - set(RELATIONS)
@@ -100,7 +97,7 @@ def build_graph(
 
 
 def split_edges(
-    graph: RelationGraph, fraction: float = 0.05, seed: int = 0
+    graph: RelationGraph, *, fraction: float, seed: int
 ) -> tuple[RelationGraph, list[tuple[str, str, str]]]:
     """Hold out a uniform fraction of distinct edges per relation.
 
@@ -212,7 +209,7 @@ def train_embeddings(
     lr: float,
     negatives_per_edge: int,
     batch_size: int,
-    seed: int = 0,
+    seed: int,
 ) -> NodeEmbeddings:
     """Minibatch SGD fit of node and relation vectors.  The schedule
     has no defaults here: the pipeline's lives in `PipelineConfig`."""
@@ -291,8 +288,9 @@ class RankingEval:
 def evaluate(
     emb: NodeEmbeddings,
     held_out_edges: Sequence[tuple[str, str, str]],
-    negatives_per_positive: int = 100,
-    seed: int = 0,
+    *,
+    negatives_per_positive: int,
+    seed: int,
 ) -> RankingEval:
     """Rank each held-out edge against uniformly corrupted destinations."""
     if not held_out_edges:

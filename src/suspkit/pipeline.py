@@ -140,7 +140,7 @@ class PipelineConfig:
         return epoch
 
     def windows(self) -> tuple[TimeWindow, TimeWindow]:
-        return split_windows(self.window_start_epoch(), self.window_days)
+        return split_windows(self.window_start_epoch(), window_days=self.window_days)
 
     def hyper(self) -> dict:
         return {
@@ -306,7 +306,7 @@ def extract_window_features(
     if "graph_embedding" in families:
         if out_context.graph is None:
             out_context.graph = build_graph(
-                chain.from_iterable(tweets.values()), config.relations
+                chain.from_iterable(tweets.values()), relations=config.relations
             )
             train_graph = _graph_split(out_context.graph, config)[0]
             if train_graph.n_edges:
@@ -426,18 +426,11 @@ def train_with_cv(
     reports, CV mean)."""
     mask = select_features(
         matrix,
-        config.select_threshold,
+        threshold=config.select_threshold,
         kind=config.model_kind,
         hyper=config.hyper(),
-        seed=stage_seed(config.seed, "select"),
     )
-    model = train(
-        matrix,
-        kind=config.model_kind,
-        hyper=config.hyper(),
-        seed=stage_seed(config.seed, "train"),
-        mask=mask,
-    )
+    model = train(matrix, kind=config.model_kind, hyper=config.hyper(), mask=mask)
     selected = FeatureMatrix(
         feature_names=model.feature_names,
         user_ids=matrix.user_ids,
@@ -463,13 +456,10 @@ class ClusterArtifacts:
     texts: list[str]
 
 
-def run_clustering(
-    store: CorpusStore, config: PipelineConfig, window: TimeWindow | None = None
-) -> ClusterArtifacts:
-    """Cluster the window's suspended-account posts and scan them for
+def run_clustering(store: CorpusStore, config: PipelineConfig) -> ClusterArtifacts:
+    """Cluster the window-1 suspended-account posts and scan them for
     keywords and wallet addresses."""
-    if window is None:
-        window, _ = config.windows()
+    window, _ = config.windows()
     labels = store.labels()
     suspended = sorted(
         u
@@ -517,7 +507,9 @@ def _graph_split(
 ) -> tuple[RelationGraph, list[tuple[str, str, str]]]:
     """The training graph and held-out edges of the one graph fit."""
     return split_edges(
-        graph, config.graph_holdout_fraction, seed=stage_seed(config.seed, "graph-split")
+        graph,
+        fraction=config.graph_holdout_fraction,
+        seed=stage_seed(config.seed, "graph-split"),
     )
 
 

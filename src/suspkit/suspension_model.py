@@ -157,7 +157,7 @@ class LogisticModel:
     """Ridge-penalized logistic regression fit by IRLS on
     standardized features."""
 
-    def __init__(self, reg_lambda: float = 1.0, max_iter: int = 50, tol: float = 1e-10):
+    def __init__(self, *, reg_lambda: float, max_iter: int = 50, tol: float = 1e-10):
         self.reg_lambda = reg_lambda
         self.max_iter = max_iter
         self.tol = tol
@@ -244,7 +244,6 @@ class TrainedModel:
     selection_mask: np.ndarray  # bool over input schema
     medians: np.ndarray  # per selected feature
     inner: GbdtClassifier | LogisticModel
-    seed: int = 0
 
     def __post_init__(self):
         self.selection_mask = np.asarray(self.selection_mask, dtype=bool)
@@ -287,7 +286,6 @@ class TrainedModel:
             "input_feature_names": list(self.input_feature_names),
             "selection_mask": self.selection_mask.astype(int).tolist(),
             "medians": self.medians.tolist(),
-            "seed": self.seed,
             "inner": self.inner.to_dict(),
         }
 
@@ -308,7 +306,6 @@ class TrainedModel:
             selection_mask=np.asarray(data["selection_mask"], dtype=bool),
             medians=np.asarray(data["medians"], dtype=np.float64),
             inner=inner,
-            seed=data.get("seed", 0),
         )
 
 
@@ -339,27 +336,24 @@ def _column_medians(X: np.ndarray) -> np.ndarray:
     return medians
 
 
-def _make_inner(kind: str, hyper: dict | None) -> GbdtClassifier | LogisticModel:
-    hyper = dict(hyper or {})
+def _make_inner(kind: str, hyper: dict) -> GbdtClassifier | LogisticModel:
     if kind == MODEL_KIND_GBDT:
-        return GbdtClassifier(
-            n_rounds=hyper.get("n_rounds", 200),
-            learning_rate=hyper.get("learning_rate", 0.1),
-            max_depth=hyper.get("max_depth", 6),
-            reg_lambda=hyper.get("reg_lambda", 1.0),
-        )
+        return GbdtClassifier(**hyper)
     if kind == MODEL_KIND_LOGISTIC:
-        return LogisticModel(reg_lambda=hyper.get("reg_lambda", 1.0))
+        return LogisticModel(reg_lambda=hyper["reg_lambda"])
     raise ValueError(f"unknown model kind {kind!r}")
 
 
 def train(
     matrix: FeatureMatrix,
-    kind: str = MODEL_KIND_GBDT,
-    hyper: dict | None = None,
-    seed: int = 0,
+    *,
+    kind: str,
+    hyper: dict,
     mask: np.ndarray | None = None,
 ) -> TrainedModel:
+    """Fit a classifier of `kind` on the masked columns (all of them
+    when mask is None).  `hyper` holds every setting of the model:
+    `PipelineConfig.hyper()` is the one place they are written down."""
     _check_labels(matrix.y)
     if mask is None:
         mask = np.ones(matrix.width, dtype=bool)
@@ -379,16 +373,11 @@ def train(
         selection_mask=mask,
         medians=medians,
         inner=inner,
-        seed=seed,
     )
 
 
 def select_features(
-    matrix: FeatureMatrix,
-    threshold: float = 0.001,
-    kind: str = MODEL_KIND_GBDT,
-    hyper: dict | None = None,
-    seed: int = 0,
+    matrix: FeatureMatrix, *, threshold: float, kind: str, hyper: dict
 ) -> np.ndarray:
     """Keep non-constant features whose preliminary-model importance
     share is at least the threshold."""
@@ -398,8 +387,7 @@ def select_features(
 
     if not non_constant.any():
         return non_constant
-    preliminary = train(matrix, kind=kind, hyper=hyper, seed=seed,
-                        mask=non_constant)
+    preliminary = train(matrix, kind=kind, hyper=hyper, mask=non_constant)
     importance = preliminary.inner.feature_importance()
     keep = importance >= threshold
     mask = np.zeros(matrix.width, dtype=bool)
@@ -513,7 +501,7 @@ def evaluate(model: TrainedModel, matrix: FeatureMatrix, split: str = SPLIT_TEST
     return evaluate_scores(matrix.y, model.predict_proba(matrix), split)
 
 
-def stratified_folds(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+def stratified_folds(y: np.ndarray, *, k: int, seed: int) -> np.ndarray:
     """Fold index per row; each class dealt round-robin after a
     seeded shuffle, so fold class ratios differ by at most 1 sample."""
     if k < 2:
@@ -531,26 +519,16 @@ def stratified_folds(y: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
 
 
 def kfold_cv(
-    matrix: FeatureMatrix,
-    k: int = 5,
-    seed: int = 0,
-    kind: str = MODEL_KIND_GBDT,
-    hyper: dict | None = None,
-    select_threshold: float | None = None,
+    matrix: FeatureMatrix, *, k: int, seed: int, kind: str, hyper: dict
 ) -> tuple[list[EvalReport], EvalReport]:
     """Stratified K-fold cross-validation; returns per-fold reports
     and their mean (curves omitted from the mean)."""
-    folds = stratified_folds(matrix.y, k, seed)
+    folds = stratified_folds(matrix.y, k=k, seed=seed)
     reports = []
     for fold in range(k):
         train_rows = np.flatnonzero(folds != fold)
         test_rows = np.flatnonzero(folds == fold)
-        train_matrix = matrix.subset_rows(train_rows)
-        mask = None
-        if select_threshold is not None:
-            mask = select_features(train_matrix, select_threshold, kind=kind,
-                                   hyper=hyper, seed=seed)
-        model = train(train_matrix, kind=kind, hyper=hyper, seed=seed, mask=mask)
+        model = train(matrix.subset_rows(train_rows), kind=kind, hyper=hyper)
         reports.append(evaluate(model, matrix.subset_rows(test_rows), SPLIT_VALIDATION))
     mean = EvalReport(
         split=SPLIT_VALIDATION,

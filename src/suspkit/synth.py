@@ -387,7 +387,7 @@ def generate(config: GeneratorConfig, seed: int, out_dir: str | Path) -> dict[st
         "labels": out_dir / "labels.csv",
     }
 
-    first, second = split_windows(config.corpus_start, config.window_days)
+    first, second = split_windows(config.corpus_start, window_days=config.window_days)
     windows = [first] if config.n_windows == 1 else [first, second]
     hubs_s = [f"hub_s{i:02d}" for i in range(_HUBS_SUSPENDED)]
     hubs_n = [f"hub_n{i:02d}" for i in range(_HUBS_NORMAL)]

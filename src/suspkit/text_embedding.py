@@ -86,7 +86,7 @@ class HashedNgramEncoder:
     alone.
     """
 
-    def __init__(self, dim: int = 768, min_n: int = 3, max_n: int = 5):
+    def __init__(self, *, dim: int, min_n: int = 3, max_n: int = 5):
         if dim < 1:
             raise ValueError("dim must be positive")
         if not 1 <= min_n <= max_n:
@@ -94,11 +94,6 @@ class HashedNgramEncoder:
         self.dim = dim
         self.min_n = min_n
         self.max_n = max_n
-
-    def encode(self, text: str) -> np.ndarray:
-        row = np.empty((1, self.dim))
-        self._encode_into([text], row)
-        return row[0]
 
     def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> EmbeddingMatrix:
         rows = np.empty((len(texts), self.dim))
@@ -177,8 +172,9 @@ def _sign_convention(components: np.ndarray) -> np.ndarray:
 def pca_fit(
     X: np.ndarray | EmbeddingMatrix,
     k: int,
+    *,
+    seed: int,
     sample_cap: int = 200_000,
-    seed: int = 0,
 ) -> PcaModel:
     """Fit the k leading principal components of the (centered) rows.
 

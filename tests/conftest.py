@@ -83,7 +83,9 @@ def graph_split_fit(graph, config):
     """The run's graph fit, rebuilt apart from the pipeline: embeddings
     trained on the graph minus its held-out edges, and those edges."""
     train_graph, held_out = split_edges(
-        graph, config.graph_holdout_fraction, seed=stage_seed(config.seed, "graph-split")
+        graph,
+        fraction=config.graph_holdout_fraction,
+        seed=stage_seed(config.seed, "graph-split"),
     )
     emb = train_embeddings(
         train_graph,

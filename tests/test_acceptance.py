@@ -70,12 +70,12 @@ def test_criterion_01_exact_shapley_matches_enumeration_oracle():
 
     Xg = rng.standard_normal((200, 8))
     yg = (Xg[:, 0] + Xg[:, 1] * Xg[:, 2] > 0).astype(float)
-    gbdt = GbdtClassifier(n_rounds=10, max_depth=3)
+    gbdt = GbdtClassifier(n_rounds=10, max_depth=3, learning_rate=0.1, reg_lambda=1.0)
     gbdt.fit(Xg, yg)
 
     Xl = rng.standard_normal((150, 6))
     yl = (Xl @ np.array([1.0, -2.0, 0.5, 0.0, 1.5, -1.0]) > 0).astype(float)
-    logistic = LogisticModel().fit(Xl, yl)
+    logistic = LogisticModel(reg_lambda=1.0).fit(Xl, yl)
 
     suite = [
         ("linear-5", lambda X: X @ w5 + 0.25, 5),

@@ -73,7 +73,7 @@ def test_traced_pass_counts_one_graph_fit(tmp_path):
     assert counts["graph_embedding.fits"] == 1
     # The one fit trains on the window graph minus its held-out edges.
     train_graph, _ = split_edges(
-        read_graph_csv(wd / "graph.csv"), PipelineConfig().graph_holdout_fraction,
+        read_graph_csv(wd / "graph.csv"), fraction=PipelineConfig().graph_holdout_fraction,
         seed=stage_seed(3, "graph-split"),
     )
     assert counts["graph_embedding.edge_epochs"] == train_graph.total_weight * config["graph_epochs"]

@@ -384,7 +384,8 @@ class TestOneGraphFit:
     def test_features_writes_the_split_fit(self, graph_run, tmp_path):
         wd, config, _ = graph_run
         with CorpusStore(wd / "corpus.sqlite") as store:
-            graph = build_graph(store.tweets_in_window(config.windows()[0]), config.relations)
+            graph = build_graph(store.tweets_in_window(config.windows()[0]),
+                                relations=config.relations)
         emb, _ = graph_split_fit(graph, config)
         write_graph_csv(tmp_path / "graph.csv", graph)
         save_embeddings(tmp_path / "graph_embeddings.emb1", emb)
@@ -401,7 +402,7 @@ class TestOneGraphFit:
     def test_graph_ranks_the_stored_embeddings(self, graph_run, tmp_path):
         wd, config, _ = graph_run
         _, held_out = split_edges(
-            read_graph_csv(wd / "graph.csv"), config.graph_holdout_fraction,
+            read_graph_csv(wd / "graph.csv"), fraction=config.graph_holdout_fraction,
             seed=stage_seed(3, "graph-split"),
         )
 
@@ -450,6 +451,23 @@ class TestOneGraphFit:
         assert cli.main(base + ["graph"]) == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "MissingArtifact" and "run features" in err["message"]
+
+    def test_features_without_graph_drops_the_old_ranking_from_the_report(
+        self, graph_run, tmp_path
+    ):
+        wd, _, _ = graph_run
+        _copy(["corpus.sqlite", "graph.csv", "graph_embeddings.emb1", "config.json"],
+              wd, tmp_path)
+        base = ["--config", str(tmp_path / "config.json"), "--workdir", str(tmp_path),
+                "--seed", "3"]
+        assert cli.main(base + ["graph"]) == 0
+        assert (tmp_path / "graph_ranking.json").exists()
+        assert cli.main(base + ["features", "--families", "profile,activity"]) == 0
+        assert not (tmp_path / "graph_ranking.json").exists()
+        assert cli.main(base + ["train"]) == 0
+        assert cli.main(base + ["report"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "cv" in report and "graph" not in report
 
     def test_graph_without_training_edges_exits_3(self, tmp_path, capsys):
         (tmp_path / "graph.csv").write_text("source,relation,destination,weight\nu1,mention,u2,1\n")

@@ -309,7 +309,7 @@ class TestClusterReport:
         return cluster_cosine(X, 0.9, item_ids=["a", "b", "c", "d"])
 
     def test_sorted_by_size_then_id(self):
-        report = cluster_report(self._assignment(), ["ta", "tb", "tc", "td"])
+        report = cluster_report(self._assignment(), ["ta", "tb", "tc", "td"], sample_n=10)
         assert [e["cluster_id"] for e in report] == [0, 1]
         assert [e["size"] for e in report] == [3, 1]
         assert report[0]["leader_item_id"] == "a"
@@ -322,10 +322,10 @@ class TestClusterReport:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            cluster_report(self._assignment(), ["only", "three", "texts"])
+            cluster_report(self._assignment(), ["only", "three", "texts"], sample_n=10)
 
     def test_write_jsonl_and_digest(self, tmp_path):
-        report = cluster_report(self._assignment(), ["ta", "tb", "tc", "td"])
+        report = cluster_report(self._assignment(), ["ta", "tb", "tc", "td"], sample_n=10)
         jsonl = tmp_path / "clusters.jsonl"
         digest = tmp_path / "digest.txt"
         write_cluster_report(report, jsonl, digest)
@@ -360,31 +360,31 @@ class TestToxicitySummary:
 
     def test_threshold_is_strict(self, tmp_path):
         path = self._write(tmp_path, ["t1,0.9", "t2,0.5", "t3,0.1"])
-        summary = toxicity_summary(path, threshold=0.5)
+        summary = toxicity_summary(path, known_ids={"t1", "t2", "t3"}, threshold=0.5)
         assert (summary.scored, summary.toxic) == (3, 1)
         assert summary.fraction == pytest.approx(1 / 3)
 
     def test_unknown_ids_skipped(self, tmp_path):
         path = self._write(tmp_path, ["t1,0.9", "ghost,0.9"])
-        summary = toxicity_summary(path, known_ids={"t1"})
+        summary = toxicity_summary(path, known_ids={"t1"}, threshold=0.5)
         assert summary.scored == 1
         assert summary.skipped_unknown == 1
 
     def test_out_of_range_score_rejected(self, tmp_path):
         path = self._write(tmp_path, ["t1,1.5"])
         with pytest.raises(MalformedRecord):
-            toxicity_summary(path)
+            toxicity_summary(path, known_ids={"t1"}, threshold=0.5)
 
     def test_bad_row_rejected(self, tmp_path):
         path = self._write(tmp_path, ["t1,abc"])
         with pytest.raises(MalformedRecord):
-            toxicity_summary(path)
+            toxicity_summary(path, known_ids={"t1"}, threshold=0.5)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "tox.csv"
         path.write_text("tweet_id,score\n")
-        summary = toxicity_summary(path)
-        assert summary.empty
+        summary = toxicity_summary(path, known_ids={"t1"}, threshold=0.5)
+        assert summary.scored == 0
         assert summary.fraction == 0.0
 
 
@@ -400,14 +400,15 @@ class TestAssignmentValidation:
 
     def test_members_lookup(self):
         got = cluster_cosine(np.array([[1.0, 0], [1.0, 0], [0, 1.0]]), 0.9)
-        assert got.members(0) == [0, 1]
-        assert got.members(1) == [2]
+        assert got.member_lists() == [[0, 1], [2]]
 
     def test_member_lists_match_per_cluster_scans(self):
         rng = np.random.default_rng(7)
         got = cluster_cosine(rng.standard_normal((60, 3)), 0.8)
         assert got.n_clusters > 3
-        assert got.member_lists() == [got.members(c) for c in range(got.n_clusters)]
+        assert got.member_lists() == [
+            np.flatnonzero(got.labels == c).tolist() for c in range(got.n_clusters)
+        ]
 
     def test_member_lists_of_empty_assignment(self):
         got = cluster_cosine(np.zeros((0, 2)), 0.5)

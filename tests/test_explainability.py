@@ -25,6 +25,9 @@ from suspkit.suspension_model import (
     train,
 )
 
+# Every setting of the fits below; the logistic kind reads reg_lambda only.
+HYPER = {"n_rounds": 6, "learning_rate": 0.3, "max_depth": 3, "reg_lambda": 1.0}
+
 
 def oracle_shapley(predict, x, background):
     """Textbook Shapley values by direct coalition enumeration.
@@ -90,7 +93,7 @@ class TestExactAgainstOracle:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((150, 6))
         y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(float)
-        model = GbdtClassifier(n_rounds=8, max_depth=3)
+        model = GbdtClassifier(n_rounds=8, max_depth=3, learning_rate=0.1, reg_lambda=1.0)
         model.fit(X, y)
         self._compare(model.predict_proba, m=6, seed=3)
 
@@ -100,7 +103,7 @@ class TestExactAgainstOracle:
         y = (X @ np.array([1.0, -2.0, 0.5, 0.0]) > 0).astype(float)
         from suspkit.suspension_model import LogisticModel
 
-        model = LogisticModel().fit(X, y)
+        model = LogisticModel(reg_lambda=1.0).fit(X, y)
         self._compare(model.predict_proba, m=4, seed=5)
 
 
@@ -152,7 +155,7 @@ class TestLinearShap:
         rng = np.random.default_rng(20 + m)
         X = rng.standard_normal((80, m)) * rng.uniform(0.1, 5.0, m)
         y = (X @ rng.standard_normal(m) + 0.3 * rng.standard_normal(80) > 0).astype(float)
-        model = LogisticModel().fit(X, y)
+        model = LogisticModel(reg_lambda=1.0).fit(X, y)
         rows, background = rng.standard_normal((4, m)), X[:12]
         phi = model.shap_values(rows, background)
         for x, row_phi in zip(rows, phi):
@@ -161,7 +164,7 @@ class TestLinearShap:
             assert abs(row_phi.sum() + base - out) <= 1e-9
 
     def test_zero_coefficient_gets_exact_zero(self):
-        model = LogisticModel()
+        model = LogisticModel(reg_lambda=1.0)
         model.mean = np.array([0.5, -1.0, 2.0])
         model.scale = np.array([2.0, 1.0, 0.5])
         model.coef = np.array([1.5, 0.0, -0.25])
@@ -182,8 +185,7 @@ def tiny_model_and_matrices(n_features=4, n=40, seed=0, kind=MODEL_KIND_LOGISTIC
     train_m = make([f"tr{i}" for i in range(n)], X, y)
     X2 = rng.standard_normal((10, n_features))
     test_m = make([f"te{i}" for i in range(10)], X2, (X2[:, 0] > 0).astype(int))
-    hyper = {"n_rounds": 6, "max_depth": 3, "learning_rate": 0.3}
-    model = train(train_m, kind=kind, hyper=hyper if kind == MODEL_KIND_GBDT else None)
+    model = train(train_m, kind=kind, hyper=HYPER)
     return model, train_m, test_m
 
 
@@ -197,14 +199,15 @@ def explain_background(model, train_m, background_size, seed):
 class TestExplainMatrix:
     def test_auto_uses_exact_for_small_schemas(self):
         model, train_m, test_m = tiny_model_and_matrices()
-        exps = explain_matrix(model, test_m, train_m, rows=[0, 3], seed=0)
+        exps = explain_matrix(model, test_m, train_m, rows=[0, 3], background_size=100,
+                              seed=0)
         assert [e.user_id for e in exps] == ["te0", "te3"]
         for exp in exps:
             assert exp.efficiency_gap <= 1e-9
 
     def test_matches_direct_exact_call(self):
         model, train_m, test_m = tiny_model_and_matrices()
-        exps = explain_matrix(model, test_m, train_m, rows=[1], background_size=1000)
+        exps = explain_matrix(model, test_m, train_m, rows=[1], background_size=1000, seed=0)
         bg = train_m.X[:, model.selection_mask]
         phi, base, out = shapley_exact(
             model.inner.decision_function, test_m.X[1, model.selection_mask], bg
@@ -278,9 +281,9 @@ class TestExplainMatrix:
             y=test_m.y,
         )
         with pytest.raises(SchemaMismatch):
-            explain_matrix(model, other, train_m)
+            explain_matrix(model, other, train_m, rows=[0], background_size=8, seed=0)
         with pytest.raises(SchemaMismatch):
-            explain_matrix(model, test_m, other)
+            explain_matrix(model, test_m, other, rows=[0], background_size=8, seed=0)
 
 
 def hand_explanations():
@@ -310,10 +313,6 @@ class TestImpactSummary:
         summary = impact_summary(hand_explanations())
         np.testing.assert_allclose(summary.mean_abs_phi, [0.2, 0.3])
         assert summary.ranking == ["beta", "alpha"]
-
-    def test_scatter_collects_value_phi_pairs(self):
-        summary = impact_summary(hand_explanations())
-        assert summary.scatter["alpha"] == [(1.0, 0.1), (3.0, -0.3)]
 
     def test_schema_disagreement(self):
         exps = hand_explanations()

@@ -16,6 +16,10 @@ from suspkit.gbdt import (
     sigmoid,
 )
 
+# The classifier takes every setting explicitly; fits that only choose
+# their round count grow deep trees at the usual shrinkage.
+DEEP = dict(learning_rate=0.1, max_depth=6, reg_lambda=1.0)
+
 
 class TestSigmoid:
     def test_known_values(self):
@@ -47,7 +51,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, size=(200, 1))
         y = (x[:, 0] > 0).astype(float)
-        model = GbdtClassifier(n_rounds=20, learning_rate=0.3, max_depth=2)
+        model = GbdtClassifier(n_rounds=20, learning_rate=0.3, max_depth=2, reg_lambda=1.0)
         model.fit(x, y)
         pred = (model.predict_proba(x) >= 0.5).astype(float)
         assert np.mean(pred == y) == 1.0
@@ -56,7 +60,7 @@ class TestFit:
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, size=(400, 2))
         y = ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(float)
-        model = GbdtClassifier(n_rounds=40, learning_rate=0.3, max_depth=2)
+        model = GbdtClassifier(n_rounds=40, learning_rate=0.3, max_depth=2, reg_lambda=1.0)
         model.fit(x, y)
         pred = (model.predict_proba(x) >= 0.5).astype(float)
         assert np.mean(pred == y) > 0.95
@@ -65,7 +69,7 @@ class TestFit:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((100, 3))
         y = (x[:, 0] + 0.1 * rng.standard_normal(100) > 0).astype(float)
-        model = GbdtClassifier(n_rounds=10)
+        model = GbdtClassifier(n_rounds=10, **DEEP)
         model.fit(x, y)
         p = model.predict_proba(x)
         assert np.all(p > 0) and np.all(p < 1)
@@ -73,7 +77,7 @@ class TestFit:
     def test_constant_labels(self):
         x = np.zeros((10, 2))
         y = np.ones(10)
-        model = GbdtClassifier(n_rounds=3)
+        model = GbdtClassifier(n_rounds=3, **DEEP)
         model.fit(x, y)
         assert np.all(model.predict_proba(x) > 0.5)
 
@@ -81,12 +85,12 @@ class TestFit:
         x = np.array([[1.0], [float("nan")]])
         y = np.array([0.0, 1.0])
         with pytest.raises(ValueError):
-            GbdtClassifier(n_rounds=2).fit(x, y)
+            GbdtClassifier(n_rounds=2, **DEEP).fit(x, y)
 
     def test_label_validation(self):
         x = np.zeros((4, 1))
         with pytest.raises(ValueError):
-            GbdtClassifier(n_rounds=2).fit(x, np.array([0.0, 1.0, 2.0, 0.0]))
+            GbdtClassifier(n_rounds=2, **DEEP).fit(x, np.array([0.0, 1.0, 2.0, 0.0]))
 
 
 class TestImportance:
@@ -94,7 +98,7 @@ class TestImportance:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((300, 4))
         y = (x[:, 2] > 0).astype(float)
-        model = GbdtClassifier(n_rounds=15, max_depth=2)
+        model = GbdtClassifier(n_rounds=15, max_depth=2, learning_rate=0.1, reg_lambda=1.0)
         model.fit(x, y)
         imp = model.feature_importance()
         assert imp.shape == (4,)
@@ -108,13 +112,13 @@ class TestSerialization:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((150, 3))
         y = (x[:, 0] - x[:, 1] > 0).astype(float)
-        model = GbdtClassifier(n_rounds=12, max_depth=3)
+        model = GbdtClassifier(n_rounds=12, max_depth=3, learning_rate=0.1, reg_lambda=1.0)
         model.fit(x, y)
         clone = GbdtClassifier.from_dict(model.to_dict())
         np.testing.assert_array_equal(clone.predict_proba(x), model.predict_proba(x))
 
     def test_hyperparameters_survive(self):
-        model = GbdtClassifier(n_rounds=7, learning_rate=0.05, max_depth=4)
+        model = GbdtClassifier(n_rounds=7, learning_rate=0.05, max_depth=4, reg_lambda=1.0)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((60, 2))
         y = (x[:, 0] > 0).astype(float)
@@ -249,7 +253,7 @@ def deep_model():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((700, 4))
     y = (X[:, 0] * X[:, 1] + 0.8 * rng.standard_normal(700) > 0).astype(float)
-    model = GbdtClassifier(n_rounds=4, learning_rate=0.3, max_depth=8).fit(X, y)
+    model = GbdtClassifier(n_rounds=4, learning_rate=0.3, max_depth=8, reg_lambda=1.0).fit(X, y)
     return model, X
 
 
@@ -257,7 +261,9 @@ class TestSplitSearchOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_trees_match_brute_force(self, seed):
         X, y = _split_search_data(seed)
-        model = GbdtClassifier(n_rounds=6, learning_rate=0.3, max_depth=3).fit(X, y)
+        model = GbdtClassifier(
+            n_rounds=6, learning_rate=0.3, max_depth=3, reg_lambda=1.0
+        ).fit(X, y)
         expected, losses = _reference_fit(X, y, 6, 0.3, 3)
         self._assert_same(model, expected, losses)
 
@@ -281,7 +287,9 @@ class TestSplitSearchOracle:
         x = np.arange(600.0)
         X = np.column_stack([x, x[::-1] * -1.0])
         y = (x >= 597).astype(float)
-        model = GbdtClassifier(n_rounds=3, learning_rate=0.3, max_depth=2).fit(X, y)
+        model = GbdtClassifier(
+            n_rounds=3, learning_rate=0.3, max_depth=2, reg_lambda=1.0
+        ).fit(X, y)
         assert np.sum(x > model.trees[0].threshold[0]) == 3
         expected, losses = _reference_fit(X, y, 3, 0.3, 2)
         self._assert_same(model, expected, losses)
@@ -296,7 +304,9 @@ class TestSplitSearchOracle:
 
     def test_duplicate_column_never_wins_a_tie(self):
         X, y = _split_search_data(0)
-        model = GbdtClassifier(n_rounds=6, learning_rate=0.3, max_depth=3).fit(X, y)
+        model = GbdtClassifier(
+            n_rounds=6, learning_rate=0.3, max_depth=3, reg_lambda=1.0
+        ).fit(X, y)
         used = {int(j) for tree in model.trees for j in tree.feature if j >= 0}
         assert 0 in used and X.shape[1] - 1 not in used
         assert 4 not in used  # the constant column
@@ -311,14 +321,16 @@ class TestBitmaskPrediction:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_scalar_walk(self, seed):
         X, y = _split_search_data(seed)
-        model = GbdtClassifier(n_rounds=8, learning_rate=0.3, max_depth=4).fit(X, y)
+        model = GbdtClassifier(
+            n_rounds=8, learning_rate=0.3, max_depth=4, reg_lambda=1.0
+        ).fit(X, y)
         probe = _probe_rows(model, X, seed)
         expected = np.array([_walk(model, row) for row in probe])
         assert model.decision_function(probe).tobytes() == expected.tobytes()
 
     def test_single_leaf_trees(self):
         X, _ = _split_search_data(4)
-        model = GbdtClassifier(n_rounds=3).fit(X, np.ones(X.shape[0]))
+        model = GbdtClassifier(n_rounds=3, **DEEP).fit(X, np.ones(X.shape[0]))
         assert _max_leaves(model) == 1
         probe = _probe_rows(model, X, 4)
         expected = np.array([_walk(model, row) for row in probe])
@@ -343,7 +355,7 @@ class TestBitmaskPrediction:
 
     def test_unfitted_model_refuses_to_predict(self):
         with pytest.raises(ValueError):
-            GbdtClassifier().decision_function(np.zeros((2, 2)))
+            GbdtClassifier(n_rounds=3, **DEEP).decision_function(np.zeros((2, 2)))
 
 
 def _enumerated_phi(model, X, background):
@@ -381,7 +393,9 @@ class TestTreeShap:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_enumeration(self, seed):
         X, y = _split_search_data(seed)
-        model = GbdtClassifier(n_rounds=12, learning_rate=0.3, max_depth=4).fit(X, y)
+        model = GbdtClassifier(
+            n_rounds=12, learning_rate=0.3, max_depth=4, reg_lambda=1.0
+        ).fit(X, y)
         rows = _explained_rows(model, X, seed)
         background = np.vstack([X[:10], _probe_rows(model, X, seed + 10)[70:76]])
         phi = model.shap_values(rows, background)
@@ -394,7 +408,9 @@ class TestTreeShap:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((300, 3))
         y = (np.abs(X[:, 0]) < 0.6).astype(float)
-        model = GbdtClassifier(n_rounds=5, learning_rate=0.5, max_depth=4).fit(X, y)
+        model = GbdtClassifier(
+            n_rounds=5, learning_rate=0.5, max_depth=4, reg_lambda=1.0
+        ).fit(X, y)
         assert _tested_twice_on_a_path(model)
         rows = _explained_rows(model, X, 5)
         phi = model.shap_values(rows, X[:15])
@@ -424,7 +440,7 @@ class TestTreeShap:
 
     def test_single_leaf_trees_attribute_nothing(self):
         X, _ = _split_search_data(4)
-        model = GbdtClassifier(n_rounds=3).fit(X, np.ones(X.shape[0]))
+        model = GbdtClassifier(n_rounds=3, **DEEP).fit(X, np.ones(X.shape[0]))
         assert _max_leaves(model) == 1
         phi = model.shap_values(X[:5], X[5:20])
         assert np.all(phi == 0.0)
@@ -440,7 +456,9 @@ class TestTreeShap:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((800, 12))
         y = (np.sign(X).sum(axis=1) + 0.5 * rng.standard_normal(800) > 0).astype(float)
-        model = GbdtClassifier(n_rounds=2, learning_rate=0.3, max_depth=12).fit(X, y)
+        model = GbdtClassifier(
+            n_rounds=2, learning_rate=0.3, max_depth=12, reg_lambda=1.0
+        ).fit(X, y)
         assert _max_path_features(model) > gbdt._TABLE_MAX_FEATURES
         rows = X[:4]
         phi = model.shap_values(rows, X[4:14])
@@ -448,7 +466,9 @@ class TestTreeShap:
 
     def test_pairwise_and_blocked_paths_agree_with_the_table(self, monkeypatch):
         X, y = _split_search_data(1)
-        model = GbdtClassifier(n_rounds=10, learning_rate=0.3, max_depth=5).fit(X, y)
+        model = GbdtClassifier(
+            n_rounds=10, learning_rate=0.3, max_depth=5, reg_lambda=1.0
+        ).fit(X, y)
         rows = _explained_rows(model, X, 1)
         expected = model.shap_values(rows, X[:20])
         monkeypatch.setattr(gbdt, "_SHAP_BLOCK", 16)
@@ -458,7 +478,9 @@ class TestTreeShap:
 
     def test_sum_of_single_tree_values(self):
         X, y = _split_search_data(2)
-        model = GbdtClassifier(n_rounds=8, learning_rate=0.3, max_depth=4).fit(X, y)
+        model = GbdtClassifier(
+            n_rounds=8, learning_rate=0.3, max_depth=4, reg_lambda=1.0
+        ).fit(X, y)
         rows, background = X[:9], X[30:50]
         total = np.zeros((9, X.shape[1]))
         for tree in model.trees:
@@ -470,7 +492,9 @@ class TestTreeShap:
 
     def test_unread_features_get_exact_zero(self):
         X, y = _split_search_data(3)
-        model = GbdtClassifier(n_rounds=10, learning_rate=0.3, max_depth=3).fit(X, y)
+        model = GbdtClassifier(
+            n_rounds=10, learning_rate=0.3, max_depth=3, reg_lambda=1.0
+        ).fit(X, y)
         read = {int(f) for tree in model.trees for f in tree.feature if f >= 0}
         unread = sorted(set(range(X.shape[1])) - read)
         assert 4 in unread  # the constant column
@@ -484,5 +508,5 @@ class TestTreeShap:
         with pytest.raises(ValueError):
             model.shap_values(X[:2], X[:5, :3])
         with pytest.raises(ValueError):
-            GbdtClassifier().shap_values(X[:2], X[:5])
+            GbdtClassifier(n_rounds=3, **DEEP).shap_values(X[:2], X[:5])
         assert model.shap_values(X[:0], X[:5]).shape == (0, X.shape[1])

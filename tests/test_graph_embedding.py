@@ -4,8 +4,8 @@ import pytest
 from suspkit.corpus import CorpusStore, TimeWindow
 from suspkit import graph_embedding
 from suspkit.graph_embedding import (
+    RELATIONS,
     EmptyGraph,
-    NodeEmbeddings,
     RankingEval,
     RelationGraph,
     build_graph,
@@ -82,7 +82,7 @@ class TestBuildGraph:
         return store
 
     def test_edges_per_interaction(self, window):
-        g = build_graph(self._store().tweets_in_window(window))
+        g = build_graph(self._store().tweets_in_window(window), relations=RELATIONS)
         assert g.edges == {
             ("u1", "retweet", "u2"): 1,
             ("u1", "quote", "u3"): 1,
@@ -101,7 +101,7 @@ class TestBuildGraph:
 
     def test_out_of_window_tweets_ignored(self):
         late = TimeWindow(WINDOW_START - 2000, WINDOW_START - 1)
-        g = build_graph(self._store().tweets_in_window(late))
+        g = build_graph(self._store().tweets_in_window(late), relations=RELATIONS)
         assert g.n_edges == 0
 
 
@@ -122,8 +122,8 @@ class TestSplitEdges:
 
     def test_deterministic(self):
         g = RelationGraph.from_edges([(f"s{i}", "retweet", f"d{i}") for i in range(30)])
-        _, held1 = split_edges(g, 0.2, seed=5)
-        _, held2 = split_edges(g, 0.2, seed=5)
+        _, held1 = split_edges(g, fraction=0.2, seed=5)
+        _, held2 = split_edges(g, fraction=0.2, seed=5)
         assert held1 == held2
 
     def test_matches_per_edge_set_comprehension(self):
@@ -144,7 +144,7 @@ class TestSplitEdges:
                   f"u{rng.integers(40)}") for _ in range(600)]
         g = RelationGraph.from_edges(edges)
         for fraction, seed in ((0.05, 0), (0.3, 7), (0.9, 2)):
-            train_g, held = split_edges(g, fraction, seed=seed)
+            train_g, held = split_edges(g, fraction=fraction, seed=seed)
             ref_edges, ref_held = reference(g, fraction, seed)
             assert held == ref_held
             assert list(train_g.edges.items()) == list(ref_edges.items())
@@ -153,9 +153,9 @@ class TestSplitEdges:
     def test_fraction_validation(self):
         g = small_graph()
         with pytest.raises(ValueError):
-            split_edges(g, 0.0)
+            split_edges(g, fraction=0.0, seed=0)
         with pytest.raises(ValueError):
-            split_edges(g, 1.0)
+            split_edges(g, fraction=1.0, seed=0)
 
 
 class TestRankingMetrics:
@@ -220,7 +220,7 @@ class TestTraining:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraph):
-            train_embeddings(RelationGraph(nodes=["a"], edges={}), **SMALL_FIT, epochs=1)
+            train_embeddings(RelationGraph(nodes=["a"], edges={}), **SMALL_FIT, epochs=1, seed=0)
 
     def test_evaluate_returns_bounded_metrics(self):
         edges = [(f"n{i}", "retweet", f"n{(i + 1) % 8}") for i in range(8)]
@@ -234,7 +234,7 @@ class TestTraining:
     def test_evaluate_requires_edges(self):
         emb = train_embeddings(small_graph(), **SMALL_FIT, epochs=1, seed=0)
         with pytest.raises(ValueError):
-            evaluate(emb, [])
+            evaluate(emb, [], negatives_per_positive=20, seed=0)
 
 
 def reference_batch_update(E, W, src, rel, dst, neg, lr):

@@ -18,7 +18,6 @@ from suspkit.graph_embedding import (
 )
 from suspkit.manifest import stage_seed
 from suspkit.pipeline import (
-    ExtractionContext,
     PipelineConfig,
     extract_split_features,
     extract_window_features,
@@ -214,7 +213,7 @@ class TestGraphReuse:
         first, second = config.windows()
         store.ingest_tweets([tweet_line(id="bridge", user_id="n1_00000",
                                         created_at=first.start + 3600, mentions=["n2_00000"])])
-        second_graph = build_graph(store.tweets_in_window(second), config.relations)
+        second_graph = build_graph(store.tweets_in_window(second), relations=config.relations)
         return extract_split_features(store, config), second_graph
 
     @staticmethod
@@ -353,7 +352,9 @@ class TestGraphStage:
         artifacts = run_graph_stage(graph_path, emb_path, config)
         g = artifacts.graph
         train_graph, held_out = split_edges(
-            g, config.graph_holdout_fraction, seed=stage_seed(config.seed, "graph-split")
+            g,
+            fraction=config.graph_holdout_fraction,
+            seed=stage_seed(config.seed, "graph-split"),
         )
         assert artifacts.held_out == held_out
         assert train_graph.n_edges == g.n_edges - len(artifacts.held_out)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from suspkit.corpus import TimeWindow, UserSnapshot, DAY_SECONDS
+from suspkit.corpus import UserSnapshot, DAY_SECONDS
 from suspkit.profile_features import (
     PROFILE_FEATURE_NAMES,
     NoSnapshot,
@@ -11,8 +11,6 @@ from suspkit.profile_features import (
     growth,
     name_similarity,
 )
-
-from conftest import WINDOW_START
 
 
 def snap(observed_at, created_at, followers=10, friends=5, statuses=100,

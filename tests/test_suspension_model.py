@@ -29,6 +29,10 @@ from suspkit.suspension_model import (
     write_curve_csv,
 )
 
+# Every setting of the fits below: the library takes no defaults.
+LOGISTIC = {"reg_lambda": 1.0}
+SMALL_GBDT = {"n_rounds": 10, "learning_rate": 0.1, "max_depth": 2, "reg_lambda": 1.0}
+
 
 def matrix_of(X, y, names=None, users=None):
     X = np.asarray(X, dtype=np.float64)
@@ -247,14 +251,14 @@ class TestEvaluateScores:
 class TestLogisticModel:
     def test_learns_separable_data(self):
         m = separable_matrix()
-        model = LogisticModel().fit(m.X, m.y.astype(float))
+        model = LogisticModel(reg_lambda=1.0).fit(m.X, m.y.astype(float))
         pred = (model.predict_proba(m.X) >= 0.5).astype(int)
         assert np.mean(pred == m.y) == 1.0
         assert model.coef[0] > 0  # planted column drives the decision
 
     def test_importance_normalized(self):
         m = separable_matrix()
-        model = LogisticModel().fit(m.X, m.y.astype(float))
+        model = LogisticModel(reg_lambda=1.0).fit(m.X, m.y.astype(float))
         imp = model.feature_importance()
         assert imp.sum() == pytest.approx(1.0)
         assert imp[0] > imp[1]
@@ -271,20 +275,20 @@ class TestTrain:
         X = np.array([[1.0, 5.0], [2.0, 6.0], [3.0, math.nan], [4.0, 8.0]] * 3)
         y = np.array([0, 0, 1, 1] * 3)
         m = matrix_of(X, y, users=[f"u{i}" for i in range(12)])
-        model = train(m, kind=MODEL_KIND_LOGISTIC)
+        model = train(m, kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC)
         probe_nan = np.array([[2.5, math.nan]])
         probe_median = np.array([[2.5, 6.0]])  # median of finite column values
         assert model.predict_proba(probe_nan)[0] == model.predict_proba(probe_median)[0]
 
     def test_mask_restricts_features(self):
         m = separable_matrix()
-        model = train(m, kind=MODEL_KIND_LOGISTIC, mask=np.array([True, False]))
+        model = train(m, kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC, mask=np.array([True, False]))
         assert model.feature_names == ("f0",)
         assert model.medians.shape == (1,)
 
     def test_schema_mismatch_on_predict(self):
         m = separable_matrix()
-        model = train(m, kind=MODEL_KIND_LOGISTIC)
+        model = train(m, kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC)
         other = matrix_of(m.X, m.y, names=("g0", "g1"))
         with pytest.raises(SchemaMismatch):
             model.predict_proba(other)
@@ -292,27 +296,40 @@ class TestTrain:
     def test_mask_width_checked(self):
         m = separable_matrix()
         with pytest.raises(SchemaMismatch):
-            train(m, mask=np.array([True]))
+            train(m, kind=MODEL_KIND_GBDT, hyper=SMALL_GBDT, mask=np.array([True]))
 
     def test_degenerate_labels(self):
         m = matrix_of(np.zeros((4, 1)), [1, 1, 1, 1])
         with pytest.raises(DegenerateLabels):
-            train(m)
+            train(m, kind=MODEL_KIND_GBDT, hyper=SMALL_GBDT)
 
     def test_too_few_samples(self):
         m = matrix_of(np.zeros((3, 1)), [1, 0, 0])
         with pytest.raises(TooFewSamples):
-            train(m)
+            train(m, kind=MODEL_KIND_GBDT, hyper=SMALL_GBDT)
 
     def test_gbdt_kind_trains(self):
         m = separable_matrix()
-        model = train(m, kind=MODEL_KIND_GBDT, hyper={"n_rounds": 10, "max_depth": 2})
+        model = train(m, kind=MODEL_KIND_GBDT, hyper=SMALL_GBDT)
         report = evaluate(model, m, split="test")
         assert report.accuracy == 1.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            train(separable_matrix(), kind="forest")
+            train(separable_matrix(), kind="forest", hyper=SMALL_GBDT)
+
+    @pytest.mark.parametrize(
+        "hyper",
+        [
+            {k: v for k, v in SMALL_GBDT.items() if k != "max_depth"},
+            {**{k: v for k, v in SMALL_GBDT.items() if k != "n_rounds"}, "n_round": 10},
+        ],
+        ids=["missing-max-depth", "misspelt-n-rounds"],
+    )
+    def test_incomplete_or_misspelt_settings_raise(self, hyper):
+        # A fallback would silently fit some other model than the one asked for.
+        with pytest.raises(TypeError):
+            train(separable_matrix(), kind=MODEL_KIND_GBDT, hyper=hyper)
 
 
 class TestSelectFeatures:
@@ -328,14 +345,16 @@ class TestSelectFeatures:
             ]
         )
         m = matrix_of(X, y, names=("planted", "constant", "noise"))
-        mask = select_features(m, threshold=0.001, hyper={"n_rounds": 20, "max_depth": 2})
+        mask = select_features(
+            m, threshold=0.001, kind=MODEL_KIND_GBDT, hyper={**SMALL_GBDT, "n_rounds": 20}
+        )
         assert mask.dtype == bool and mask.shape == (3,)
         assert mask[0]
         assert not mask[1]
 
     def test_all_constant_returns_empty_mask(self):
         m = matrix_of(np.ones((8, 2)), [0, 1] * 4)
-        mask = select_features(m)
+        mask = select_features(m, threshold=0.001, kind=MODEL_KIND_GBDT, hyper=SMALL_GBDT)
         assert not mask.any()
 
 
@@ -350,40 +369,32 @@ class TestFolds:
     def test_deterministic(self):
         y = np.arange(40) % 2
         np.testing.assert_array_equal(
-            stratified_folds(y, 4, seed=7), stratified_folds(y, 4, seed=7)
+            stratified_folds(y, k=4, seed=7), stratified_folds(y, k=4, seed=7)
         )
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
-            stratified_folds(np.array([0, 0, 0, 1]), k=2)
+            stratified_folds(np.array([0, 0, 0, 1]), k=2, seed=0)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            stratified_folds(np.arange(10) % 2, k=1)
+            stratified_folds(np.arange(10) % 2, k=1, seed=0)
 
 
 class TestKfoldCv:
     def test_reports_and_mean(self):
         m = separable_matrix(n=80)
-        reports, mean = kfold_cv(m, k=4, kind=MODEL_KIND_LOGISTIC)
+        reports, mean = kfold_cv(m, k=4, seed=0, kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC)
         assert len(reports) == 4
         assert mean.f1 == pytest.approx(np.mean([r.f1 for r in reports]))
         assert mean.roc_auc == pytest.approx(np.mean([r.roc_auc for r in reports]))
         assert mean.n_pos == sum(r.n_pos for r in reports) == 40
 
-    def test_selection_inside_folds(self):
-        m = separable_matrix(n=60)
-        reports, mean = kfold_cv(
-            m, k=3, kind=MODEL_KIND_GBDT,
-            hyper={"n_rounds": 10, "max_depth": 2}, select_threshold=0.001,
-        )
-        assert mean.f1 > 0.9
-
 
 class TestModelPersistence:
     def test_saved_model_predicts_identically(self, tmp_path):
         m = separable_matrix()
-        model = train(m, kind=MODEL_KIND_GBDT, hyper={"n_rounds": 8, "max_depth": 2})
+        model = train(m, kind=MODEL_KIND_GBDT, hyper=SMALL_GBDT)
         path = tmp_path / "model.json"
         save_model(path, model)
         loaded = load_model(path)

@@ -100,7 +100,7 @@ class TestTwoWindows:
         config = small_config(n_windows=2, drift=True)
         paths = generate(config, seed=4, out_dir=tmp_path)
         store, _ = ingest_all(paths)
-        first, second = split_windows(DEFAULT_CORPUS_START, 21)
+        first, second = split_windows(DEFAULT_CORPUS_START, window_days=21)
         labels = store.labels()
         w2_users = [u for u in labels if u.startswith(("s2_", "n2_"))]
         assert len(w2_users) == 40
@@ -115,7 +115,7 @@ class TestTwoWindows:
         config = small_config(n_windows=2, drift=True)
         paths = generate(config, seed=7, out_dir=tmp_path)
         store, _ = ingest_all(paths)
-        first, second = split_windows(DEFAULT_CORPUS_START, 21)
+        first, second = split_windows(DEFAULT_CORPUS_START, window_days=21)
 
         def tags_of(prefix, window):
             tags = set()
@@ -136,7 +136,7 @@ class TestTwoWindows:
         config = small_config(n_windows=2, drift=False)
         paths = generate(config, seed=8, out_dir=tmp_path)
         store, _ = ingest_all(paths)
-        _, second = split_windows(DEFAULT_CORPUS_START, 21)
+        _, second = split_windows(DEFAULT_CORPUS_START, window_days=21)
         tags = set()
         for user_id in store.labels():
             if user_id.startswith("s2_"):
