@@ -4,10 +4,13 @@ One root seed and one JSON config drive every stage; flags override
 config values.  Each stage writes versioned artifacts plus a manifest
 (config hash, seed, output hashes) into the workdir, and a separate
 timing sidecar, so reruns with the same config and seed produce
-byte-identical manifests.  The `features`, `train` and `evaluate`
-stages make the library's calls, `pipeline.extract_split_features`,
-`pipeline.train_with_cv` and `suspension_model.evaluate`, so the CLI
-and the library produce the same splits, model and reports.
+byte-identical manifests.  `main` runs every stage the same way: it
+makes the workdir, times the command, and writes the manifest from the
+inputs and outputs the command returns.  The `features`, `train` and
+`evaluate` stages make the library's calls,
+`pipeline.extract_split_features`, `pipeline.train_with_cv` and
+`suspension_model.evaluate`, so the CLI and the library produce the
+same splits, model and reports.
 
 Exit codes: 0 success, 2 usage error, 3 data or dependency error,
 4 internal error.
@@ -22,6 +25,7 @@ import json
 import sqlite3
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .content_clustering import toxicity_summary, write_cluster_report
@@ -67,26 +71,16 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
     config = PipelineConfig.from_dict(data)
-    overrides = {}
-    for name in ("workdir", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    for name in ("tweets", "snapshots", "labels", "tau", "toxicity_scores"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {
+        name: getattr(args, name, None)
+        for name in ("workdir", "seed", "tweets", "snapshots", "labels", "tau", "toxicity_scores")
+    }
+    overrides["explain_instances"] = getattr(args, "rows", None)
     if getattr(args, "families", None):
         overrides["families"] = tuple(args.families.split(","))
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
-
-
-def _workdir(config: PipelineConfig) -> Path:
-    path = Path(config.workdir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return dataclasses.replace(
+        config, **{name: value for name, value in overrides.items() if value is not None}
+    )
 
 
 def _store_path(config: PipelineConfig) -> Path:
@@ -100,9 +94,15 @@ def _open_store(config: PipelineConfig) -> CorpusStore:
     return CorpusStore(path)
 
 
-def _write_json(path: Path, payload) -> None:
+def _json(path: Path, payload) -> None:
+    path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
+
+
+def _write(path: Path, write, payload) -> Path:
+    """`write(tmp, payload)` to a temp file that replaces `path` on success."""
     with atomic_path(path) as tmp:
-        tmp.write_text(canonical_json(payload) + "\n", encoding="utf-8")
+        write(tmp, payload)
+    return path
 
 
 def _require_artifact(workdir: Path, name: str, hint: str) -> Path:
@@ -112,28 +112,12 @@ def _require_artifact(workdir: Path, name: str, hint: str) -> Path:
     return path
 
 
-def _finish_stage(
-    config: PipelineConfig,
-    stage: str,
-    inputs: dict[str, str],
-    outputs: list[Path],
-    started: float,
-) -> None:
-    workdir = Path(config.workdir)
-    write_stage_manifest(
-        workdir,
-        stage,
-        config_digest=config_hash(config.to_dict()),
-        root_seed=config.seed,
-        inputs=inputs,
-        outputs=outputs,
-    )
-    write_timing(workdir, stage, time.monotonic() - started)
+# What a command returns to `main` for its stage manifest: the inputs
+# by role and the paths of the artifacts it wrote.
+_Lineage = tuple[dict[str, str], list[Path]]
 
 
-def cmd_synth(config: PipelineConfig, args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    workdir = _workdir(config)
+def cmd_synth(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     out_dir = Path(args.out) if args.out else workdir / "synth"
     gen = GeneratorConfig(
         n_suspended=args.suspended,
@@ -145,13 +129,11 @@ def cmd_synth(config: PipelineConfig, args: argparse.Namespace) -> None:
     )
     paths = generate(gen, seed=stage_seed(config.seed, "synth"), out_dir=out_dir)
     outputs = [paths["tweets"], paths["snapshots"], paths["labels"]]
-    _finish_stage(config, "synth", {"out": str(out_dir)}, outputs, started)
     print(f"synth: wrote {len(outputs)} files to {out_dir}")
+    return {"out": str(out_dir)}, outputs
 
 
-def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    workdir = _workdir(config)
+def cmd_ingest(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     for name in ("tweets", "snapshots", "labels"):
         value = getattr(config, name)
         if not value:
@@ -176,17 +158,14 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> None:
                "skipped_by_reason": s.skipped_by_reason}
         for name, s in stats.items()
     }
-    stats_path = workdir / "ingest_stats.json"
-    _write_json(stats_path, payload)
-    inputs = {name: str(getattr(config, name)) for name in ("tweets", "snapshots", "labels")}
-    _finish_stage(config, "ingest", inputs, [db, stats_path], started)
+    stats_path = _write(workdir / "ingest_stats.json", _json, payload)
     for name, s in stats.items():
         print(f"ingest: {name} parsed={s.parsed} skipped={s.skipped}")
+    inputs = {name: str(getattr(config, name)) for name in ("tweets", "snapshots", "labels")}
+    return inputs, [db, stats_path]
 
 
-def cmd_features(config: PipelineConfig, args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    workdir = _workdir(config)
+def cmd_features(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     with _open_store(config) as store:
         split = extract_split_features(store, config)
     outputs: list[Path] = []
@@ -195,30 +174,23 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace) -> None:
         ("test", split.test),
         ("second_test", split.second_test),
     ):
-        if feats is None:
+        if feats is not None:
+            path = workdir / f"features_{name}.csv"
+            outputs.append(_write(path, lambda tmp, matrix: matrix.to_csv(tmp), feats.combined))
             continue
-        path = workdir / f"features_{name}.csv"
-        with atomic_path(path) as tmp:
-            feats.combined.to_csv(tmp)
-        outputs.append(path)
-    families_path = workdir / "families.json"
-    _write_json(
-        families_path,
-        {name: list(mat.feature_names) for name, mat in split.train.families.items()},
-    )
-    outputs.append(families_path)
-    users_path = workdir / "users.json"
-    _write_json(
-        users_path,
-        {
-            "train": split.train_users,
-            "test": split.test_users,
-            "second_test": split.second_users,
-            "dropped": split.train.dropped_users
-            + (split.test.dropped_users if split.test else []),
-        },
-    )
-    outputs.append(users_path)
+        # A split without users this run loses the features and scores of
+        # an earlier run, so that `evaluate` and `report` cannot take them.
+        for stale in (f"features_{name}.csv", f"report_{name}.json", f"roc_{name}.csv",
+                      f"pr_{name}.csv"):
+            (workdir / stale).unlink(missing_ok=True)
+    outputs.append(_write(workdir / "families.json", _json, split.train.families))
+    users = {
+        "train": split.train_users,
+        "test": split.test_users,
+        "second_test": split.second_users,
+        "dropped": split.train.dropped_users + (split.test.dropped_users if split.test else []),
+    }
+    outputs.append(_write(workdir / "users.json", _json, users))
     # The graph stage ranks these two.  A file this run does not write is
     # removed, so that the graph stage cannot rank one left by an earlier
     # run; the ranking derived from the old pair goes in either case.
@@ -228,80 +200,55 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace) -> None:
         ("graph.csv", context.graph, write_graph_csv),
         ("graph_embeddings.emb1", context.node_embeddings, save_embeddings),
     ):
-        path = workdir / name
         if artifact is None:
-            path.unlink(missing_ok=True)
-            continue
-        with atomic_path(path) as tmp:
-            write(tmp, artifact)
-        outputs.append(path)
-    _finish_stage(
-        config, "features", {"corpus": str(_store_path(config))}, outputs, started
-    )
+            (workdir / name).unlink(missing_ok=True)
+        else:
+            outputs.append(_write(workdir / name, write, artifact))
     print(
         f"features: train={len(split.train.combined.user_ids)}"
         f" test={len(split.test.combined.user_ids) if split.test else 0}"
         f" second_test={len(split.second_test.combined.user_ids) if split.second_test else 0}"
         f" columns={len(split.train.combined.feature_names)}"
     )
+    return {"corpus": str(_store_path(config))}, outputs
 
 
-def cmd_train(config: PipelineConfig, args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    workdir = _workdir(config)
+def cmd_train(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     train_path = _require_artifact(workdir, "features_train.csv", "features")
     matrix = FeatureMatrix.from_csv(train_path)
     model, fold_reports, cv_mean = train_with_cv(matrix, config)
-    model_path = workdir / "model.json"
-    with atomic_path(model_path) as tmp:
-        save_model(tmp, model)
-    cv_path = workdir / "cv_report.json"
-    _write_json(
-        cv_path,
+    model_path = _write(workdir / "model.json", save_model, model)
+    cv_path = _write(
+        workdir / "cv_report.json",
+        _json,
         {"folds": [r.to_dict() for r in fold_reports], "mean": cv_mean.to_dict()},
-    )
-    _finish_stage(
-        config, "train", {"features": str(train_path)}, [model_path, cv_path], started
     )
     print(
         f"train: kind={config.model_kind} selected={len(model.feature_names)}"
         f"/{len(matrix.feature_names)} cv_f1={cv_mean.f1:.4f}"
     )
+    return {"features": str(train_path)}, [model_path, cv_path]
 
 
-def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    workdir = _workdir(config)
+def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     split = args.split
     model_path = _require_artifact(workdir, "model.json", "train")
     matrix_path = _require_artifact(workdir, f"features_{split}.csv", "features")
     model = load_model(model_path)
-    matrix = FeatureMatrix.from_csv(matrix_path)
-    report = evaluate_model(model, matrix, split)
-    report_path = workdir / f"report_{split}.json"
-    _write_json(report_path, report.to_dict())
-    roc_path = workdir / f"roc_{split}.csv"
-    pr_path = workdir / f"pr_{split}.csv"
-    with atomic_path(roc_path) as tmp:
-        write_curve_csv(tmp, report.roc_points)
-    with atomic_path(pr_path) as tmp:
-        write_curve_csv(tmp, report.pr_points)
-    _finish_stage(
-        config,
-        f"evaluate_{split}",
-        {"model": str(model_path), "features": str(matrix_path)},
-        [report_path, roc_path, pr_path],
-        started,
-    )
+    report = evaluate_model(model, FeatureMatrix.from_csv(matrix_path), split)
+    outputs = [
+        _write(workdir / f"report_{split}.json", _json, report.to_dict()),
+        _write(workdir / f"roc_{split}.csv", write_curve_csv, report.roc_points),
+        _write(workdir / f"pr_{split}.csv", write_curve_csv, report.pr_points),
+    ]
     print(
         f"evaluate[{split}]: f1={report.f1:.4f} auc={report.roc_auc:.4f}"
         f" acc={report.accuracy:.4f} n={report.n_pos + report.n_neg}"
     )
+    return {"model": str(model_path), "features": str(matrix_path)}, outputs
 
 
-def cmd_explain(config: PipelineConfig, args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    workdir = _workdir(config)
+def cmd_explain(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     model_path = _require_artifact(workdir, "model.json", "train")
     train_path = _require_artifact(workdir, "features_train.csv", "features")
     test_path = workdir / "features_test.csv"
@@ -309,8 +256,7 @@ def cmd_explain(config: PipelineConfig, args: argparse.Namespace) -> None:
     model = load_model(model_path)
     matrix = FeatureMatrix.from_csv(matrix_path)
     background = FeatureMatrix.from_csv(train_path)
-    n_rows = args.rows if args.rows is not None else config.explain_instances
-    rows = list(range(min(n_rows, len(matrix.user_ids))))
+    rows = list(range(min(config.explain_instances, len(matrix.user_ids))))
     explanations = explain_matrix(
         model,
         matrix,
@@ -320,26 +266,16 @@ def cmd_explain(config: PipelineConfig, args: argparse.Namespace) -> None:
         seed=stage_seed(config.seed, "explain"),
     )
     summary = impact_summary(explanations)
-    exp_path = workdir / "explanations.csv"
-    with atomic_path(exp_path) as tmp:
-        write_explanations_csv(tmp, explanations)
-    summary_path = workdir / "impact_summary.csv"
-    with atomic_path(summary_path) as tmp:
-        write_summary_csv(tmp, summary)
-    _finish_stage(
-        config,
-        "explain",
-        {"model": str(model_path), "features": str(matrix_path)},
-        [exp_path, summary_path],
-        started,
-    )
+    outputs = [
+        _write(workdir / "explanations.csv", write_explanations_csv, explanations),
+        _write(workdir / "impact_summary.csv", write_summary_csv, summary),
+    ]
     top = ", ".join(summary.ranking[:5])
     print(f"explain: {len(explanations)} rows; top features: {top}")
+    return {"model": str(model_path), "features": str(matrix_path)}, outputs
 
 
-def cmd_cluster(config: PipelineConfig, args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    workdir = _workdir(config)
+def cmd_cluster(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     with _open_store(config) as store:
         artifacts = run_clustering(store, config)
     clusters_path = workdir / "clusters.jsonl"
@@ -347,72 +283,55 @@ def cmd_cluster(config: PipelineConfig, args: argparse.Namespace) -> None:
     with atomic_path(clusters_path) as tmp_jsonl:
         with atomic_path(digest_path) as tmp_digest:
             write_cluster_report(artifacts.report, tmp_jsonl, tmp_digest)
-    wallets_path = workdir / "wallets.csv"
-    with atomic_path(wallets_path) as tmp:
-        write_wallet_csv(tmp, artifacts.wallet_hits)
-    keywords_path = workdir / "keywords.json"
-    _write_json(keywords_path, artifacts.keyword_hits)
-    outputs = [clusters_path, digest_path, wallets_path, keywords_path]
+    outputs = [
+        clusters_path,
+        digest_path,
+        _write(workdir / "wallets.csv", write_wallet_csv, artifacts.wallet_hits),
+        _write(workdir / "keywords.json", _json, artifacts.keyword_hits),
+    ]
     inputs = {"corpus": str(_store_path(config))}
     if config.toxicity_scores:
         known = set(artifacts.assignment.item_ids)
         tox = toxicity_summary(
             config.toxicity_scores, known_ids=known, threshold=config.toxicity_threshold
         )
-        tox_path = workdir / "toxicity.json"
-        _write_json(
-            tox_path,
-            {
-                "scored": tox.scored,
-                "toxic": tox.toxic,
-                "fraction": tox.fraction,
-                "skipped_unknown": tox.skipped_unknown,
-                "threshold": tox.threshold,
-            },
-        )
-        outputs.append(tox_path)
+        payload = {
+            "scored": tox.scored,
+            "toxic": tox.toxic,
+            "fraction": tox.fraction,
+            "skipped_unknown": tox.skipped_unknown,
+            "threshold": tox.threshold,
+        }
+        outputs.append(_write(workdir / "toxicity.json", _json, payload))
         inputs["toxicity_scores"] = str(config.toxicity_scores)
-    _finish_stage(config, "cluster", inputs, outputs, started)
     print(
         f"cluster: {artifacts.assignment.n_clusters} clusters over"
         f" {len(artifacts.texts)} posts; {len(artifacts.wallet_hits)} wallet hits"
     )
+    return inputs, outputs
 
 
-def cmd_graph(config: PipelineConfig, args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    workdir = _workdir(config)
+def cmd_graph(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     graph_path = _require_artifact(workdir, "graph.csv", "features")
     emb_path = workdir / "graph_embeddings.emb1"
     artifacts = run_graph_stage(graph_path, emb_path, config)
-    ranking_path = workdir / "graph_ranking.json"
-    _write_json(
-        ranking_path,
-        {
-            "mrr": artifacts.ranking.mrr,
-            "auc": artifacts.ranking.auc,
-            "negatives_per_positive": artifacts.ranking.negatives_per_positive,
-            "held_out_edges": len(artifacts.held_out),
-            "nodes": artifacts.graph.n_nodes,
-            "edges": artifacts.graph.n_edges,
-        },
-    )
-    _finish_stage(
-        config,
-        "graph",
-        {"graph": str(graph_path), "embeddings": str(emb_path)},
-        [ranking_path],
-        started,
-    )
+    ranking = {
+        "mrr": artifacts.ranking.mrr,
+        "auc": artifacts.ranking.auc,
+        "negatives_per_positive": artifacts.ranking.negatives_per_positive,
+        "held_out_edges": len(artifacts.held_out),
+        "nodes": artifacts.graph.n_nodes,
+        "edges": artifacts.graph.n_edges,
+    }
+    ranking_path = _write(workdir / "graph_ranking.json", _json, ranking)
     print(
         f"graph: {artifacts.graph.n_nodes} nodes {artifacts.graph.n_edges} edges;"
         f" held-out mrr={artifacts.ranking.mrr:.4f} auc={artifacts.ranking.auc:.4f}"
     )
+    return {"graph": str(graph_path), "embeddings": str(emb_path)}, [ranking_path]
 
 
-def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    workdir = _workdir(config)
+def cmd_report(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     sections = {}
     for key, name in (
         ("cv", "cv_report.json"),
@@ -426,10 +345,8 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> None:
             sections[key] = json.loads(path.read_text(encoding="utf-8"))
     clusters_path = workdir / "clusters.jsonl"
     if clusters_path.exists():
-        sizes = []
         with open(clusters_path, encoding="utf-8") as fh:
-            for line in fh:
-                sizes.append(json.loads(line)["size"])
+            sizes = [json.loads(line)["size"] for line in fh]
         sections["clusters"] = {
             "n_clusters": len(sizes),
             "n_items": sum(sizes),
@@ -438,9 +355,7 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> None:
     wallets_path = workdir / "wallets.csv"
     if wallets_path.exists():
         hits = read_wallet_csv(wallets_path)
-        by_chain: dict[str, int] = {}
-        for hit in hits:
-            by_chain[hit.chain] = by_chain.get(hit.chain, 0) + 1
+        by_chain = Counter(hit.chain for hit in hits)
         sections["wallets"] = {"total": len(hits), "by_chain": by_chain}
     summary_path = workdir / "impact_summary.csv"
     if summary_path.exists():
@@ -449,10 +364,9 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> None:
         sections["top_features"] = top
     if not sections:
         raise MissingArtifact("no stage outputs found in workdir; run stages first")
-    report_path = workdir / "report.json"
-    _write_json(report_path, sections)
-    _finish_stage(config, "report", {"workdir": str(workdir)}, [report_path], started)
+    report_path = _write(workdir / "report.json", _json, sections)
     print(f"report: {', '.join(sorted(sections))} -> {report_path}")
+    return {"workdir": str(workdir)}, [report_path]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,7 +429,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        _COMMANDS[args.stage](config, args)
+        started = time.monotonic()
+        workdir = Path(config.workdir)
+        workdir.mkdir(parents=True, exist_ok=True)
+        inputs, outputs = _COMMANDS[args.stage](config, args, workdir)
+        stage = f"evaluate_{args.split}" if args.stage == "evaluate" else args.stage
+        write_stage_manifest(
+            workdir,
+            stage,
+            config_digest=config_hash(config.to_dict()),
+            root_seed=config.seed,
+            inputs=inputs,
+            outputs=outputs,
+        )
+        write_timing(workdir, stage, time.monotonic() - started)
     # A corrupt or truncated corpus.sqlite surfaces as sqlite3.DatabaseError
     # on the first query that touches the damaged pages.
     except (SuspkitError, FileNotFoundError, ValueError, sqlite3.DatabaseError) as exc:

@@ -30,7 +30,6 @@ class ClusterAssignment:
     item_ids: list[str]
     labels: np.ndarray  # (n,) cluster index per item
     leader_rows: list[int]  # item row founding each cluster
-    centroids: np.ndarray  # (k, d) renormalized member means
     _member_lists: list[list[int]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -190,13 +189,7 @@ def cluster_cosine(X: EmbeddingMatrix | np.ndarray, tau: float,
         labels[start + new] = k0 + np.arange(new.size)
         leader_rows.extend((start + new).tolist())
 
-    k = len(leader_rows)
-    centroids = np.zeros((k, d))
-    if n:
-        np.add.at(centroids, labels, unit)
-        centroids = _normalized_rows(centroids / np.bincount(labels, minlength=k)[:, None])
-    return ClusterAssignment(item_ids=list(item_ids), labels=labels,
-                             leader_rows=leader_rows, centroids=centroids)
+    return ClusterAssignment(item_ids=list(item_ids), labels=labels, leader_rows=leader_rows)
 
 
 def cluster_report(assignment: ClusterAssignment, texts: Sequence[str], *,

@@ -11,7 +11,7 @@ reproduces the training features bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
@@ -61,7 +61,6 @@ from .suspension_model import (
     EvalReport,
     FeatureMatrix,
     TrainedModel,
-    assemble,
     kfold_cv,
     select_features,
     train,
@@ -87,6 +86,16 @@ from .vectors import EmbeddingMatrix
 from .wallets import WalletHit, extract_wallets
 
 DEFAULT_WINDOW_START = "2022-02-23T00:00:00+00:00"
+
+# The value types a config field takes, by the type of its default;
+# a list of strings stands for a tuple, as in a JSON config.
+_ACCEPTED = {
+    int: (int,),
+    float: (int, float),
+    str: (str,),
+    type(None): (str, type(None)),
+    tuple: (list, tuple),
+}
 
 
 @dataclass
@@ -126,12 +135,22 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepted = _ACCEPTED[type(f.default)]
+            if isinstance(value, bool) or not isinstance(value, accepted) or (
+                isinstance(value, (list, tuple)) and not all(isinstance(v, str) for v in value)
+            ):
+                names = " or ".join(t.__name__ for t in accepted)
+                raise ValueError(f"config {f.name} must be {names}, not {value!r}")
         self.families = tuple(self.families)
         self.keywords = tuple(self.keywords)
         self.relations = tuple(self.relations)
         unknown = set(self.families) - set(FAMILY_ORDER)
         if unknown:
             raise ValueError(f"unknown families: {sorted(unknown)}")
+        if not self.families:
+            raise ValueError("no families given")
 
     def window_start_epoch(self) -> int:
         epoch = parse_status_date(self.window_start)
@@ -192,24 +211,44 @@ class ExtractionContext:
 
 @dataclass
 class WindowFeatures:
-    window: TimeWindow
-    families: dict[str, FeatureMatrix]
+    """One window's feature matrix: the columns of every family in
+    FAMILY_ORDER, one row per kept user.  `families` names the columns
+    of each family."""
+
+    families: dict[str, tuple[str, ...]]
     combined: FeatureMatrix
     dropped_users: list[str]
     context: ExtractionContext
 
 
-def _embed_posts(
-    provider: EmbeddingProvider, post_ids: list[str], texts: list[str]
-) -> EmbeddingMatrix:
+def _block(names: tuple[str, ...], rows: list[dict]) -> tuple[tuple[str, ...], np.ndarray]:
+    """A family's columns from one feature dict per user."""
+    X = np.asarray([[r[name] for name in names] for r in rows], dtype=np.float64)
+    return names, X.reshape(len(rows), len(names))
+
+
+def _reduce_posts(
+    provider: EmbeddingProvider,
+    ids: list[str],
+    texts: list[str],
+    pca: PcaModel | None,
+    config: PipelineConfig,
+    stage: str,
+) -> tuple[EmbeddingMatrix, PcaModel]:
+    """Post vectors reduced by `pca`, or by a PCA fitted on them under
+    the seed of `stage` when `pca` is None: (reduced posts, PCA)."""
     # The fallback encoder depends only on the text, so duplicate
     # texts are encoded once; the precomputed provider is keyed by
     # post id and looked up directly.
     if isinstance(provider, PrecomputedEmbeddings):
-        return provider.embed(post_ids, texts)
-    unique, inverse = np.unique(np.asarray(texts, dtype=object), return_inverse=True)
-    encoded = provider.embed([str(i) for i in range(len(unique))], list(unique))
-    return EmbeddingMatrix(item_ids=post_ids, vectors=encoded.vectors[inverse])
+        raw = provider.embed(ids, texts).vectors
+    else:
+        unique, inverse = np.unique(np.asarray(texts, dtype=object), return_inverse=True)
+        raw = provider.embed([str(i) for i in range(len(unique))], list(unique)).vectors[inverse]
+    if pca is None:
+        k = min(config.pca_components, raw.shape[1], len(ids))
+        pca = pca_fit(raw, k, seed=stage_seed(config.seed, stage))
+    return EmbeddingMatrix(ids, pca_transform(pca, raw)), pca
 
 
 def extract_window_features(
@@ -220,97 +259,75 @@ def extract_window_features(
     config: PipelineConfig,
     context: ExtractionContext | None = None,
 ) -> WindowFeatures:
-    """Feature matrices of `config.families` for one window's labeled users.
+    """The feature matrix of `config.families` for one window's labeled users.
 
     `tweets` is the window's `read_window` table of all users, so the
     store is read only for snapshots.  Users without any in-window
-    profile snapshot are dropped from all families so every family
-    covers the same user set.  Pass the training window's context when
-    extracting an evaluation window: its IDF table, PCA basis, graph and
-    node embeddings are reused as they are, whatever the window.  The
-    node embeddings are the run's one graph fit: on the window graph
-    minus the edges the graph stage holds out for ranking.  A user
-    outside the context's graph, or every user when no training edge is
-    left, gets an all-NaN graph row, which the model imputes with its
-    training medians.
+    profile snapshot are dropped.  Without a context, the IDF table, PCA
+    basis, graph and node embeddings are fitted here; pass the training
+    window's context when extracting an evaluation window and they are
+    read from it as they are, whatever the window.  The node embeddings
+    are the run's one graph fit: on the window graph minus the edges the
+    graph stage holds out for ranking.  A user outside the context's
+    graph, or every user when no training edge is left, gets an all-NaN
+    graph row, which the model imputes with its training medians.
     """
     families = config.families
+    fit = context is None
+    if fit:
+        context = ExtractionContext()
 
-    kept: list[str] = []
-    dropped: list[str] = []
-    snaps_map = {}
-    for user in sorted(users):
-        snaps = store.snapshots(user, window)
-        if snaps:
-            kept.append(user)
-            snaps_map[user] = snaps
-        else:
-            dropped.append(user)
-    y = np.asarray([users[u] for u in kept], dtype=np.int64)
+    snaps_map = {user: store.snapshots(user, window) for user in sorted(users)}
+    kept = [user for user, snaps in snaps_map.items() if snaps]
+    dropped = [user for user, snaps in snaps_map.items() if not snaps]
     timelines = {u: tweets.get(u, []) for u in kept}
 
-    out_context = replace(context) if context else ExtractionContext()
-    mats: dict[str, FeatureMatrix] = {}
-
+    # (column names, block) per family, visited in FAMILY_ORDER.
+    blocks: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
     if "profile" in families:
-        rows = [features_from_snapshots(snaps_map[u], window) for u in kept]
-        X = np.asarray([[r[name] for name in PROFILE_FEATURE_NAMES] for r in rows])
-        X = X.reshape(len(kept), len(PROFILE_FEATURE_NAMES))
-        mats["profile"] = FeatureMatrix(PROFILE_FEATURE_NAMES, list(kept), X, y)
-
+        blocks["profile"] = _block(
+            PROFILE_FEATURE_NAMES, [features_from_snapshots(snaps_map[u], window) for u in kept]
+        )
     if "activity" in families:
-        rows = [activity_features(timelines[u]) for u in kept]
-        X = np.asarray([[r[name] for name in ACTIVITY_FEATURE_NAMES] for r in rows])
-        X = X.reshape(len(kept), len(ACTIVITY_FEATURE_NAMES))
-        mats["activity"] = FeatureMatrix(ACTIVITY_FEATURE_NAMES, list(kept), X, y)
-
+        blocks["activity"] = _block(
+            ACTIVITY_FEATURE_NAMES, [activity_features(timelines[u]) for u in kept]
+        )
     if "textual" in families:
-        if out_context.idf is None:
-            out_context.idf = build_idf({u: user_hashtag_counts(timelines[u]) for u in kept})
-        rows = [textual_features(timelines[u], out_context.idf) for u in kept]
-        X = np.asarray([[r[name] for name in TEXTUAL_FEATURE_NAMES] for r in rows])
-        X = X.reshape(len(kept), len(TEXTUAL_FEATURE_NAMES))
-        mats["textual"] = FeatureMatrix(TEXTUAL_FEATURE_NAMES, list(kept), X, y)
+        if fit:
+            context.idf = build_idf({u: user_hashtag_counts(timelines[u]) for u in kept})
+        blocks["textual"] = _block(
+            TEXTUAL_FEATURE_NAMES, [textual_features(timelines[u], context.idf) for u in kept]
+        )
 
     if "post_embedding" in families:
-        if out_context.provider is None:
-            out_context.provider = make_provider(config)
-        post_ids, post_texts = [], []
-        per_user: dict[str, tuple[list[str], list[str]]] = {}
-        for u in kept:
-            ids = [t.tweet_id for t in timelines[u]]
-            kinds = [t.kind for t in timelines[u]]
-            per_user[u] = (ids, kinds)
-            post_ids.extend(ids)
-            post_texts.extend(t.text for t in timelines[u])
-        if out_context.pca is None and len(post_ids) < 2:
-            raise SuspkitError("too few posts to fit the embedding reduction")
-        if post_ids:
-            raw = _embed_posts(out_context.provider, post_ids, post_texts)
-            if out_context.pca is None:
-                k = min(config.pca_components, raw.dim, len(post_ids))
-                out_context.pca = pca_fit(raw.vectors, k,
-                                          seed=stage_seed(config.seed, "pca"))
-            reduced = EmbeddingMatrix(post_ids, pca_transform(out_context.pca, raw.vectors))
-            index = reduced.row_index()
-        else:
-            reduced = EmbeddingMatrix([], np.empty((0, out_context.pca.k)))
-            index = {}
-        names = post_embedding_feature_names(out_context.pca.k)
+        posts = [t for u in kept for t in timelines[u]]
+        if fit:
+            if len(posts) < 2:
+                raise SuspkitError("too few posts to fit the embedding reduction")
+            context.provider = make_provider(config)
+        reduced, pca = _reduce_posts(
+            context.provider, [t.tweet_id for t in posts], [t.text for t in posts],
+            context.pca, config, "pca",
+        )
+        if fit:
+            context.pca = pca
+        index = reduced.row_index()
+        names = post_embedding_feature_names(pca.k)
         X = np.empty((len(kept), len(names)))
         for i, u in enumerate(kept):
-            ids, kinds = per_user[u]
-            X[i] = aggregate_post_embeddings(ids, kinds, reduced, index)
-        mats["post_embedding"] = FeatureMatrix(names, list(kept), X, y)
+            X[i] = aggregate_post_embeddings(
+                [t.tweet_id for t in timelines[u]], [t.kind for t in timelines[u]], reduced, index
+            )
+        blocks["post_embedding"] = names, X
 
     if "graph_embedding" in families:
-        if out_context.graph is None:
-            out_context.graph = build_graph(
+        if fit:
+            context.graph = build_graph(
                 chain.from_iterable(tweets.values()), relations=config.relations
             )
-            train_graph = _graph_split(out_context.graph, config)[0]
+            train_graph = _graph_split(context.graph, config)[0]
             if train_graph.n_edges:
-                out_context.node_embeddings = train_embeddings(
+                context.node_embeddings = train_embeddings(
                     train_graph,
                     dim=config.graph_dim,
                     epochs=config.graph_epochs,
@@ -319,32 +336,32 @@ def extract_window_features(
                     batch_size=config.graph_batch,
                     seed=stage_seed(config.seed, "graph"),
                 )
-        names = graph_feature_names(config.graph_dim)
-        if out_context.node_embeddings is not None:
-            X = export_node_features(out_context.node_embeddings, kept)
+        if context.node_embeddings is not None:
+            X = export_node_features(context.node_embeddings, kept)
         else:
             X = np.full((len(kept), config.graph_dim), np.nan)
-        mats["graph_embedding"] = FeatureMatrix(names, list(kept), X, y)
+        blocks["graph_embedding"] = graph_feature_names(config.graph_dim), X
 
     return WindowFeatures(
-        window=window,
-        families=mats,
-        combined=assemble(mats),
+        families={name: names for name, (names, _) in blocks.items()},
+        combined=FeatureMatrix(
+            feature_names=tuple(chain.from_iterable(names for names, _ in blocks.values())),
+            user_ids=kept,
+            X=np.hstack([X for _, X in blocks.values()]),
+            y=np.asarray([users[u] for u in kept], dtype=np.int64),
+        ),
         dropped_users=dropped,
-        context=out_context,
+        context=context,
     )
 
 
-def select_users_for_window(store: CorpusStore, window: TimeWindow, seed: int) -> dict[str, int]:
-    users = select_window_users(window, store.labels(), store.active_users(window))
-    return undersample_balance(users, seed)
-
-
-def _balanced_users(
+def balanced_users(
     store: CorpusStore, config: PipelineConfig, window: TimeWindow
 ) -> dict[str, int]:
+    """The window's labeled active users, undersampled to balanced classes."""
+    users = select_window_users(window, store.labels(), store.active_users(window))
     seed = stage_seed(config.seed, f"balance:{window.start}:{window.end}")
-    return select_users_for_window(store, window, seed)
+    return undersample_balance(users, seed)
 
 
 def split_users(
@@ -386,7 +403,7 @@ def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitF
     the last two under the context fitted on the train split.  Each
     window is read once, window 1 freed before window 2 is read."""
     windows = config.windows()
-    users = _balanced_users(store, config, windows[0])
+    users = balanced_users(store, config, windows[0])
     train_users, test_users = split_users(
         users, config.test_fraction, stage_seed(config.seed, "split")
     )
@@ -399,7 +416,7 @@ def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitF
         )
     del tweets
     try:
-        second_users = _balanced_users(store, config, windows[1])
+        second_users = balanced_users(store, config, windows[1])
     except EmptyClass:
         second_users = {}
     second_test = None
@@ -475,11 +492,9 @@ def run_clustering(store: CorpusStore, config: PipelineConfig) -> ClusterArtifac
     texts = [t.text for t in posts]
     post_ids = [t.tweet_id for t in posts]
     if len(posts) >= 2:
-        provider = make_provider(config)
-        raw = _embed_posts(provider, post_ids, texts)
-        k = min(config.pca_components, raw.dim, len(posts))
-        pca = pca_fit(raw.vectors, k, seed=stage_seed(config.seed, "cluster-pca"))
-        reduced = EmbeddingMatrix(post_ids, pca_transform(pca, raw.vectors))
+        reduced, _ = _reduce_posts(
+            make_provider(config), post_ids, texts, None, config, "cluster-pca"
+        )
     else:
         reduced = EmbeddingMatrix(post_ids, np.zeros((len(posts), 1)))
     assignment = cluster_cosine(reduced, tau=config.tau)

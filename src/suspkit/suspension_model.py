@@ -1,5 +1,5 @@
-"""Feature-matrix assembly, feature selection, classifier training,
-and evaluation for the suspended-vs-normal account task.
+"""Feature matrices, feature selection, classifier training, and
+evaluation for the suspended-vs-normal account task.
 
 Matrices carry NaN sentinels for missing values; models store the
 training medians used to impute them so inference matches training.
@@ -29,10 +29,6 @@ MODEL_KIND_LOGISTIC = "logistic"
 SPLIT_VALIDATION = "validation"
 SPLIT_TEST = "test"
 SPLIT_SECOND_TEST = "second_test"
-
-
-class UserSetMismatch(SuspkitError):
-    pass
 
 
 class SchemaMismatch(SuspkitError):
@@ -114,43 +110,6 @@ class FeatureMatrix:
                 labels.append(int(record[-1]))
         X = np.asarray(rows, dtype=np.float64).reshape(len(user_ids), len(names))
         return cls(feature_names=names, user_ids=user_ids, X=X, y=np.asarray(labels))
-
-
-def assemble(families: dict[str, FeatureMatrix]) -> FeatureMatrix:
-    """Concatenate family matrices column-wise in the fixed family
-    order, rows aligned on the sorted shared user set."""
-    unknown = set(families) - set(FAMILY_ORDER)
-    if unknown:
-        raise ValueError(f"unknown families: {sorted(unknown)}")
-    if not families:
-        raise ValueError("no families given")
-    selected = [name for name in FAMILY_ORDER if name in families]
-
-    user_set = set(families[selected[0]].user_ids)
-    for name in selected[1:]:
-        if set(families[name].user_ids) != user_set:
-            raise UserSetMismatch(f"family {name!r} covers a different user set")
-    users = sorted(user_set)
-
-    blocks, names = [], []
-    y_ref = None
-    for name in selected:
-        fam = families[name]
-        index = {u: i for i, u in enumerate(fam.user_ids)}
-        rows = [index[u] for u in users]
-        blocks.append(fam.X[rows])
-        names.extend(fam.feature_names)
-        y = fam.y[rows]
-        if y_ref is None:
-            y_ref = y
-        elif not np.array_equal(y_ref, y):
-            raise ValueError(f"family {name!r} disagrees on labels")
-    return FeatureMatrix(
-        feature_names=tuple(names),
-        user_ids=users,
-        X=np.concatenate(blocks, axis=1),
-        y=y_ref,
-    )
 
 
 class LogisticModel:

@@ -1,7 +1,8 @@
 """API-surface guards: every public function, class and method in
 `src/suspkit` and `bench` is referenced somewhere in that code outside
-its own definition, and every name a module of `src/suspkit` or `tests`
-imports is used in that module.
+its own definition, every name a module of `src/suspkit` or `tests`
+imports is used in that module, and every public dataclass field is read
+by that code.
 
 References are matched by name: a bare name, an attribute, an imported
 name, or a word of a string constant (`bench/layer_trace.py` wraps
@@ -156,3 +157,64 @@ def test_import_guard_catches_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(tmp_path) == {"mod:math", "mod:np", "mod:Path"}
+
+
+# Class.field -> why it stays although no program code reads it
+ALLOWED_FIELDS = {
+    "PcaModel.explained_variance": "the PCA oracle checks compare it with the dense eigensolver",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(roots=SCANNED) -> set[str]:
+    """`Class.field` for each public dataclass field that no attribute
+    load and no word of a non-docstring string constant reads."""
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for root in roots
+        for path in sorted(root.rglob("*.py"))
+    ]
+    read = set()
+    for tree in trees:
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                read.update(WORD.findall(node.value))
+    unread = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unread.update(
+                    f"{node.name}.{item.target.id}" for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and not item.target.id.startswith("_") and item.target.id not in read
+                )
+    return unread
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    assert unread_fields() == set(ALLOWED_FIELDS)
+
+
+def test_field_guard_catches_an_unread_field(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Mentions `Box.docs` in a docstring."""\n\n'
+        "import dataclasses\nfrom dataclasses import dataclass\n\n"
+        "@dataclass\nclass Box:\n    read: int\n    named: int\n    docs: int\n"
+        "    written: int\n    _private: int = 0\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Lid:\n    hinge: int\n\n"
+        "class Plain:\n    loose: int\n\n"
+        "def use(box):\n    box.written = box.read\n    return getattr(box, 'named')\n",
+        encoding="utf-8",
+    )
+    assert unread_fields([tmp_path]) == {"Box.docs", "Box.written", "Lid.hinge"}

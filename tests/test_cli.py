@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -15,7 +16,7 @@ from suspkit.graph_embedding import (
     train_embeddings,
     write_graph_csv,
 )
-from suspkit.manifest import canonical_json, read_manifest, stage_seed
+from suspkit.manifest import canonical_json, config_hash, read_manifest, stage_seed
 from suspkit.pipeline import PipelineConfig, extract_split_features, train_with_cv
 from suspkit.suspension_model import (
     SPLIT_SECOND_TEST,
@@ -151,6 +152,22 @@ class TestStageSequence:
         assert set(families) == {"profile", "activity"}
 
 
+    def test_rows_enter_the_config_hash(self, workdir, tmp_path):
+        wd, _ = workdir
+        _copy(["model.json", "features_train.csv", "features_test.csv"], wd, tmp_path)
+        base = ["--workdir", str(tmp_path), "--seed", "3"]
+        hashes = []
+        for rows in (["--rows", "3"], []):
+            assert cli.main(base + ["explain", *rows]) == 0
+            hashes.append(read_manifest(tmp_path / "explain.manifest.json")["config_hash"])
+            if rows:
+                with open(tmp_path / "explanations.csv", newline="", encoding="utf-8") as fh:
+                    assert len({row["user_id"] for row in csv.DictReader(fh)}) == 3
+        config = PipelineConfig(workdir=str(tmp_path), seed=3, explain_instances=3)
+        assert hashes[0] == config_hash(config.to_dict())
+        assert hashes[0] != hashes[1]
+
+
 class TestFailureModes:
     def test_evaluate_before_train_exits_3(self, tmp_path, capsys):
         code = cli.main(["--workdir", str(tmp_path), "evaluate", "--split", "test"])
@@ -186,8 +203,24 @@ class TestFailureModes:
         assert err["error"] == "ValueError"
         assert "JSON object" in err["message"]
 
+    @pytest.mark.parametrize(
+        "content", ['{"window_days": "21"}', '{"n_rounds": "30"}', '{"tau": true}',
+                    '{"families": "profile"}', '{"embeddings_file": 3}'],
+        ids=["int", "int-rounds", "float", "tuple", "optional-str"],
+    )
+    def test_mistyped_config_value_exits_3(self, tmp_path, capsys, content):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        code = cli.main(["--config", str(config), "--workdir", str(tmp_path), "synth",
+                         "--suspended", "2", "--normal", "2"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert next(iter(json.loads(content))) in err["message"]
+        assert not (tmp_path / "synth").exists()
+
     def test_unexpected_exception_exits_4(self, tmp_path, capsys, monkeypatch):
-        def boom(config, args):
+        def boom(config, args, workdir):
             raise RuntimeError("wires crossed")
 
         monkeypatch.setitem(cli._COMMANDS, "report", boom)
@@ -345,6 +378,32 @@ class TestCliMatchesPipeline:
         assert len(names) == 7
         for name in names:
             assert (wd / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+class TestStaleSplits:
+    def test_features_without_a_second_test_removes_its_artifacts(
+        self, two_window_run, workdir, tmp_path, capsys
+    ):
+        # A two-window run scored second_test; then a one-window corpus
+        # is ingested into the same workdir and featurized.
+        split_files = ["features_second_test.csv", "report_second_test.json",
+                       "roc_second_test.csv", "pr_second_test.csv"]
+        _copy(["config.json", "features_test.csv", *split_files], two_window_run, tmp_path)
+        synth_dir = workdir[0] / "synth"
+        base = ["--config", str(tmp_path / "config.json"), "--workdir", str(tmp_path),
+                "--seed", "3"]
+        assert cli.main(base + ["ingest",
+                                "--tweets", str(synth_dir / "tweets.jsonl"),
+                                "--snapshots", str(synth_dir / "snapshots.jsonl"),
+                                "--labels", str(synth_dir / "labels.csv")]) == 0
+        assert cli.main(base + ["features"]) == 0
+        assert [name for name in split_files if (tmp_path / name).exists()] == []
+        assert cli.main(base + ["train"]) == 0
+        capsys.readouterr()
+        assert cli.main(base + ["evaluate", "--split", "second_test"]) == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "MissingArtifact"
+        assert cli.main(base + ["report"]) == 0
+        assert "second_test" not in json.loads((tmp_path / "report.json").read_text())
 
 
 @pytest.fixture(scope="module")

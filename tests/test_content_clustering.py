@@ -66,14 +66,7 @@ def gemv_leader_clustering(X, tau):
         leader_buf[k] = unit[i]
         leader_rows.append(i)
         labels[i] = k
-    k = len(leader_rows)
-    centroids = np.zeros((k, d))
-    if n:
-        np.add.at(centroids, labels, unit)
-        means = centroids / np.bincount(labels, minlength=k)[:, None]
-        mean_norms = np.linalg.norm(means, axis=1, keepdims=True)
-        centroids = means / np.where(mean_norms == 0.0, 1.0, mean_norms)
-    return labels, leader_rows, centroids
+    return labels, leader_rows
 
 
 def random_unit_rows(rng, n, d):
@@ -140,13 +133,6 @@ class TestClusterCosine:
         assert got.n_clusters == 0
         assert got.labels.shape == (0,)
 
-    def test_centroids_are_normalized_member_means(self):
-        X = np.array([[1.0, 0.0], [math.cos(0.1), math.sin(0.1)]])
-        got = cluster_cosine(X, 0.9)
-        assert got.n_clusters == 1
-        mean = X.mean(axis=0)
-        np.testing.assert_allclose(got.centroids[0], mean / np.linalg.norm(mean))
-
     def test_tau_validation(self):
         with pytest.raises(ValueError):
             cluster_cosine(np.eye(2), 0.0)
@@ -190,10 +176,9 @@ class TestBlockedScan:
 
     def assert_same(self, X, tau):
         got = cluster_cosine(X, tau)
-        labels, leaders, centroids = gemv_leader_clustering(X, tau)
+        labels, leaders = gemv_leader_clustering(X, tau)
         assert got.labels.tolist() == labels.tolist()
         assert got.leader_rows == leaders
-        np.testing.assert_array_equal(got.centroids, centroids)
         return got
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -395,7 +380,6 @@ class TestAssignmentValidation:
                 item_ids=["a"],
                 labels=np.array([0, 0]),
                 leader_rows=[0],
-                centroids=np.ones((1, 2)),
             )
 
     def test_members_lookup(self):

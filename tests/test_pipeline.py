@@ -1,3 +1,4 @@
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,13 +18,14 @@ from suspkit.graph_embedding import (
     write_graph_csv,
 )
 from suspkit.manifest import stage_seed
+from suspkit.profile_features import PROFILE_FEATURE_NAMES
 from suspkit.pipeline import (
     PipelineConfig,
+    balanced_users,
     extract_split_features,
     extract_window_features,
     run_clustering,
     run_graph_stage,
-    select_users_for_window,
     split_users,
     train_with_cv,
 )
@@ -87,6 +89,14 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(families=("profile", "weather"))
 
+    def test_value_types(self):
+        config = PipelineConfig(tau=1, families=["profile"], embeddings_file="e.emb1")
+        assert config.tau == 1 and config.families == ("profile",)
+        for bad in ({"seed": True}, {"tau": "0.9"}, {"families": ("profile", 1)},
+                    {"workdir": None}, {"keywords": "crypto"}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                PipelineConfig(**bad)
+
     def test_windows_are_back_to_back(self):
         first, second = fast_config().windows()
         assert second.start == first.end
@@ -104,8 +114,8 @@ class TestPipelineConfig:
 
 class TestUserSelection:
     def test_balanced_classes(self, store):
-        window, _ = fast_config().windows()
-        users = select_users_for_window(store, window, seed=0)
+        config = fast_config()
+        users = balanced_users(store, config, config.windows()[0])
         counts = {0: 0, 1: 0}
         for label in users.values():
             counts[label] += 1
@@ -133,27 +143,35 @@ class TestExtraction:
     def test_all_families_present_and_aligned(self, store):
         config = fast_config()
         window, _ = config.windows()
-        users = select_users_for_window(store, window, seed=0)
+        users = balanced_users(store, config, window)
         features = extract_window_features(store, window, read_window(store, window), users, config)
         assert set(features.families) == set(FAMILY_ORDER)
-        total = sum(m.width for m in features.families.values())
+        total = sum(len(names) for names in features.families.values())
         assert features.combined.width == total
         assert features.combined.user_ids == sorted(users)
         assert features.dropped_users == []
-        for matrix in features.families.values():
-            assert matrix.user_ids == features.combined.user_ids
+
+    def test_columns_follow_family_order(self, store):
+        config = fast_config(families=tuple(reversed(FAMILY_ORDER)))
+        window, _ = config.windows()
+        users = balanced_users(store, config, window)
+        features = extract_window_features(store, window, read_window(store, window), users, config)
+        assert tuple(features.families) == FAMILY_ORDER
+        names = features.combined.feature_names
+        assert names == tuple(chain.from_iterable(features.families.values()))
+        assert names[:len(PROFILE_FEATURE_NAMES)] == PROFILE_FEATURE_NAMES
 
     def test_family_subset(self, store):
         config = fast_config(families=("profile", "activity"))
         window, _ = config.windows()
-        users = select_users_for_window(store, window, seed=0)
+        users = balanced_users(store, config, window)
         features = extract_window_features(store, window, read_window(store, window), users, config)
         assert set(features.families) == {"profile", "activity"}
 
     def test_context_reuse_is_bit_identical(self, store):
         config = fast_config(families=("textual", "post_embedding"))
         window, _ = config.windows()
-        users = select_users_for_window(store, window, seed=0)
+        users = balanced_users(store, config, window)
         first = extract_window_features(store, window, read_window(store, window), users, config)
         again = extract_window_features(
             store, window, read_window(store, window), users, config, context=first.context
@@ -164,11 +182,9 @@ class TestExtraction:
         with pytest.raises(ValueError, match="unknown families"):
             fast_config(families=("weather",))
 
-    def test_empty_family_list_rejected(self, store):
-        config = fast_config(families=())
-        window, _ = config.windows()
+    def test_empty_family_list_rejected(self):
         with pytest.raises(ValueError, match="no families"):
-            extract_window_features(store, window, read_window(store, window), {}, config)
+            fast_config(families=())
 
 
 class TestWindowReads:
@@ -218,8 +234,9 @@ class TestGraphReuse:
 
     @staticmethod
     def graph_rows(features):
-        matrix = features.families["graph_embedding"]
-        return dict(zip(matrix.user_ids, matrix.X))
+        matrix = features.combined
+        columns = [matrix.feature_names.index(n) for n in features.families["graph_embedding"]]
+        return dict(zip(matrix.user_ids, matrix.X[:, columns]))
 
     def test_shared_user_keeps_its_window1_vector(self, bridged_split):
         split, second_graph = bridged_split
@@ -288,7 +305,7 @@ class TestTraining:
     def test_train_with_cv_applies_mask(self, store):
         config = fast_config(families=("profile",))
         window, _ = config.windows()
-        users = select_users_for_window(store, window, seed=0)
+        users = balanced_users(store, config, window)
         features = extract_window_features(store, window, read_window(store, window), users, config)
         model, _, _ = train_with_cv(features.combined, config)
         assert model.medians.shape == (int(model.selection_mask.sum()),)
@@ -300,7 +317,7 @@ class TestSplitContext:
         # reused as it is, so the train users extracted again from their
         # own window under it give the train matrix bit for bit.
         split, config = artifacts.split, artifacts.config
-        window = split.train.window
+        window, _ = config.windows()
         again = extract_window_features(
             store, window, read_window(store, window), split.train_users, config,
             context=split.train.context,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suspkit.errors import SuspkitError
+from suspkit.pipeline import PipelineConfig
 from suspkit.suspension_model import (
     MODEL_KIND_GBDT,
     MODEL_KIND_LOGISTIC,
@@ -14,8 +15,6 @@ from suspkit.suspension_model import (
     LogisticModel,
     SchemaMismatch,
     TooFewSamples,
-    UserSetMismatch,
-    assemble,
     evaluate,
     evaluate_scores,
     f1_score,
@@ -117,54 +116,20 @@ class TestCsvRoundtrip:
 
 
 class TestAssemble:
-    def _family(self, name_prefix, users, labels):
-        X = np.arange(len(users) * 2, dtype=np.float64).reshape(len(users), 2)
-        return matrix_of(X, labels, names=(f"{name_prefix}_a", f"{name_prefix}_b"), users=users)
+    """The family-set checks of the split matrix's assembly.
 
-    def test_column_blocks_follow_family_order(self):
-        users = ["u1", "u2"]
-        fams = {
-            "activity": self._family("act", users, [0, 1]),
-            "profile": self._family("prof", users, [0, 1]),
-        }
-        combined = assemble(fams)
-        assert combined.feature_names == ("prof_a", "prof_b", "act_a", "act_b")
-
-    def test_rows_align_on_sorted_users_regardless_of_input_order(self):
-        profile = self._family("prof", ["u2", "u1"], [1, 0])
-        activity = self._family("act", ["u1", "u2"], [0, 1])
-        combined = assemble({"profile": profile, "activity": activity})
-        assert combined.user_ids == ["u1", "u2"]
-        # u1 was the second profile row and the first activity row
-        np.testing.assert_array_equal(combined.X[0], [2.0, 3.0, 0.0, 1.0])
-        np.testing.assert_array_equal(combined.y, [0, 1])
-
-    def test_label_disagreement_rejected(self):
-        users = ["u1", "u2"]
-        with pytest.raises(ValueError):
-            assemble(
-                {
-                    "profile": self._family("prof", users, [0, 1]),
-                    "activity": self._family("act", users, [1, 0]),
-                }
-            )
-
-    def test_user_set_mismatch(self):
-        with pytest.raises(UserSetMismatch):
-            assemble(
-                {
-                    "profile": self._family("prof", ["u1", "u2"], [0, 1]),
-                    "activity": self._family("act", ["u1", "u3"], [0, 1]),
-                }
-            )
+    `pipeline.extract_window_features` builds one matrix over
+    `config.families`, so the family set is checked where a config file
+    is read into a `PipelineConfig`.
+    """
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            assemble({"weather": self._family("w", ["u1"], [0])})
+        with pytest.raises(ValueError, match="unknown families"):
+            PipelineConfig.from_dict({"families": ["profile", "weather"]})
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            assemble({})
+        with pytest.raises(ValueError, match="no families"):
+            PipelineConfig.from_dict({"families": []})
 
 
 def oracle_auc(y, scores):
