@@ -178,10 +178,12 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace, workdir: Path
             path = workdir / f"features_{name}.csv"
             outputs.append(_write(path, lambda tmp, matrix: matrix.to_csv(tmp), feats.combined))
             continue
-        # A split without users this run loses the features and scores of
-        # an earlier run, so that `evaluate` and `report` cannot take them.
+        # A split without users this run loses the features, scores and
+        # evaluate manifest of an earlier run, so that `evaluate` and
+        # `report` cannot take them and no manifest names a missing file.
         for stale in (f"features_{name}.csv", f"report_{name}.json", f"roc_{name}.csv",
-                      f"pr_{name}.csv"):
+                      f"pr_{name}.csv", f"evaluate_{name}.manifest.json",
+                      f"evaluate_{name}.timing.json"):
             (workdir / stale).unlink(missing_ok=True)
     outputs.append(_write(workdir / "families.json", _json, split.train.families))
     users = {

@@ -61,8 +61,10 @@ from .suspension_model import (
     EvalReport,
     FeatureMatrix,
     TrainedModel,
+    cv_mean,
     kfold_cv,
     select_features,
+    stratified_folds,
     train,
 )
 from .textual_features import (
@@ -84,6 +86,7 @@ from .text_embedding import (
 )
 from .vectors import EmbeddingMatrix
 from .wallets import WalletHit, extract_wallets
+from .workers import Workers, cpu_count
 
 DEFAULT_WINDOW_START = "2022-02-23T00:00:00+00:00"
 
@@ -440,28 +443,48 @@ def train_with_cv(
 ) -> tuple[TrainedModel, list[EvalReport], EvalReport]:
     """Feature selection and the final fit on the selected columns,
     then K-fold cross-validation on those columns: (model, fold
-    reports, CV mean)."""
-    mask = select_features(
-        matrix,
-        threshold=config.select_threshold,
-        kind=config.model_kind,
-        hyper=config.hyper(),
-    )
-    model = train(matrix, kind=config.model_kind, hyper=config.hyper(), mask=mask)
+    reports, CV mean).
+
+    The stage forks one worker per further CPU it may run on.  The
+    workers search the selection fit's splits beside this process, one
+    feature range each, and then take their share of the final fit and
+    the fold fits.  No result depends on the number of processes."""
+    with Workers(cpu_count() - 1, (matrix, config)) as workers:
+        mask = select_features(
+            matrix,
+            threshold=config.select_threshold,
+            kind=config.model_kind,
+            hyper=config.hyper(),
+            search=workers.spread_search,
+        )
+        folds = stratified_folds(matrix.y, k=config.k_folds, seed=stage_seed(config.seed, "folds"))
+        model, *fold_reports = workers.deal(_fit_share, config.k_folds + 1, mask, folds)
+    return model, fold_reports, cv_mean(fold_reports)
+
+
+def _fit_share(
+    data: tuple[FeatureMatrix, PipelineConfig], tasks: list[int], mask: np.ndarray,
+    folds: np.ndarray,
+) -> list:
+    """Task 0 is the final fit on the masked columns; task i > 0 fits
+    and scores CV fold i - 1 on those columns."""
+    matrix, config = data
+    results = []
+    if 0 in tasks:
+        results.append(train(matrix, kind=config.model_kind, hyper=config.hyper(), mask=mask))
     selected = FeatureMatrix(
-        feature_names=model.feature_names,
+        feature_names=tuple(name for name, keep in zip(matrix.feature_names, mask) if keep),
         user_ids=matrix.user_ids,
         X=matrix.X[:, mask],
         y=matrix.y,
     )
-    fold_reports, cv_mean = kfold_cv(
+    return results + kfold_cv(
         selected,
-        k=config.k_folds,
-        seed=stage_seed(config.seed, "folds"),
+        folds,
+        [task - 1 for task in tasks if task],
         kind=config.model_kind,
         hyper=config.hyper(),
     )
-    return model, fold_reports, cv_mean
 
 
 @dataclass

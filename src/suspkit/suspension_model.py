@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SuspkitError
-from .gbdt import GbdtClassifier, shap_inputs, sigmoid
+from .gbdt import GbdtClassifier, SplitSearch, shap_inputs, sigmoid, split_search
 
 FAMILY_ORDER = ("profile", "activity", "textual", "post_embedding", "graph_embedding")
 
@@ -309,10 +309,13 @@ def train(
     kind: str,
     hyper: dict,
     mask: np.ndarray | None = None,
+    search: SplitSearch = split_search,
 ) -> TrainedModel:
     """Fit a classifier of `kind` on the masked columns (all of them
     when mask is None).  `hyper` holds every setting of the model:
-    `PipelineConfig.hyper()` is the one place they are written down."""
+    `PipelineConfig.hyper()` is the one place they are written down.
+    `search` is the boosted model's split search (`GbdtClassifier.fit`);
+    the logistic model has none."""
     _check_labels(matrix.y)
     if mask is None:
         mask = np.ones(matrix.width, dtype=bool)
@@ -325,7 +328,10 @@ def train(
     X = matrix.X[:, mask]
     medians = _column_medians(X)
     inner = _make_inner(kind, hyper)
-    inner.fit(_impute(X, medians), matrix.y.astype(np.float64))
+    if isinstance(inner, GbdtClassifier):
+        inner.fit(_impute(X, medians), matrix.y.astype(np.float64), search)
+    else:
+        inner.fit(_impute(X, medians), matrix.y.astype(np.float64))
     return TrainedModel(
         kind=kind,
         input_feature_names=matrix.feature_names,
@@ -336,17 +342,23 @@ def train(
 
 
 def select_features(
-    matrix: FeatureMatrix, *, threshold: float, kind: str, hyper: dict
+    matrix: FeatureMatrix,
+    *,
+    threshold: float,
+    kind: str,
+    hyper: dict,
+    search: SplitSearch = split_search,
 ) -> np.ndarray:
     """Keep non-constant features whose preliminary-model importance
-    share is at least the threshold."""
+    share is at least the threshold.  `search` is the preliminary
+    fit's, as in `train`."""
     nan_aware_min = np.nanmin(np.where(np.isnan(matrix.X), np.inf, matrix.X), axis=0)
     nan_aware_max = np.nanmax(np.where(np.isnan(matrix.X), -np.inf, matrix.X), axis=0)
     non_constant = nan_aware_min < nan_aware_max
 
     if not non_constant.any():
         return non_constant
-    preliminary = train(matrix, kind=kind, hyper=hyper, mask=non_constant)
+    preliminary = train(matrix, kind=kind, hyper=hyper, mask=non_constant, search=search)
     importance = preliminary.inner.feature_importance()
     keep = importance >= threshold
     mask = np.zeros(matrix.width, dtype=bool)
@@ -478,18 +490,22 @@ def stratified_folds(y: np.ndarray, *, k: int, seed: int) -> np.ndarray:
 
 
 def kfold_cv(
-    matrix: FeatureMatrix, *, k: int, seed: int, kind: str, hyper: dict
-) -> tuple[list[EvalReport], EvalReport]:
-    """Stratified K-fold cross-validation; returns per-fold reports
-    and their mean (curves omitted from the mean)."""
-    folds = stratified_folds(matrix.y, k=k, seed=seed)
+    matrix: FeatureMatrix, folds: np.ndarray, fold_ids: Sequence[int], *, kind: str, hyper: dict
+) -> list[EvalReport]:
+    """Per fold in `fold_ids`, fit on the rows outside it and score the
+    rows in it; `folds` holds each row's fold (`stratified_folds`)."""
     reports = []
-    for fold in range(k):
-        train_rows = np.flatnonzero(folds != fold)
-        test_rows = np.flatnonzero(folds == fold)
-        model = train(matrix.subset_rows(train_rows), kind=kind, hyper=hyper)
-        reports.append(evaluate(model, matrix.subset_rows(test_rows), SPLIT_VALIDATION))
-    mean = EvalReport(
+    for fold in fold_ids:
+        model = train(matrix.subset_rows(np.flatnonzero(folds != fold)), kind=kind, hyper=hyper)
+        reports.append(
+            evaluate(model, matrix.subset_rows(np.flatnonzero(folds == fold)), SPLIT_VALIDATION)
+        )
+    return reports
+
+
+def cv_mean(reports: Sequence[EvalReport]) -> EvalReport:
+    """The mean of per-fold reports (curves omitted)."""
+    return EvalReport(
         split=SPLIT_VALIDATION,
         f1=float(np.mean([r.f1 for r in reports])),
         roc_auc=float(np.mean([r.roc_auc for r in reports])),
@@ -497,7 +513,6 @@ def kfold_cv(
         n_pos=sum(r.n_pos for r in reports),
         n_neg=sum(r.n_neg for r in reports),
     )
-    return reports, mean
 
 
 def write_curve_csv(path: str | Path, points: Sequence[tuple[float, float, float]]) -> None:

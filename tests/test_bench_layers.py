@@ -57,6 +57,8 @@ def test_traced_pass_counts_one_graph_fit(tmp_path):
                            "--labels", str(synth / "labels.csv")]],
         ["features", base + ["features"]],
         ["graph", base + ["graph"]],
+        # `train` forks its workers from inside the traced process.
+        ["train", base + ["train"]],
     ]
     plan = tmp_path / "plan.json"
     out = tmp_path / "trace.json"
@@ -77,3 +79,5 @@ def test_traced_pass_counts_one_graph_fit(tmp_path):
         seed=stage_seed(3, "graph-split"),
     )
     assert counts["graph_embedding.edge_epochs"] == train_graph.total_weight * config["graph_epochs"]
+    mask = json.loads((wd / "model.json").read_text())["selection_mask"]
+    assert counts["suspension_model.features_selected"] == sum(mask) > 0

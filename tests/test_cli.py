@@ -1,10 +1,16 @@
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from suspkit import cli, pipeline
 from suspkit.corpus import CorpusStore
+from suspkit.errors import SuspkitError
 from suspkit.graph_embedding import (
     build_graph,
     evaluate as evaluate_ranking,
@@ -404,6 +410,86 @@ class TestStaleSplits:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "MissingArtifact"
         assert cli.main(base + ["report"]) == 0
         assert "second_test" not in json.loads((tmp_path / "report.json").read_text())
+
+
+    def test_features_without_a_second_test_removes_its_evaluate_manifest(
+        self, two_window_run, workdir, tmp_path
+    ):
+        # The evaluate manifest of a split that is gone would name outputs
+        # that no longer exist.
+        stale = ["features_second_test.csv", "report_second_test.json",
+                 "evaluate_second_test.manifest.json", "evaluate_second_test.timing.json"]
+        _copy(["config.json", *stale], two_window_run, tmp_path)
+        _copy(["corpus.sqlite"], workdir[0], tmp_path)
+        argv = ["--config", str(tmp_path / "config.json"), "--workdir", str(tmp_path),
+                "--seed", "3", "features"]
+        assert cli.main(argv) == 0
+        assert [name for name in stale if (tmp_path / name).exists()] == []
+
+
+def _assert_no_child_processes():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTrainWorkers:
+    """`train` forks one worker per further CPU; these runs force two."""
+
+    @pytest.fixture
+    def train_dir(self, two_window_run, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 3)
+        _copy(["config.json", "features_train.csv"], two_window_run, tmp_path)
+        return tmp_path
+
+    @staticmethod
+    def _argv(wd):
+        return ["--config", str(wd / "config.json"), "--workdir", str(wd), "--seed", "3", "train"]
+
+    def test_train_leaves_no_worker_behind(self, two_window_run, train_dir):
+        assert cli.main(self._argv(train_dir)) == 0
+        _assert_no_child_processes()
+        for name in ("model.json", "cv_report.json"):
+            assert (train_dir / name).read_bytes() == (two_window_run / name).read_bytes()
+
+    @pytest.mark.parametrize("error, code, reported", [
+        (SuspkitError, 3, {"error": "SuspkitError"}),
+        (RuntimeError, 4, {"error": "InternalError", "type": "RuntimeError"}),
+    ])
+    def test_fold_fit_failing_in_a_worker(
+        self, train_dir, capsys, monkeypatch, error, code, reported
+    ):
+        parent = os.getpid()
+        kfold_cv = pipeline.kfold_cv
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise error("fold fit failed")
+            return kfold_cv(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "kfold_cv", failing)
+        assert cli.main(self._argv(train_dir)) == code
+        err = json.loads(capsys.readouterr().err.strip())
+        assert {key: err[key] for key in reported} == reported
+        assert err["message"] == "fold fit failed"
+        _assert_no_child_processes()
+        assert not (train_dir / "model.json").exists()
+
+    def test_forking_beside_running_blas_threads(self, two_window_run, train_dir):
+        # No BLAS pinning: OpenBLAS runs its thread pool when train forks.
+        env = {key: value for key, value in os.environ.items()
+               if not key.endswith("_NUM_THREADS")}
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys; import numpy as np; np.ones((400, 400)) @ np.ones((400, 400));"
+            "from suspkit import cli, pipeline; pipeline.cpu_count = lambda: 2;"
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        done = subprocess.run([sys.executable, "-c", script, *self._argv(train_dir)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (train_dir / "model.json").read_bytes() == (two_window_run / "model.json").read_bytes()
 
 
 @pytest.fixture(scope="module")

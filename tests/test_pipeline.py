@@ -29,7 +29,12 @@ from suspkit.pipeline import (
     split_users,
     train_with_cv,
 )
-from suspkit.suspension_model import FAMILY_ORDER, SPLIT_TEST, evaluate as evaluate_model
+from suspkit.suspension_model import (
+    FAMILY_ORDER,
+    SPLIT_TEST,
+    evaluate as evaluate_model,
+    save_model,
+)
 from suspkit.synth import GeneratorConfig, generate
 
 from conftest import snapshot_line, tweet_line
@@ -309,6 +314,27 @@ class TestTraining:
         features = extract_window_features(store, window, read_window(store, window), users, config)
         model, _, _ = train_with_cv(features.combined, config)
         assert model.medians.shape == (int(model.selection_mask.sum()),)
+
+
+class TestTrainWorkers:
+    """`train_with_cv` runs on every CPU it may use; no byte may depend on
+    how many that is."""
+
+    @pytest.mark.parametrize("kind", ["gbdt", "logistic"])
+    def test_same_bytes_at_any_process_count(self, artifacts, kind, tmp_path, monkeypatch):
+        config = fast_config(model_kind=kind)
+        outputs = []
+        for processes in (1, 2, 3):
+            monkeypatch.setattr(pipeline, "cpu_count", lambda: processes)
+            model, fold_reports, cv_mean = train_with_cv(artifacts.split.train.combined, config)
+            save_model(tmp_path / "model.json", model)
+            outputs.append((
+                (tmp_path / "model.json").read_bytes(),
+                [(r.to_dict(), r.roc_points, r.pr_points) for r in fold_reports],
+                cv_mean.to_dict(),
+            ))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestSplitContext:

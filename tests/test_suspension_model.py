@@ -15,6 +15,7 @@ from suspkit.suspension_model import (
     LogisticModel,
     SchemaMismatch,
     TooFewSamples,
+    cv_mean,
     evaluate,
     evaluate_scores,
     f1_score,
@@ -349,7 +350,9 @@ class TestFolds:
 class TestKfoldCv:
     def test_reports_and_mean(self):
         m = separable_matrix(n=80)
-        reports, mean = kfold_cv(m, k=4, seed=0, kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC)
+        folds = stratified_folds(m.y, k=4, seed=0)
+        reports = kfold_cv(m, folds, range(4), kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC)
+        mean = cv_mean(reports)
         assert len(reports) == 4
         assert mean.f1 == pytest.approx(np.mean([r.f1 for r in reports]))
         assert mean.roc_auc == pytest.approx(np.mean([r.roc_auc for r in reports]))
