@@ -25,6 +25,7 @@ import json
 import sqlite3
 import sys
 import time
+import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -218,12 +219,12 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace, workdir: Path
 def cmd_train(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     train_path = _require_artifact(workdir, "features_train.csv", "features")
     matrix = FeatureMatrix.from_csv(train_path)
-    model, fold_reports, cv_mean = train_with_cv(matrix, config)
+    model, cv_folds, cv_mean = train_with_cv(matrix, config)
     model_path = _write(workdir / "model.json", save_model, model)
     cv_path = _write(
         workdir / "cv_report.json",
         _json,
-        {"folds": [r.to_dict() for r in fold_reports], "mean": cv_mean.to_dict()},
+        {"folds": [fold.to_dict() for fold in cv_folds], "mean": cv_mean.to_dict()},
     )
     print(
         f"train: kind={config.model_kind} selected={len(model.feature_names)}"
@@ -453,7 +454,8 @@ def main(argv=None) -> int:
         return 3
     except Exception as exc:  # pragma: no cover - defensive
         line = {"error": "InternalError", "type": type(exc).__name__,
-                "message": str(exc), "stage": args.stage}
+                "message": str(exc), "stage": args.stage,
+                "traceback": traceback.format_exc()}
         print(json.dumps(line, sort_keys=True), file=sys.stderr)
         return 4
     return 0

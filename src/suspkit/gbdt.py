@@ -18,9 +18,7 @@ of the bin before it) and one segmented argmax per level picks each
 node's split.  Ties go to the first feature, then to the first bin.  A
 feature's totals are summed over its own bins only, and the parent term
 squares them as a scalar power would, so every gain keeps the bits of a
-per-node, per-feature search.  For the same reason a level's search can
-be split into ranges of features and merged (`merge_splits`) without
-changing a bit; `GbdtClassifier.fit` takes the search as a callable.
+per-node, per-feature search.
 
 Prediction walks no tree (QuickScorer, Lucchese et al., SIGIR 2015).
 Each tree's leaves are numbered left to right, and every split node
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -255,64 +252,6 @@ def _best_splits(
     return best_gain, layout.feature[best], layout.split_bin[best]
 
 
-# One fit's split search: per tree level, the rows of each node to
-# split and the round's gradients and hessians in, (gain, feature, split
-# bin) per node out.
-LevelSearch = Callable[
-    [list[np.ndarray], np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]
-]
-
-
-# Makes a fit's level search from its codes, bins, reg_lambda and
-# min_child_hess.
-SplitSearch = Callable[[np.ndarray, BinMapper, float, float], LevelSearch]
-
-
-def split_search(
-    codes: np.ndarray, mapper: BinMapper, lam: float, min_child_hess: float
-) -> LevelSearch:
-    """The level search over every column of `codes`."""
-    layout = _BinLayout.of(mapper)
-
-    def search(node_rows: list[np.ndarray], g: np.ndarray, h: np.ndarray):
-        return _best_splits(codes, node_rows, g, h, layout, lam, min_child_hess)
-
-    return search
-
-
-def feature_ranges(mapper: BinMapper, n_rows: int, parts: int) -> list[tuple[int, int]]:
-    """min(parts, features) contiguous, non-empty ranges of features that
-    cost about the same to search: a feature costs its rows plus its bins."""
-    d = len(mapper.uppers)
-    parts = max(1, min(parts, d))
-    cost = np.cumsum([n_rows + mapper.n_bins(j) for j in range(d)])
-    bounds = [0]
-    for p in range(1, parts):
-        cut = int(np.searchsorted(cost, cost[-1] * p / parts)) + 1
-        bounds.append(min(max(cut, bounds[-1] + 1), d - parts + p))
-    bounds.append(d)
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def merge_splits(
-    found: list[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level's splits from searches of contiguous feature ranges,
-    given in feature order as (first feature, result).  A later range
-    takes a node only with a strictly larger gain, so ties keep the first
-    feature, as in one search over all features.  A feature's gains
-    depend on its own bins and the node's rows alone, so the result keeps
-    every bit of that search."""
-    (start, (gain, feature, split_bin)), *rest = found
-    gain, feature, split_bin = gain.copy(), feature + start, split_bin.copy()
-    for start, (g, f, b) in rest:
-        better = g > gain
-        gain[better] = g[better]
-        feature[better] = f[better] + start
-        split_bin[better] = b[better]
-    return gain, feature, split_bin
-
-
 def _leaf_layout(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(leaf node ids left to right, first, mid): the left subtree of
     node i holds the leaves numbered first[i] <= k < mid[i]."""
@@ -504,15 +443,7 @@ class GbdtClassifier:
         self._split_gain: np.ndarray | None = None
         self._scorer: _BitmaskScorer | None = None
 
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        search: SplitSearch = split_search,
-    ) -> "GbdtClassifier":
-        """Fit on X, y.  `search(codes, mapper, reg_lambda,
-        min_child_hess)` makes the fit's level search; any search that
-        returns what `split_search`'s does leaves the model the same."""
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "GbdtClassifier":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -525,7 +456,7 @@ class GbdtClassifier:
         self.n_features = d
         mapper = BinMapper.fit(X, self.max_bins)
         codes = mapper.transform(X)
-        level_search = search(codes, mapper, self.reg_lambda, self.min_child_hess)
+        layout = _BinLayout.of(mapper)
 
         pos_rate = np.clip(y.mean(), 1e-6, 1.0 - 1e-6)
         self.base_score = float(np.log(pos_rate / (1.0 - pos_rate)))
@@ -538,7 +469,7 @@ class GbdtClassifier:
             p = sigmoid(raw)
             g = p - y
             h = p * (1.0 - p)
-            tree, leaves = self._grow_tree(codes, mapper, level_search, g, h)
+            tree, leaves = self._grow_tree(codes, mapper, layout, g, h)
             self.trees.append(tree)
             for rows, value in leaves:
                 raw[rows] += self.learning_rate * value
@@ -547,7 +478,7 @@ class GbdtClassifier:
         return self
 
     def _grow_tree(
-        self, codes: np.ndarray, mapper: BinMapper, search: LevelSearch,
+        self, codes: np.ndarray, mapper: BinMapper, layout: _BinLayout,
         g: np.ndarray, h: np.ndarray,
     ) -> tuple[Tree, list[tuple[np.ndarray, float]]]:
         """The tree, and (rows, value) of each of its leaves."""
@@ -573,7 +504,9 @@ class GbdtClassifier:
                     settle(node_id, rows)
             if not splittable:
                 break
-            best_gain, best_feat, best_bin = search([rows for _, rows in splittable], g, h)
+            best_gain, best_feat, best_bin = _best_splits(
+                codes, [rows for _, rows in splittable], g, h, layout, lam, self.min_child_hess
+            )
             frontier = []
             for i, (node_id, rows) in enumerate(splittable):
                 if best_gain[i] <= 0.0:

@@ -32,6 +32,10 @@ class EmptyGraph(SuspkitError):
     pass
 
 
+class DivergedFit(SuspkitError):
+    """The graph fit's loss stopped being finite."""
+
+
 @dataclass
 class RelationGraph:
     """Directed multigraph; parallel edges are folded into weights."""
@@ -212,7 +216,8 @@ def train_embeddings(
     seed: int,
 ) -> NodeEmbeddings:
     """Minibatch SGD fit of node and relation vectors.  The schedule
-    has no defaults here: the pipeline's lives in `PipelineConfig`."""
+    has no defaults here: the pipeline's lives in `PipelineConfig`.
+    Raises DivergedFit at the first epoch whose mean loss is not finite."""
     if graph.n_edges == 0:
         raise EmptyGraph("cannot train on a graph with no edges")
     if dim < 1:
@@ -228,7 +233,7 @@ def train_embeddings(
 
     n = src.shape[0]
     losses: list[float] = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         neg = rng.integers(0, graph.n_nodes, size=(n, negatives_per_edge))[order]
         s, r, d = src[order], rel[order], dst[order]
@@ -240,6 +245,11 @@ def train_embeddings(
             for b in range(0, n, batch_size)
         ]
         losses.append(float(np.mean(epoch_loss)))
+        if not np.isfinite(losses[-1]):
+            raise DivergedFit(
+                f"graph embedding loss is {losses[-1]} at epoch {epoch} of {epochs};"
+                " the fit diverged (lower graph_lr or graph_epochs)"
+            )
 
     return NodeEmbeddings(
         node_ids=list(graph.nodes),
@@ -262,6 +272,9 @@ def ranking_metrics(pos_scores: np.ndarray, neg_scores: np.ndarray) -> tuple[flo
         raise ValueError("expected pos (B,) and neg (B, N)")
     if pos_scores.shape[0] != neg_scores.shape[0]:
         raise ValueError("pos and neg row counts differ")
+    if not (np.isfinite(pos_scores).all() and np.isfinite(neg_scores).all()):
+        # NaN compares false both ways, so it would rank every positive first.
+        raise ValueError("ranking scores must be finite")
     above = (neg_scores > pos_scores[:, None]).sum(axis=1)
     tied = (neg_scores == pos_scores[:, None]).sum(axis=1)
     ranks = 1.0 + above + tied / 2.0

@@ -58,6 +58,7 @@ from .profile_features import PROFILE_FEATURE_NAMES, features_from_snapshots
 from .suspension_model import (
     FAMILY_ORDER,
     MODEL_KIND_GBDT,
+    CvFold,
     EvalReport,
     FeatureMatrix,
     TrainedModel,
@@ -440,50 +441,34 @@ def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitF
 
 def train_with_cv(
     matrix: FeatureMatrix, config: PipelineConfig
-) -> tuple[TrainedModel, list[EvalReport], EvalReport]:
-    """Feature selection and the final fit on the selected columns,
-    then K-fold cross-validation on those columns: (model, fold
-    reports, CV mean).
+) -> tuple[TrainedModel, list[CvFold], EvalReport]:
+    """The final model and K-fold cross-validation: (model, folds, CV mean).
 
-    The stage forks one worker per further CPU it may run on.  The
-    workers search the selection fit's splits beside this process, one
-    feature range each, and then take their share of the final fit and
-    the fold fits.  No result depends on the number of processes."""
-    with Workers(cpu_count() - 1, (matrix, config)) as workers:
-        mask = select_features(
-            matrix,
-            threshold=config.select_threshold,
-            kind=config.model_kind,
-            hyper=config.hyper(),
-            search=workers.spread_search,
-        )
-        folds = stratified_folds(matrix.y, k=config.k_folds, seed=stage_seed(config.seed, "folds"))
-        model, *fold_reports = workers.deal(_fit_share, config.k_folds + 1, mask, folds)
-    return model, fold_reports, cv_mean(fold_reports)
+    K + 1 independent tasks: task 0 selects features on every row and
+    fits the final model on them; task i selects features on the rows
+    outside fold i - 1, fits on them and scores that fold (`kfold_cv`).
+    The stage forks one worker per further CPU it may run on, and the
+    tasks are dealt round-robin over all processes.  No result depends
+    on the number of processes."""
+    folds = stratified_folds(matrix.y, k=config.k_folds, seed=stage_seed(config.seed, "folds"))
+    with Workers(cpu_count() - 1, (matrix, folds, config)) as workers:
+        model, *cv_folds = workers.deal(_train_share, config.k_folds + 1)
+    return model, cv_folds, cv_mean([fold.report for fold in cv_folds])
 
 
-def _fit_share(
-    data: tuple[FeatureMatrix, PipelineConfig], tasks: list[int], mask: np.ndarray,
-    folds: np.ndarray,
+def _train_share(
+    data: tuple[FeatureMatrix, np.ndarray, PipelineConfig], tasks: list[int]
 ) -> list:
-    """Task 0 is the final fit on the masked columns; task i > 0 fits
-    and scores CV fold i - 1 on those columns."""
-    matrix, config = data
+    """The results of `tasks`, as `train_with_cv` numbers them."""
+    matrix, folds, config = data
+    settings = {"kind": config.model_kind, "hyper": config.hyper()}
     results = []
     if 0 in tasks:
-        results.append(train(matrix, kind=config.model_kind, hyper=config.hyper(), mask=mask))
-    selected = FeatureMatrix(
-        feature_names=tuple(name for name, keep in zip(matrix.feature_names, mask) if keep),
-        user_ids=matrix.user_ids,
-        X=matrix.X[:, mask],
-        y=matrix.y,
-    )
+        mask = select_features(matrix, threshold=config.select_threshold, **settings)
+        results.append(train(matrix, mask=mask, **settings))
     return results + kfold_cv(
-        selected,
-        folds,
-        [task - 1 for task in tasks if task],
-        kind=config.model_kind,
-        hyper=config.hyper(),
+        matrix, folds, [task - 1 for task in tasks if task],
+        threshold=config.select_threshold, **settings,
     )
 
 

@@ -57,7 +57,7 @@ def test_traced_pass_counts_one_graph_fit(tmp_path):
                            "--labels", str(synth / "labels.csv")]],
         ["features", base + ["features"]],
         ["graph", base + ["graph"]],
-        # `train` forks its workers from inside the traced process.
+        # Pinned to one CPU, `train` runs every task in the traced process.
         ["train", base + ["train"]],
     ]
     plan = tmp_path / "plan.json"
@@ -66,9 +66,11 @@ def test_traced_pass_counts_one_graph_fit(tmp_path):
     src = str(BENCH_DIR.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cpu = min(os.sched_getaffinity(0))
     done = subprocess.run(
         [sys.executable, str(BENCH_DIR / "layer_trace.py"), str(plan)],
         cwd=BENCH_DIR.parent, env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
     )
     assert done.returncode == 0, done.stderr
     counts = json.loads(out.read_text())["counts"]
@@ -79,5 +81,12 @@ def test_traced_pass_counts_one_graph_fit(tmp_path):
         seed=stage_seed(3, "graph-split"),
     )
     assert counts["graph_embedding.edge_epochs"] == train_graph.total_weight * config["graph_epochs"]
+    # One selection and one fit per task: the final model's and each fold's.
     mask = json.loads((wd / "model.json").read_text())["selection_mask"]
-    assert counts["suspension_model.features_selected"] == sum(mask) > 0
+    folds = json.loads((wd / "cv_report.json").read_text())["folds"]
+    assert sum(mask) > 0 and all(fold["features"] for fold in folds)
+    assert counts["suspension_model.features_selected"] == sum(mask) + sum(
+        len(fold["features"]) for fold in folds
+    )
+    assert len(folds) == PipelineConfig().k_folds
+    assert counts["gbdt.fits"] == 2 * (len(folds) + 1)

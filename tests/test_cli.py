@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from suspkit import cli, pipeline
@@ -30,6 +31,7 @@ from suspkit.suspension_model import (
     FeatureMatrix,
     evaluate as evaluate_model,
     save_model,
+    select_features,
 )
 
 from conftest import graph_split_fit
@@ -356,11 +358,11 @@ class TestCliMatchesPipeline:
         with CorpusStore(wd / "corpus.sqlite") as store:
             split = extract_split_features(store, config)
         assert split.second_test is not None
-        model, fold_reports, cv_mean = train_with_cv(split.train.combined, config)
+        model, cv_folds, cv_mean = train_with_cv(split.train.combined, config)
 
         expected = {
             "cv_report.json": canonical_json({
-                "folds": [r.to_dict() for r in fold_reports],
+                "folds": [fold.to_dict() for fold in cv_folds],
                 "mean": cv_mean.to_dict(),
             }) + "\n",
             "report_test.json": canonical_json(
@@ -472,6 +474,31 @@ class TestTrainWorkers:
         err = json.loads(capsys.readouterr().err.strip())
         assert {key: err[key] for key in reported} == reported
         assert err["message"] == "fold fit failed"
+        if code == 4:
+            # The worker's own frames come with the error.
+            assert 'raise error("fold fit failed")' in err["traceback"]
+            assert "in _serve" in err["traceback"]
+        else:
+            assert "traceback" not in err
+        _assert_no_child_processes()
+        assert not (train_dir / "model.json").exists()
+
+    def test_an_empty_fold_selection_exits_3(self, train_dir, capsys):
+        # Column `rare` varies in one user only: the selection without that
+        # user's fold keeps no column, the one on every user keeps it.
+        matrix = FeatureMatrix.from_csv(train_dir / "features_train.csv")
+        rare = np.zeros((matrix.n, 1))
+        rare[0] = 1.0
+        matrix = FeatureMatrix(feature_names=("rare",), user_ids=matrix.user_ids, X=rare,
+                               y=matrix.y)
+        matrix.to_csv(train_dir / "features_train.csv")
+        config = PipelineConfig.from_dict(json.loads((train_dir / "config.json").read_text()))
+        assert select_features(matrix, threshold=config.select_threshold,
+                               kind=config.model_kind, hyper=config.hyper()).all()
+        assert cli.main(self._argv(train_dir)) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "selection mask keeps no features",
+                       "stage": "train"}
         _assert_no_child_processes()
         assert not (train_dir / "model.json").exists()
 

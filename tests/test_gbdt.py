@@ -317,56 +317,44 @@ class TestSplitSearchOracle:
         assert _scalar_square(x).tobytes() == expected.tobytes()
 
 
-def _spread_search(parts):
-    """A level search over `parts` feature ranges, merged as the train
-    workers merge them."""
-    def search(codes, mapper, lam, min_child_hess):
-        ranges = gbdt.feature_ranges(mapper, codes.shape[0], parts)
-        assert len(ranges) == min(parts, codes.shape[1])
-        searches = [
-            (lo, gbdt.split_search(codes[:, lo:hi], BinMapper(mapper.uppers[lo:hi]),
-                                   lam, min_child_hess))
-            for lo, hi in ranges
-        ]
-        return lambda node_rows, g, h: gbdt.merge_splits(
-            [(lo, level(node_rows, g, h)) for lo, level in searches])
-    return search
+def _spread_splits(parts, monkeypatch):
+    """Make every fit search each level in min(parts, features)
+    contiguous feature ranges, one `_best_splits` call each, and keep per node the first
+    range's split among equal gains."""
+    of, best_splits = gbdt._BinLayout.of, gbdt._best_splits
+
+    def layouts(mapper):
+        d = len(mapper.uppers)
+        ranges = np.array_split(np.arange(d), min(parts, d))
+        assert all(r.size for r in ranges)
+        return [(r[0], r[-1] + 1, of(BinMapper(mapper.uppers[r[0]:r[-1] + 1])))
+                for r in ranges]
+
+    def search(codes, node_rows, g, h, ranges, lam, min_child_hess):
+        gain = None
+        for lo, hi, layout in ranges:
+            g_, f_, b_ = best_splits(codes[:, lo:hi], node_rows, g, h, layout, lam, min_child_hess)
+            if gain is None:
+                gain, feature, split_bin = g_.copy(), f_ + lo, b_.copy()
+                continue
+            better = g_ > gain
+            gain[better], feature[better], split_bin[better] = g_[better], f_[better] + lo, b_[better]
+        return gain, feature, split_bin
+
+    monkeypatch.setattr(gbdt._BinLayout, "of", layouts)
+    monkeypatch.setattr(gbdt, "_best_splits", search)
 
 
 class TestSpreadSplitSearch(TestSplitSearchOracle):
     """The oracle cases with every level searched in 2 and 3 contiguous
-    feature ranges.  Column 6, the duplicate of column 0, then ties with
-    it across a range boundary."""
+    feature ranges and merged.  A feature's gains depend on its own bins
+    and the node's rows alone, so the trees keep every bit.  Column 6,
+    the duplicate of column 0, then ties with it across a range
+    boundary."""
 
     @pytest.fixture(autouse=True, params=[2, 3])
     def spread(self, request, monkeypatch):
-        fit = GbdtClassifier.fit
-        search = _spread_search(request.param)
-        monkeypatch.setattr(GbdtClassifier, "fit", lambda self, X, y: fit(self, X, y, search))
-
-
-class TestFeatureRanges:
-    def test_contiguous_ranges_cover_every_feature(self):
-        X, _ = _split_search_data(0)
-        mapper = BinMapper.fit(X)
-        for parts in range(1, 10):
-            ranges = gbdt.feature_ranges(mapper, X.shape[0], parts)
-            assert len(ranges) == min(parts, X.shape[1])
-            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
-            assert ranges[-1][1] == X.shape[1]
-            assert all(lo < hi for lo, hi in ranges)
-
-    def test_ranges_cost_about_the_same(self):
-        # Equal bin counts: the ranges hold equal feature counts.
-        X = np.random.default_rng(0).standard_normal((500, 12))
-        mapper = BinMapper.fit(X)
-        assert gbdt.feature_ranges(mapper, 500, 3) == [(0, 4), (4, 8), (8, 12)]
-        # One wide feature weighs as much as several narrow ones.
-        mapper = BinMapper(uppers=[np.arange(255.0)] + [np.array([0.5])] * 8)
-        assert gbdt.feature_ranges(mapper, 30, 2) == [(0, 1), (1, 9)]
-
-    def test_no_features(self):
-        assert gbdt.feature_ranges(BinMapper(uppers=[]), 10, 3) == [(0, 0)]
+        _spread_splits(request.param, monkeypatch)
 
 
 class TestBitmaskPrediction:

@@ -3,8 +3,10 @@ import pytest
 
 from suspkit.corpus import CorpusStore, TimeWindow
 from suspkit import graph_embedding
+from suspkit.errors import SuspkitError
 from suspkit.graph_embedding import (
     RELATIONS,
+    DivergedFit,
     EmptyGraph,
     RankingEval,
     RelationGraph,
@@ -19,7 +21,10 @@ from suspkit.graph_embedding import (
     write_graph_csv,
 )
 
-from conftest import WINDOW_START, tweet_line
+from suspkit.pipeline import PipelineConfig
+from suspkit.synth import GeneratorConfig, generate
+
+from conftest import WINDOW_START, graph_split_fit, tweet_line
 
 # Step size, width and batching for the small unit fits; each test
 # sets its own epoch count.
@@ -194,6 +199,16 @@ class TestRankingMetrics:
         with pytest.raises(ValueError):
             ranking_metrics(np.zeros((3, 1)), np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_rows_rejected(self, bad):
+        # NaN compares false both ways: it would rank every positive first.
+        pos, neg = np.zeros(3), np.ones((3, 4))
+        neg[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ranking_metrics(pos, neg)
+        with pytest.raises(ValueError, match="finite"):
+            ranking_metrics(np.full(3, bad), np.ones((3, 4)))
+
 
 class TestTraining:
     def test_loss_decreases_on_learnable_graph(self):
@@ -280,6 +295,23 @@ def reference_train(graph, dim, epochs, lr, negatives_per_edge, batch_size, seed
             )
         losses.append(float(np.mean(batch_losses)))
     return E, W, losses
+
+
+class TestDivergence:
+    def test_a_diverged_fit_raises_instead_of_ranking(self, tmp_path):
+        # At lr 2.0 the small window-1 graph of this corpus overflows at
+        # epoch 66 of 100; its NaN vectors used to rank every held-out
+        # edge first (MRR 1.0).
+        paths = generate(GeneratorConfig(n_suspended=30, n_normal=30), 3, tmp_path)
+        store = CorpusStore()
+        store.ingest_tweets(paths["tweets"])
+        config = PipelineConfig(seed=3, graph_epochs=100)
+        graph = build_graph(store.tweets_in_window(config.windows()[0]), relations=RELATIONS)
+        assert graph.n_nodes == 96
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedFit, match="at epoch 66 of 100"):
+                graph_split_fit(graph, config)
+        assert issubclass(DivergedFit, SuspkitError)  # exits 3
 
 
 class TestFlatScatterOracle:

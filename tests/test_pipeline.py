@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from suspkit import pipeline
+from suspkit import pipeline, suspension_model
 from suspkit.corpus import CorpusStore, MalformedRecord, TimeWindow, read_window
 from suspkit.errors import MissingArtifact, StaleArtifact
 from suspkit.graph_embedding import (
@@ -278,12 +278,12 @@ def artifacts(store):
     """The CLI's calls: split features, train with CV, evaluate the test split."""
     config = fast_config()
     split = extract_split_features(store, config)
-    model, fold_reports, cv_mean = train_with_cv(split.train.combined, config)
+    model, cv_folds, cv_mean = train_with_cv(split.train.combined, config)
     return SimpleNamespace(
         config=config,
         split=split,
         model=model,
-        fold_reports=fold_reports,
+        cv_folds=cv_folds,
         cv_mean=cv_mean,
         test_report=evaluate_model(model, split.test.combined, SPLIT_TEST),
     )
@@ -291,10 +291,13 @@ def artifacts(store):
 
 class TestTraining:
     def test_fold_reports(self, artifacts):
-        assert len(artifacts.fold_reports) == 3
+        assert len(artifacts.cv_folds) == 3
         assert artifacts.cv_mean.f1 == pytest.approx(
-            np.mean([r.f1 for r in artifacts.fold_reports])
+            np.mean([fold.report.f1 for fold in artifacts.cv_folds])
         )
+        names = artifacts.split.train.combined.feature_names
+        for fold in artifacts.cv_folds:
+            assert fold.features and set(fold.features) <= set(names)
 
     def test_learns_the_synthetic_classes(self, artifacts):
         assert artifacts.cv_mean.f1 > 0.8
@@ -326,15 +329,48 @@ class TestTrainWorkers:
         outputs = []
         for processes in (1, 2, 3):
             monkeypatch.setattr(pipeline, "cpu_count", lambda: processes)
-            model, fold_reports, cv_mean = train_with_cv(artifacts.split.train.combined, config)
+            model, cv_folds, cv_mean = train_with_cv(artifacts.split.train.combined, config)
             save_model(tmp_path / "model.json", model)
             outputs.append((
                 (tmp_path / "model.json").read_bytes(),
-                [(r.to_dict(), r.roc_points, r.pr_points) for r in fold_reports],
+                [(f.to_dict(), f.report.roc_points, f.report.pr_points) for f in cv_folds],
                 cv_mean.to_dict(),
             ))
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+class TestLeakFreeCv:
+    def test_no_fold_row_reaches_the_selection_it_is_scored_after(self, artifacts, monkeypatch):
+        """Each selection and each fold score, with the users it sees, in
+        the order they run (every task in this process)."""
+        events = []
+        select, score = suspension_model.select_features, suspension_model.evaluate
+
+        def recorded_select(matrix, **kwargs):
+            events.append(("select", set(matrix.user_ids)))
+            return select(matrix, **kwargs)
+
+        def recorded_score(model, matrix, split):
+            events.append(("score", set(matrix.user_ids)))
+            return score(model, matrix, split)
+
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 1)
+        monkeypatch.setattr(pipeline, "select_features", recorded_select)
+        monkeypatch.setattr(suspension_model, "select_features", recorded_select)
+        monkeypatch.setattr(suspension_model, "evaluate", recorded_score)
+        matrix, config = artifacts.split.train.combined, artifacts.config
+        model, _, _ = train_with_cv(matrix, config)
+
+        everyone = set(matrix.user_ids)
+        assert [kind for kind, _ in events] == ["select"] + ["select", "score"] * config.k_folds
+        assert events[0][1] == everyone  # the final model's selection
+        scored = [users for kind, users in events if kind == "score"]
+        assert set().union(*scored) == everyone
+        for (_, selected), (_, fold) in zip(events[1::2], events[2::2]):
+            assert fold and not selected & fold
+            assert selected | fold == everyone
+        assert model.selection_mask.tobytes() == artifacts.model.selection_mask.tobytes()
 
 
 class TestSplitContext:

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suspkit.errors import SuspkitError
+from suspkit.gbdt import GbdtClassifier
 from suspkit.pipeline import PipelineConfig
 from suspkit.suspension_model import (
     MODEL_KIND_GBDT,
     MODEL_KIND_LOGISTIC,
+    SELECT_ROUNDS,
     DegenerateLabels,
     FeatureMatrix,
     LogisticModel,
@@ -351,12 +353,41 @@ class TestKfoldCv:
     def test_reports_and_mean(self):
         m = separable_matrix(n=80)
         folds = stratified_folds(m.y, k=4, seed=0)
-        reports = kfold_cv(m, folds, range(4), kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC)
+        cv_folds = kfold_cv(
+            m, folds, range(4), threshold=0.002, kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC
+        )
+        reports = [fold.report for fold in cv_folds]
         mean = cv_mean(reports)
         assert len(reports) == 4
         assert mean.f1 == pytest.approx(np.mean([r.f1 for r in reports]))
         assert mean.roc_auc == pytest.approx(np.mean([r.roc_auc for r in reports]))
         assert mean.n_pos == sum(r.n_pos for r in reports) == 40
+        assert all(fold.features and set(fold.features) <= {"f0", "f1"} for fold in cv_folds)
+
+    def test_each_fold_selects_without_its_rows(self):
+        # Column f1 varies in one row only, so it is constant without that
+        # row's fold: only that fold's selection drops it.
+        m = separable_matrix(n=80)
+        m.X[:, 1] = 0.0
+        m.X[5, 1] = 1.0
+        folds = stratified_folds(m.y, k=4, seed=0)
+        cv_folds = kfold_cv(m, folds, range(4), threshold=0.0, kind=MODEL_KIND_GBDT,
+                            hyper=SMALL_GBDT)
+        assert [fold.features for fold in cv_folds] == [
+            ("f0",) if fold == folds[5] else ("f0", "f1") for fold in range(4)
+        ]
+        assert cv_folds[0].to_dict()["features"] == list(cv_folds[0].features)
+
+    def test_selection_uses_at_most_select_rounds(self, monkeypatch):
+        rounds = []
+        fit = GbdtClassifier.fit
+        monkeypatch.setattr(GbdtClassifier, "fit",
+                            lambda self, X, y: rounds.append(self.n_rounds) or fit(self, X, y))
+        m = separable_matrix(n=40)
+        select_features(m, threshold=0.0, kind=MODEL_KIND_GBDT,
+                        hyper={**SMALL_GBDT, "n_rounds": SELECT_ROUNDS + 5})
+        select_features(m, threshold=0.0, kind=MODEL_KIND_GBDT, hyper=SMALL_GBDT)
+        assert rounds == [SELECT_ROUNDS, SMALL_GBDT["n_rounds"]]
 
 
 class TestModelPersistence:

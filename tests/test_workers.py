@@ -47,6 +47,14 @@ class TestLifetime:
                 workers.deal(_fail_in_a_worker, 4, os.getpid())
         assert not any(proc.is_alive() for proc in procs)
 
+    def test_a_worker_error_carries_the_worker_traceback(self):
+        with pytest.raises(SuspkitError) as raised:
+            with Workers(1, None) as workers:
+                workers.deal(_fail_in_a_worker, 4, os.getpid())
+        cause = str(raised.value.__cause__)
+        assert "in _fail_in_a_worker" in cause
+        assert 'raise SuspkitError("worker failed")' in cause
+
     def test_no_fork_without_workers(self):
         with Workers(0, 0) as workers:
             assert workers._procs == []
