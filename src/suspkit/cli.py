@@ -346,6 +346,10 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace, workdir: Path) 
         path = workdir / name
         if path.exists():
             sections[key] = json.loads(path.read_text(encoding="utf-8"))
+    if "cv" in sections:
+        # cv_report.json keeps each fold's selected names; the summary counts them.
+        for fold in sections["cv"]["folds"]:
+            fold["n_features"] = len(fold.pop("features"))
     clusters_path = workdir / "clusters.jsonl"
     if clusters_path.exists():
         with open(clusters_path, encoding="utf-8") as fh:

@@ -20,19 +20,10 @@ feature's totals are summed over its own bins only, and the parent term
 squares them as a scalar power would, so every gain keeps the bits of a
 per-node, per-feature search.
 
-Prediction walks no tree (QuickScorer, Lucchese et al., SIGIR 2015).
-Each tree's leaves are numbered left to right, and every split node
-carries a bitmask that clears the leaves of its left subtree: the
-leaves a row cannot reach once the test x <= threshold fails.  Per
-feature, the masks of all trees are prefix-ANDed over the feature's
-distinct thresholds in ascending order, so one searchsorted code per
-feature selects the AND of every failed test on it.  The lowest set bit
-left in a tree's mask names the row's exit leaf; masks take
-ceil(leaves / 64) words per tree, so any depth runs the same code.  NaN
-fails every test, as a float comparison does.  Leaf values are added
-tree by tree in order, so scores keep the bits of a tree-at-a-time
-walk.  The tables are built whenever a model's trees are set and are
-never serialized.
+Prediction walks each tree in turn, moving every row down it one level
+at a time (x <= threshold goes left; NaN fails the test and goes
+right), and adds learning_rate times the value of the leaf reached to
+base_score, tree by tree in order.
 
 Attributions (`shap_values`) are exact interventional TreeSHAP values
 of the margin, computed leaf by leaf from each row's path masks.
@@ -52,11 +43,6 @@ _MAX_BINS = 256
 _TABLE_MAX_FEATURES = 8
 # Elements of the largest intermediate array per block of TreeSHAP work.
 _SHAP_BLOCK = 1 << 20
-_WORD_BITS = 64
-_ALL_LEAVES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-# Rows scored per block: bounds the (rows, trees, words) mask arrays and
-# keeps them cache-sized (512 rows scored faster than 2048 with 200 trees).
-_PREDICT_BLOCK = 512
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -177,11 +163,6 @@ def _scalar_square(x: np.ndarray) -> np.ndarray:
     return (x.astype(object) ** 2).astype(np.float64)
 
 
-def _trailing_zeros(words: np.ndarray) -> np.ndarray:
-    """Trailing zero bits per uint64 word, 64 for a zero word."""
-    return np.bitwise_count(~words & (words - np.uint64(1))).astype(np.int64)
-
-
 def _best_splits(
     codes: np.ndarray,
     node_rows: list[np.ndarray],
@@ -252,25 +233,6 @@ def _best_splits(
     return best_gain, layout.feature[best], layout.split_bin[best]
 
 
-def _leaf_layout(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(leaf node ids left to right, first, mid): the left subtree of
-    node i holds the leaves numbered first[i] <= k < mid[i]."""
-    leaves: list[int] = []
-    first = np.zeros(tree.feature.size, dtype=np.int64)
-    mid = np.zeros(tree.feature.size, dtype=np.int64)
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        if node < 0:  # the left subtree of ~node is done
-            mid[~node] = len(leaves)
-        elif tree.feature[node] < 0:
-            leaves.append(node)
-        else:
-            first[node] = len(leaves)
-            stack += [int(tree.right[node]), ~node, int(tree.left[node])]
-    return np.asarray(leaves, dtype=np.int64), first, mid
-
-
 def shap_inputs(X: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both as float64, checked for the shapes `shap_values` needs."""
     X = np.asarray(X, dtype=np.float64)
@@ -304,7 +266,7 @@ def _leaf_paths(tree: Tree) -> list[tuple[int, dict[int, tuple[float, float]]]]:
 def _path_masks(X: np.ndarray, feature: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(rows, leaves) k-bit masks: bit i is set when the row's value of
     the leaf's i-th path feature passes every test the path puts on it,
-    by the scorer's rule (x <= threshold goes left, NaN goes right)."""
+    by decision_function's rule (x <= threshold goes left, NaN goes right)."""
     x = X[:, feature]  # (rows, leaves, k)
     passes = ~(x <= lo) & ((x <= hi) | np.isnan(hi))
     return passes @ (1 << np.arange(feature.shape[1]))
@@ -340,83 +302,6 @@ def _pair_phi(sx: np.ndarray, sb: np.ndarray, k: int) -> np.ndarray:
     return gain[a, b][..., None] * in_a - loss[a, b][..., None] * in_b
 
 
-@dataclass
-class _BitmaskScorer:
-    """All trees of one model as QuickScorer tables (see module docstring)."""
-
-    features: list[int]  # features tested by at least one split
-    thresholds: list[np.ndarray]  # per feature, distinct thresholds ascending
-    masks: list[np.ndarray]  # per feature, (thresholds + 1, trees, words) prefix ANDs
-    leaf_values: np.ndarray  # (trees, words * 64) learning_rate * leaf value
-    base_score: float
-
-    @classmethod
-    def build(cls, trees: list[Tree], learning_rate: float, base_score: float) -> "_BitmaskScorer":
-        layouts = [_leaf_layout(tree) for tree in trees]
-        max_leaves = max((leaves.size for leaves, _, _ in layouts), default=1)
-        n_words = -(-max_leaves // _WORD_BITS)
-        n_trees = len(trees)
-        leaf_values = np.zeros((n_trees, n_words * _WORD_BITS))
-        tree_of, feature, threshold, first, mid = [], [], [], [], []
-        for t, (tree, (leaves, lo, hi)) in enumerate(zip(trees, layouts)):
-            leaf_values[t, : leaves.size] = learning_rate * tree.value[leaves]
-            split = np.flatnonzero(tree.feature >= 0)
-            tree_of.append(np.full(split.size, t))
-            feature.append(tree.feature[split])
-            threshold.append(tree.threshold[split])
-            first.append(lo[split])
-            mid.append(hi[split])
-        tree_of, feature, threshold, first, mid = (
-            np.concatenate(a) if a else np.zeros(0, dtype=np.int64)
-            for a in (tree_of, feature, threshold, first, mid)
-        )
-        bit = np.arange(n_words * _WORD_BITS)
-        cleared = (bit >= first[:, None]) & (bit < mid[:, None])
-        node_mask = ~np.packbits(
-            cleared.reshape(-1, n_words, _WORD_BITS), axis=-1, bitorder="little"
-        ).view("<u8").reshape(-1, n_words).astype(np.uint64)
-
-        features, thresholds, masks = [], [], []
-        for f in np.unique(feature):
-            on_f = feature == f
-            values, rank = np.unique(threshold[on_f], return_inverse=True)
-            table = np.full((values.size + 1, n_trees, n_words), _ALL_LEAVES)
-            np.bitwise_and.at(table[1:], (rank, tree_of[on_f]), node_mask[on_f])
-            np.bitwise_and.accumulate(table, axis=0, out=table)
-            features.append(int(f))
-            thresholds.append(values)
-            masks.append(table)
-        return cls(features, thresholds, masks, leaf_values, base_score)
-
-    def score(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
-        n_trees, n_bits = self.leaf_values.shape
-        n_words = n_bits // _WORD_BITS
-        # Code c selects the AND over the c smallest thresholds, the
-        # tests that x > threshold fails; NaN sorts past them all.
-        codes = [np.searchsorted(t, X[:, f], side="left")
-                 for f, t in zip(self.features, self.thresholds)]
-        leaf_base = np.arange(n_trees)[:, None] * n_bits
-        flat_values = self.leaf_values.ravel()
-        raw = np.empty(n)
-        for start in range(0, n, _PREDICT_BLOCK):
-            stop = min(n, start + _PREDICT_BLOCK)
-            alive = np.full((stop - start, n_trees, n_words), _ALL_LEAVES)
-            for code, table in zip(codes, self.masks):
-                alive &= table[code[start:stop]]
-            # The exit leaf is the lowest set bit; an empty word counts 64.
-            leaf = _trailing_zeros(alive[..., 0])
-            for w in range(1, n_words):
-                empty = leaf == w * _WORD_BITS
-                leaf[empty] += _trailing_zeros(alive[..., w][empty])
-            terms = flat_values[leaf.T + leaf_base]  # (trees, rows)
-            block = np.full(stop - start, self.base_score)
-            for term in terms:
-                block += term
-            raw[start:stop] = block
-        return raw
-
-
 class GbdtClassifier:
     """Boosted trees over binned features with a logistic link."""
 
@@ -441,7 +326,6 @@ class GbdtClassifier:
         self.train_loss: list[float] = []
         self.n_features = 0
         self._split_gain: np.ndarray | None = None
-        self._scorer: _BitmaskScorer | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GbdtClassifier":
         X = np.asarray(X, dtype=np.float64)
@@ -474,7 +358,6 @@ class GbdtClassifier:
             for rows, value in leaves:
                 raw[rows] += self.learning_rate * value
             self.train_loss.append(log_loss(y, sigmoid(raw)))
-        self._set_scorer()
         return self
 
     def _grow_tree(
@@ -536,13 +419,22 @@ class GbdtClassifier:
         )
         return tree, leaves
 
-    def _set_scorer(self) -> None:
-        self._scorer = _BitmaskScorer.build(self.trees, self.learning_rate, self.base_score)
-
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if self._scorer is None:
+        if not self.trees:
             raise ValueError("model not fitted")
-        return self._scorer.score(np.asarray(X, dtype=np.float64))
+        X = np.asarray(X, dtype=np.float64)
+        raw = np.full(X.shape[0], self.base_score)
+        for tree in self.trees:
+            node = np.zeros(X.shape[0], dtype=np.int32)
+            live = np.arange(X.shape[0])  # rows still at a split node
+            while live.size:
+                at = node[live]
+                split = tree.feature[at] >= 0
+                live, at = live[split], at[split]
+                go_left = X[live, tree.feature[at]] <= tree.threshold[at]
+                node[live] = np.where(go_left, tree.left[at], tree.right[at])
+            raw += self.learning_rate * tree.value[node]
+        return raw
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.decision_function(X))
@@ -560,7 +452,7 @@ class GbdtClassifier:
         trees add the same constant to every hybrid, so they go to the
         base value only.
         """
-        if self._scorer is None:
+        if not self.trees:
             raise ValueError("model not fitted")
         X, background = shap_inputs(X, background)
         n, d = X.shape
@@ -648,5 +540,4 @@ class GbdtClassifier:
         if data.get("split_gain") is not None:
             model._split_gain = np.asarray(data["split_gain"], dtype=np.float64)
         model.trees = [Tree.from_dict(t) for t in data["trees"]]
-        model._set_scorer()
         return model

@@ -170,7 +170,7 @@ def _sign_convention(components: np.ndarray) -> np.ndarray:
 
 
 def pca_fit(
-    X: np.ndarray | EmbeddingMatrix,
+    X: np.ndarray,
     k: int,
     *,
     seed: int,
@@ -183,8 +183,6 @@ def pca_fit(
     yields zero explained variance rather than an error.  Fitting uses
     a uniform row sample capped at sample_cap.
     """
-    if isinstance(X, EmbeddingMatrix):
-        X = X.vectors
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
@@ -229,9 +227,7 @@ def _subspace_iteration(
     return eigvals[order], (Q @ eigvecs[:, order]).T
 
 
-def pca_transform(model: PcaModel, X: np.ndarray | EmbeddingMatrix) -> np.ndarray:
-    if isinstance(X, EmbeddingMatrix):
-        X = X.vectors
+def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim_in:
         raise DimensionMismatch(

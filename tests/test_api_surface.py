@@ -1,8 +1,8 @@
-"""API-surface guards: every public function, class and method in
-`src/suspkit` and `bench` is referenced somewhere in that code outside
-its own definition, every name a module of `src/suspkit` or `tests`
-imports is used in that module, and every public dataclass field is read
-by that code.
+"""API-surface guards: every function, class and method in `src/suspkit`
+and `bench`, public or private, and every private module-level constant
+is referenced somewhere in that code outside its own definition, every
+name a module of `src/suspkit` or `tests` imports is used in that
+module, and every public dataclass field is read by that code.
 
 References are matched by name: a bare name, an attribute, an imported
 name, or a word of a string constant (`bench/layer_trace.py` wraps
@@ -31,18 +31,23 @@ ALLOWED = {
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _definitions(tree: ast.Module) -> list[ast.AST]:
-    """Module-level functions and classes, and the methods of classes."""
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of the module-level functions, classes and constants,
+    and of the methods of classes."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found.append(node)
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((t.id, node) for t in targets if isinstance(t, ast.Name))
         if isinstance(node, ast.ClassDef):
             found.extend(
-                item for item in node.body
+                (item.name, item) for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
             )
-    return [node for node in found if not node.name.startswith("_")]
+    # Dunders (`__init__`, `__all__`) are used by Python itself.
+    return [(name, node) for name, node in found if not name.startswith("__")]
 
 
 def _docstrings(node: ast.AST) -> set[int]:
@@ -75,7 +80,10 @@ def _references(node: ast.AST) -> Counter:
     return names
 
 
-def unreferenced_names(roots=SCANNED) -> set[str]:
+def unreferenced_names(roots=SCANNED, *, private=False) -> set[str]:
+    """Public functions, classes and methods, or with `private` private
+    ones and private module-level constants, that nothing under `roots`
+    references outside their own definition."""
     trees = [
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for root in roots
@@ -86,10 +94,14 @@ def unreferenced_names(roots=SCANNED) -> set[str]:
         everywhere.update(_references(tree))
     unused = set()
     for tree in trees:
-        for node in _definitions(tree):
+        for name, node in _definitions(tree):
+            if name.startswith("_") != private:
+                continue
+            if not private and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
             # A recursive call is no use from outside.
-            if everywhere[node.name] - _references(node)[node.name] <= 0:
-                unused.add(node.name)
+            if everywhere[name] - _references(node)[name] <= 0:
+                unused.add(name)
     return unused
 
 
@@ -140,6 +152,28 @@ def test_guard_catches_an_unused_function(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced_names([tmp_path]) == {"unused", "Lid"}
+
+
+def test_every_private_name_is_used_by_the_program():
+    assert unreferenced_names(private=True) == set(), "private names nothing in src/ or bench/ uses"
+
+
+def test_private_guard_catches_unused_private_names(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Mentions `_spare` and `_Lid` in a docstring."""\n\n'
+        "_USED = 1\n_UNUSED = 2\n_TYPED: int = 3\nPUBLIC = 4\n\n"
+        "def _helper():\n    return _USED\n\n"
+        "def _spare():\n    return _spare()\n\n"
+        "class Box:\n    def __init__(self):\n        self._open()\n\n"
+        "    def _open(self):\n        return _helper()\n\n"
+        "    def _hinge(self):\n        return 0\n\n"
+        "class _Lid:\n    pass\n\n"
+        "WRAPPED = ['Box._wrapped']\n\n"
+        "def _wrapped():\n    return Box()\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_names([tmp_path], private=True) == {
+        "_UNUSED", "_TYPED", "_spare", "_hinge", "_Lid"}
 
 
 def test_every_import_is_used():

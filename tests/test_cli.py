@@ -145,6 +145,15 @@ class TestStageSequence:
         assert report["test"]["split"] == "test"
         assert report["wallets"]["total"] >= 1
 
+    def test_report_counts_each_folds_features(self, workdir):
+        wd, _ = workdir
+        cv = json.loads((wd / "cv_report.json").read_text())
+        summary = json.loads((wd / "report.json").read_text())["cv"]
+        assert [fold["n_features"] for fold in summary["folds"]] == [
+            len(fold["features"]) for fold in cv["folds"]]
+        assert all("features" not in fold for fold in summary["folds"])
+        assert summary["mean"] == cv["mean"]
+
     def test_families_subset_flag(self, workdir, tmp_path):
         wd, _ = workdir
         other = tmp_path / "subset"

@@ -357,6 +357,25 @@ class TestSpreadSplitSearch(TestSplitSearchOracle):
         _spread_splits(request.param, monkeypatch)
 
 
+def _redundant_tests_model():
+    """A loaded model with no split gains and one hand-built tree: x0 <= 0,
+    then x0 <= 1 again on the left and x0 <= -1 on the right, so the
+    leaves behind the second tests can never be reached.  Leaves sit at
+    depths 2 and 3."""
+    tree = {
+        "feature": [0, 0, 1, -1, -1, -1, 0, -1, -1],
+        "threshold": [0.0, 1.0, 0.5, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+        "left": [1, 3, 5, -1, -1, -1, 7, -1, -1],
+        "right": [2, 4, 6, -1, -1, -1, 8, -1, -1],
+        "value": [0.0, 0.0, 0.0, 1.0, 7.0, -2.0, 0.0, 5.0, 3.0],
+    }
+    return GbdtClassifier.from_dict({
+        "n_rounds": 1, "learning_rate": 1.0, "max_depth": 3, "reg_lambda": 1.0,
+        "min_child_hess": 1e-3, "max_bins": 256, "base_score": 0.25, "n_features": 2,
+        "split_gain": None, "trees": [tree],
+    })
+
+
 class TestBitmaskPrediction:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_scalar_walk(self, seed):
@@ -392,6 +411,16 @@ class TestBitmaskPrediction:
     def test_empty_input(self, deep_model):
         model, X = deep_model
         assert model.decision_function(X[:0]).shape == (0,)
+
+    def test_loaded_model_without_split_gains(self):
+        model = _redundant_tests_model()
+        grid = np.array([-1.5, -1.0, 0.0, 0.5, 1.0, 2.0])
+        rows = np.vstack([
+            np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),
+            [[np.nan, 0.5], [0.0, np.nan], [-1.5, np.nan], [np.nan, np.nan]],
+        ])
+        expected = np.array([_walk(model, row) for row in rows])
+        assert model.decision_function(rows).tobytes() == expected.tobytes()
 
     def test_unfitted_model_refuses_to_predict(self):
         with pytest.raises(ValueError):
@@ -457,20 +486,7 @@ class TestTreeShap:
         np.testing.assert_allclose(phi, _enumerated_phi(model, rows, X[:15]), atol=1e-9, rtol=0)
 
     def test_unreachable_leaves_behind_redundant_tests(self):
-        # x0 <= 0, then x0 <= 1 again on the left and x0 <= -1 on the
-        # right: the leaves behind the second tests can never be reached.
-        tree = {
-            "feature": [0, 0, 1, -1, -1, -1, 0, -1, -1],
-            "threshold": [0.0, 1.0, 0.5, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
-            "left": [1, 3, 5, -1, -1, -1, 7, -1, -1],
-            "right": [2, 4, 6, -1, -1, -1, 8, -1, -1],
-            "value": [0.0, 0.0, 0.0, 1.0, 7.0, -2.0, 0.0, 5.0, 3.0],
-        }
-        model = GbdtClassifier.from_dict({
-            "n_rounds": 1, "learning_rate": 1.0, "max_depth": 3, "reg_lambda": 1.0,
-            "min_child_hess": 1e-3, "max_bins": 256, "base_score": 0.25, "n_features": 2,
-            "split_gain": None, "trees": [tree],
-        })
+        model = _redundant_tests_model()
         grid = np.array([-1.5, -1.0, 0.0, 0.5, 1.0, 2.0])
         rows = np.column_stack([grid, grid[::-1]])
         background = np.column_stack([np.roll(grid, 2), grid])
