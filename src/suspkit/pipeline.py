@@ -11,6 +11,8 @@ reproduces the training features bit for bit.
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
@@ -87,7 +89,6 @@ from .text_embedding import (
 )
 from .vectors import EmbeddingMatrix
 from .wallets import WalletHit, extract_wallets
-from .workers import Workers, cpu_count
 
 DEFAULT_WINDOW_START = "2022-02-23T00:00:00+00:00"
 
@@ -439,37 +440,57 @@ def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitF
     )
 
 
+def cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+# (matrix, folds, config) of the running `train_with_cv`: set before its
+# pool forks, so that every worker inherits it and no matrix is pickled.
+_TRAIN_DATA: tuple[FeatureMatrix, np.ndarray, PipelineConfig] | None = None
+
+
 def train_with_cv(
     matrix: FeatureMatrix, config: PipelineConfig
 ) -> tuple[TrainedModel, list[CvFold], EvalReport]:
     """The final model and K-fold cross-validation: (model, folds, CV mean).
 
-    K + 1 independent tasks: task 0 selects features on every row and
-    fits the final model on them; task i selects features on the rows
-    outside fold i - 1, fits on them and scores that fold (`kfold_cv`).
-    The stage forks one worker per further CPU it may run on, and the
-    tasks are dealt round-robin over all processes.  No result depends
-    on the number of processes."""
+    K + 1 independent tasks (`_train_task`) run on one forked process
+    per CPU, at most one per task, or in this process on one CPU.  No
+    result depends on the number of processes."""
+    global _TRAIN_DATA
     folds = stratified_folds(matrix.y, k=config.k_folds, seed=stage_seed(config.seed, "folds"))
-    with Workers(cpu_count() - 1, (matrix, folds, config)) as workers:
-        model, *cv_folds = workers.deal(_train_share, config.k_folds + 1)
+    tasks = range(config.k_folds + 1)
+    processes = min(cpu_count(), len(tasks))
+    _TRAIN_DATA = (matrix, folds, config)
+    try:
+        if processes == 1:
+            model, *cv_folds = map(_train_task, tasks)
+        else:
+            # Imported here: only `train` forks, and the import costs every
+            # other stage process about 12 ms and 1 MB of peak RSS.
+            import multiprocessing
+
+            # Workers ignore Ctrl-C, which reaches the whole process group:
+            # this process handles it, and leaving the block terminates them.
+            with multiprocessing.get_context("fork").Pool(
+                processes, signal.signal, (signal.SIGINT, signal.SIG_IGN)
+            ) as pool:
+                model, *cv_folds = pool.map(_train_task, tasks, chunksize=1)
+    finally:
+        _TRAIN_DATA = None
     return model, cv_folds, cv_mean([fold.report for fold in cv_folds])
 
 
-def _train_share(
-    data: tuple[FeatureMatrix, np.ndarray, PipelineConfig], tasks: list[int]
-) -> list:
-    """The results of `tasks`, as `train_with_cv` numbers them."""
-    matrix, folds, config = data
+def _train_task(task: int) -> TrainedModel | CvFold:
+    """Task 0 selects features on every row and fits the final model on
+    them; task i scores fold i - 1 (`kfold_cv`)."""
+    matrix, folds, config = _TRAIN_DATA
     settings = {"kind": config.model_kind, "hyper": config.hyper()}
-    results = []
-    if 0 in tasks:
+    if task == 0:
         mask = select_features(matrix, threshold=config.select_threshold, **settings)
-        results.append(train(matrix, mask=mask, **settings))
-    return results + kfold_cv(
-        matrix, folds, [task - 1 for task in tasks if task],
-        threshold=config.select_threshold, **settings,
-    )
+        return train(matrix, mask=mask, **settings)
+    return kfold_cv(matrix, folds, task - 1, threshold=config.select_threshold, **settings)
 
 
 @dataclass

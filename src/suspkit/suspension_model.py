@@ -35,6 +35,11 @@ SPLIT_SECOND_TEST = "second_test"
 # the same 8 columns as 150 in under a fifth of the time.
 SELECT_ROUNDS = 25
 
+# IRLS steps of the logistic fit, at most, and the largest coefficient
+# step at which it stops.
+_IRLS_MAX_ITER = 50
+_IRLS_TOL = 1e-10
+
 
 class SchemaMismatch(SuspkitError):
     pass
@@ -121,10 +126,8 @@ class LogisticModel:
     """Ridge-penalized logistic regression fit by IRLS on
     standardized features."""
 
-    def __init__(self, *, reg_lambda: float, max_iter: int = 50, tol: float = 1e-10):
+    def __init__(self, *, reg_lambda: float):
         self.reg_lambda = reg_lambda
-        self.max_iter = max_iter
-        self.tol = tol
         self.mean: np.ndarray | None = None
         self.scale: np.ndarray | None = None
         self.coef: np.ndarray | None = None
@@ -142,14 +145,14 @@ class LogisticModel:
         beta = np.zeros(d + 1)
         ridge = np.full(d + 1, self.reg_lambda)
         ridge[0] = 0.0  # intercept unpenalized
-        for _ in range(self.max_iter):
+        for _ in range(_IRLS_MAX_ITER):
             p = sigmoid(A @ beta)
             w = np.clip(p * (1.0 - p), 1e-10, None)
             grad = A.T @ (p - y) + ridge * beta
             H = (A.T * w) @ A + np.diag(ridge)
             step = np.linalg.solve(H, grad)
             beta -= step
-            if np.max(np.abs(step)) < self.tol:
+            if np.max(np.abs(step)) < _IRLS_TOL:
                 break
         self.intercept = float(beta[0])
         self.coef = beta[1:]
@@ -470,7 +473,7 @@ def evaluate_scores(y: np.ndarray, scores: np.ndarray, split: str) -> EvalReport
     )
 
 
-def evaluate(model: TrainedModel, matrix: FeatureMatrix, split: str = SPLIT_TEST) -> EvalReport:
+def evaluate(model: TrainedModel, matrix: FeatureMatrix, split: str) -> EvalReport:
     return evaluate_scores(matrix.y, model.predict_proba(matrix), split)
 
 
@@ -505,24 +508,21 @@ class CvFold:
 def kfold_cv(
     matrix: FeatureMatrix,
     folds: np.ndarray,
-    fold_ids: Sequence[int],
+    fold: int,
     *,
     threshold: float,
     kind: str,
     hyper: dict,
-) -> list[CvFold]:
-    """Per fold in `fold_ids`, select features on the rows outside it
-    (`select_features`), fit on those rows and columns, and score the
-    rows in it; `folds` holds each row's fold (`stratified_folds`).  No
-    row of a fold reaches the selection or the fit it is scored by."""
-    results = []
-    for fold in fold_ids:
-        rest = matrix.subset_rows(np.flatnonzero(folds != fold))
-        mask = select_features(rest, threshold=threshold, kind=kind, hyper=hyper)
-        model = train(rest, kind=kind, hyper=hyper, mask=mask)
-        report = evaluate(model, matrix.subset_rows(np.flatnonzero(folds == fold)), SPLIT_VALIDATION)
-        results.append(CvFold(model.feature_names, report))
-    return results
+) -> CvFold:
+    """Select features on the rows outside `fold` (`select_features`),
+    fit on those rows and columns, and score the rows in it; `folds`
+    holds each row's fold (`stratified_folds`).  No row of the fold
+    reaches the selection or the fit it is scored by."""
+    rest = matrix.subset_rows(np.flatnonzero(folds != fold))
+    mask = select_features(rest, threshold=threshold, kind=kind, hyper=hyper)
+    model = train(rest, kind=kind, hyper=hyper, mask=mask)
+    report = evaluate(model, matrix.subset_rows(np.flatnonzero(folds == fold)), SPLIT_VALIDATION)
+    return CvFold(model.feature_names, report)
 
 
 def cv_mean(reports: Sequence[EvalReport]) -> EvalReport:

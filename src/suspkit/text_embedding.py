@@ -31,6 +31,9 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 _BLOCK_BYTES = 1 << 16
 _BLOCK_TEXTS = 1024
 
+# Power steps of the subspace iteration PCA uses above 1024 input dims.
+_SUBSPACE_ITERS = 50
+
 
 class MissingEmbedding(SuspkitError):
     """An item id has no row in the precomputed embedding file."""
@@ -213,12 +216,10 @@ def pca_fit(
     return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 
-def _subspace_iteration(
-    cov: np.ndarray, k: int, seed: int, iters: int = 50
-) -> tuple[np.ndarray, np.ndarray]:
+def _subspace_iteration(cov: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((cov.shape[0], k + 8)))
-    for _ in range(iters):
+    for _ in range(_SUBSPACE_ITERS):
         Q, _ = np.linalg.qr(cov @ Q)
     # Rayleigh-Ritz on the converged subspace.
     small = Q.T @ cov @ Q

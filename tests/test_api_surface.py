@@ -2,7 +2,9 @@
 and `bench`, public or private, and every private module-level constant
 is referenced somewhere in that code outside its own definition, every
 name a module of `src/suspkit` or `tests` imports is used in that
-module, and every public dataclass field is read by that code.
+module, every public dataclass field is read by that code, and every
+defaulted parameter of a function in `src/suspkit` is on an allowlist
+with its reason.
 
 References are matched by name: a bare name, an attribute, an imported
 name, or a word of a string constant (`bench/layer_trace.py` wraps
@@ -252,3 +254,77 @@ def test_field_guard_catches_an_unread_field(tmp_path):
         encoding="utf-8",
     )
     assert unread_fields([tmp_path]) == {"Box.docs", "Box.written", "Lid.hinge"}
+
+
+# module.function(parameter) -> why the parameter keeps a default value
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)": "the entry point: the `suspkit` console script calls it without "
+                      "arguments, so argparse reads sys.argv",
+    "content_clustering.cluster_cosine(item_ids)": "names the rows of a bare array; the "
+        "pipeline passes an EmbeddingMatrix, which carries its ids, and tests pass arrays",
+    "corpus.MalformedRecord.__init__(reason)": "most parse faults are bad_value; the "
+        "others name their reason at the raise",
+    "corpus.CorpusStore.__init__(path)": "the in-memory store tests build corpora in; "
+        "the CLI passes its sqlite file",
+    "gbdt.BinMapper.fit(max_bins)": "GbdtClassifier.fit passes its own max_bins; the "
+        "pure-Python reference fit in the GBDT tests bins at the default",
+    "gbdt.GbdtClassifier.__init__(min_child_hess)": "stored in model.json and set by the "
+        "split-search oracle test",
+    "gbdt.GbdtClassifier.__init__(max_bins)": "stored in model.json and set from it by "
+        "GbdtClassifier.from_dict",
+    "pipeline.extract_window_features(context)": "None fits the context on the train "
+        "window; test windows pass the train split's context",
+    "suspension_model.train(mask)": "None fits on every column, as the model tests do; "
+        "the pipeline passes the selection mask",
+    "text_embedding.pca_fit(sample_cap)": "set by test_sample_cap_is_deterministic",
+    "text_embedding.aggregate_post_embeddings(index)": "the pipeline passes the row "
+        "index it builds once per window; tests look rows up in the matrix",
+    "text_embedding.HashedNgramEncoder.__init__(min_n)": "set by the n-gram encoder "
+        "oracle tests",
+    "text_embedding.HashedNgramEncoder.__init__(max_n)": "set by the n-gram encoder "
+        "oracle tests",
+}
+
+
+def defaulted_parameters(root=PACKAGE) -> set[str]:
+    """`module.function(parameter)` for each parameter with a default
+    value of a function, method or lambda under `root`."""
+    found = set()
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+            elif isinstance(child, ast.Lambda):
+                name = f"{prefix}.<lambda>"
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                ]
+                found.update(f"{name}({arg.arg})" for arg in defaulted)
+            visit(child, name)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    return found
+
+
+def test_every_default_is_on_the_allowlist():
+    assert defaulted_parameters() == set(ALLOWED_DEFAULTS)
+
+
+def test_default_guard_catches_a_defaulted_parameter(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Mentions `f(x=1)` in a docstring."""\n\n'
+        "def f(a, b=1, *, c, d=2):\n    return a + b + c + d\n\n"
+        "def g(a, /, b=None, *rest, **options):\n    return lambda x, y=a: x + y\n\n"
+        "class Box:\n    def __init__(self, size=3):\n        self.size = size\n\n"
+        "    def open(self, *, how):\n        return how\n",
+        encoding="utf-8",
+    )
+    assert defaulted_parameters(tmp_path) == {
+        "mod.f(b)", "mod.f(d)", "mod.g(b)", "mod.g.<lambda>(y)", "mod.Box.__init__(size)"}

@@ -445,7 +445,7 @@ def _assert_no_child_processes():
 
 
 class TestTrainWorkers:
-    """`train` forks one worker per further CPU; these runs force two."""
+    """`train` forks one worker per CPU; these runs force three."""
 
     @pytest.fixture
     def train_dir(self, two_window_run, tmp_path, monkeypatch):
@@ -486,10 +486,11 @@ class TestTrainWorkers:
         if code == 4:
             # The worker's own frames come with the error.
             assert 'raise error("fold fit failed")' in err["traceback"]
-            assert "in _serve" in err["traceback"]
+            assert "in _train_task" in err["traceback"]
         else:
             assert "traceback" not in err
         _assert_no_child_processes()
+        assert pipeline._TRAIN_DATA is None
         assert not (train_dir / "model.json").exists()
 
     def test_an_empty_fold_selection_exits_3(self, train_dir, capsys):

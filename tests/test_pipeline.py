@@ -1,3 +1,4 @@
+import pickle
 from itertools import chain
 from types import SimpleNamespace
 
@@ -32,6 +33,7 @@ from suspkit.pipeline import (
 from suspkit.suspension_model import (
     FAMILY_ORDER,
     SPLIT_TEST,
+    FeatureMatrix,
     evaluate as evaluate_model,
     save_model,
 )
@@ -338,6 +340,29 @@ class TestTrainWorkers:
             ))
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+class TestTrainPool:
+    def test_workers_inherit_the_matrix_unpickled(self, artifacts, tmp_path, monkeypatch):
+        matrix, config = artifacts.split.train.combined, artifacts.config
+
+        def run(processes):
+            monkeypatch.setattr(pipeline, "cpu_count", lambda: processes)
+            model, cv_folds, cv_mean = train_with_cv(matrix, config)
+            assert pipeline._TRAIN_DATA is None
+            save_model(tmp_path / "model.json", model)
+            return ((tmp_path / "model.json").read_bytes(),
+                    [(f.to_dict(), f.report.roc_points, f.report.pr_points) for f in cv_folds],
+                    cv_mean.to_dict())
+
+        def unpicklable(self, protocol):
+            raise TypeError("a FeatureMatrix was pickled")
+
+        expected = run(1)
+        monkeypatch.setattr(FeatureMatrix, "__reduce_ex__", unpicklable)
+        with pytest.raises(TypeError, match="was pickled"):
+            pickle.dumps(matrix)
+        assert run(2) == expected
 
 
 class TestLeakFreeCv:

@@ -353,9 +353,10 @@ class TestKfoldCv:
     def test_reports_and_mean(self):
         m = separable_matrix(n=80)
         folds = stratified_folds(m.y, k=4, seed=0)
-        cv_folds = kfold_cv(
-            m, folds, range(4), threshold=0.002, kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC
-        )
+        cv_folds = [
+            kfold_cv(m, folds, fold, threshold=0.002, kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC)
+            for fold in range(4)
+        ]
         reports = [fold.report for fold in cv_folds]
         mean = cv_mean(reports)
         assert len(reports) == 4
@@ -371,8 +372,8 @@ class TestKfoldCv:
         m.X[:, 1] = 0.0
         m.X[5, 1] = 1.0
         folds = stratified_folds(m.y, k=4, seed=0)
-        cv_folds = kfold_cv(m, folds, range(4), threshold=0.0, kind=MODEL_KIND_GBDT,
-                            hyper=SMALL_GBDT)
+        cv_folds = [kfold_cv(m, folds, fold, threshold=0.0, kind=MODEL_KIND_GBDT,
+                             hyper=SMALL_GBDT) for fold in range(4)]
         assert [fold.features for fold in cv_folds] == [
             ("f0",) if fold == folds[5] else ("f0", "f1") for fold in range(4)
         ]
