@@ -154,11 +154,7 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace, workdir: Path) 
                 "snapshots": store.ingest_snapshots(config.snapshots),
                 "labels": store.ingest_labels(config.labels),
             }
-    payload = {
-        name: {"parsed": s.parsed, "skipped": s.skipped, "inserted": s.inserted,
-               "skipped_by_reason": s.skipped_by_reason}
-        for name, s in stats.items()
-    }
+    payload = {name: dataclasses.asdict(s) for name, s in stats.items()}
     stats_path = _write(workdir / "ingest_stats.json", _json, payload)
     for name, s in stats.items():
         print(f"ingest: {name} parsed={s.parsed} skipped={s.skipped}")

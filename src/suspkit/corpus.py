@@ -6,6 +6,10 @@ embedded single-file sqlite store indexed by user and timestamp.
 Ingestion is idempotent: records are keyed by their natural ids and
 re-ingesting a file changes nothing.
 
+Each table holds one record type, and its columns are that type's
+fields: inserts and selects name them in field order, and one loop
+parses, counts, inserts and commits all three files.
+
 A window's tweets are decoded in one :meth:`CorpusStore.tweets_in_window`
 pass; :func:`read_window` groups it per user, and that one table feeds
 every feature family, the graph build and content clustering.
@@ -17,8 +21,10 @@ import csv
 import json
 import logging
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -102,6 +108,13 @@ class AccountLabel:
     status_date: int | None = None  # required for suspended/deactivated
 
 
+# Each table's columns are its record type's fields, in field order.
+_COLUMNS = {
+    table: tuple(f.name for f in fields(record))
+    for table, record in (("tweets", Tweet), ("snapshots", UserSnapshot), ("labels", AccountLabel))
+}
+
+
 @dataclass(frozen=True)
 class TimeWindow:
     start: int
@@ -141,6 +154,18 @@ def _require_utf8(text: str) -> None:
             text.encode("utf-8")
         except UnicodeEncodeError:
             raise MalformedRecord("invalid UTF-8 byte", reason="invalid_utf8") from None
+
+
+def _json_object(line: str) -> dict:
+    """The JSON object one JSON-Lines record holds."""
+    _require_utf8(line)
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"invalid JSON: {exc}", reason="invalid_json") from None
+    if not isinstance(obj, dict):
+        raise MalformedRecord("record is not a JSON object", reason="invalid_json")
+    return obj
 
 
 def _require(obj: dict, key: str):
@@ -193,12 +218,7 @@ def parse_tweet_record(line: str) -> Tweet:
     required fields, partial reference triplets, or a reference
     timestamp later than the post itself.
     """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"invalid JSON: {exc}", reason="invalid_json") from None
-    if not isinstance(obj, dict):
-        raise MalformedRecord("record is not a JSON object", reason="invalid_json")
+    obj = _json_object(line)
 
     tweet_id = _as_str(_require(obj, "id"), "id")
     user_id = _as_str(_require(obj, "user_id"), "user_id")
@@ -248,18 +268,14 @@ def parse_tweet_record(line: str) -> Tweet:
     )
 
 
-_SNAPSHOT_COUNTS = ("followers", "friends", "statuses", "favourites", "listed")
-_SNAPSHOT_FLAGS = ("verified", "default_profile", "default_profile_image")
+# Snapshot fields 3-7 are the counts and 8-10 the flags.
+_SNAPSHOT_COUNTS = _COLUMNS["snapshots"][3:8]
+_SNAPSHOT_FLAGS = _COLUMNS["snapshots"][8:11]
 
 
 def parse_snapshot_record(line: str) -> UserSnapshot:
     """Parse one JSON-Lines profile snapshot record."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"invalid JSON: {exc}", reason="invalid_json") from None
-    if not isinstance(obj, dict):
-        raise MalformedRecord("record is not a JSON object", reason="invalid_json")
+    obj = _json_object(line)
 
     user_id = _as_str(_require(obj, "user_id"), "user_id")
     observed_at = _as_epoch(_require(obj, "observed_at"), "observed_at")
@@ -308,6 +324,9 @@ def parse_status_date(raw: str) -> int | None:
 
 
 def parse_label_row(row: dict[str, str]) -> AccountLabel:
+    for value in row.values():
+        if isinstance(value, str):
+            _require_utf8(value)
     user_id = (row.get("user_id") or "").strip()
     status = (row.get("status") or "").strip()
     if not user_id:
@@ -371,7 +390,18 @@ CREATE TABLE IF NOT EXISTS labels (
 );
 """
 
-_INGEST_BATCH = 5000
+_INSERT = {
+    table: f"INSERT OR IGNORE INTO {table} ({', '.join(columns)})"
+           f" VALUES ({', '.join('?' * len(columns))})"
+    for table, columns in _COLUMNS.items()
+}
+_SELECT = {table: f"SELECT {', '.join(columns)} FROM {table}" for table, columns in _COLUMNS.items()}
+
+
+def _encode_lists(row: tuple) -> tuple:
+    """A tweet's field values with hashtags, urls and mentions (fields
+    8-10) as the JSON lists they are stored as."""
+    return (*row[:8], *map(json.dumps, row[8:11]), row[11])
 
 
 def _decode_list(raw: str) -> tuple[str, ...]:
@@ -404,131 +434,55 @@ class CorpusStore:
 
     # -- ingestion ----------------------------------------------------
 
-    def _ingest_lines(self, lines: Iterable[str], parse, insert) -> IngestStats:
+    def _ingest(self, records: Iterable, parse, table: str, to_row) -> IngestStats:
+        """Parse each record, skip and count the malformed ones, and stream
+        the rest into `table`; `to_row` maps a record's field values to its
+        row.  Rows go to sqlite one at a time, so memory stays flat."""
         stats = IngestStats()
-        batch = []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                _require_utf8(line)
-                batch.append(parse(line))
-            except MalformedRecord as exc:
-                stats.skip(exc)
-                continue
-            stats.parsed += 1
-            if len(batch) >= _INGEST_BATCH:
-                stats.inserted += insert(batch)
-                batch.clear()
-        if batch:
-            stats.inserted += insert(batch)
+        values = attrgetter(*_COLUMNS[table])
+
+        def rows():
+            for record in records:
+                try:
+                    row = to_row(values(parse(record)))
+                except MalformedRecord as exc:
+                    stats.skip(exc)
+                    continue
+                stats.parsed += 1
+                yield row
+
+        stats.inserted = self._conn.executemany(_INSERT[table], rows()).rowcount
         if stats.skipped > _WARN_LIMIT:
             logger.warning("%d malformed records skipped in total", stats.skipped)
         self._conn.commit()
         return stats
 
-    def _insert_tweets(self, tweets: list[Tweet]) -> int:
-        cur = self._conn.executemany(
-            "INSERT OR IGNORE INTO tweets VALUES (?,?,?,?,?,?,?,?,?,?,?,?)",
-            [
-                (
-                    t.tweet_id,
-                    t.user_id,
-                    t.created_at,
-                    t.kind,
-                    t.referenced_tweet_id,
-                    t.referenced_user_id,
-                    t.referenced_created_at,
-                    t.text,
-                    json.dumps(t.hashtags),
-                    json.dumps(t.urls),
-                    json.dumps(t.mentions),
-                    t.lang,
-                )
-                for t in tweets
-            ],
-        )
-        return cur.rowcount
-
-    def _insert_snapshots(self, snaps: list[UserSnapshot]) -> int:
-        cur = self._conn.executemany(
-            "INSERT OR IGNORE INTO snapshots VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-            [
-                (
-                    s.user_id,
-                    s.observed_at,
-                    s.account_created_at,
-                    s.followers,
-                    s.friends,
-                    s.statuses,
-                    s.favourites,
-                    s.listed,
-                    int(s.verified),
-                    int(s.default_profile),
-                    int(s.default_profile_image),
-                    s.name,
-                    s.screen_name,
-                    s.description,
-                )
-                for s in snaps
-            ],
-        )
-        return cur.rowcount
+    def _ingest_lines(self, source: str | Path | Iterable[str], parse, table: str,
+                      to_row) -> IngestStats:
+        """Ingest a JSON-Lines file (or an iterable of lines); blank lines
+        are no records."""
+        if isinstance(source, (str, Path)):
+            with open(source, encoding="utf-8", errors="surrogateescape") as fh:
+                return self._ingest_lines(fh, parse, table, to_row)
+        return self._ingest((line for line in source if line.strip()), parse, table, to_row)
 
     def ingest_tweets(self, source: str | Path | Iterable[str]) -> IngestStats:
         """Ingest a JSON-Lines tweet file (or an iterable of lines)."""
-        if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-                return self._ingest_lines(fh, parse_tweet_record, self._insert_tweets)
-        return self._ingest_lines(source, parse_tweet_record, self._insert_tweets)
+        return self._ingest_lines(source, parse_tweet_record, "tweets", _encode_lists)
 
     def ingest_snapshots(self, source: str | Path | Iterable[str]) -> IngestStats:
-        if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-                return self._ingest_lines(fh, parse_snapshot_record, self._insert_snapshots)
-        return self._ingest_lines(source, parse_snapshot_record, self._insert_snapshots)
+        # sqlite stores the bool flags as the integers 0 and 1.
+        return self._ingest_lines(source, parse_snapshot_record, "snapshots", tuple)
 
     def ingest_labels(self, source: str | Path) -> IngestStats:
-        stats = IngestStats()
         with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            reader = csv.DictReader(fh)
-            batch = []
-            for row in reader:
-                try:
-                    for value in row.values():
-                        if isinstance(value, str):
-                            _require_utf8(value)
-                    batch.append(parse_label_row(row))
-                except MalformedRecord as exc:
-                    stats.skip(exc)
-                    continue
-                stats.parsed += 1
-            cur = self._conn.executemany(
-                "INSERT OR IGNORE INTO labels VALUES (?,?,?)",
-                [(l.user_id, l.status, l.status_date) for l in batch],
-            )
-            stats.inserted = cur.rowcount
-        self._conn.commit()
-        return stats
+            return self._ingest(csv.DictReader(fh), parse_label_row, "labels", tuple)
 
     # -- queries ------------------------------------------------------
 
     @staticmethod
     def _row_to_tweet(row) -> Tweet:
-        return Tweet(
-            tweet_id=row[0],
-            user_id=row[1],
-            created_at=row[2],
-            kind=row[3],
-            referenced_tweet_id=row[4],
-            referenced_user_id=row[5],
-            referenced_created_at=row[6],
-            text=row[7],
-            hashtags=_decode_list(row[8]),
-            urls=_decode_list(row[9]),
-            mentions=_decode_list(row[10]),
-            lang=row[11],
-        )
+        return Tweet(*row[:8], *map(_decode_list, row[8:11]), row[11])
 
     def user_timeline(self, user_id: str, window: TimeWindow) -> list[Tweet]:
         """All in-window tweets of a user, ascending by time then id.
@@ -536,7 +490,7 @@ class CorpusStore:
         Unknown users simply get an empty timeline.
         """
         rows = self._conn.execute(
-            "SELECT * FROM tweets WHERE user_id = ? AND created_at >= ? AND created_at < ?"
+            _SELECT["tweets"] + " WHERE user_id = ? AND created_at >= ? AND created_at < ?"
             " ORDER BY created_at, tweet_id",
             (user_id, window.start, window.end),
         )
@@ -544,7 +498,7 @@ class CorpusStore:
 
     def tweets_in_window(self, window: TimeWindow) -> Iterator[Tweet]:
         rows = self._conn.execute(
-            "SELECT * FROM tweets WHERE created_at >= ? AND created_at < ?"
+            _SELECT["tweets"] + " WHERE created_at >= ? AND created_at < ?"
             " ORDER BY created_at, tweet_id",
             (window.start, window.end),
         )
@@ -561,35 +515,15 @@ class CorpusStore:
 
     def snapshots(self, user_id: str, window: TimeWindow) -> list[UserSnapshot]:
         rows = self._conn.execute(
-            "SELECT * FROM snapshots WHERE user_id = ? AND observed_at >= ? AND observed_at < ?"
+            _SELECT["snapshots"] + " WHERE user_id = ? AND observed_at >= ? AND observed_at < ?"
             " ORDER BY observed_at",
             (user_id, window.start, window.end),
         )
-        return [
-            UserSnapshot(
-                user_id=r[0],
-                observed_at=r[1],
-                account_created_at=r[2],
-                followers=r[3],
-                friends=r[4],
-                statuses=r[5],
-                favourites=r[6],
-                listed=r[7],
-                verified=bool(r[8]),
-                default_profile=bool(r[9]),
-                default_profile_image=bool(r[10]),
-                name=r[11],
-                screen_name=r[12],
-                description=r[13],
-            )
-            for r in rows
-        ]
+        return [UserSnapshot(*r[:8], *map(bool, r[8:11]), *r[11:]) for r in rows]
 
     def labels(self) -> dict[str, AccountLabel]:
-        return {
-            r[0]: AccountLabel(user_id=r[0], status=r[1], status_date=r[2])
-            for r in self._conn.execute("SELECT user_id, status, status_date FROM labels")
-        }
+        labels = starmap(AccountLabel, self._conn.execute(_SELECT["labels"]))
+        return {label.user_id: label for label in labels}
 
 
 def read_window(store: CorpusStore, window: TimeWindow) -> dict[str, list[Tweet]]:

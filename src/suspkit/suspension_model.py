@@ -225,18 +225,12 @@ class TrainedModel:
             name for name, keep in zip(self.input_feature_names, self.selection_mask) if keep
         )
 
-    def _prepare(self, matrix: FeatureMatrix | np.ndarray) -> np.ndarray:
-        if isinstance(matrix, FeatureMatrix):
-            if matrix.feature_names != self.input_feature_names:
-                raise SchemaMismatch("feature schema differs from the model's")
-            X = matrix.X
-        else:
-            X = np.asarray(matrix, dtype=np.float64)
-            if X.ndim != 2 or X.shape[1] != len(self.input_feature_names):
-                raise SchemaMismatch("input width differs from the model schema")
-        return _impute(X[:, self.selection_mask], self.medians)
+    def _prepare(self, matrix: FeatureMatrix) -> np.ndarray:
+        if matrix.feature_names != self.input_feature_names:
+            raise SchemaMismatch("feature schema differs from the model's")
+        return _impute(matrix.X[:, self.selection_mask], self.medians)
 
-    def predict_proba(self, matrix: FeatureMatrix | np.ndarray) -> np.ndarray:
+    def predict_proba(self, matrix: FeatureMatrix) -> np.ndarray:
         return self.inner.predict_proba(self._prepare(matrix))
 
     def predict_proba_selected(self, X_selected: np.ndarray) -> np.ndarray:

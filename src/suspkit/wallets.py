@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -192,21 +193,14 @@ def extract_wallets(posts: Iterable[Tweet | tuple[str, str, str]]) -> list[Walle
 
 
 def write_wallet_csv(path: str | Path, hits: Sequence[WalletHit]) -> None:
+    """One row per hit; the header is `WalletHit`'s fields."""
+    names = [f.name for f in fields(WalletHit)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["address", "chain", "tweet_id", "user_id"])
-        for hit in hits:
-            writer.writerow([hit.address, hit.chain, hit.tweet_id, hit.user_id])
+        writer.writerow(names)
+        writer.writerows(map(attrgetter(*names), hits))
 
 
 def read_wallet_csv(path: str | Path) -> list[WalletHit]:
     with open(path, newline="", encoding="utf-8") as fh:
-        return [
-            WalletHit(
-                address=row["address"],
-                chain=row["chain"],
-                tweet_id=row["tweet_id"],
-                user_id=row["user_id"],
-            )
-            for row in csv.DictReader(fh)
-        ]
+        return [WalletHit(**row) for row in csv.DictReader(fh)]

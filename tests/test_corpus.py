@@ -1,4 +1,6 @@
 import json
+import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from suspkit.corpus import (
     split_windows,
     undersample_balance,
     DAY_SECONDS,
+    Tweet,
+    UserSnapshot,
+    _WARN_LIMIT,
     _decode_list,
 )
 
@@ -290,6 +295,52 @@ class TestCorpusStore:
         snaps = store.snapshots("u1", window)
         assert len(snaps) == 1
         assert snaps[0].statuses == 30
+
+    @pytest.mark.parametrize(
+        "table, record", [("tweets", Tweet), ("snapshots", UserSnapshot), ("labels", AccountLabel)]
+    )
+    def test_columns_are_the_record_fields(self, table, record):
+        store = CorpusStore()
+        columns = {row[1] for row in store._conn.execute(f"PRAGMA table_info({table})")}
+        assert columns == {f.name for f in fields(record)}
+
+    def test_every_field_round_trips(self, window):
+        lists = {"hashtags": ["#scam", "btc"], "urls": ["https://x.test/a"],
+                 "mentions": ["u7", "u8"], "lang": "en"}
+        tweets = [
+            tweet_line(id="rt", created_at=WINDOW_START + 10, text="RT hi",
+                       retweeted_status_id="r1", retweeted_user_id="u2",
+                       retweeted_status_created_at=WINDOW_START - 60, **lists),
+            tweet_line(id="qt", created_at=WINDOW_START + 20, text="look",
+                       quoted_status_id="q1", quoted_user_id="u3",
+                       quoted_status_created_at=WINDOW_START - 5, **lists),
+        ]
+        snapshot = snapshot_line(verified=True, default_profile=True, default_profile_image=True)
+        store = CorpusStore()
+        store.ingest_tweets(tweets)
+        store.ingest_snapshots([snapshot])
+        stored = list(store.tweets_in_window(window))
+        assert stored == [parse_tweet_record(line) for line in tweets]
+        assert [t.kind for t in stored] == ["retweet", "quote"]
+        (stored_snapshot,) = store.snapshots("u1", window)
+        assert stored_snapshot == parse_snapshot_record(snapshot)
+        flags = (stored_snapshot.verified, stored_snapshot.default_profile,
+                 stored_snapshot.default_profile_image)
+        assert all(flag is True for flag in flags)
+
+    def test_many_bad_label_rows_warn_in_total(self, tmp_path, caplog):
+        bad = _WARN_LIMIT + 2
+        labels_csv = tmp_path / "labels.csv"
+        labels_csv.write_text(
+            "user_id,status,status_date\nu0,normal,\n"
+            + "".join(f"b{i},banned,\n" for i in range(bad))
+        )
+        with caplog.at_level(logging.WARNING, logger="suspkit.corpus"):
+            stats = CorpusStore().ingest_labels(labels_csv)
+        assert (stats.parsed, stats.skipped, stats.inserted) == (1, bad, 1)
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum(m.startswith("skipping malformed record") for m in messages) == _WARN_LIMIT
+        assert f"{bad} malformed records skipped in total" in messages
 
     def test_label_ingest(self, tmp_path, window):
         labels_csv = tmp_path / "labels.csv"

@@ -244,8 +244,8 @@ class TestTrain:
         y = np.array([0, 0, 1, 1] * 3)
         m = matrix_of(X, y, users=[f"u{i}" for i in range(12)])
         model = train(m, kind=MODEL_KIND_LOGISTIC, hyper=LOGISTIC)
-        probe_nan = np.array([[2.5, math.nan]])
-        probe_median = np.array([[2.5, 6.0]])  # median of finite column values
+        probe_nan = matrix_of([[2.5, math.nan]], [0])
+        probe_median = matrix_of([[2.5, 6.0]], [0])  # median of finite column values
         assert model.predict_proba(probe_nan)[0] == model.predict_proba(probe_median)[0]
 
     def test_mask_restricts_features(self):
@@ -260,6 +260,9 @@ class TestTrain:
         other = matrix_of(m.X, m.y, names=("g0", "g1"))
         with pytest.raises(SchemaMismatch):
             model.predict_proba(other)
+        wider = matrix_of(np.column_stack([m.X, m.X[:, 0]]), m.y)
+        with pytest.raises(SchemaMismatch):
+            model.predict_proba(wider)
 
     def test_mask_width_checked(self):
         m = separable_matrix()
