@@ -58,6 +58,7 @@ from .suspension_model import (
     SPLIT_SECOND_TEST,
     SPLIT_TEST,
     FeatureMatrix,
+    SchemaMismatch,
     load_model,
     save_model,
     evaluate as evaluate_model,
@@ -330,41 +331,59 @@ def cmd_graph(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -
     return {"graph": str(graph_path), "embeddings": str(emb_path)}, [ranking_path]
 
 
+def _json_section(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _cv_section(path: Path) -> dict:
+    cv = _json_section(path)
+    # cv_report.json keeps each fold's selected names; the summary counts them.
+    for fold in cv["folds"]:
+        fold["n_features"] = len(fold.pop("features"))
+    return cv
+
+
+def _clusters_section(path: Path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        sizes = [json.loads(line)["size"] for line in fh]
+    return {"n_clusters": len(sizes), "n_items": sum(sizes), "largest": sizes[:10]}
+
+
+def _wallets_section(path: Path) -> dict:
+    hits = read_wallet_csv(path)
+    return {"total": len(hits), "by_chain": Counter(hit.chain for hit in hits)}
+
+
+def _top_features_section(path: Path) -> list[str]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row["feature"] for row in csv.DictReader(fh)][:10]
+
+
+# (report key, stage output, its summary), in report order.
+_REPORT_SECTIONS = (
+    ("cv", "cv_report.json", _cv_section),
+    ("test", "report_test.json", _json_section),
+    ("second_test", "report_second_test.json", _json_section),
+    ("graph", "graph_ranking.json", _json_section),
+    ("toxicity", "toxicity.json", _json_section),
+    ("clusters", "clusters.jsonl", _clusters_section),
+    ("wallets", "wallets.csv", _wallets_section),
+    ("top_features", "impact_summary.csv", _top_features_section),
+)
+
+
 def cmd_report(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     sections = {}
-    for key, name in (
-        ("cv", "cv_report.json"),
-        ("test", "report_test.json"),
-        ("second_test", "report_second_test.json"),
-        ("graph", "graph_ranking.json"),
-        ("toxicity", "toxicity.json"),
-    ):
+    for key, name, summarize in _REPORT_SECTIONS:
         path = workdir / name
-        if path.exists():
-            sections[key] = json.loads(path.read_text(encoding="utf-8"))
-    if "cv" in sections:
-        # cv_report.json keeps each fold's selected names; the summary counts them.
-        for fold in sections["cv"]["folds"]:
-            fold["n_features"] = len(fold.pop("features"))
-    clusters_path = workdir / "clusters.jsonl"
-    if clusters_path.exists():
-        with open(clusters_path, encoding="utf-8") as fh:
-            sizes = [json.loads(line)["size"] for line in fh]
-        sections["clusters"] = {
-            "n_clusters": len(sizes),
-            "n_items": sum(sizes),
-            "largest": sizes[:10],
-        }
-    wallets_path = workdir / "wallets.csv"
-    if wallets_path.exists():
-        hits = read_wallet_csv(wallets_path)
-        by_chain = Counter(hit.chain for hit in hits)
-        sections["wallets"] = {"total": len(hits), "by_chain": by_chain}
-    summary_path = workdir / "impact_summary.csv"
-    if summary_path.exists():
-        with open(summary_path, newline="", encoding="utf-8") as fh:
-            top = [row["feature"] for row in csv.DictReader(fh)][:10]
-        sections["top_features"] = top
+        if not path.exists():
+            continue
+        # A field missing, or a value of another shape than the stage
+        # writes, is a damaged input, not an internal error.
+        try:
+            sections[key] = summarize(path)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise SchemaMismatch(f"{path} is not a {name} the stages write: {exc!r}") from None
     if not sections:
         raise MissingArtifact("no stage outputs found in workdir; run stages first")
     report_path = _write(workdir / "report.json", _json, sections)

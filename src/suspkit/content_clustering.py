@@ -3,12 +3,13 @@
 Single pass in input order: each item joins the existing leader of
 maximal cosine similarity when that similarity clears the threshold
 (ties broken by earliest leader), otherwise it founds a new cluster.
-Items are scanned in blocks: one GEMM per block and tile of the leaders
-that exist when the block starts, and the block's own Gram matrix for
-the leaders it founds.  Only an item whose best similarity lies within
-a rounding margin of the threshold or of a rival is recomputed with the
-exact per-item product against every leader, so labels and leaders are
-identical to a naive pairwise loop.
+Items are screened in blocks, in float32: one GEMM per block and tile
+of the leaders that exist when the block starts, and the block's own
+Gram matrix for the leaders it founds.  Only an item whose best screened
+similarity lies within the float32 rounding margin of the threshold or
+of a rival is recomputed with the exact float64 per-item product
+against every leader, so labels and leaders are identical to a naive
+pairwise loop.
 """
 
 from __future__ import annotations
@@ -68,18 +69,25 @@ def _normalized_rows(X: np.ndarray) -> np.ndarray:
 
 
 # Items per block and leaders per GEMM tile: a tile of similarities is
-# _BLOCK x _TILE float64s, 1 MB, and stays in cache while it is reduced.
+# _BLOCK x _TILE float32s, 512 KB, and stays in cache while it is reduced.
 _BLOCK = 128
 _TILE = 1024
-# A dot product of two unit vectors of dimension d is within d*u
-# (u = 2**-53) of its exact value in any order of summation, with or
+# The screen multiplies float32 copies of the unit rows; float32 rounds
+# to within a relative _U32.  Rounding the two inputs moves each product
+# a_i*b_i by at most about 2*_U32*|a_i*b_i|, and a dot product of length
+# d adds at most d*_U32*sum|a_i*b_i| in any order of summation, with or
 # without FMA (Higham, Accuracy and Stability of Numerical Algorithms,
-# sec. 3.1), so a GEMM entry and the per-item GEMV that defines the
-# result differ by at most 2*d*u: 4.4e-15 for d = 20.  A decision whose
-# margin to tau and to every rival exceeds eps is therefore the GEMV's;
-# the rest are recomputed with the GEMV.  eps is _EPS, or 8*d*u where
-# that is larger (d above ~1,100), so it stays 4x the bound.
-_EPS = 1e-12
+# sec. 3.1); gradual underflow adds at most 2**-149 per term.  For unit
+# rows sum|a_i*b_i| <= 1, so a screened similarity is within (d+2)*_U32
+# of the exact one, and the float64 GEMV that defines the result is
+# within d*2**-53 of it.  A screened similarity and the GEMV's thus
+# differ by at most about (d+2)*_U32, and a gap between two screened
+# similarities and the GEMV's gap by twice that.  eps = 8*(d+2)*_U32 is
+# 4x the latter: 1.05e-5 for d = 20.  A decision whose margin to tau and
+# to every rival exceeds eps is therefore the GEMV's; the rest are
+# recomputed with the GEMV.  Screened similarities are widened to
+# float64, exactly, before any comparison with a threshold.
+_U32 = 2.0 ** -24
 
 
 def _reserve(buf: np.ndarray, rows: int) -> np.ndarray:
@@ -89,7 +97,7 @@ def _reserve(buf: np.ndarray, rows: int) -> np.ndarray:
         return buf
     while cap < rows:
         cap *= 2
-    grown = np.empty((cap, buf.shape[1]))
+    grown = np.empty((cap, buf.shape[1]), dtype=buf.dtype)
     grown[: buf.shape[0]] = buf
     return grown
 
@@ -105,7 +113,7 @@ def _best_leaders(block: np.ndarray, leaders: np.ndarray,
     runner_up = np.full(b, -np.inf)
     for start in range(0, leaders.shape[0], _TILE):
         sims = block @ leaders[start:start + _TILE].T
-        row_max = sims.max(axis=1)
+        row_max = sims.max(axis=1).astype(np.float64)
         rows = np.flatnonzero(row_max >= floor)
         if not rows.size:
             continue
@@ -121,6 +129,15 @@ def _best_leaders(block: np.ndarray, leaders: np.ndarray,
         top[rows] = np.where(wins, best, prev_top)
         top_at[rows] = np.where(wins, at + start, top_at[rows])
     return top, top_at, runner_up
+
+
+def _gemv_best(leaders: np.ndarray, row: np.ndarray) -> tuple[int, float]:
+    """The first leader of highest similarity to row, and that
+    similarity, from one float64 matrix-vector product: the per-item
+    scan that defines the result."""
+    sims = leaders @ row
+    best = int(np.argmax(sims))
+    return best, float(sims[best])
 
 
 def cluster_cosine(X: EmbeddingMatrix | np.ndarray, tau: float,
@@ -142,16 +159,20 @@ def cluster_cosine(X: EmbeddingMatrix | np.ndarray, tau: float,
         raise ValueError("item_ids and rows differ in length")
 
     unit = _normalized_rows(X)
-    eps = max(_EPS, 4.0 * d * np.finfo(np.float64).eps)
+    unit32 = unit.astype(np.float32)
+    eps = 8 * (d + 2) * _U32
     floor, sure = tau - eps, tau + eps
     labels = np.empty(n, dtype=np.int64)
     leader_rows: list[int] = []
+    # The leaders' rows, in float64 for the recompute and float32 for the screen.
     leader_buf = np.empty((16, d))
+    leader32 = np.empty((16, d), dtype=np.float32)
     for start in range(0, n, _BLOCK):
         block = unit[start:start + _BLOCK]
+        block32 = unit32[start:start + _BLOCK]
         k0 = len(leader_rows)
-        top, top_at, runner_up = _best_leaders(block, leader_buf[:k0], floor)
-        gram = block @ block.T
+        top, top_at, runner_up = _best_leaders(block32, leader32[:k0], floor)
+        gram = (block32 @ block32.T).astype(np.float64)
         # reach[r, j]: an earlier row j of the block is a candidate for r
         # if j founds a cluster.
         reach = np.tril(gram >= floor, -1)
@@ -175,17 +196,19 @@ def cluster_cosine(X: EmbeddingMatrix | np.ndarray, tau: float,
                 k = k0 + int(np.count_nonzero(founds[:r]))
                 leader_buf = _reserve(leader_buf, k)
                 leader_buf[k0:k] = block[:r][founds[:r]]
-                sims = leader_buf[:k] @ unit[start + r]
-                exact = int(np.argmax(sims))
-                if sims[exact] >= tau:
+                exact, sim = _gemv_best(leader_buf[:k], unit[start + r])
+                if sim >= tau:
                     labels[start + r] = exact
                 else:
                     founds[r] = True
             else:
                 labels[start + r] = best_label
         new = np.flatnonzero(founds)
-        leader_buf = _reserve(leader_buf, k0 + new.size)
-        leader_buf[k0:k0 + new.size] = block[new]
+        k = k0 + new.size
+        leader_buf = _reserve(leader_buf, k)
+        leader_buf[k0:k] = block[new]
+        leader32 = _reserve(leader32, k)
+        leader32[k0:k] = block32[new]
         labels[start + new] = k0 + np.arange(new.size)
         leader_rows.extend((start + new).tolist())
 

@@ -12,7 +12,8 @@ parses, counts, inserts and commits all three files.
 
 A window's tweets are decoded in one :meth:`CorpusStore.tweets_in_window`
 pass; :func:`read_window` groups it per user, and that one table feeds
-every feature family, the graph build and content clustering.
+every feature family and the graph build.  Content clustering reads
+only the id, user and text columns (:meth:`CorpusStore.window_posts`).
 """
 
 from __future__ import annotations
@@ -504,6 +505,16 @@ class CorpusStore:
         )
         for row in rows:
             yield self._row_to_tweet(row)
+
+    def window_posts(self, window: TimeWindow) -> Iterator[tuple[str, str, str]]:
+        """The window's (tweet_id, user_id, text) rows by user, and per user
+        in `user_timeline` order.  sqlite compares text as UTF-8 bytes,
+        which orders user ids as `sorted` does."""
+        return self._conn.execute(
+            "SELECT tweet_id, user_id, text FROM tweets WHERE created_at >= ? AND created_at < ?"
+            " ORDER BY user_id, created_at, tweet_id",
+            (window.start, window.end),
+        )
 
     def active_users(self, window: TimeWindow) -> list[str]:
         rows = self._conn.execute(

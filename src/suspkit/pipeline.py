@@ -242,14 +242,15 @@ def _reduce_posts(
 ) -> tuple[EmbeddingMatrix, PcaModel]:
     """Post vectors reduced by `pca`, or by a PCA fitted on them under
     the seed of `stage` when `pca` is None: (reduced posts, PCA)."""
-    # The fallback encoder depends only on the text, so duplicate
-    # texts are encoded once; the precomputed provider is keyed by
-    # post id and looked up directly.
+    # The fallback encoder's row of a text depends only on the text, so
+    # each distinct text is encoded once, in first-occurrence order; the
+    # precomputed provider is keyed by post id and looked up directly.
     if isinstance(provider, PrecomputedEmbeddings):
         raw = provider.embed(ids, texts).vectors
     else:
-        unique, inverse = np.unique(np.asarray(texts, dtype=object), return_inverse=True)
-        raw = provider.embed([str(i) for i in range(len(unique))], list(unique)).vectors[inverse]
+        first: dict[str, int] = {}
+        inverse = [first.setdefault(text, len(first)) for text in texts]
+        raw = provider.embed([str(i) for i in range(len(first))], list(first)).vectors[inverse]
     if pca is None:
         k = min(config.pca_components, raw.shape[1], len(ids))
         pca = pca_fit(raw, k, seed=stage_seed(config.seed, stage))
@@ -507,19 +508,18 @@ def run_clustering(store: CorpusStore, config: PipelineConfig) -> ClusterArtifac
     keywords and wallet addresses."""
     window, _ = config.windows()
     labels = store.labels()
-    suspended = sorted(
+    suspended = {
         u
         for u, lab in labels.items()
         if lab.status == STATUS_SUSPENDED
         and lab.status_date is not None
         and window.contains(lab.status_date)
-    )
-    tweets = read_window(store, window)
-    posts = [t for user in suspended for t in tweets.get(user, ())]
-    del tweets
+    }
+    # (tweet_id, user_id, text) by user id, then by time within a user.
+    posts = [post for post in store.window_posts(window) if post[1] in suspended]
 
-    texts = [t.text for t in posts]
-    post_ids = [t.tweet_id for t in posts]
+    post_ids = [post[0] for post in posts]
+    texts = [post[2] for post in posts]
     if len(posts) >= 2:
         reduced, _ = _reduce_posts(
             make_provider(config), post_ids, texts, None, config, "cluster-pca"

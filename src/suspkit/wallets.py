@@ -18,8 +18,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Tweet
-
 CHAIN_BITCOIN = "bitcoin"
 CHAIN_ETHEREUM = "ethereum"
 
@@ -171,19 +169,17 @@ def find_addresses(text: str) -> list[tuple[str, str]]:
     return out
 
 
-def extract_wallets(posts: Iterable[Tweet | tuple[str, str, str]]) -> list[WalletHit]:
-    """Scan posts for wallet addresses, one hit per (address, tweet).
-
-    Accepts Tweet objects or (tweet_id, user_id, text) triples.
-    """
+def extract_wallets(posts: Iterable[tuple[str, str, str]]) -> list[WalletHit]:
+    """Scan (tweet_id, user_id, text) posts for wallet addresses, one hit
+    per (address, tweet).  Each distinct text is scanned once."""
     hits: list[WalletHit] = []
     seen: set[tuple[str, str]] = set()
-    for post in posts:
-        if isinstance(post, Tweet):
-            tweet_id, user_id, text = post.tweet_id, post.user_id, post.text
-        else:
-            tweet_id, user_id, text = post
-        for address, chain in find_addresses(text):
+    found: dict[str, list[tuple[str, str]]] = {}
+    for tweet_id, user_id, text in posts:
+        addresses = found.get(text)
+        if addresses is None:
+            addresses = found[text] = find_addresses(text)
+        for address, chain in addresses:
             key = (address, tweet_id)
             if key in seen:
                 continue

@@ -322,6 +322,29 @@ class TestFailureModes:
         assert code == 3
         assert json.loads(capsys.readouterr().err.strip())["error"] == "DatabaseError"
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("wallets.csv", "address,chain\n1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa,bitcoin\n"),
+            ("clusters.jsonl", '{"cluster_id": 0, "size": 2}\n{"cluster_id": 1}\n'),
+            ("impact_summary.csv", "name,mean_abs_shap\naccount_age_days,0.5\n"),
+            ("cv_report.json", '{"mean": {"f1": 1.0}}'),
+            ("cv_report.json", '{"folds": [{"fold": 0, "f1": 1.0}]}'),
+            ("cv_report.json", '{"folds": ["fold 0"]}'),
+        ],
+        ids=["wallets-without-ids", "cluster-without-size", "summary-without-feature",
+             "cv-without-folds", "fold-without-features", "fold-not-an-object"],
+    )
+    def test_damaged_report_input_exits_3(self, tmp_path, capsys, name, content):
+        (tmp_path / name).write_text(content, encoding="utf-8")
+        code = cli.main(["--workdir", str(tmp_path), "report"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "SchemaMismatch"
+        assert err["stage"] == "report"
+        assert name in err["message"]
+        assert not (tmp_path / "report.json").exists()
+
 
 FAST_CONFIG = {
     "encoder_dim": 64,

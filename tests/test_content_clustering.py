@@ -288,6 +288,78 @@ class TestBlockedScan:
             cluster_cosine(np.array([[np.inf, 0.0]]), 0.5)
 
 
+class TestFloat32Screen:
+    """Decisions within the float32 screen's margin (8*(d+2)*2**-24,
+    1.05e-5 for d = 20) but far outside a float64 one, against the
+    per-post GEMV scan, bit for bit."""
+
+    @pytest.fixture
+    def recomputes(self, monkeypatch):
+        """The rows cluster_cosine recomputes with the exact GEMV."""
+        rows = []
+        gemv = content_clustering._gemv_best
+
+        def counted(leaders, row):
+            rows.append(row)
+            return gemv(leaders, row)
+
+        monkeypatch.setattr(content_clustering, "_gemv_best", counted)
+        return rows
+
+    assert_same = TestBlockedScan.assert_same
+
+    @pytest.mark.parametrize("block", [1, 256])
+    @pytest.mark.parametrize("delta", [-1e-6, -1e-7, 1e-7, 1e-6])
+    def test_tau_near_the_similarity(self, monkeypatch, recomputes, block, delta):
+        monkeypatch.setattr(content_clustering, "_BLOCK", block)
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            X = random_unit_rows(rng, 2, 20)
+            X[1] = X[0] + 0.3 * X[1]
+            unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+            sim = float((unit[:1] @ unit[1])[0])
+            got = self.assert_same(X, sim + delta)
+            assert got.n_clusters == (1 if delta < 0 else 2)
+        # Every second post was decided by the recompute, not the screen.
+        assert len(recomputes) == 20
+
+    @pytest.mark.parametrize("block", [1, 256])
+    @pytest.mark.parametrize("gap", [-1e-7, 1e-7])
+    def test_rival_leaders_1e7_apart(self, monkeypatch, recomputes, block, gap):
+        # c = (1 + delta) a + b is more similar to a than to b by
+        # delta (1 - a.b) before normalization: 1e-7 after it, give or take.
+        monkeypatch.setattr(content_clustering, "_BLOCK", block)
+        rng = np.random.default_rng(22)
+        tried = 0
+        while tried < 20:
+            a, b = random_unit_rows(rng, 2, 20)
+            if not -0.5 < a @ b < 0.5:
+                continue
+            tried += 1
+            c = (1 + gap / (1 - a @ b)) * a + b
+            got = self.assert_same(np.stack([a, b, c]), 0.5)
+            assert got.labels.tolist() == [0, 1, 0 if gap > 0 else 1]
+        assert len(recomputes) == 20
+
+    @pytest.mark.parametrize("tau", [0.5, 0.9, 0.99])
+    def test_dimension_256(self, tau):
+        rng = np.random.default_rng(23)
+        got = self.assert_same(campaign_rows(rng, 700, 256, campaigns=6, noise=0.1), tau)
+        assert 6 <= got.n_clusters < 700
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 1 / 3, 0.75])
+    def test_components_of_1e30_and_1(self, monkeypatch, block, tau):
+        # Rows of +-1 and +-1e-30: the tiny products underflow in float32,
+        # and many similarities are ties or equal tau up to rounding.
+        monkeypatch.setattr(content_clustering, "_BLOCK", block)
+        rng = np.random.default_rng(24)
+        X = rng.choice([1e-30, 1.0], size=(300, 8)) * rng.choice([-1.0, 1.0], size=(300, 8))
+        X[::10] = rng.choice([-1e-30, 1e-30], size=(30, 8))
+        got = self.assert_same(X, tau)
+        assert 1 < got.n_clusters < 300
+
+
 class TestClusterReport:
     def _assignment(self):
         X = np.array([[1, 0], [1, 0], [1, 0], [0, 1]], dtype=float)

@@ -439,6 +439,44 @@ class TestClustering:
         assert artifacts.wallet_hits
         assert any(hit["matches"]["crypto"] > 0 for hit in artifacts.keyword_hits)
 
+    def test_posts_equal_the_read_window_selection(self, monkeypatch, tmp_path):
+        # Ids whose UTF-16 order differs from their code-point order
+        # (U+1F600 sorts after U+FF21 only by code point), a suspended
+        # user whose status date lies past the window, and tweets either
+        # side of the window.
+        config = fast_config()
+        window, _ = config.windows()
+        start, day = window.start, 86_400
+        users = ["Zed", "ab", "été", "Ａx", "\U0001f600", "late", "normal"]
+        lines = []
+        for i, user in enumerate(users):
+            for j, offset in enumerate([-day, 5 * day, 2 * day, 2 * day, window.end - start]):
+                lines.append(tweet_line(id=f"t{(7 * i + 3 * j) % 11}-{i}-{j}", user_id=user,
+                                        created_at=start + offset + i, text=f"post {j} by {user}"))
+        store = CorpusStore()
+        store.ingest_tweets(lines)
+        labels = tmp_path / "labels.csv"
+        rows = [f"{u},suspended,2022-03-01" for u in users[:5]]
+        rows += ["late,suspended,2022-04-20", "normal,normal,"]
+        labels.write_text("user_id,status,status_date\n" + "\n".join(rows) + "\n",
+                          encoding="utf-8")
+        store.ingest_labels(labels)
+
+        suspended = sorted(
+            u for u, lab in store.labels().items()
+            if lab.status == "suspended" and window.contains(lab.status_date)
+        )
+        tweets = read_window(store, window)
+        expected = [(t.tweet_id, t.user_id, t.text) for u in suspended for t in tweets.get(u, ())]
+        assert len(expected) == 5 * 3
+
+        seen = []
+        monkeypatch.setattr(pipeline, "extract_wallets", lambda posts: seen.extend(posts) or [])
+        artifacts = run_clustering(store, config)
+        assert seen == expected
+        assert artifacts.assignment.item_ids == [tweet_id for tweet_id, _, _ in expected]
+        assert artifacts.texts == [text for _, _, text in expected]
+
 
 class TestGraphStage:
     @pytest.fixture(scope="class")

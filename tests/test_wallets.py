@@ -19,8 +19,6 @@ from suspkit.wallets import (
     write_wallet_csv,
 )
 
-from conftest import make_tweet
-
 # Well-known published addresses usable as ground truth.
 GENESIS_BTC = "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"
 SEGWIT_BTC = "bc1qw508d6qejxtdg4y5r3zarvary0c5xw7kv8f3t4"
@@ -183,12 +181,9 @@ class TestCandidateScan:
 
 
 class TestExtractWallets:
-    def test_accepts_tweets_and_triples(self):
+    def test_takes_id_user_text_triples(self):
         eth = fresh_eth_address(b"b")
-        posts = [
-            make_tweet(tweet_id="t1", user_id="u1", text=f"pay {eth}"),
-            ("t2", "u2", f"also {eth}"),
-        ]
+        posts = [("t1", "u1", f"pay {eth}"), ("t2", "u2", f"also {eth}")]
         hits = extract_wallets(posts)
         assert hits == [
             WalletHit(eth, "ethereum", "t1", "u1"),
