@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -31,9 +31,6 @@ class ClusterAssignment:
     item_ids: list[str]
     labels: np.ndarray  # (n,) cluster index per item
     leader_rows: list[int]  # item row founding each cluster
-    _member_lists: list[list[int]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if len(self.item_ids) != self.labels.shape[0]:
@@ -49,17 +46,6 @@ class ClusterAssignment:
     @property
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_clusters).astype(np.int64)
-
-    def member_lists(self) -> list[list[int]]:
-        """Members of every cluster in ascending item order, grouped by
-        one stable sort instead of one label scan per cluster.  Computed
-        once and cached: the report and the keyword scan share it."""
-        if self._member_lists is None:
-            by_cluster = np.argsort(self.labels, kind="stable")
-            self._member_lists = [
-                m.tolist() for m in np.split(by_cluster, np.cumsum(self.sizes))[:-1]
-            ]
-        return self._member_lists
 
 
 def _normalized_rows(X: np.ndarray) -> np.ndarray:
@@ -219,25 +205,32 @@ def cluster_report(assignment: ClusterAssignment, texts: Sequence[str], *,
                    sample_n: int) -> list[dict]:
     """Cluster summaries sorted by size descending, ties by cluster id.
 
-    Samples are the first sample_n member texts in item order.
+    Samples are the first sample_n member texts in item order.  Members
+    are grouped by one stable sort of the labels, so each cluster's are
+    one slice, in item order; a singleton's one member is its leader.
     """
     if len(texts) != len(assignment.item_ids):
         raise ValueError("texts and assignment differ in length")
+    ids = assignment.item_ids
     sizes = assignment.sizes
-    order = sorted(range(assignment.n_clusters), key=lambda c: (-int(sizes[c]), c))
-    member_lists = assignment.member_lists()
+    by_cluster = np.argsort(assignment.labels, kind="stable").tolist()
+    starts = (np.cumsum(sizes) - sizes).tolist()
     report = []
-    for cid in order:
-        members = member_lists[cid]
-        leader_row = assignment.leader_rows[cid]
+    for cid in np.argsort(-sizes, kind="stable").tolist():
+        size = int(sizes[cid])
+        leader = assignment.leader_rows[cid]
+        if size == 1:
+            members = [leader] if sample_n else []
+        else:
+            members = by_cluster[starts[cid] : starts[cid] + min(size, sample_n)]
         report.append(
             {
-                "cluster_id": int(cid),
-                "size": int(sizes[cid]),
-                "leader_item_id": assignment.item_ids[leader_row],
-                "leader_text": texts[leader_row],
-                "sample_item_ids": [assignment.item_ids[m] for m in members[:sample_n]],
-                "samples": [texts[m] for m in members[:sample_n]],
+                "cluster_id": cid,
+                "size": size,
+                "leader_item_id": ids[leader],
+                "leader_text": texts[leader],
+                "sample_item_ids": [ids[m] for m in members],
+                "samples": [texts[m] for m in members],
             }
         )
     return report
@@ -245,9 +238,9 @@ def cluster_report(assignment: ClusterAssignment, texts: Sequence[str], *,
 
 def write_cluster_report(report: Sequence[dict], jsonl_path: str | Path,
                          digest_path: str | Path) -> None:
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(jsonl_path, "w", encoding="utf-8") as fh:
-        for entry in report:
-            fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
+        fh.writelines(encode(entry) + "\n" for entry in report)
     total = sum(entry["size"] for entry in report)
     lines = [f"{len(report)} clusters over {total} items", ""]
     for entry in report:
@@ -264,23 +257,32 @@ def keyword_search(assignment: ClusterAssignment, texts: Sequence[str],
     """Clusters with at least one case-insensitive keyword occurrence.
 
     Hits carry per-keyword occurrence counts and are sorted by total
-    matches descending, ties by cluster id.
+    matches descending, ties by cluster id.  Each distinct text is
+    counted once, and the counts are summed per cluster.
     """
     if len(texts) != len(assignment.item_ids):
         raise ValueError("texts and assignment differ in length")
     folded = [kw.casefold() for kw in keywords]
-    hits = []
-    for cid, members in enumerate(assignment.member_lists()):
-        counts = dict.fromkeys(keywords, 0)
-        for m in members:
-            text = texts[m].casefold()
-            for kw, kw_folded in zip(keywords, folded):
-                counts[kw] += text.count(kw_folded)
-        total = sum(counts.values())
-        if total:
-            hits.append({"cluster_id": cid, "matches": counts, "total": total})
-    hits.sort(key=lambda h: (-h["total"], h["cluster_id"]))
-    return hits
+    first: dict[str, int] = {}
+    inverse = np.fromiter(
+        (first.setdefault(text, len(first)) for text in texts), dtype=np.int64, count=len(texts)
+    )
+    per_item = np.array(
+        [[text.casefold().count(kw) for kw in folded] for text in first], dtype=np.int64
+    ).reshape(len(first), len(keywords))[inverse]
+    counts = np.zeros((assignment.n_clusters, len(keywords)), dtype=np.int64)
+    for j in range(len(keywords)):
+        # Counts are small integers, which float64 weights sum exactly.
+        counts[:, j] = np.bincount(
+            assignment.labels, weights=per_item[:, j], minlength=assignment.n_clusters
+        )
+    totals = counts.sum(axis=1)
+    hit = np.flatnonzero(totals)
+    hit = hit[np.argsort(-totals[hit], kind="stable")]
+    return [
+        {"cluster_id": cid, "matches": dict(zip(keywords, row)), "total": total}
+        for cid, row, total in zip(hit.tolist(), counts[hit].tolist(), totals[hit].tolist())
+    ]
 
 
 @dataclass

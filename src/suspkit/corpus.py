@@ -399,10 +399,15 @@ _INSERT = {
 _SELECT = {table: f"SELECT {', '.join(columns)} FROM {table}" for table, columns in _COLUMNS.items()}
 
 
+def _encode_list(values: tuple[str, ...]) -> str:
+    """A list as the JSON text it is stored as; most lists are empty."""
+    return json.dumps(values) if values else "[]"
+
+
 def _encode_lists(row: tuple) -> tuple:
     """A tweet's field values with hashtags, urls and mentions (fields
     8-10) as the JSON lists they are stored as."""
-    return (*row[:8], *map(json.dumps, row[8:11]), row[11])
+    return (*row[:8], *map(_encode_list, row[8:11]), row[11])
 
 
 def _decode_list(raw: str) -> tuple[str, ...]:

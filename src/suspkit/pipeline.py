@@ -156,6 +156,14 @@ class PipelineConfig:
             raise ValueError(f"unknown families: {sorted(unknown)}")
         if not self.families:
             raise ValueError("no families given")
+        if self.cluster_sample_n < 0:
+            raise ValueError(f"config cluster_sample_n must be >= 0, not {self.cluster_sample_n}")
+        # Keywords match case-insensitively: a repeat would count each match twice.
+        folded = [kw.casefold() for kw in self.keywords]
+        if "" in folded or len(set(folded)) != len(folded):
+            raise ValueError(
+                f"config keywords must be non-empty and distinct, not {list(self.keywords)}"
+            )
 
     def window_start_epoch(self) -> int:
         epoch = parse_status_date(self.window_start)
@@ -241,20 +249,15 @@ def _reduce_posts(
     stage: str,
 ) -> tuple[EmbeddingMatrix, PcaModel]:
     """Post vectors reduced by `pca`, or by a PCA fitted on them under
-    the seed of `stage` when `pca` is None: (reduced posts, PCA)."""
-    # The fallback encoder's row of a text depends only on the text, so
-    # each distinct text is encoded once, in first-occurrence order; the
-    # precomputed provider is keyed by post id and looked up directly.
-    if isinstance(provider, PrecomputedEmbeddings):
-        raw = provider.embed(ids, texts).vectors
-    else:
-        first: dict[str, int] = {}
-        inverse = [first.setdefault(text, len(first)) for text in texts]
-        raw = provider.embed([str(i) for i in range(len(first))], list(first)).vectors[inverse]
+    the seed of `stage` when `pca` is None: (reduced posts, PCA).  The
+    post vectors are one n x dim buffer, which the PCA centers in place."""
+    raw = provider.embed(ids, texts).vectors
     if pca is None:
         k = min(config.pca_components, raw.shape[1], len(ids))
-        pca = pca_fit(raw, k, seed=stage_seed(config.seed, stage))
-    return EmbeddingMatrix(ids, pca_transform(pca, raw)), pca
+        pca, reduced = pca_fit(raw, k, seed=stage_seed(config.seed, stage))
+    else:
+        reduced = pca_transform(pca, raw)
+    return EmbeddingMatrix(ids, reduced), pca
 
 
 def extract_window_features(

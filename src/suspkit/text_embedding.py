@@ -62,7 +62,8 @@ class PrecomputedEmbeddings:
         return cls(read_emb1(path))
 
     def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> EmbeddingMatrix:
-        rows = np.empty((len(item_ids), self.dim), dtype=np.float32)
+        """The stored rows of item_ids, widened (exactly) to float64."""
+        rows = np.empty((len(item_ids), self.dim))
         for i, item in enumerate(item_ids):
             try:
                 rows[i] = self._matrix.vectors[self._index[item]]
@@ -86,7 +87,8 @@ class HashedNgramEncoder:
     has unit norm.  All rows come from one batched pass over blocks of
     concatenated texts; bucket sums are small integers and so are their
     squares, which makes every row bit-identical to hashing its text
-    alone.
+    alone.  A row thus depends only on its text, so each distinct text
+    is hashed once and its row copied to the repeats.
     """
 
     def __init__(self, *, dim: int, min_n: int = 3, max_n: int = 5):
@@ -99,8 +101,23 @@ class HashedNgramEncoder:
         self.max_n = max_n
 
     def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> EmbeddingMatrix:
+        """One row per text, in one n x dim buffer.  The u distinct texts
+        are hashed, in first-occurrence order, into rows [0, u); then,
+        one block at a time from the back, row i takes the row of its
+        text's number inverse[i].  First-occurrence numbering gives
+        inverse[i] <= i, so a block reads only rows no block has written
+        yet."""
+        first: dict[str, int] = {}
+        inverse = np.fromiter(
+            (first.setdefault(text, len(first)) for text in texts), dtype=np.int64,
+            count=len(texts),
+        )
         rows = np.empty((len(texts), self.dim))
-        self._encode_into(texts, rows)
+        self._encode_into(list(first), rows[: len(first)])
+        if len(first) < len(texts):
+            for end in range(len(texts), 0, -_BLOCK_TEXTS):
+                start = max(end - _BLOCK_TEXTS, 0)
+                rows[start:end] = rows[inverse[start:end]]
         return EmbeddingMatrix(item_ids=list(item_ids), vectors=rows)
 
     def _encode_into(self, texts: Sequence[str], out: np.ndarray) -> None:
@@ -178,10 +195,13 @@ def pca_fit(
     *,
     seed: int,
     sample_cap: int = 200_000,
-) -> PcaModel:
-    """Fit the k leading principal components of the (centered) rows.
+) -> tuple[PcaModel, np.ndarray]:
+    """Fit the k leading principal components of the rows of X and
+    project X on them: (model, reduced rows).
 
-    Exact covariance eigen-decomposition for inputs up to 1024 dims;
+    X is centered in place, as `pca_transform` does, so fitting and
+    projecting read one n x d buffer; pass a copy to keep X.  Exact
+    covariance eigen-decomposition for inputs up to 1024 dims;
     randomized subspace iteration above that.  Data with zero variance
     yields zero explained variance rather than an error.  Fitting uses
     a uniform row sample capped at sample_cap.
@@ -194,14 +214,15 @@ def pca_fit(
         raise ValueError("need at least 2 rows")
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} out of range for {n}x{d} data")
+    fit_rows = X
     if n > sample_cap:
         rng = np.random.default_rng(seed)
-        X = X[np.sort(rng.choice(n, size=sample_cap, replace=False))]
+        fit_rows = X[np.sort(rng.choice(n, size=sample_cap, replace=False))]
         n = sample_cap
 
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / (n - 1)
+    mean = fit_rows.mean(axis=0)
+    fit_rows -= mean
+    cov = fit_rows.T @ fit_rows / (n - 1)
 
     if d <= 1024:
         eigvals, eigvecs = np.linalg.eigh(cov)
@@ -213,7 +234,10 @@ def pca_fit(
 
     variance = np.clip(variance, 0.0, None)
     components = _sign_convention(components)
-    return PcaModel(mean=mean, components=components, explained_variance=variance)
+    if fit_rows is not X:
+        X -= mean
+    model = PcaModel(mean=mean, components=components, explained_variance=variance)
+    return model, X @ components.T
 
 
 def _subspace_iteration(cov: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,12 +253,15 @@ def _subspace_iteration(cov: np.ndarray, k: int, seed: int) -> tuple[np.ndarray,
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
+    """The rows of X reduced by `model`.  X is centered in place; pass a
+    copy to keep X."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim_in:
         raise DimensionMismatch(
             f"expected {model.dim_in} input dims, got {X.shape[1] if X.ndim == 2 else X.shape}"
         )
-    return (X - model.mean) @ model.components.T
+    X -= model.mean
+    return X @ model.components.T
 
 
 def aggregate_post_embeddings(

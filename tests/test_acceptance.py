@@ -133,7 +133,7 @@ def test_criterion_03_pca_matches_dense_eigensolver():
     worst_recon = 0.0
     for trial in range(10):
         X = rng.standard_normal((50, 8))
-        model = pca_fit(X, k=8, seed=trial)
+        model, _ = pca_fit(X.copy(), k=8, seed=trial)
         ref_vals, ref_vecs = oracle_eigen(X, 8)
         for j in range(1, 9):
             worst_angle = max(
@@ -142,7 +142,7 @@ def test_criterion_03_pca_matches_dense_eigensolver():
         worst_var = max(
             worst_var, float(np.max(np.abs(model.explained_variance - ref_vals)))
         )
-        recon = pca_transform(model, X) @ model.components + model.mean
+        recon = pca_transform(model, X.copy()) @ model.components + model.mean
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - X))))
     ok = worst_angle <= 1e-6 and worst_var <= 1e-8 and worst_recon <= 1e-6
     verdict(

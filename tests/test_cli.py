@@ -222,8 +222,11 @@ class TestFailureModes:
 
     @pytest.mark.parametrize(
         "content", ['{"window_days": "21"}', '{"n_rounds": "30"}', '{"tau": true}',
-                    '{"families": "profile"}', '{"embeddings_file": 3}'],
-        ids=["int", "int-rounds", "float", "tuple", "optional-str"],
+                    '{"families": "profile"}', '{"embeddings_file": 3}',
+                    '{"cluster_sample_n": -1}', '{"keywords": ["nft", "nft"]}',
+                    '{"keywords": ["crypto", ""]}'],
+        ids=["int", "int-rounds", "float", "tuple", "optional-str",
+             "negative-sample-n", "repeated-keyword", "empty-keyword"],
     )
     def test_mistyped_config_value_exits_3(self, tmp_path, capsys, content):
         config = tmp_path / "config.json"

@@ -392,6 +392,86 @@ class TestClusterReport:
         assert "2 clusters over 4 items" in text
         assert "leader: ta" in text
 
+    def test_members_in_item_order(self):
+        got = cluster_cosine(np.array([[1.0, 0], [0, 1.0], [1.0, 0]]), 0.9)
+        report = cluster_report(got, ["x", "y", "z"], sample_n=10)
+        assert [e["sample_item_ids"] for e in report] == [["0", "2"], ["1"]]
+
+    def test_empty_assignment(self):
+        got = cluster_cosine(np.zeros((0, 2)), 0.5)
+        assert cluster_report(got, [], sample_n=10) == []
+        assert keyword_search(got, [], ["nft"]) == []
+
+
+def naive_cluster_report(assignment, texts, sample_n):
+    """Reference: one label scan per cluster."""
+    sizes = assignment.sizes
+    order = sorted(range(assignment.n_clusters), key=lambda c: (-int(sizes[c]), c))
+    report = []
+    for cid in order:
+        members = np.flatnonzero(assignment.labels == cid).tolist()[:sample_n]
+        leader = assignment.leader_rows[cid]
+        report.append({
+            "cluster_id": cid,
+            "size": len(np.flatnonzero(assignment.labels == cid)),
+            "leader_item_id": assignment.item_ids[leader],
+            "leader_text": texts[leader],
+            "sample_item_ids": [assignment.item_ids[m] for m in members],
+            "samples": [texts[m] for m in members],
+        })
+    return report
+
+
+def naive_keyword_search(assignment, texts, keywords):
+    """Reference: every member text of every cluster casefolded and counted."""
+    hits = []
+    for cid in range(assignment.n_clusters):
+        counts = dict.fromkeys(keywords, 0)
+        for m in np.flatnonzero(assignment.labels == cid):
+            for kw in keywords:
+                counts[kw] += texts[m].casefold().count(kw.casefold())
+        if sum(counts.values()):
+            hits.append({"cluster_id": cid, "matches": counts, "total": sum(counts.values())})
+    return sorted(hits, key=lambda h: (-h["total"], h["cluster_id"]))
+
+
+def random_assignment(rng, n):
+    """Labels numbered by first appearance, many singletons; each
+    cluster's leader is its first member, as in cluster_cosine."""
+    labels, leader_rows = [], []
+    for i in range(n):
+        if not leader_rows or rng.random() < 0.6:
+            labels.append(len(leader_rows))
+            leader_rows.append(i)
+        else:
+            labels.append(int(rng.integers(len(leader_rows))))
+    return ClusterAssignment([f"p{i}" for i in range(n)], np.array(labels, dtype=np.int64),
+                             leader_rows)
+
+
+class TestGroupedReport:
+    TEXTS = ["Free NFT drop nft", "crypto CRYPTO Crypto", "donation", "gardening tips",
+             "ÉTÉ nft Donation", "", "nftnft", "Straße crypto"]
+    KEYWORDS = ["NFT", "crypto", "Donation"]
+
+    @pytest.mark.parametrize("sample_n", [0, 1, 10])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_report_and_keywords_match_per_cluster_scans(self, seed, sample_n, tmp_path):
+        rng = np.random.default_rng(seed)
+        n = 200
+        assignment = random_assignment(rng, n)
+        texts = [self.TEXTS[k] for k in rng.integers(len(self.TEXTS), size=n)]
+        assert 1 in assignment.sizes and assignment.sizes.max() > 3
+        expected = naive_cluster_report(assignment, texts, sample_n)
+        report = cluster_report(assignment, texts, sample_n=sample_n)
+        assert report == expected
+        assert (keyword_search(assignment, texts, self.KEYWORDS)
+                == naive_keyword_search(assignment, texts, self.KEYWORDS))
+        jsonl, digest = tmp_path / "c.jsonl", tmp_path / "d.txt"
+        write_cluster_report(report, jsonl, digest)
+        assert jsonl.read_text(encoding="utf-8") == "".join(
+            json.dumps(e, ensure_ascii=False, sort_keys=True) + "\n" for e in expected)
+
 
 class TestKeywordSearch:
     def test_counts_and_ordering(self):
@@ -453,19 +533,3 @@ class TestAssignmentValidation:
                 labels=np.array([0, 0]),
                 leader_rows=[0],
             )
-
-    def test_members_lookup(self):
-        got = cluster_cosine(np.array([[1.0, 0], [1.0, 0], [0, 1.0]]), 0.9)
-        assert got.member_lists() == [[0, 1], [2]]
-
-    def test_member_lists_match_per_cluster_scans(self):
-        rng = np.random.default_rng(7)
-        got = cluster_cosine(rng.standard_normal((60, 3)), 0.8)
-        assert got.n_clusters > 3
-        assert got.member_lists() == [
-            np.flatnonzero(got.labels == c).tolist() for c in range(got.n_clusters)
-        ]
-
-    def test_member_lists_of_empty_assignment(self):
-        got = cluster_cosine(np.zeros((0, 2)), 0.5)
-        assert got.member_lists() == []

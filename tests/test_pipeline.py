@@ -1,11 +1,12 @@
 import pickle
+import tracemalloc
 from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from suspkit import pipeline, suspension_model
+from suspkit import pipeline, suspension_model, text_embedding
 from suspkit.corpus import CorpusStore, MalformedRecord, TimeWindow, read_window
 from suspkit.errors import MissingArtifact, StaleArtifact
 from suspkit.graph_embedding import (
@@ -38,6 +39,8 @@ from suspkit.suspension_model import (
     save_model,
 )
 from suspkit.synth import GeneratorConfig, generate
+from suspkit.text_embedding import HashedNgramEncoder, PrecomputedEmbeddings, pca_fit
+from suspkit.vectors import EmbeddingMatrix
 
 from conftest import snapshot_line, tweet_line
 
@@ -476,6 +479,94 @@ class TestClustering:
         assert seen == expected
         assert artifacts.assignment.item_ids == [tweet_id for tweet_id, _, _ in expected]
         assert artifacts.texts == [text for _, _, text in expected]
+
+
+def dup_heavy_posts(rng, n, distinct):
+    """n post ids and texts drawn from `distinct` texts, every text used."""
+    pool = [f"post {k} " + " ".join(f"w{j}" for j in rng.integers(50, size=k % 9)) for k in
+            range(distinct)]
+    pick = np.concatenate([np.arange(distinct), rng.integers(distinct, size=n - distinct)])
+    return [f"t{i}" for i in range(n)], [pool[k] for k in rng.permutation(pick)]
+
+
+def reference_reduce(X, k, seed, sample_cap=200_000):
+    """Out-of-place PCA fit and projection: the mean, components and
+    variance of the sampled rows, and (X - mean) @ components.T."""
+    fit = X
+    if len(X) > sample_cap:
+        fit = X[np.sort(np.random.default_rng(seed).choice(len(X), sample_cap, replace=False))]
+    mean = fit.mean(axis=0)
+    centered = fit - mean
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / (len(fit) - 1))
+    order = np.argsort(eigvals)[::-1][:k]
+    components = text_embedding._sign_convention(eigvecs[:, order].T)
+    return mean, components, np.clip(eigvals[order], 0.0, None), (X - mean) @ components.T
+
+
+def assert_same_bits(model, reduced, reference):
+    mean, components, variance, projected = reference
+    for got, want in ((model.mean, mean), (model.components, components),
+                      (model.explained_variance, variance), (reduced, projected)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestReducePosts:
+    """`_reduce_posts` holds one n x dim buffer: the encoder fills it and
+    the PCA centers and projects it in place, bit for bit as an
+    out-of-place fit and projection over every text's own row."""
+
+    @pytest.fixture(params=["hashed", "precomputed"])
+    def posts(self, request, monkeypatch):
+        rng = np.random.default_rng(5)
+        ids, texts = dup_heavy_posts(rng, 900, 250)
+        if request.param == "hashed":
+            # Blocks of 64 rows, so repeats are copied across many blocks.
+            monkeypatch.setattr(text_embedding, "_BLOCK_TEXTS", 64)
+            provider = HashedNgramEncoder(dim=32)
+            # Each text hashed alone, repeats included.
+            X = np.concatenate([provider.embed(["0"], [t]).vectors for t in texts])
+        else:
+            stored = rng.standard_normal((900, 32)).astype(np.float32)
+            order = rng.permutation(900)
+            provider = PrecomputedEmbeddings(EmbeddingMatrix([ids[i] for i in order], stored))
+            X = stored[np.argsort(order)].astype(np.float64)
+        return provider, ids, texts, X
+
+    def test_fit_and_transform_match_the_out_of_place_reference(self, posts):
+        provider, ids, texts, X = posts
+        config = PipelineConfig(pca_components=6, seed=4)
+        reduced, pca = pipeline._reduce_posts(provider, ids, texts, None, config, "pca")
+        assert reduced.item_ids == ids
+        reference = reference_reduce(X, 6, stage_seed(4, "pca"))
+        assert_same_bits(pca, reduced.vectors, reference)
+        again, same = pipeline._reduce_posts(provider, ids[:300], texts[:300], pca, config, "pca")
+        assert same is pca
+        assert again.vectors.tobytes() == reference[3][:300].tobytes()
+
+    def test_sampled_fit_matches_the_out_of_place_reference(self, posts):
+        _, _, _, X = posts
+        buffer = X.copy()
+        model, reduced = pca_fit(buffer, 5, seed=9, sample_cap=200)
+        assert_same_bits(model, reduced, reference_reduce(X, 5, 9, sample_cap=200))
+        # A fit on a sample, too, leaves the caller's whole buffer centered.
+        assert buffer.tobytes() == (X - model.mean).tobytes()
+
+    @pytest.mark.parametrize("fit", [True, False], ids=["fit", "transform-only"])
+    def test_peak_memory_is_one_post_buffer(self, fit):
+        rng = np.random.default_rng(6)
+        ids, texts = dup_heavy_posts(rng, 20_000, 15_000)
+        provider = HashedNgramEncoder(dim=256)
+        config = PipelineConfig(seed=1)
+        pca = None if fit else pipeline._reduce_posts(
+            provider, ids[:500], texts[:500], None, config, "pca")[1]
+        tracemalloc.start()
+        try:
+            pipeline._reduce_posts(provider, ids, texts, pca, config, "pca")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = len(texts) * 256 * 8
+        assert peak < 1.5 * buffer, f"peak {peak / buffer:.2f} x the n x dim buffer"
 
 
 class TestGraphStage:

@@ -179,7 +179,7 @@ class TestPca:
     def test_matches_eigen_oracle(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((60, 10))
-        model = pca_fit(X, k=4, seed=0)
+        model, _ = pca_fit(X.copy(), k=4, seed=0)
         oracle_vals, oracle_vecs = oracle_eigen(X, 4)
         np.testing.assert_allclose(model.explained_variance, oracle_vals, atol=1e-10)
         for j in range(1, 5):
@@ -187,38 +187,38 @@ class TestPca:
 
     def test_variance_non_increasing(self):
         rng = np.random.default_rng(8)
-        model = pca_fit(rng.standard_normal((40, 6)), k=6, seed=0)
+        model, _ = pca_fit(rng.standard_normal((40, 6)), k=6, seed=0)
         assert (np.diff(model.explained_variance) <= 1e-12).all()
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(9)
-        model = pca_fit(rng.standard_normal((30, 8)), k=5, seed=0)
+        model, _ = pca_fit(rng.standard_normal((30, 8)), k=5, seed=0)
         gram = model.components @ model.components.T
         np.testing.assert_allclose(gram, np.eye(5), atol=1e-10)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(10)
-        model = pca_fit(rng.standard_normal((30, 8)), k=5, seed=0)
+        model, _ = pca_fit(rng.standard_normal((30, 8)), k=5, seed=0)
         for comp in model.components:
             assert comp[np.argmax(np.abs(comp))] > 0
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((25, 6))
-        model = pca_fit(X, k=6, seed=0)
-        back = pca_transform(model, X) @ model.components + model.mean
+        model, _ = pca_fit(X.copy(), k=6, seed=0)
+        back = pca_transform(model, X.copy()) @ model.components + model.mean
         np.testing.assert_allclose(back, X, atol=1e-9)
 
     def test_transform_is_centered_projection(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((20, 5)) + 3.0
-        model = pca_fit(X, k=2, seed=0)
+        model, _ = pca_fit(X.copy(), k=2, seed=0)
         T = pca_transform(model, X)
         np.testing.assert_allclose(T.mean(axis=0), 0.0, atol=1e-10)
 
     def test_zero_variance_data(self):
         X = np.ones((10, 4))
-        model = pca_fit(X, k=2, seed=0)
+        model, _ = pca_fit(X, k=2, seed=0)
         np.testing.assert_allclose(model.explained_variance, 0.0, atol=1e-12)
 
     def test_k_out_of_range(self):
@@ -232,15 +232,15 @@ class TestPca:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(13)
-        model = pca_fit(rng.standard_normal((10, 4)), k=2, seed=0)
+        model, _ = pca_fit(rng.standard_normal((10, 4)), k=2, seed=0)
         with pytest.raises(DimensionMismatch):
             pca_transform(model, np.ones((3, 5)))
 
     def test_sample_cap_is_deterministic(self):
         rng = np.random.default_rng(14)
         X = rng.standard_normal((300, 5))
-        a = pca_fit(X, k=3, sample_cap=100, seed=1)
-        b = pca_fit(X, k=3, sample_cap=100, seed=1)
+        a, _ = pca_fit(X.copy(), k=3, sample_cap=100, seed=1)
+        b, _ = pca_fit(X.copy(), k=3, sample_cap=100, seed=1)
         np.testing.assert_array_equal(a.components, b.components)
 
     def test_wide_input_uses_iterative_route(self):
@@ -250,7 +250,7 @@ class TestPca:
         base = rng.standard_normal((40, 5)) * np.array([9.0, 6.0, 4.0, 2.0, 1.0])
         mix = rng.standard_normal((5, 1030))
         X = base @ mix + 0.01 * rng.standard_normal((40, 1030))
-        model = pca_fit(X, k=3, seed=0)
+        model, _ = pca_fit(X.copy(), k=3, seed=0)
         oracle_vals, oracle_vecs = oracle_eigen(X, 3)
         np.testing.assert_allclose(model.explained_variance, oracle_vals, rtol=1e-6)
         assert subspace_angle(model.components, oracle_vecs) <= 1e-5
