@@ -9,119 +9,105 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import (
-    KIND_QUOTE,
-    KIND_RETWEET,
-    Tweet,
-    DAY_SECONDS,
-)
+from .corpus import DAY_SECONDS, KIND_QUOTE, KIND_RETWEET, Tweet
 
 MISSING = float("nan")
 
 # Unix day 0 was a Thursday; +3 gives Monday=0 .. Sunday=6.
 _EPOCH_WEEKDAY_OFFSET = 3
 
+STATS = ("min", "max", "mean", "std")
 
-def _hour_of_day(ts: int) -> int:
-    return (ts % DAY_SECONDS) // 3600
+_REACTION_KINDS = (KIND_RETWEET, KIND_QUOTE)
 
-
-def _weekday(ts: int) -> int:
-    return (ts // DAY_SECONDS + _EPOCH_WEEKDAY_OFFSET) % 7
-
-
-def hourly_distribution(timeline: list[Tweet]) -> np.ndarray:
-    """Fraction of actions in each UTC hour; all zeros when empty."""
-    counts = np.zeros(24)
-    for t in timeline:
-        counts[_hour_of_day(t.created_at)] += 1
-    total = counts.sum()
-    return counts / total if total else counts
-
-
-def weekday_distribution(timeline: list[Tweet]) -> np.ndarray:
-    """Fraction of actions per weekday (Monday=0); all zeros when empty."""
-    counts = np.zeros(7)
-    for t in timeline:
-        counts[_weekday(t.created_at)] += 1
-    total = counts.sum()
-    return counts / total if total else counts
+ACTIVITY_FEATURE_NAMES: tuple[str, ...] = (
+    *(f"hour_fraction_{h:02d}" for h in range(24)),
+    *(f"weekday_fraction_{d}" for d in range(7)),
+    "peak_hour",
+    *(f"{kind}_reaction_{stat}" for kind in _REACTION_KINDS for stat in STATS),
+    "tweet_fraction",
+    "retweet_fraction",
+    "quote_fraction",
+    "actions_total",
+    "activity_time_range",
+)
 
 
-def _stats_block(values: list[float]) -> dict[str, float]:
-    if not values:
-        return {"min": MISSING, "max": MISSING, "mean": MISSING, "std": MISSING}
-    arr = np.asarray(values, dtype=float)
-    # Population std: defined for a single observation.
-    return {
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
-        "std": float(arr.std()),
-    }
+def stats_rows(lists: list[list[float]]) -> np.ndarray:
+    """len(lists) x 4 array of each list's min, max, mean and population
+    std (defined for a single observation); an empty list gives NaN.
+
+    Lists of one length are stacked as the rows of one array and reduced
+    along the rows.  numpy sums a row in the order it sums a 1-D array,
+    so each value is bit for bit that of the list's own np.min, np.max,
+    np.mean and np.std.  Padding rows to one length, or summing with
+    np.add.reduceat, would change that order and the bits.
+    """
+    out = np.full((len(lists), len(STATS)), MISSING)
+    by_length: dict[int, list[int]] = {}
+    for i, values in enumerate(lists):
+        if values:
+            by_length.setdefault(len(values), []).append(i)
+    for members in by_length.values():
+        rows = np.array([lists[i] for i in members], dtype=float)
+        out[members] = np.column_stack(
+            (rows.min(axis=1), rows.max(axis=1), rows.mean(axis=1), rows.std(axis=1))
+        )
+    return out
 
 
-def reaction_time_stats(timeline: list[Tweet]) -> tuple[dict[str, float], int]:
-    """Per-kind reaction-delay statistics in seconds.
+def features_from_timeline(timelines: list[list[Tweet]]) -> np.ndarray:
+    """The activity block of each timeline, one pass per timeline:
+    len(timelines) x len(ACTIVITY_FEATURE_NAMES), in that column order.
 
     The delay of a retweet or quote is the gap between the referenced
-    post's creation and the reaction.  Negative gaps (clock skew in
-    externally built timelines) are skipped and counted.  Returns the
-    flat feature map and the skip count.
+    post's creation and the reaction.  A reaction without the
+    referenced time, or with a negative gap (clock skew in externally
+    built timelines), is skipped.
     """
-    deltas: dict[str, list[float]] = {KIND_RETWEET: [], KIND_QUOTE: []}
-    skipped = 0
-    for t in timeline:
-        if t.kind not in deltas or t.referenced_created_at is None:
-            continue
-        delta = t.created_at - t.referenced_created_at
-        if delta < 0:
-            skipped += 1
-            continue
-        deltas[t.kind].append(float(delta))
-    feats = {}
-    for kind in (KIND_RETWEET, KIND_QUOTE):
-        block = _stats_block(deltas[kind])
-        for stat, value in block.items():
-            feats[f"{kind}_reaction_{stat}"] = value
-    return feats, skipped
+    n = len(timelines)
+    created: list[int] = []
+    delays: list[list[float]] = []
+    mix: list[tuple[float, float, float, float, float]] = []
+    for timeline in timelines:
+        reactions: dict[str, list[float]] = {kind: [] for kind in _REACTION_KINDS}
+        kind_posts = dict.fromkeys(_REACTION_KINDS, 0)
+        for t in timeline:
+            created.append(t.created_at)
+            if t.kind not in kind_posts:
+                continue
+            kind_posts[t.kind] += 1
+            if t.referenced_created_at is not None:
+                delta = t.created_at - t.referenced_created_at
+                if delta >= 0:
+                    reactions[t.kind].append(float(delta))
+        delays.extend(reactions.values())
+        total = len(timeline)
+        if total:
+            retweets, quotes = kind_posts[KIND_RETWEET], kind_posts[KIND_QUOTE]
+            span = float(timeline[-1].created_at - timeline[0].created_at)
+            mix.append(((total - retweets - quotes) / total, retweets / total,
+                        quotes / total, float(total), span))
+        else:
+            mix.append((0.0, 0.0, 0.0, 0.0, MISSING))
 
+    # Each user's actions per clock slot over their count; a user
+    # without actions has zero counts, divided by 1.
+    totals = np.array([len(timeline) for timeline in timelines], dtype=np.int64)
+    rows = np.repeat(np.arange(n), totals)
+    ts = np.array(created, dtype=np.int64)
+    per_user = np.maximum(totals, 1).astype(float)[:, None]
+    hours = np.bincount(rows * 24 + (ts % DAY_SECONDS) // 3600, minlength=n * 24)
+    hours = hours.reshape(n, 24) / per_user
+    weekdays = np.bincount(rows * 7 + (ts // DAY_SECONDS + _EPOCH_WEEKDAY_OFFSET) % 7,
+                           minlength=n * 7)
+    weekdays = weekdays.reshape(n, 7) / per_user
+    peak = np.where(totals > 0, np.argmax(hours, axis=1), MISSING)
 
-def action_mix(timeline: list[Tweet]) -> tuple[float, float, float]:
-    """(tweet, retweet, quote) fractions; zeros for an empty timeline."""
-    if not timeline:
-        return 0.0, 0.0, 0.0
-    n = len(timeline)
-    retweets = sum(t.kind == KIND_RETWEET for t in timeline)
-    quotes = sum(t.kind == KIND_QUOTE for t in timeline)
-    return (n - retweets - quotes) / n, retweets / n, quotes / n
-
-
-def features_from_timeline(timeline: list[Tweet]) -> dict[str, float]:
-    """Full activity feature map from one in-window timeline pass."""
-    hours = hourly_distribution(timeline)
-    weekdays = weekday_distribution(timeline)
-    reactions, _ = reaction_time_stats(timeline)
-    tweet_frac, retweet_frac, quote_frac = action_mix(timeline)
-
-    feats: dict[str, float] = {}
-    for h in range(24):
-        feats[f"hour_fraction_{h:02d}"] = float(hours[h])
-    for d in range(7):
-        feats[f"weekday_fraction_{d}"] = float(weekdays[d])
-    feats["peak_hour"] = float(int(np.argmax(hours))) if timeline else MISSING
-    feats.update(reactions)
-    feats["tweet_fraction"] = tweet_frac
-    feats["retweet_fraction"] = retweet_frac
-    feats["quote_fraction"] = quote_frac
-    feats["actions_total"] = float(len(timeline))
-    if timeline:
-        feats["activity_time_range"] = float(
-            timeline[-1].created_at - timeline[0].created_at
-        )
-    else:
-        feats["activity_time_range"] = MISSING
-    return feats
-
-
-ACTIVITY_FEATURE_NAMES: tuple[str, ...] = tuple(features_from_timeline([]))
+    return np.hstack((
+        hours,
+        weekdays,
+        peak.reshape(n, 1),
+        stats_rows(delays).reshape(n, len(_REACTION_KINDS) * len(STATS)),
+        np.array(mix, dtype=float).reshape(n, 5),
+    ))

@@ -529,13 +529,21 @@ class CorpusStore:
         )
         return [r[0] for r in rows]
 
-    def snapshots(self, user_id: str, window: TimeWindow) -> list[UserSnapshot]:
+    def snapshots(self, users: list[str], window: TimeWindow) -> dict[str, list[UserSnapshot]]:
+        """The in-window snapshots of each of `users`, by `observed_at`,
+        from one query; a user without one gets an empty list.  The key
+        (user_id, observed_at) leaves no tie in that order."""
+        table: dict[str, list[UserSnapshot]] = {user: [] for user in users}
         rows = self._conn.execute(
-            _SELECT["snapshots"] + " WHERE user_id = ? AND observed_at >= ? AND observed_at < ?"
-            " ORDER BY observed_at",
-            (user_id, window.start, window.end),
+            _SELECT["snapshots"] + " WHERE observed_at >= ? AND observed_at < ?"
+            " ORDER BY user_id, observed_at",
+            (window.start, window.end),
         )
-        return [UserSnapshot(*r[:8], *map(bool, r[8:11]), *r[11:]) for r in rows]
+        for r in rows:
+            snaps = table.get(r[0])
+            if snaps is not None:
+                snaps.append(UserSnapshot(*r[:8], *map(bool, r[8:11]), *r[11:]))
+        return table
 
     def labels(self) -> dict[str, AccountLabel]:
         labels = starmap(AccountLabel, self._conn.execute(_SELECT["labels"]))

@@ -286,10 +286,10 @@ def extract_window_features(
     if fit:
         context = ExtractionContext()
 
-    snaps_map = {user: store.snapshots(user, window) for user in sorted(users)}
+    snaps_map = store.snapshots(sorted(users), window)
     kept = [user for user, snaps in snaps_map.items() if snaps]
     dropped = [user for user, snaps in snaps_map.items() if not snaps]
-    timelines = {u: tweets.get(u, []) for u in kept}
+    timelines = [tweets.get(u, []) for u in kept]
 
     # (column names, block) per family, visited in FAMILY_ORDER.
     blocks: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
@@ -298,18 +298,14 @@ def extract_window_features(
             PROFILE_FEATURE_NAMES, [features_from_snapshots(snaps_map[u], window) for u in kept]
         )
     if "activity" in families:
-        blocks["activity"] = _block(
-            ACTIVITY_FEATURE_NAMES, [activity_features(timelines[u]) for u in kept]
-        )
+        blocks["activity"] = ACTIVITY_FEATURE_NAMES, activity_features(timelines)
     if "textual" in families:
         if fit:
-            context.idf = build_idf({u: user_hashtag_counts(timelines[u]) for u in kept})
-        blocks["textual"] = _block(
-            TEXTUAL_FEATURE_NAMES, [textual_features(timelines[u], context.idf) for u in kept]
-        )
+            context.idf = build_idf(dict(zip(kept, map(user_hashtag_counts, timelines))))
+        blocks["textual"] = TEXTUAL_FEATURE_NAMES, textual_features(timelines, context.idf)
 
     if "post_embedding" in families:
-        posts = [t for u in kept for t in timelines[u]]
+        posts = list(chain.from_iterable(timelines))
         if fit:
             if len(posts) < 2:
                 raise SuspkitError("too few posts to fit the embedding reduction")
@@ -323,9 +319,9 @@ def extract_window_features(
         index = reduced.row_index()
         names = post_embedding_feature_names(pca.k)
         X = np.empty((len(kept), len(names)))
-        for i, u in enumerate(kept):
+        for i, timeline in enumerate(timelines):
             X[i] = aggregate_post_embeddings(
-                [t.tweet_id for t in timelines[u]], [t.kind for t in timelines[u]], reduced, index
+                [t.tweet_id for t in timeline], [t.kind for t in timeline], reduced, index
             )
         blocks["post_embedding"] = names, X
 

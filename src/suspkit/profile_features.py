@@ -72,6 +72,14 @@ def growth(a_start: float, a_end: float) -> tuple[float, bool]:
 
 
 def _levenshtein(a: str, b: str) -> int:
+    # A common prefix or suffix adds nothing to the distance.
+    start, shortest = 0, min(len(a), len(b))
+    while start < shortest and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < shortest - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    a, b = a[start : len(a) - end], b[start : len(b) - end]
     if not a:
         return len(b)
     if not b:

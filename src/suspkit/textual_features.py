@@ -14,12 +14,10 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
-from .activity_features import _stats_block
-from .corpus import (
-    KIND_ORIGINAL,
-    KINDS,
-    Tweet,
-)
+import numpy as np
+
+from .activity_features import STATS, stats_rows
+from .corpus import KIND_ORIGINAL, KINDS, Tweet
 
 ENTITIES = ("hashtags", "urls", "mentions")
 
@@ -45,14 +43,6 @@ def _fold_tag(hashtag: str) -> str:
     return hashtag.casefold()
 
 
-def entity_stats(timeline: list[Tweet], kind: str, entity: str) -> dict[str, float]:
-    """Min/max/mean/std of per-post entity counts for posts of one kind."""
-    if entity not in ENTITIES:
-        raise ValueError(f"unknown entity {entity!r}")
-    counts = [float(len(getattr(t, entity))) for t in timeline if t.kind == kind]
-    return _stats_block(counts)
-
-
 def user_hashtag_counts(timeline: list[Tweet]) -> dict[str, int]:
     counts: dict[str, int] = {}
     for t in timeline:
@@ -75,19 +65,15 @@ def build_idf(user_hashtags: dict[str, dict[str, int]]) -> HashtagIdfTable:
     return table
 
 
-def hashtag_tfidf_stats(
-    hashtag_counts: dict[str, int], idf: HashtagIdfTable
-) -> dict[str, float]:
-    """Stats over tf(h, user) * idf(h) for the user's distinct hashtags."""
-    scores = [count * idf.idf(tag) for tag, count in hashtag_counts.items()]
-    return _stats_block(scores)
-
-
 def _tokens(text: str) -> list[str]:
     cleaned = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text))
     out = []
     for raw in cleaned.split():
-        token = _trim_punctuation(raw).casefold()
+        # No character that isalnum() accepts is punctuation, so a token
+        # with such characters at both ends has nothing to trim.
+        if not (raw[0].isalnum() and raw[-1].isalnum()):
+            raw = _trim_punctuation(raw)
+        token = raw.casefold()
         if token:
             out.append(token)
     return out
@@ -102,32 +88,45 @@ def _trim_punctuation(token: str) -> str:
     return token[start:end]
 
 
-def vocabulary_size(timeline: list[Tweet]) -> int:
-    """Distinct case-folded tokens across the user's original posts,
-    URLs and mentions stripped."""
-    vocab: set[str] = set()
-    for t in timeline:
-        if t.kind == KIND_ORIGINAL:
-            vocab.update(_tokens(t.text))
-    return len(vocab)
+def features_from_timeline(timelines: list[list[Tweet]], idf: HashtagIdfTable) -> np.ndarray:
+    """The textual block of each timeline, one pass per timeline:
+    len(timelines) x len(TEXTUAL_FEATURE_NAMES), in that column order.
+
+    Per post kind, the statistics of each entity's per-post counts; the
+    statistics of tf(h, user) * idf(h) over the user's distinct hashtags
+    in first-use order; and the number of distinct case-folded tokens
+    across the user's original posts, URLs and mentions stripped.
+    """
+    weights: dict[str, float] = {}
+    lists: list[list[float]] = []
+    vocabulary: list[float] = []
+    for timeline in timelines:
+        entity_counts = {kind: ([], [], []) for kind in KINDS}
+        tags: dict[str, int] = {}
+        vocab: set[str] = set()
+        for t in timeline:
+            hashtags, urls, mentions = entity_counts[t.kind]
+            hashtags.append(float(len(t.hashtags)))
+            urls.append(float(len(t.urls)))
+            mentions.append(float(len(t.mentions)))
+            for tag in t.hashtags:
+                folded = _fold_tag(tag)
+                tags[folded] = tags.get(folded, 0) + 1
+            if t.kind == KIND_ORIGINAL:
+                vocab.update(_tokens(t.text))
+        for counts in entity_counts.values():
+            lists.extend(counts)
+        for tag in tags.keys() - weights.keys():
+            weights[tag] = idf.idf(tag)
+        lists.append([count * weights[tag] for tag, count in tags.items()])
+        vocabulary.append(float(len(vocab)))
+    n = len(timelines)
+    stats = stats_rows(lists).reshape(n, (len(KINDS) * len(ENTITIES) + 1) * len(STATS))
+    return np.hstack((stats, np.array(vocabulary, dtype=float).reshape(n, 1)))
 
 
-def features_from_timeline(
-    timeline: list[Tweet], idf: HashtagIdfTable
-) -> dict[str, float]:
-    feats: dict[str, float] = {}
-    for kind in KINDS:
-        for entity in ENTITIES:
-            block = entity_stats(timeline, kind, entity)
-            for stat, value in block.items():
-                feats[f"{kind}_{entity}_{stat}"] = value
-    tfidf = hashtag_tfidf_stats(user_hashtag_counts(timeline), idf)
-    for stat, value in tfidf.items():
-        feats[f"hashtag_tfidf_{stat}"] = value
-    feats["vocabulary_size"] = float(vocabulary_size(timeline))
-    return feats
-
-
-TEXTUAL_FEATURE_NAMES: tuple[str, ...] = tuple(
-    features_from_timeline([], HashtagIdfTable())
+TEXTUAL_FEATURE_NAMES: tuple[str, ...] = (
+    *(f"{kind}_{entity}_{stat}" for kind in KINDS for entity in ENTITIES for stat in STATS),
+    *(f"hashtag_tfidf_{stat}" for stat in STATS),
+    "vocabulary_size",
 )

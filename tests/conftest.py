@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from suspkit.corpus import DAY_SECONDS, TimeWindow, Tweet
@@ -48,6 +49,73 @@ def make_tweet(
         urls=tuple(urls),
         mentions=tuple(mentions),
     )
+
+
+# Words with punctuation at either end, URLs, mentions, case-folding
+# expansions (ß) and letters and digits outside ASCII.
+_WORDS = (
+    "hello", "World", "Straße", "STRASSE", "ǅemal", "x²", "naïve", "¿qué?", "(really?)",
+    '"Wait..."', "...", "—", "it's", "a.b", "#tag", "@friend", "https://t.co/x",
+    "www.Example.com/a", "café!", "Ωmega", "123", "٣٤", "_under_", "--", "e.g.", "«Ja»",
+)
+_TAG_POOLS = (1, 6, 60, 400)
+# Per-kind post counts: none, 1-7, 8-127 and 128 or more, the lengths
+# where numpy's pairwise sum changes its course.
+_KIND_COUNTS = ((0, 0), (1, 7), (8, 127), (128, 300))
+
+
+def _mixed_case(rng: np.random.Generator, word: str) -> str:
+    return "".join(c.upper() if rng.random() < 0.5 else c for c in word)
+
+
+def random_timelines(rng: np.random.Generator, n_users: int) -> list[list[Tweet]]:
+    """Random timelines in `user_timeline` order, every 16th one empty.
+
+    Each post kind's count is drawn from `_KIND_COUNTS`.  Reactions
+    carry a referenced time before the post, none, or one after it;
+    hashtags come in mixed case from a per-user pool of 1 to 400 tags.
+    """
+    timelines = []
+    for u in range(n_users):
+        if u % 16 == 0:
+            timelines.append([])
+            continue
+        kinds = []
+        for kind in ("original", "retweet", "quote"):
+            low, high = _KIND_COUNTS[rng.integers(len(_KIND_COUNTS))]
+            kinds += [kind] * int(rng.integers(low, high + 1))
+        rng.shuffle(kinds)
+        times = np.sort(rng.integers(WINDOW_START, WINDOW_START + WINDOW_DAYS * DAY_SECONDS,
+                                     size=len(kinds)))
+        pool = _TAG_POOLS[rng.integers(len(_TAG_POOLS))]
+        timeline = []
+        for i, (kind, ts) in enumerate(zip(kinds, times.tolist())):
+            ref_id = ref_user = ref_created = None
+            if kind != "original":
+                ref_id, ref_user = f"r{u}_{i}", f"v{rng.integers(50)}"
+                draw = rng.random()
+                if draw < 0.8:
+                    ref_created = ts - int(rng.integers(0, 10**6))
+                elif draw < 0.9:
+                    ref_created = ts + int(rng.integers(1, 1000))
+            tags = ("Straße", "STRASSE") if rng.random() < 0.05 else ()
+            tags += tuple(_mixed_case(rng, f"tag{rng.integers(pool)}")
+                          for _ in range(rng.integers(0, 4)))
+            timeline.append(Tweet(
+                tweet_id=f"t{u}_{i}",
+                user_id=f"u{u}",
+                created_at=ts,
+                kind=kind,
+                text=" ".join(_WORDS[w] for w in rng.integers(len(_WORDS), size=rng.integers(13))),
+                referenced_tweet_id=ref_id,
+                referenced_user_id=ref_user,
+                referenced_created_at=ref_created,
+                hashtags=tags,
+                urls=tuple(f"https://x.test/{k}" for k in range(rng.integers(0, 3))),
+                mentions=tuple(f"m{k}" for k in range(rng.integers(0, 5))),
+            ))
+        timelines.append(timeline)
+    return timelines
 
 
 def tweet_line(**fields) -> str:

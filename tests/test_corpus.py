@@ -292,9 +292,25 @@ class TestCorpusStore:
     def test_snapshot_roundtrip(self, window):
         store = CorpusStore()
         store.ingest_snapshots([snapshot_line(observed_at=WINDOW_START + 2)])
-        snaps = store.snapshots("u1", window)
+        snaps = store.snapshots(["u1"], window)["u1"]
         assert len(snaps) == 1
         assert snaps[0].statuses == 30
+
+    def test_snapshots_grouped_per_user_in_time_order(self, window):
+        store = CorpusStore()
+        store.ingest_snapshots([
+            snapshot_line(user_id="zed", observed_at=WINDOW_START + 5, followers=2),
+            snapshot_line(user_id="amy", observed_at=WINDOW_START + 9, followers=3),
+            snapshot_line(user_id="zed", observed_at=WINDOW_START + 1, followers=1),
+            snapshot_line(user_id="amy", observed_at=WINDOW_START - 1, followers=0),
+            snapshot_line(user_id="amy", observed_at=window.end, followers=4),
+            snapshot_line(user_id="bob", observed_at=WINDOW_START + 3, followers=5),
+        ])
+        snaps = store.snapshots(["zed", "amy", "cat"], window)
+        assert list(snaps) == ["zed", "amy", "cat"]
+        assert [s.followers for s in snaps["zed"]] == [1, 2]
+        assert [s.followers for s in snaps["amy"]] == [3]
+        assert snaps["cat"] == []
 
     @pytest.mark.parametrize(
         "table, record", [("tweets", Tweet), ("snapshots", UserSnapshot), ("labels", AccountLabel)]
@@ -322,7 +338,7 @@ class TestCorpusStore:
         stored = list(store.tweets_in_window(window))
         assert stored == [parse_tweet_record(line) for line in tweets]
         assert [t.kind for t in stored] == ["retweet", "quote"]
-        (stored_snapshot,) = store.snapshots("u1", window)
+        (stored_snapshot,) = store.snapshots(["u1"], window)["u1"]
         assert stored_snapshot == parse_snapshot_record(snapshot)
         flags = (stored_snapshot.verified, stored_snapshot.default_profile,
                  stored_snapshot.default_profile_image)

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from suspkit.corpus import UserSnapshot, DAY_SECONDS
 from suspkit.profile_features import (
     PROFILE_FEATURE_NAMES,
     NoSnapshot,
+    _levenshtein,
     by_age,
     features_from_snapshots,
     growth,
@@ -71,6 +73,33 @@ class TestNameSimilarity:
 
     def test_disjoint_strings(self):
         assert name_similarity("abc", "xyz") == 0.0
+
+    def test_trimmed_distance_is_the_full_dynamic_program(self):
+        # Small alphabets give long common prefixes and suffixes; ß casefolds to ss.
+        rng = np.random.default_rng(8)
+        pairs = [("", ""), ("", "ab"), ("ß", ""), ("today right", "todayright"),
+                 ("Straße", "STRASSE"), ("aaa", "aa"), ("abcab", "ab")]
+        for alphabet in ("ab", "abß S", "abcdefgh"):
+            for _ in range(1500):
+                a, b = ("".join(rng.choice(list(alphabet), size=rng.integers(0, 10)))
+                        for _ in range(2))
+                pairs.append((a, b))
+        for a, b in pairs:
+            assert _levenshtein(a, b) == _full_levenshtein(a, b), (a, b)
+            folded = _full_levenshtein(a.casefold(), b.casefold())
+            longest = max(len(a.casefold()), len(b.casefold()))
+            assert name_similarity(a, b) == (1.0 - folded / longest if longest else 1.0)
+
+
+def _full_levenshtein(a, b):
+    """The edit distance by the dynamic program over the whole strings."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
 
 
 class TestFeaturesFromSnapshots:

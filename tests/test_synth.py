@@ -43,8 +43,9 @@ class TestRoundTrip:
         paths = generate(small_config(), seed=1, out_dir=tmp_path)
         store, _ = ingest_all(paths)
         window = TimeWindow(DEFAULT_CORPUS_START, DEFAULT_CORPUS_START + 21 * DAY_SECONDS)
+        snapshots = store.snapshots(list(store.labels()), window)
         for user_id in store.labels():
-            assert store.snapshots(user_id, window), user_id
+            assert snapshots[user_id], user_id
             assert store.user_timeline(user_id, window), user_id
 
 
@@ -69,8 +70,10 @@ class TestClassSeparation:
         window = TimeWindow(DEFAULT_CORPUS_START, DEFAULT_CORPUS_START + 21 * DAY_SECONDS)
         ages = {"suspended": [], "normal": []}
         rates = {"suspended": [], "normal": []}
-        for user_id, label in store.labels().items():
-            snap = store.snapshots(user_id, window)[0]
+        labels = store.labels()
+        snapshots = store.snapshots(list(labels), window)
+        for user_id, label in labels.items():
+            snap = snapshots[user_id][0]
             age_days = max((snap.observed_at - snap.account_created_at) / DAY_SECONDS, 1.0)
             ages[label.status].append(age_days)
             rates[label.status].append(snap.statuses / age_days)
