@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .content_clustering import toxicity_summary, write_cluster_report
 from .corpus import CorpusStore
-from .errors import MissingArtifact, SuspkitError
+from .errors import MissingArtifact, SchemaMismatch, SuspkitError
 from .explainability import (
     explain_matrix,
     impact_summary,
@@ -58,7 +58,6 @@ from .suspension_model import (
     SPLIT_SECOND_TEST,
     SPLIT_TEST,
     FeatureMatrix,
-    SchemaMismatch,
     load_model,
     save_model,
     evaluate as evaluate_model,

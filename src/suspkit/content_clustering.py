@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import MalformedRecord
-from .vectors import EmbeddingMatrix
 
 
 @dataclass
@@ -126,13 +125,12 @@ def _gemv_best(leaders: np.ndarray, row: np.ndarray) -> tuple[int, float]:
     return best, float(sims[best])
 
 
-def cluster_cosine(X: EmbeddingMatrix | np.ndarray, tau: float,
+def cluster_cosine(X: np.ndarray, tau: float,
                    item_ids: Sequence[str] | None = None) -> ClusterAssignment:
+    """Leader clustering of the rows of X at cosine threshold tau; row i
+    is named item_ids[i], or str(i) when no ids are given."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    if isinstance(X, EmbeddingMatrix):
-        item_ids = X.item_ids
-        X = X.vectors
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
@@ -307,12 +305,12 @@ def toxicity_summary(path: str | Path, *, known_ids: set[str],
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             try:
-                score = float(row["score"])
+                tweet_id, score = row["tweet_id"], float(row["score"])
             except (KeyError, TypeError, ValueError):
                 raise MalformedRecord(f"bad toxicity row: {row!r}") from None
             if not 0.0 <= score <= 1.0:
                 raise MalformedRecord(f"score out of range: {score}")
-            if row["tweet_id"] not in known_ids:
+            if tweet_id not in known_ids:
                 skipped += 1
                 continue
             scored += 1

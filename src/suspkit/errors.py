@@ -15,3 +15,8 @@ class MissingArtifact(SuspkitError):
 
 class StaleArtifact(SuspkitError):
     """An input artifact does not match the artifacts it was built with."""
+
+
+class SchemaMismatch(SuspkitError):
+    """An input artifact lacks a field the stage that writes it gives
+    it, or holds a value of another shape."""

@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SuspkitError
-from .suspension_model import FeatureMatrix, SchemaMismatch, TrainedModel
+from .errors import SchemaMismatch, SuspkitError
+from .suspension_model import FeatureMatrix, TrainedModel
 
 MAX_EXACT_FEATURES = 15
 

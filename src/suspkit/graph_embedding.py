@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import KIND_QUOTE, KIND_RETWEET, Tweet
-from .errors import SuspkitError
+from .errors import SchemaMismatch, SuspkitError
 from .vectors import EmbeddingMatrix, read_emb1, write_emb1
 
 REL_RETWEET = "retweet"
@@ -350,10 +350,17 @@ def read_graph_csv(path: str | Path) -> RelationGraph:
     edges: dict[tuple[str, str, str], int] = {}
     nodes: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["source"], row["relation"], row["destination"])
-            edges[key] = edges.get(key, 0) + int(row["weight"])
-            nodes.update((key[0], key[2]))
+        # A missing column, or a row too short for the header, is a
+        # damaged input, not an internal error.
+        try:
+            for row in csv.DictReader(fh):
+                key = (row["source"], row["relation"], row["destination"])
+                edges[key] = edges.get(key, 0) + int(row["weight"])
+                nodes.update((key[0], key[2]))
+        except (KeyError, TypeError) as exc:
+            raise SchemaMismatch(
+                f"{path} is not a graph.csv the features stage writes: {exc!r}"
+            ) from None
     return RelationGraph(nodes=sorted(nodes), edges=edges)
 
 

@@ -3,6 +3,11 @@ split, per-family feature extraction for it and for window 2, training
 with cross-validation, clustering and graph ranking.  The CLI stages
 are thin wrappers over these calls.
 
+Each feature family is one call that returns the block of all kept
+users of a window, one row per user in one order.  Post vectors are
+plain rows: the posts are the users' timelines one after the other, so
+a user's rows are one slice, found by position rather than by post id.
+
 All state fitted on training data (IDF table, PCA basis, graph and its
 embeddings) is carried in an ExtractionContext and reused verbatim
 for evaluation windows, so evaluating on the training window itself
@@ -82,12 +87,11 @@ from .text_embedding import (
     HashedNgramEncoder,
     PcaModel,
     PrecomputedEmbeddings,
-    aggregate_post_embeddings,
+    features_from_posts,
     pca_fit,
     pca_transform,
     post_embedding_feature_names,
 )
-from .vectors import EmbeddingMatrix
 from .wallets import WalletHit, extract_wallets
 
 DEFAULT_WINDOW_START = "2022-02-23T00:00:00+00:00"
@@ -234,12 +238,6 @@ class WindowFeatures:
     context: ExtractionContext
 
 
-def _block(names: tuple[str, ...], rows: list[dict]) -> tuple[tuple[str, ...], np.ndarray]:
-    """A family's columns from one feature dict per user."""
-    X = np.asarray([[r[name] for name in names] for r in rows], dtype=np.float64)
-    return names, X.reshape(len(rows), len(names))
-
-
 def _reduce_posts(
     provider: EmbeddingProvider,
     ids: list[str],
@@ -247,17 +245,18 @@ def _reduce_posts(
     pca: PcaModel | None,
     config: PipelineConfig,
     stage: str,
-) -> tuple[EmbeddingMatrix, PcaModel]:
+) -> tuple[np.ndarray, PcaModel]:
     """Post vectors reduced by `pca`, or by a PCA fitted on them under
-    the seed of `stage` when `pca` is None: (reduced posts, PCA).  The
-    post vectors are one n x dim buffer, which the PCA centers in place."""
-    raw = provider.embed(ids, texts).vectors
+    the seed of `stage` when `pca` is None: (reduced rows in post order,
+    PCA).  The post vectors are one n x dim buffer, which the PCA centers
+    in place."""
+    raw = provider.embed(ids, texts)
     if pca is None:
         k = min(config.pca_components, raw.shape[1], len(ids))
         pca, reduced = pca_fit(raw, k, seed=stage_seed(config.seed, stage))
     else:
         reduced = pca_transform(pca, raw)
-    return EmbeddingMatrix(ids, reduced), pca
+    return reduced, pca
 
 
 def extract_window_features(
@@ -294,8 +293,8 @@ def extract_window_features(
     # (column names, block) per family, visited in FAMILY_ORDER.
     blocks: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
     if "profile" in families:
-        blocks["profile"] = _block(
-            PROFILE_FEATURE_NAMES, [features_from_snapshots(snaps_map[u], window) for u in kept]
+        blocks["profile"] = PROFILE_FEATURE_NAMES, features_from_snapshots(
+            [snaps_map[u] for u in kept], window
         )
     if "activity" in families:
         blocks["activity"] = ACTIVITY_FEATURE_NAMES, activity_features(timelines)
@@ -316,14 +315,9 @@ def extract_window_features(
         )
         if fit:
             context.pca = pca
-        index = reduced.row_index()
-        names = post_embedding_feature_names(pca.k)
-        X = np.empty((len(kept), len(names)))
-        for i, timeline in enumerate(timelines):
-            X[i] = aggregate_post_embeddings(
-                [t.tweet_id for t in timeline], [t.kind for t in timeline], reduced, index
-            )
-        blocks["post_embedding"] = names, X
+        blocks["post_embedding"] = (
+            post_embedding_feature_names(pca.k), features_from_posts(reduced, timelines)
+        )
 
     if "graph_embedding" in families:
         if fit:
@@ -524,8 +518,8 @@ def run_clustering(store: CorpusStore, config: PipelineConfig) -> ClusterArtifac
             make_provider(config), post_ids, texts, None, config, "cluster-pca"
         )
     else:
-        reduced = EmbeddingMatrix(post_ids, np.zeros((len(posts), 1)))
-    assignment = cluster_cosine(reduced, tau=config.tau)
+        reduced = np.zeros((len(posts), 1))
+    assignment = cluster_cosine(reduced, config.tau, item_ids=post_ids)
     report = cluster_report(assignment, texts, sample_n=config.cluster_sample_n)
     hits = keyword_search(assignment, texts, config.keywords)
     wallets = extract_wallets(posts)

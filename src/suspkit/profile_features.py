@@ -9,7 +9,7 @@ account started from nothing.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .corpus import TimeWindow, UserSnapshot, DAY_SECONDS
 from .errors import SuspkitError
@@ -107,57 +107,48 @@ def _digit_fraction(s: str) -> float:
     return sum(c.isdigit() for c in s) / len(s) if s else 0.0
 
 
-def features_from_snapshots(
-    snapshots: list[UserSnapshot], window: TimeWindow
-) -> dict[str, float]:
-    """Profile feature map from the in-window snapshots of one user.
-
-    Growth fields use the earliest and latest snapshot; rates use the
-    latest snapshot with account age measured at the window end.
-    """
+def _profile_row(snapshots: list[UserSnapshot], window: TimeWindow) -> tuple[float, ...]:
+    """One user's profile features, in PROFILE_FEATURE_NAMES order."""
     if not snapshots:
         raise NoSnapshot("no snapshot in window")
     first, last = snapshots[0], snapshots[-1]
     age_days = max((window.end - last.account_created_at) / DAY_SECONDS, 1.0)
+    counts = (last.followers, last.friends, last.statuses, last.favourites, last.listed)
+    growths = [growth(a, b) for a, b in ((first.followers, last.followers),
+                                         (first.friends, last.friends),
+                                         (first.statuses, last.statuses))]
+    return (
+        age_days,
+        *map(float, counts),
+        *(by_age(count, age_days) for count in counts),
+        *(ratio for ratio, _ in growths),
+        *(float(degenerate) for _, degenerate in growths),
+        float(len(snapshots) == 1),
+        float(len(snapshots)),
+        name_similarity(last.name, last.screen_name),
+        float(len(last.name)),
+        float(len(last.screen_name)),
+        _digit_fraction(last.name),
+        _digit_fraction(last.screen_name),
+        float(len(last.description)),
+        float(bool(last.description)),
+        float(last.default_profile),
+        float(last.default_profile_image),
+        float(last.verified),
+        last.followers / max(last.friends, 1),
+    )
 
-    followers_growth, followers_degen = growth(first.followers, last.followers)
-    friends_growth, friends_degen = growth(first.friends, last.friends)
-    statuses_growth, statuses_degen = growth(first.statuses, last.statuses)
 
-    feats = {
-        "account_age_days": age_days,
-        "followers": float(last.followers),
-        "friends": float(last.friends),
-        "statuses": float(last.statuses),
-        "favourites": float(last.favourites),
-        "listed": float(last.listed),
-        "followers_by_age": by_age(last.followers, age_days),
-        "friends_by_age": by_age(last.friends, age_days),
-        "statuses_by_age": by_age(last.statuses, age_days),
-        "favourites_by_age": by_age(last.favourites, age_days),
-        "listed_by_age": by_age(last.listed, age_days),
-        "followers_growth": followers_growth,
-        "friends_growth": friends_growth,
-        "statuses_growth": statuses_growth,
-        "followers_growth_degenerate": float(followers_degen),
-        "friends_growth_degenerate": float(friends_degen),
-        "statuses_growth_degenerate": float(statuses_degen),
-        "single_snapshot": float(len(snapshots) == 1),
-        "snapshot_count": float(len(snapshots)),
-        "name_screen_name_similarity": name_similarity(last.name, last.screen_name),
-        "name_length": float(len(last.name)),
-        "screen_name_length": float(len(last.screen_name)),
-        "name_digit_fraction": _digit_fraction(last.name),
-        "screen_name_digit_fraction": _digit_fraction(last.screen_name),
-        "description_length": float(len(last.description)),
-        "has_description": float(bool(last.description)),
-        "has_default_profile": float(last.default_profile),
-        "has_default_profile_image": float(last.default_profile_image),
-        "verified": float(last.verified),
-        "followers_friends_ratio": last.followers / max(last.friends, 1),
-    }
-    assert tuple(feats) == PROFILE_FEATURE_NAMES
-    for name in ("followers_by_age", "friends_by_age", "statuses_by_age",
-                 "favourites_by_age", "listed_by_age"):
-        assert feats[name] >= 0 and math.isfinite(feats[name])
-    return feats
+def features_from_snapshots(
+    snapshots: list[list[UserSnapshot]], window: TimeWindow
+) -> np.ndarray:
+    """The profile block of each user's in-window snapshots, in time
+    order: len(snapshots) x len(PROFILE_FEATURE_NAMES), in that column
+    order.
+
+    Growth fields use the earliest and latest snapshot; rates use the
+    latest snapshot with account age measured at the window end.  A user
+    without a snapshot raises NoSnapshot.
+    """
+    rows = [_profile_row(user, window) for user in snapshots]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(PROFILE_FEATURE_NAMES))

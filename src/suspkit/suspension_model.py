@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SuspkitError
+from .errors import SchemaMismatch, SuspkitError
 from .gbdt import GbdtClassifier, shap_inputs, sigmoid
 
 FAMILY_ORDER = ("profile", "activity", "textual", "post_embedding", "graph_embedding")
@@ -39,10 +39,6 @@ SELECT_ROUNDS = 25
 # step at which it stops.
 _IRLS_MAX_ITER = 50
 _IRLS_TOL = 1e-10
-
-
-class SchemaMismatch(SuspkitError):
-    pass
 
 
 class DegenerateLabels(SuspkitError):
@@ -275,7 +271,15 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return TrainedModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    # A field missing, or a value of another shape than `save_model`
+    # writes, is a damaged input, not an internal error.
+    try:
+        return TrainedModel.from_dict(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SchemaMismatch(
+            f"{path} is not a model.json the train stage writes: {exc!r}"
+        ) from None
 
 
 def _check_labels(y: np.ndarray) -> None:

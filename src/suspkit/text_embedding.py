@@ -1,10 +1,15 @@
-"""Post-text vectors, PCA reduction, and per-user embedding features.
+"""Post-text vectors, PCA reduction, and the post_embedding feature block.
 
 Vectors come from a pluggable provider: either a precomputed embedding
 file produced by an external sentence encoder, or the built-in
 deterministic fallback that feature-hashes character n-grams.  The
 fallback uses only integer arithmetic, so its output is bit-identical
 across runs and platforms.
+
+Post vectors are plain rows: a provider returns one row per post, in the
+order of the posts it was given, and the PCA keeps that order.  The
+pipeline embeds the posts of its users' timelines one timeline after the
+other, so each user's rows are one slice, found by position alone.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import KIND_ORIGINAL, KIND_QUOTE, KIND_RETWEET
+from .corpus import KIND_ORIGINAL, KIND_QUOTE, KIND_RETWEET, Tweet
 from .errors import SuspkitError
 from .vectors import EmbeddingMatrix, read_emb1
 
@@ -31,9 +36,6 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 _BLOCK_BYTES = 1 << 16
 _BLOCK_TEXTS = 1024
 
-# Power steps of the subspace iteration PCA uses above 1024 input dims.
-_SUBSPACE_ITERS = 50
-
 
 class MissingEmbedding(SuspkitError):
     """An item id has no row in the precomputed embedding file."""
@@ -46,7 +48,8 @@ class DimensionMismatch(SuspkitError):
 class EmbeddingProvider(Protocol):
     dim: int
 
-    def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> EmbeddingMatrix: ...
+    def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> np.ndarray:
+        """The float64 len(texts) x dim rows of the posts, in their order."""
 
 
 class PrecomputedEmbeddings:
@@ -61,7 +64,7 @@ class PrecomputedEmbeddings:
     def from_file(cls, path: str | Path) -> "PrecomputedEmbeddings":
         return cls(read_emb1(path))
 
-    def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> EmbeddingMatrix:
+    def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> np.ndarray:
         """The stored rows of item_ids, widened (exactly) to float64."""
         rows = np.empty((len(item_ids), self.dim))
         for i, item in enumerate(item_ids):
@@ -69,7 +72,7 @@ class PrecomputedEmbeddings:
                 rows[i] = self._matrix.vectors[self._index[item]]
             except KeyError:
                 raise MissingEmbedding(f"no precomputed embedding for {item!r}") from None
-        return EmbeddingMatrix(item_ids=list(item_ids), vectors=rows)
+        return rows
 
 
 def _fnv1a_scalar(data: bytes) -> int:
@@ -100,13 +103,13 @@ class HashedNgramEncoder:
         self.min_n = min_n
         self.max_n = max_n
 
-    def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> EmbeddingMatrix:
-        """One row per text, in one n x dim buffer.  The u distinct texts
-        are hashed, in first-occurrence order, into rows [0, u); then,
-        one block at a time from the back, row i takes the row of its
-        text's number inverse[i].  First-occurrence numbering gives
-        inverse[i] <= i, so a block reads only rows no block has written
-        yet."""
+    def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> np.ndarray:
+        """One row per text, in one n x dim buffer; the ids are not read.
+        The u distinct texts are hashed, in first-occurrence order, into
+        rows [0, u); then, one block at a time from the back, row i takes
+        the row of its text's number inverse[i].  First-occurrence
+        numbering gives inverse[i] <= i, so a block reads only rows no
+        block has written yet."""
         first: dict[str, int] = {}
         inverse = np.fromiter(
             (first.setdefault(text, len(first)) for text in texts), dtype=np.int64,
@@ -118,7 +121,7 @@ class HashedNgramEncoder:
             for end in range(len(texts), 0, -_BLOCK_TEXTS):
                 start = max(end - _BLOCK_TEXTS, 0)
                 rows[start:end] = rows[inverse[start:end]]
-        return EmbeddingMatrix(item_ids=list(item_ids), vectors=rows)
+        return rows
 
     def _encode_into(self, texts: Sequence[str], out: np.ndarray) -> None:
         # Texts are encoded to bytes block by block, so only one block's
@@ -200,11 +203,11 @@ def pca_fit(
     project X on them: (model, reduced rows).
 
     X is centered in place, as `pca_transform` does, so fitting and
-    projecting read one n x d buffer; pass a copy to keep X.  Exact
-    covariance eigen-decomposition for inputs up to 1024 dims;
-    randomized subspace iteration above that.  Data with zero variance
-    yields zero explained variance rather than an error.  Fitting uses
-    a uniform row sample capped at sample_cap.
+    projecting read one n x d buffer; pass a copy to keep X.  The
+    components are the leading eigenvectors of the exact covariance
+    matrix (`np.linalg.eigh`).  Data with zero variance yields zero
+    explained variance rather than an error.  Fitting uses a uniform row
+    sample capped at sample_cap, drawn under `seed`.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -222,34 +225,14 @@ def pca_fit(
 
     mean = fit_rows.mean(axis=0)
     fit_rows -= mean
-    cov = fit_rows.T @ fit_rows / (n - 1)
-
-    if d <= 1024:
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1][:k]
-        variance = eigvals[order]
-        components = eigvecs[:, order].T
-    else:
-        variance, components = _subspace_iteration(cov, k, seed)
-
-    variance = np.clip(variance, 0.0, None)
-    components = _sign_convention(components)
+    eigvals, eigvecs = np.linalg.eigh(fit_rows.T @ fit_rows / (n - 1))
+    order = np.argsort(eigvals)[::-1][:k]
+    variance = np.clip(eigvals[order], 0.0, None)
+    components = _sign_convention(eigvecs[:, order].T)
     if fit_rows is not X:
         X -= mean
     model = PcaModel(mean=mean, components=components, explained_variance=variance)
     return model, X @ components.T
-
-
-def _subspace_iteration(cov: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((cov.shape[0], k + 8)))
-    for _ in range(_SUBSPACE_ITERS):
-        Q, _ = np.linalg.qr(cov @ Q)
-    # Rayleigh-Ritz on the converged subspace.
-    small = Q.T @ cov @ Q
-    eigvals, eigvecs = np.linalg.eigh(small)
-    order = np.argsort(eigvals)[::-1][:k]
-    return eigvals[order], (Q @ eigvecs[:, order]).T
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
@@ -264,31 +247,30 @@ def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
     return X @ model.components.T
 
 
-def aggregate_post_embeddings(
-    post_ids: Sequence[str],
-    post_kinds: Sequence[str],
-    reduced: EmbeddingMatrix,
-    index: dict[str, int] | None = None,
-) -> np.ndarray:
-    """Mean reduced post vector plus mean one-hot post-kind vector.
+def features_from_posts(reduced: np.ndarray, timelines: list[list[Tweet]]) -> np.ndarray:
+    """The post_embedding block: len(timelines) x (dim + 3), in the
+    column order of `post_embedding_feature_names`.
 
-    A user with no posts gets an all-NaN sentinel row of the same width.
+    `reduced` holds the reduced rows of every timeline's posts, one
+    timeline after the other, so a user's rows are one slice.  Each row
+    of the block is the mean of the user's rows and the share of each
+    post kind; a user with no posts gets an all-NaN row.
     """
-    width = reduced.dim + len(KIND_ORDER)
-    if not post_ids:
-        return np.full(width, np.nan)
-    if index is None:
-        index = reduced.row_index()
-    try:
-        rows = [index[pid] for pid in post_ids]
-    except KeyError as exc:
-        raise MissingEmbedding(f"post {exc.args[0]!r} not in reduced matrix") from None
-    out = np.empty(width)
-    out[: reduced.dim] = reduced.vectors[rows].mean(axis=0)
-    kinds = np.zeros(len(KIND_ORDER))
-    for kind in post_kinds:
-        kinds[KIND_ORDER.index(kind)] += 1
-    out[reduced.dim :] = kinds / len(post_kinds)
+    dim = reduced.shape[1]
+    out = np.full((len(timelines), dim + len(KIND_ORDER)), np.nan)
+    start = 0
+    for i, timeline in enumerate(timelines):
+        if not timeline:
+            continue
+        end = start + len(timeline)
+        # The mean of the user's own slice keeps the bits of a mean over
+        # a copy of their rows; a segmented sum (np.add.reduceat) sums
+        # in another order and does not.
+        out[i, :dim] = reduced[start:end].mean(axis=0)
+        kinds = np.bincount([KIND_ORDER.index(t.kind) for t in timeline],
+                            minlength=len(KIND_ORDER))
+        out[i, dim:] = kinds / len(timeline)
+        start = end
     return out
 
 

@@ -25,6 +25,9 @@ class BadEmbeddingFile(SuspkitError):
 
 @dataclass
 class EmbeddingMatrix:
+    """The ids and rows of one EMB1 file, checked as they are built,
+    since precomputed files come from outside the program."""
+
     item_ids: list[str]
     vectors: np.ndarray  # (n, dim)
 

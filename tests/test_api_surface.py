@@ -260,8 +260,8 @@ def test_field_guard_catches_an_unread_field(tmp_path):
 ALLOWED_DEFAULTS = {
     "cli.main(argv)": "the entry point: the `suspkit` console script calls it without "
                       "arguments, so argparse reads sys.argv",
-    "content_clustering.cluster_cosine(item_ids)": "names the rows of a bare array; the "
-        "pipeline passes an EmbeddingMatrix, which carries its ids, and tests pass arrays",
+    "content_clustering.cluster_cosine(item_ids)": "the pipeline passes the post ids of "
+        "the rows; the clustering tests name rows by their index",
     "corpus.MalformedRecord.__init__(reason)": "most parse faults are bad_value; the "
         "others name their reason at the raise",
     "corpus.CorpusStore.__init__(path)": "the in-memory store tests build corpora in; "
@@ -277,8 +277,6 @@ ALLOWED_DEFAULTS = {
     "suspension_model.train(mask)": "None fits on every column, as the model tests do; "
         "the pipeline passes the selection mask",
     "text_embedding.pca_fit(sample_cap)": "set by test_sample_cap_is_deterministic",
-    "text_embedding.aggregate_post_embeddings(index)": "the pipeline passes the row "
-        "index it builds once per window; tests look rows up in the matrix",
     "text_embedding.HashedNgramEncoder.__init__(min_n)": "set by the n-gram encoder "
         "oracle tests",
     "text_embedding.HashedNgramEncoder.__init__(max_n)": "set by the n-gram encoder "

@@ -348,6 +348,36 @@ class TestFailureModes:
         assert name in err["message"]
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        ["source,relation,weight\nu1,mention,1\n",
+         "source,relation,destination,weight\nu1,mention\n"],
+        ids=["header-without-destination", "short-row"],
+    )
+    def test_damaged_graph_csv_exits_3(self, tmp_path, capsys, content):
+        (tmp_path / "graph.csv").write_text(content, encoding="utf-8")
+        assert cli.main(["--workdir", str(tmp_path), "graph"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "SchemaMismatch" and "graph.csv" in err["message"]
+        assert not (tmp_path / "graph_ranking.json").exists()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda model: model.pop("inner"), lambda model: model.update(inner=[]),
+         lambda model: model.pop("kind")],
+        ids=["without-inner", "inner-not-an-object", "without-kind"],
+    )
+    def test_damaged_model_json_exits_3(self, workdir, tmp_path, capsys, damage):
+        wd, _ = workdir
+        model = json.loads((wd / "model.json").read_text(encoding="utf-8"))
+        damage(model)
+        (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+        _copy(["features_test.csv"], wd, tmp_path)
+        assert cli.main(["--workdir", str(tmp_path), "evaluate", "--split", "test"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "SchemaMismatch" and "model.json" in err["message"]
+        assert not (tmp_path / "report_test.json").exists()
+
 
 FAST_CONFIG = {
     "encoder_dim": 64,

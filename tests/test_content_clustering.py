@@ -517,6 +517,12 @@ class TestToxicitySummary:
         with pytest.raises(MalformedRecord):
             toxicity_summary(path, known_ids={"t1"}, threshold=0.5)
 
+    def test_missing_tweet_id_column_rejected(self, tmp_path):
+        path = tmp_path / "tox.csv"
+        path.write_text("id,score\nt1,0.9\n")
+        with pytest.raises(MalformedRecord):
+            toxicity_summary(path, known_ids={"t1"}, threshold=0.5)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "tox.csv"
         path.write_text("tweet_id,score\n")

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from suspkit.corpus import UserSnapshot, DAY_SECONDS
 from suspkit.profile_features import (
     PROFILE_FEATURE_NAMES,
     NoSnapshot,
+    _digit_fraction,
     _levenshtein,
     by_age,
     features_from_snapshots,
@@ -102,16 +101,103 @@ def _full_levenshtein(a, b):
     return prev[-1]
 
 
+def features_from_user(snapshots, window):
+    """One user's profile features by name."""
+    (row,) = features_from_snapshots([snapshots], window)
+    return dict(zip(PROFILE_FEATURE_NAMES, row.tolist()))
+
+
+# -- the per-user profile code the family replaced, kept as its oracle --
+
+def oracle_features(snapshots, window):
+    first, last = snapshots[0], snapshots[-1]
+    age_days = max((window.end - last.account_created_at) / DAY_SECONDS, 1.0)
+    followers_growth, followers_degen = growth(first.followers, last.followers)
+    friends_growth, friends_degen = growth(first.friends, last.friends)
+    statuses_growth, statuses_degen = growth(first.statuses, last.statuses)
+    return {
+        "account_age_days": age_days,
+        "followers": float(last.followers),
+        "friends": float(last.friends),
+        "statuses": float(last.statuses),
+        "favourites": float(last.favourites),
+        "listed": float(last.listed),
+        "followers_by_age": by_age(last.followers, age_days),
+        "friends_by_age": by_age(last.friends, age_days),
+        "statuses_by_age": by_age(last.statuses, age_days),
+        "favourites_by_age": by_age(last.favourites, age_days),
+        "listed_by_age": by_age(last.listed, age_days),
+        "followers_growth": followers_growth,
+        "friends_growth": friends_growth,
+        "statuses_growth": statuses_growth,
+        "followers_growth_degenerate": float(followers_degen),
+        "friends_growth_degenerate": float(friends_degen),
+        "statuses_growth_degenerate": float(statuses_degen),
+        "single_snapshot": float(len(snapshots) == 1),
+        "snapshot_count": float(len(snapshots)),
+        "name_screen_name_similarity": name_similarity(last.name, last.screen_name),
+        "name_length": float(len(last.name)),
+        "screen_name_length": float(len(last.screen_name)),
+        "name_digit_fraction": _digit_fraction(last.name),
+        "screen_name_digit_fraction": _digit_fraction(last.screen_name),
+        "description_length": float(len(last.description)),
+        "has_description": float(bool(last.description)),
+        "has_default_profile": float(last.default_profile),
+        "has_default_profile_image": float(last.default_profile_image),
+        "verified": float(last.verified),
+        "followers_friends_ratio": last.followers / max(last.friends, 1),
+    }
+
+
+def random_users(rng, window, n_users):
+    """Snapshot lists of 1-5 snapshots in time order: zero and large
+    counts, accounts created long before, just before or after the
+    window end, names with digits, ß or nothing."""
+    names = ["", "Alice Smith", "alice_smith", "user1234", "Straße", "STRASSE", "9", "ß ß"]
+    users = []
+    for u in range(n_users):
+        created = window.end - int(rng.choice([0, 1, 3600, 2 * DAY_SECONDS, 900 * DAY_SECONDS,
+                                                -DAY_SECONDS]))
+        times = np.sort(rng.integers(window.start, window.end, size=rng.integers(1, 6)))
+        users.append([
+            snap(int(ts), created,
+                 **{field: int(rng.choice([0, 1, rng.integers(2, 10**7)]))
+                    for field in ("followers", "friends", "statuses", "favourites", "listed")},
+                 name=str(rng.choice(names)), screen_name=str(rng.choice(names)),
+                 description=str(rng.choice(["", "hi", "crypto 🚀"])),
+                 verified=bool(rng.random() < 0.3), default_profile=bool(rng.random() < 0.5),
+                 default_profile_image=bool(rng.random() < 0.5))
+            for ts in times
+        ])
+    return users
+
+
+class TestOracle:
+    def test_block_is_the_per_user_code_bit_for_bit(self, window):
+        users = random_users(np.random.default_rng(4), window, 200)
+        expected = np.asarray(
+            [[feats[name] for name in PROFILE_FEATURE_NAMES]
+             for feats in (oracle_features(snaps, window) for snaps in users)]
+        )
+        block = features_from_snapshots(users, window)
+        assert block.shape == (200, len(PROFILE_FEATURE_NAMES))
+        assert block.tobytes() == expected.tobytes()
+
+    def test_no_users(self, window):
+        assert features_from_snapshots([], window).shape == (0, len(PROFILE_FEATURE_NAMES))
+
+
 class TestFeaturesFromSnapshots:
     def test_no_snapshot_raises(self, window):
+        created = window.start - DAY_SECONDS
         with pytest.raises(NoSnapshot):
-            features_from_snapshots([], window)
+            features_from_snapshots([[snap(window.start, created)], []], window)
 
     def test_hand_computed_values(self, window):
         created = window.end - 10 * DAY_SECONDS
         first = snap(window.start, created, followers=4, statuses=50)
         last = snap(window.start + DAY_SECONDS, created, followers=6, statuses=80)
-        feats = features_from_snapshots([first, last], window)
+        feats = features_from_user([first, last], window)
 
         assert feats["account_age_days"] == 10.0
         assert feats["followers"] == 6.0
@@ -125,20 +211,20 @@ class TestFeaturesFromSnapshots:
 
     def test_brand_new_account_age_floored(self, window):
         created = window.end - 3600  # one hour old at window end
-        feats = features_from_snapshots([snap(window.end - 10, created)], window)
+        feats = features_from_user([snap(window.end - 10, created)], window)
         assert feats["account_age_days"] == 1.0
 
     def test_zero_start_sets_degenerate_flag(self, window):
         created = window.start - DAY_SECONDS
         first = snap(window.start, created, followers=0)
         last = snap(window.start + 1, created, followers=9)
-        feats = features_from_snapshots([first, last], window)
+        feats = features_from_user([first, last], window)
         assert feats["followers_growth"] == 1.0
         assert feats["followers_growth_degenerate"] == 1.0
 
     def test_single_snapshot_flagged(self, window):
         created = window.start - DAY_SECONDS
-        feats = features_from_snapshots([snap(window.start, created)], window)
+        feats = features_from_user([snap(window.start, created)], window)
         assert feats["single_snapshot"] == 1.0
         assert feats["snapshot_count"] == 1.0
         # one snapshot means flat growth
@@ -155,7 +241,7 @@ class TestFeaturesFromSnapshots:
             verified=True,
             default_profile=True,
         )
-        feats = features_from_snapshots([s], window)
+        feats = features_from_user([s], window)
         assert feats["name_digit_fraction"] == 0.5
         assert feats["name_screen_name_similarity"] == 1.0
         assert feats["has_description"] == 0.0
@@ -165,13 +251,14 @@ class TestFeaturesFromSnapshots:
 
     def test_followers_friends_ratio_guards_zero(self, window):
         created = window.start - DAY_SECONDS
-        feats = features_from_snapshots(
+        feats = features_from_user(
             [snap(window.start, created, followers=8, friends=0)], window
         )
         assert feats["followers_friends_ratio"] == 8.0
 
     def test_schema_order_and_finiteness(self, window):
         created = window.start - 400 * DAY_SECONDS
-        feats = features_from_snapshots([snap(window.start, created)], window)
-        assert tuple(feats) == PROFILE_FEATURE_NAMES
-        assert all(math.isfinite(v) for v in feats.values())
+        block = features_from_snapshots([[snap(window.start, created)]] * 2, window)
+        assert block.shape == (2, len(PROFILE_FEATURE_NAMES))
+        assert len(set(PROFILE_FEATURE_NAMES)) == len(PROFILE_FEATURE_NAMES)
+        assert np.isfinite(block).all()

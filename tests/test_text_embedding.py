@@ -1,19 +1,24 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
 from suspkit import text_embedding
 from suspkit.text_embedding import (
+    KIND_ORDER,
     DimensionMismatch,
     HashedNgramEncoder,
     MissingEmbedding,
     PrecomputedEmbeddings,
-    aggregate_post_embeddings,
+    features_from_posts,
     pca_fit,
     pca_transform,
     post_embedding_feature_names,
     _fnv1a_scalar,
 )
 from suspkit.vectors import EmbeddingMatrix, write_emb1
+
+from conftest import make_tweet, random_timelines
 
 
 def oracle_eigen(X, k):
@@ -36,7 +41,7 @@ def subspace_angle(A, B):
 
 def encode_one(enc, text):
     """The encoder's row for one text, as a one-row batch."""
-    return enc.embed(["0"], [text]).vectors[0]
+    return enc.embed(["0"], [text])[0]
 
 
 class TestHashedEncoder:
@@ -65,9 +70,8 @@ class TestHashedEncoder:
 
     def test_embed_batches(self):
         enc = HashedNgramEncoder(dim=16)
-        matrix = enc.embed(["p1", "p2"], ["one", "two"])
-        assert matrix.item_ids == ["p1", "p2"]
-        assert matrix.vectors.shape == (2, 16)
+        rows = enc.embed(["p1", "p2"], ["one", "two"])
+        assert rows.shape == (2, 16) and rows.dtype == np.float64
 
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
@@ -112,7 +116,7 @@ class TestBatchedEncoderOracle:
     def check(self, texts, dim, min_n=3, max_n=5):
         raw, expected, norms = oracle_rows(texts, dim, min_n, max_n)
         enc = HashedNgramEncoder(dim=dim, min_n=min_n, max_n=max_n)
-        got = enc.embed([str(i) for i in range(len(texts))], texts).vectors
+        got = enc.embed([str(i) for i in range(len(texts))], texts)
         np.testing.assert_array_equal(got, expected)
         # The batched kernel normalizes by sqrt of a row's dot product;
         # the counts are integers, so that is np.linalg.norm exactly.
@@ -167,7 +171,7 @@ class TestPrecomputedProvider:
         write_emb1(path, stored)
         provider = PrecomputedEmbeddings.from_file(path)
         out = provider.embed(["b", "a"], ["ignored", "ignored"])
-        np.testing.assert_array_equal(out.vectors, np.array([[0, 1], [1, 0]], dtype=np.float32))
+        np.testing.assert_array_equal(out, np.array([[0, 1], [1, 0]], dtype=np.float32))
 
     def test_missing_id_raises(self):
         provider = PrecomputedEmbeddings(EmbeddingMatrix(["a"], np.ones((1, 2))))
@@ -243,9 +247,8 @@ class TestPca:
         b, _ = pca_fit(X.copy(), k=3, sample_cap=100, seed=1)
         np.testing.assert_array_equal(a.components, b.components)
 
-    def test_wide_input_uses_iterative_route(self):
-        # d > 1024 takes the subspace-iteration path; compare to the
-        # dense oracle on the same covariance.
+    def test_wide_input_matches_eigen_oracle(self):
+        # 1030 input dims, wider than any workload's encoder.
         rng = np.random.default_rng(15)
         base = rng.standard_normal((40, 5)) * np.array([9.0, 6.0, 4.0, 2.0, 1.0])
         mix = rng.standard_normal((5, 1030))
@@ -256,25 +259,54 @@ class TestPca:
         assert subspace_angle(model.components, oracle_vecs) <= 1e-5
 
 
+def oracle_aggregate(post_ids, post_kinds, reduced, index):
+    """The per-user post code the family replaced: the mean of the user's
+    rows, looked up by post id, and the mean one-hot post kind."""
+    width = reduced.shape[1] + len(KIND_ORDER)
+    if not post_ids:
+        return np.full(width, np.nan)
+    out = np.empty(width)
+    out[: reduced.shape[1]] = reduced[[index[pid] for pid in post_ids]].mean(axis=0)
+    kinds = np.zeros(len(KIND_ORDER))
+    for kind in post_kinds:
+        kinds[KIND_ORDER.index(kind)] += 1
+    out[reduced.shape[1] :] = kinds / len(post_kinds)
+    return out
+
+
 class TestAggregation:
     def test_mean_vector_and_kind_mix(self):
-        reduced = EmbeddingMatrix(
-            item_ids=["p1", "p2"], vectors=np.array([[2.0, 0.0], [0.0, 4.0]])
-        )
-        row = aggregate_post_embeddings(["p1", "p2"], ["original", "retweet"], reduced)
+        timelines = [[make_tweet(tweet_id="p1", kind="original"),
+                      make_tweet(tweet_id="p2", kind="retweet")]]
+        (row,) = features_from_posts(np.array([[2.0, 0.0], [0.0, 4.0]]), timelines)
         np.testing.assert_allclose(row[:2], [1.0, 2.0])
         np.testing.assert_allclose(row[2:], [0.5, 0.5, 0.0])
 
     def test_no_posts_gives_nan_row(self):
-        reduced = EmbeddingMatrix(item_ids=[], vectors=np.empty((0, 3)))
-        row = aggregate_post_embeddings([], [], reduced)
-        assert row.shape == (6,)
-        assert np.isnan(row).all()
+        block = features_from_posts(np.empty((0, 3)), [[]])
+        assert block.shape == (1, 6)
+        assert np.isnan(block).all()
+        assert features_from_posts(np.empty((0, 3)), []).shape == (0, 6)
 
-    def test_unknown_post_raises(self):
-        reduced = EmbeddingMatrix(item_ids=["p1"], vectors=np.ones((1, 2)))
-        with pytest.raises(MissingEmbedding):
-            aggregate_post_embeddings(["ghost"], ["original"], reduced)
+    def test_block_is_the_per_user_code_bit_for_bit(self):
+        # Short texts drawn from a small word list repeat often, the empty
+        # text among them; every 16th timeline has no posts.
+        timelines = random_timelines(np.random.default_rng(12), 80)
+        posts = list(chain.from_iterable(timelines))
+        texts = [t.text for t in posts]
+        assert len(set(texts)) < len(texts) and "" in texts
+        ids = [t.tweet_id for t in posts]
+        raw = HashedNgramEncoder(dim=64).embed(ids, texts)
+        _, reduced = pca_fit(raw, 12, seed=0)
+        index = {pid: i for i, pid in enumerate(ids)}
+        expected = np.asarray([
+            oracle_aggregate([t.tweet_id for t in timeline], [t.kind for t in timeline],
+                             reduced, index)
+            for timeline in timelines
+        ])
+        block = features_from_posts(reduced, timelines)
+        assert block.shape == (80, 12 + len(KIND_ORDER))
+        assert block.tobytes() == expected.tobytes()
 
     def test_feature_names(self):
         names = post_embedding_feature_names(2)
