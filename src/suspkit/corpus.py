@@ -10,10 +10,12 @@ Each table holds one record type, and its columns are that type's
 fields: inserts and selects name them in field order, and one loop
 parses, counts, inserts and commits all three files.
 
-A window's tweets are decoded in one :meth:`CorpusStore.tweets_in_window`
-pass; :func:`read_window` groups it per user, and that one table feeds
-every feature family and the graph build.  Content clustering reads
-only the id, user and text columns (:meth:`CorpusStore.window_posts`).
+Each read takes only what its consumer uses.  The tweets of a set of
+users in a window are decoded in one :meth:`CorpusStore.tweets_in_window`
+pass, which :func:`read_window` groups per user for the feature
+families.  The graph build reads four columns of the window's posts
+that can give an edge (:meth:`CorpusStore.interactions`), and content
+clustering the id, user and text columns (:meth:`CorpusStore.window_posts`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import logging
 import sqlite3
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import starmap
+from itertools import groupby, starmap
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -502,14 +504,34 @@ class CorpusStore:
         )
         return [self._row_to_tweet(r) for r in rows]
 
-    def tweets_in_window(self, window: TimeWindow) -> Iterator[Tweet]:
+    def tweets_in_window(self, window: TimeWindow, users: Iterable[str]) -> Iterator[Tweet]:
+        """The in-window tweets of `users`, by user and per user in
+        `user_timeline` order.  The users go to sqlite as one JSON array,
+        which it joins on through the (user_id, created_at) index: no
+        parameter per user, so the list has no length limit, and no row
+        of another user is decoded."""
         rows = self._conn.execute(
-            _SELECT["tweets"] + " WHERE created_at >= ? AND created_at < ?"
-            " ORDER BY created_at, tweet_id",
-            (window.start, window.end),
+            _SELECT["tweets"] + " WHERE user_id IN (SELECT value FROM json_each(?))"
+            " AND created_at >= ? AND created_at < ? ORDER BY user_id, created_at, tweet_id",
+            (json.dumps(list(users)), window.start, window.end),
         )
         for row in rows:
             yield self._row_to_tweet(row)
+
+    def interactions(
+        self, window: TimeWindow
+    ) -> Iterator[tuple[str, str, str | None, tuple[str, ...]]]:
+        """(user_id, kind, referenced_user_id, mentions) of each in-window
+        tweet that can give a graph edge: a retweet or a quote, or a post
+        that mentions someone.  Rows come in no particular order."""
+        rows = self._conn.execute(
+            "SELECT user_id, kind, referenced_user_id, mentions FROM tweets"
+            " WHERE created_at >= ? AND created_at < ?"
+            " AND (kind IN (?, ?) OR mentions != '[]')",
+            (window.start, window.end, KIND_RETWEET, KIND_QUOTE),
+        )
+        for user, kind, referenced_user, mentions in rows:
+            yield user, kind, referenced_user, _decode_list(mentions)
 
     def window_posts(self, window: TimeWindow) -> Iterator[tuple[str, str, str]]:
         """The window's (tweet_id, user_id, text) rows by user, and per user
@@ -550,13 +572,14 @@ class CorpusStore:
         return {label.user_id: label for label in labels}
 
 
-def read_window(store: CorpusStore, window: TimeWindow) -> dict[str, list[Tweet]]:
-    """The window's tweets grouped per user, in one pass.  Each list is in
-    `user_timeline` order; users without an in-window tweet have no entry."""
-    table: dict[str, list[Tweet]] = {}
-    for tweet in store.tweets_in_window(window):
-        table.setdefault(tweet.user_id, []).append(tweet)
-    return table
+def read_window(
+    store: CorpusStore, window: TimeWindow, users: Iterable[str]
+) -> dict[str, list[Tweet]]:
+    """The window's tweets of `users` grouped per user, from one read.
+    Each list is in `user_timeline` order; a user without an in-window
+    tweet has no entry."""
+    tweets = store.tweets_in_window(window, users)
+    return {user: list(own) for user, own in groupby(tweets, attrgetter("user_id"))}
 
 
 def select_window_users(

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import KIND_QUOTE, KIND_RETWEET, Tweet
+from .corpus import KIND_QUOTE, KIND_RETWEET
 from .errors import SchemaMismatch, SuspkitError
 from .vectors import EmbeddingMatrix, read_emb1, write_emb1
 
@@ -78,24 +78,28 @@ class RelationGraph:
         return sorted({rel for _, rel, _ in self.edges})
 
 
-def build_graph(tweets: Iterable[Tweet], *, relations: Sequence[str]) -> RelationGraph:
-    """One edge occurrence per interaction in the tweets."""
+def build_graph(
+    interactions: Iterable[tuple[str, str, str | None, tuple[str, ...]]],
+    *,
+    relations: Sequence[str],
+) -> RelationGraph:
+    """One edge occurrence per interaction in the (user_id, kind,
+    referenced_user_id, mentions) rows of `CorpusStore.interactions`:
+    a retweet or quote of a known user, and each mention."""
     selected = set(relations)
     unknown = selected - set(RELATIONS)
     if unknown:
         raise ValueError(f"unknown relations: {sorted(unknown)}")
 
     def edge_stream():
-        for tweet in tweets:
-            if tweet.kind == KIND_RETWEET and REL_RETWEET in selected:
-                if tweet.referenced_user_id:
-                    yield tweet.user_id, REL_RETWEET, tweet.referenced_user_id
-            if tweet.kind == KIND_QUOTE and REL_QUOTE in selected:
-                if tweet.referenced_user_id:
-                    yield tweet.user_id, REL_QUOTE, tweet.referenced_user_id
+        for user, kind, referenced_user, mentions in interactions:
+            if kind == KIND_RETWEET and REL_RETWEET in selected and referenced_user:
+                yield user, REL_RETWEET, referenced_user
+            if kind == KIND_QUOTE and REL_QUOTE in selected and referenced_user:
+                yield user, REL_QUOTE, referenced_user
             if REL_MENTION in selected:
-                for mentioned in tweet.mentions:
-                    yield tweet.user_id, REL_MENTION, mentioned
+                for mentioned in mentions:
+                    yield user, REL_MENTION, mentioned
 
     return RelationGraph.from_edges(edge_stream())
 

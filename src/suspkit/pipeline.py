@@ -269,16 +269,19 @@ def extract_window_features(
 ) -> WindowFeatures:
     """The feature matrix of `config.families` for one window's labeled users.
 
-    `tweets` is the window's `read_window` table of all users, so the
-    store is read only for snapshots.  Users without any in-window
-    profile snapshot are dropped.  Without a context, the IDF table, PCA
-    basis, graph and node embeddings are fitted here; pass the training
-    window's context when extracting an evaluation window and they are
-    read from it as they are, whatever the window.  The node embeddings
-    are the run's one graph fit: on the window graph minus the edges the
-    graph stage holds out for ranking.  A user outside the context's
-    graph, or every user when no training edge is left, gets an all-NaN
-    graph row, which the model imputes with its training medians.
+    `tweets` is the window's `read_window` table of (at least) `users`,
+    so the store is read only for snapshots and, without a context, for
+    the graph.  Users without any in-window profile snapshot are
+    dropped.  Without a context, the IDF table, PCA basis, graph and
+    node embeddings are fitted here; pass the training window's context
+    when extracting an evaluation window and they are read from it as
+    they are, whatever the window.  The graph holds the interactions of
+    every user of the window (`CorpusStore.interactions`), not only of
+    `users`.  The node embeddings are the run's one graph fit: on the
+    window graph minus the edges the graph stage holds out for ranking.
+    A user outside the context's graph, or every user when no training
+    edge is left, gets an all-NaN graph row, which the model imputes
+    with its training medians.
     """
     families = config.families
     fit = context is None
@@ -321,9 +324,7 @@ def extract_window_features(
 
     if "graph_embedding" in families:
         if fit:
-            context.graph = build_graph(
-                chain.from_iterable(tweets.values()), relations=config.relations
-            )
+            context.graph = build_graph(store.interactions(window), relations=config.relations)
             train_graph = _graph_split(context.graph, config)[0]
             if train_graph.n_edges:
                 context.node_embeddings = train_embeddings(
@@ -399,14 +400,16 @@ class SplitFeatures:
 def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitFeatures:
     """Balance and split the window-1 users, then extract train, test
     and (when window 2 has users of both classes) second-test features,
-    the last two under the context fitted on the train split.  Each
-    window is read once, window 1 freed before window 2 is read."""
+    the last two under the context fitted on the train split.  Tweets
+    are read only for the balanced users: one read for train and test,
+    freed before the read for the window-2 users.  The graph has its
+    own read of the window-1 interactions of every user."""
     windows = config.windows()
     users = balanced_users(store, config, windows[0])
     train_users, test_users = split_users(
         users, config.test_fraction, stage_seed(config.seed, "split")
     )
-    tweets = read_window(store, windows[0])
+    tweets = read_window(store, windows[0], users)
     train = extract_window_features(store, windows[0], tweets, train_users, config)
     test = None
     if test_users:
@@ -420,9 +423,9 @@ def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitF
         second_users = {}
     second_test = None
     if second_users:
+        second_tweets = read_window(store, windows[1], second_users)
         second_test = extract_window_features(
-            store, windows[1], read_window(store, windows[1]), second_users, config,
-            context=train.context,
+            store, windows[1], second_tweets, second_users, config, context=train.context
         )
     return SplitFeatures(
         train_users=train_users,

@@ -249,14 +249,14 @@ class TrainedModel:
     @classmethod
     def from_dict(cls, data: dict) -> "TrainedModel":
         if data.get("format") != "suspension-model-v1":
-            raise SuspkitError("unrecognized model format")
+            raise SchemaMismatch("unrecognized model format")
         inner_data = data["inner"]
         if data["kind"] == MODEL_KIND_GBDT:
             inner = GbdtClassifier.from_dict(inner_data)
         elif data["kind"] == MODEL_KIND_LOGISTIC:
             inner = LogisticModel.from_dict(inner_data)
         else:
-            raise SuspkitError(f"unknown model kind {data['kind']!r}")
+            raise SchemaMismatch(f"unknown model kind {data['kind']!r}")
         return cls(
             kind=data["kind"],
             input_feature_names=tuple(data["input_feature_names"]),
@@ -276,7 +276,7 @@ def load_model(path: str | Path) -> TrainedModel:
     # writes, is a damaged input, not an internal error.
     try:
         return TrainedModel.from_dict(data)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, SchemaMismatch) as exc:
         raise SchemaMismatch(
             f"{path} is not a model.json the train stage writes: {exc!r}"
         ) from None

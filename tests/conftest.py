@@ -51,6 +51,19 @@ def make_tweet(
     )
 
 
+def tweet_edges(tweets, relations):
+    """The (source, relation, destination) edges of whole Tweets: the
+    oracle for `build_graph` over the narrow `CorpusStore.interactions`
+    rows."""
+    for tweet in tweets:
+        for kind in ("retweet", "quote"):
+            if tweet.kind == kind and kind in relations and tweet.referenced_user_id:
+                yield tweet.user_id, kind, tweet.referenced_user_id
+        if "mention" in relations:
+            for mentioned in tweet.mentions:
+                yield tweet.user_id, "mention", mentioned
+
+
 # Words with punctuation at either end, URLs, mentions, case-folding
 # expansions (ß) and letters and digits outside ASCII.
 _WORDS = (

@@ -364,8 +364,11 @@ class TestFailureModes:
     @pytest.mark.parametrize(
         "damage",
         [lambda model: model.pop("inner"), lambda model: model.update(inner=[]),
-         lambda model: model.pop("kind")],
-        ids=["without-inner", "inner-not-an-object", "without-kind"],
+         lambda model: model.pop("kind"), lambda model: model.update(kind="forest"),
+         lambda model: model.pop("format"), lambda model: model.update(format="v0"),
+         lambda model: model.clear()],
+        ids=["without-inner", "inner-not-an-object", "without-kind", "unknown-kind",
+             "without-format", "unknown-format", "empty-object"],
     )
     def test_damaged_model_json_exits_3(self, workdir, tmp_path, capsys, damage):
         wd, _ = workdir
@@ -622,7 +625,7 @@ class TestOneGraphFit:
     def test_features_writes_the_split_fit(self, graph_run, tmp_path):
         wd, config, _ = graph_run
         with CorpusStore(wd / "corpus.sqlite") as store:
-            graph = build_graph(store.tweets_in_window(config.windows()[0]),
+            graph = build_graph(store.interactions(config.windows()[0]),
                                 relations=config.relations)
         emb, _ = graph_split_fit(graph, config)
         write_graph_csv(tmp_path / "graph.csv", graph)

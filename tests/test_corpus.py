@@ -182,7 +182,7 @@ class TestCorpusStore:
         lines = [tweet_line(id=f"t{i}") for i in range(3)] + ["{broken", ""]
         stats = store.ingest_tweets(lines)
         assert (stats.parsed, stats.skipped, stats.inserted) == (3, 1, 3)
-        assert len(list(store.tweets_in_window(window))) == 3
+        assert len(list(store.tweets_in_window(window, ["u1"]))) == 3
 
     def test_skips_are_counted_by_reason(self):
         store = CorpusStore()
@@ -218,7 +218,7 @@ class TestCorpusStore:
         assert tweet_stats.skipped_by_reason == {"invalid_utf8": 1}
         assert (label_stats.parsed, label_stats.skipped) == (2, 1)
         assert label_stats.skipped_by_reason == {"invalid_utf8": 1}
-        stored = list(store.tweets_in_window(TimeWindow(WINDOW_START, WINDOW_START + 1)))
+        stored = list(store.tweets_in_window(TimeWindow(WINDOW_START, WINDOW_START + 1), ["u1"]))
         assert len(stored) == 3
         assert {t.text for t in stored} == {"caf\u00e9 \u2615"}
         assert sorted(store.labels()) == ["u1", "u3"]
@@ -229,7 +229,7 @@ class TestCorpusStore:
         store.ingest_tweets(lines)
         stats = store.ingest_tweets(lines)
         assert stats.inserted == 0
-        assert len(list(store.tweets_in_window(window))) == 4
+        assert len(list(store.tweets_in_window(window, ["u1"]))) == 4
 
     def test_timeline_sorted_by_time_then_id(self, window):
         store = CorpusStore()
@@ -269,7 +269,7 @@ class TestCorpusStore:
                 tweet_line(id="f", user_id="u3", created_at=window.start - 1),
             ]
         )
-        table = read_window(store, window)
+        table = read_window(store, window, ["u1", "u2", "u3"])
         assert sorted(table) == store.active_users(window) == ["u1", "u2"]
         for user in ("u1", "u2", "u3"):
             assert table.get(user, []) == store.user_timeline(user, window)
@@ -277,6 +277,28 @@ class TestCorpusStore:
         assert [t.tweet_id for t in table["u1"]] == ["c", "a", "b"]
         assert [t.tweet_id for t in table["u2"]] == ["d"]
         assert store.user_timeline("u3", window) == []
+
+    def test_user_read_equals_each_timeline(self, window):
+        # More users than SQLite's old limit of 999 host parameters, ids
+        # outside ASCII, users without an in-window tweet, equal
+        # timestamps, and asked users who are unknown or asked twice.
+        users = [f"u{i:04d}" for i in range(1200)] + ["été", "Ａx", "\U0001f600", "Zed"]
+        lines = []
+        for i, user in enumerate(users):
+            lines += [tweet_line(id=f"{tag}{i}", user_id=user, created_at=window.start + i % 7)
+                      for tag in "ba"[:i % 3]]
+            lines.append(tweet_line(id=f"out{i}", user_id=user, created_at=window.end))
+        store = CorpusStore()
+        store.ingest_tweets(lines)
+        asked = users[::-1] + ["ghost", "été", "u0004"]
+        expected = [t for user in sorted(set(asked)) for t in store.user_timeline(user, window)]
+        assert list(store.tweets_in_window(window, asked)) == expected
+        assert len(expected) == sum(i % 3 for i in range(len(users)))
+        table = read_window(store, window, asked)
+        assert list(table) == sorted(table)
+        for user in asked:
+            assert table.get(user, []) == store.user_timeline(user, window)
+        assert read_window(store, window, []) == {}
 
     def test_active_users_distinct_sorted(self, window):
         store = CorpusStore()
@@ -335,7 +357,7 @@ class TestCorpusStore:
         store = CorpusStore()
         store.ingest_tweets(tweets)
         store.ingest_snapshots([snapshot])
-        stored = list(store.tweets_in_window(window))
+        stored = list(store.tweets_in_window(window, ["u1"]))
         assert stored == [parse_tweet_record(line) for line in tweets]
         assert [t.kind for t in stored] == ["retweet", "quote"]
         (stored_snapshot,) = store.snapshots(["u1"], window)["u1"]

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from suspkit.corpus import CorpusStore, TimeWindow
+from suspkit.corpus import CorpusStore, TimeWindow, parse_tweet_record
 from suspkit import graph_embedding
 from suspkit.errors import SuspkitError
 from suspkit.graph_embedding import (
@@ -24,7 +26,7 @@ from suspkit.graph_embedding import (
 from suspkit.pipeline import PipelineConfig
 from suspkit.synth import GeneratorConfig, generate
 
-from conftest import WINDOW_START, graph_split_fit, tweet_line
+from conftest import WINDOW_START, graph_split_fit, tweet_edges, tweet_line
 
 # Step size, width and batching for the small unit fits; each test
 # sets its own epoch count.
@@ -87,7 +89,7 @@ class TestBuildGraph:
         return store
 
     def test_edges_per_interaction(self, window):
-        g = build_graph(self._store().tweets_in_window(window), relations=RELATIONS)
+        g = build_graph(self._store().interactions(window), relations=RELATIONS)
         assert g.edges == {
             ("u1", "retweet", "u2"): 1,
             ("u1", "quote", "u3"): 1,
@@ -96,18 +98,75 @@ class TestBuildGraph:
         }
 
     def test_relation_subset(self, window):
-        g = build_graph(self._store().tweets_in_window(window), relations=("mention",))
+        g = build_graph(self._store().interactions(window), relations=("mention",))
         assert g.relations == ["mention"]
         assert g.n_edges == 2
 
     def test_unknown_relation_rejected(self, window):
         with pytest.raises(ValueError):
-            build_graph(self._store().tweets_in_window(window), relations=("follows",))
+            build_graph(self._store().interactions(window), relations=("follows",))
 
     def test_out_of_window_tweets_ignored(self):
         late = TimeWindow(WINDOW_START - 2000, WINDOW_START - 1)
-        g = build_graph(self._store().tweets_in_window(late), relations=RELATIONS)
+        g = build_graph(self._store().interactions(late), relations=RELATIONS)
         assert g.n_edges == 0
+
+
+# Retweets and quotes of an empty user id, an original post with mentions
+# only, posts that give no edge, repeated edges, a retweet that also
+# mentions, and posts either side of the window.
+ORACLE_LINES = [
+    tweet_line(id="rt", user_id="u1", mentions=["u4"], retweeted_status_id="x",
+               retweeted_user_id="u2", retweeted_status_created_at=WINDOW_START - 5),
+    tweet_line(id="rt-again", user_id="u1", created_at=WINDOW_START + 9,
+               retweeted_status_id="x", retweeted_user_id="u2",
+               retweeted_status_created_at=WINDOW_START - 5),
+    tweet_line(id="rt-nobody", user_id="u3", retweeted_status_id="y", retweeted_user_id="",
+               retweeted_status_created_at=WINDOW_START - 5),
+    tweet_line(id="qt", user_id="u2", quoted_status_id="z", quoted_user_id="été",
+               quoted_status_created_at=WINDOW_START - 5),
+    tweet_line(id="qt-nobody", user_id="u2", mentions=["u1"], quoted_status_id="w",
+               quoted_user_id="", quoted_status_created_at=WINDOW_START - 5),
+    tweet_line(id="mentions", user_id="été", mentions=["u1", "u3", "u1"]),
+    tweet_line(id="plain", user_id="u5"),
+    tweet_line(id="early", user_id="u6", created_at=WINDOW_START - 1, mentions=["u1"]),
+    tweet_line(id="late", user_id="u7", created_at=WINDOW_START + 21 * 86_400,
+               retweeted_status_id="v", retweeted_user_id="u1",
+               retweeted_status_created_at=WINDOW_START),
+]
+
+
+class TestInteractionRead:
+    """`build_graph` over the narrow `CorpusStore.interactions` rows gives
+    the graph of the edges of every Tweet of the window."""
+
+    @staticmethod
+    def oracle(lines, window, relations):
+        tweets = [t for t in map(parse_tweet_record, lines) if window.contains(t.created_at)]
+        return RelationGraph.from_edges(tweet_edges(tweets, relations))
+
+    @pytest.mark.parametrize(
+        "relations",
+        [subset for n in range(len(RELATIONS) + 1) for subset in combinations(RELATIONS, n)],
+        ids=lambda subset: "+".join(subset) or "none",
+    )
+    def test_each_relation_subset(self, window, relations):
+        store = CorpusStore()
+        store.ingest_tweets(ORACLE_LINES)
+        graph = build_graph(store.interactions(window), relations=relations)
+        expected = self.oracle(ORACLE_LINES, window, relations)
+        assert (graph.nodes, graph.edges) == (expected.nodes, expected.edges)
+
+    def test_synthetic_corpus(self, tmp_path):
+        paths = generate(GeneratorConfig(n_suspended=30, n_normal=30, n_windows=2), 3, tmp_path)
+        store = CorpusStore()
+        store.ingest_tweets(paths["tweets"])
+        lines = paths["tweets"].read_text(encoding="utf-8").splitlines()
+        for window in PipelineConfig().windows():
+            graph = build_graph(store.interactions(window), relations=RELATIONS)
+            expected = self.oracle(lines, window, RELATIONS)
+            assert graph.n_edges > 100
+            assert (graph.nodes, graph.edges) == (expected.nodes, expected.edges)
 
 
 class TestSplitEdges:
@@ -306,7 +365,7 @@ class TestDivergence:
         store = CorpusStore()
         store.ingest_tweets(paths["tweets"])
         config = PipelineConfig(seed=3, graph_epochs=100)
-        graph = build_graph(store.tweets_in_window(config.windows()[0]), relations=RELATIONS)
+        graph = build_graph(store.interactions(config.windows()[0]), relations=RELATIONS)
         assert graph.n_nodes == 96
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedFit, match="at epoch 66 of 100"):

@@ -12,6 +12,7 @@ from suspkit.errors import MissingArtifact, StaleArtifact
 from suspkit.graph_embedding import (
     EmptyGraph,
     NodeEmbeddings,
+    RelationGraph,
     build_graph,
     load_embeddings,
     save_embeddings,
@@ -42,7 +43,7 @@ from suspkit.synth import GeneratorConfig, generate
 from suspkit.text_embedding import HashedNgramEncoder, PrecomputedEmbeddings, pca_fit
 from suspkit.vectors import EmbeddingMatrix
 
-from conftest import snapshot_line, tweet_line
+from conftest import snapshot_line, tweet_edges, tweet_line
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,20 @@ def store(tmp_path_factory):
 def two_window_store(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth-two-windows")
     paths = generate(GeneratorConfig(n_suspended=20, n_normal=20, n_windows=2),
+                     seed=0, out_dir=out)
+    store = CorpusStore()
+    store.ingest_tweets(paths["tweets"])
+    store.ingest_snapshots(paths["snapshots"])
+    store.ingest_labels(paths["labels"])
+    return store
+
+
+@pytest.fixture(scope="module")
+def lopsided_store(tmp_path_factory):
+    """Two windows with three suspended users to each normal one, so
+    balancing keeps only part of each window's users."""
+    out = tmp_path_factory.mktemp("synth-lopsided")
+    paths = generate(GeneratorConfig(n_suspended=30, n_normal=10, n_windows=2),
                      seed=0, out_dir=out)
     store = CorpusStore()
     store.ingest_tweets(paths["tweets"])
@@ -154,7 +169,8 @@ class TestExtraction:
         config = fast_config()
         window, _ = config.windows()
         users = balanced_users(store, config, window)
-        features = extract_window_features(store, window, read_window(store, window), users, config)
+        tweets = read_window(store, window, users)
+        features = extract_window_features(store, window, tweets, users, config)
         assert set(features.families) == set(FAMILY_ORDER)
         total = sum(len(names) for names in features.families.values())
         assert features.combined.width == total
@@ -165,7 +181,8 @@ class TestExtraction:
         config = fast_config(families=tuple(reversed(FAMILY_ORDER)))
         window, _ = config.windows()
         users = balanced_users(store, config, window)
-        features = extract_window_features(store, window, read_window(store, window), users, config)
+        tweets = read_window(store, window, users)
+        features = extract_window_features(store, window, tweets, users, config)
         assert tuple(features.families) == FAMILY_ORDER
         names = features.combined.feature_names
         assert names == tuple(chain.from_iterable(features.families.values()))
@@ -175,16 +192,18 @@ class TestExtraction:
         config = fast_config(families=("profile", "activity"))
         window, _ = config.windows()
         users = balanced_users(store, config, window)
-        features = extract_window_features(store, window, read_window(store, window), users, config)
+        tweets = read_window(store, window, users)
+        features = extract_window_features(store, window, tweets, users, config)
         assert set(features.families) == {"profile", "activity"}
 
     def test_context_reuse_is_bit_identical(self, store):
         config = fast_config(families=("textual", "post_embedding"))
         window, _ = config.windows()
         users = balanced_users(store, config, window)
-        first = extract_window_features(store, window, read_window(store, window), users, config)
+        tweets = read_window(store, window, users)
+        first = extract_window_features(store, window, tweets, users, config)
         again = extract_window_features(
-            store, window, read_window(store, window), users, config, context=first.context
+            store, window, read_window(store, window, users), users, config, context=first.context
         )
         assert np.array_equal(first.combined.X, again.combined.X, equal_nan=True)
 
@@ -198,12 +217,10 @@ class TestExtraction:
 
 
 class TestWindowReads:
-    def test_split_features_decode_each_tweet_once(self, two_window_store, monkeypatch):
-        store = two_window_store
+    def test_split_features_decode_each_tweet_once(self, lopsided_store, monkeypatch):
+        store = lopsided_store
         config = fast_config()
         first, second = config.windows()
-        span = TimeWindow(first.start, second.end)
-        expected = sorted(t.tweet_id for t in store.tweets_in_window(span))
         decode = CorpusStore._row_to_tweet
         decoded = []
 
@@ -215,10 +232,50 @@ class TestWindowReads:
         split = extract_split_features(store, config)
         monkeypatch.undo()
         assert split.test is not None and split.second_test is not None
+        # Only the split users' tweets are decoded, each once.
+        reads = ((first, {**split.train_users, **split.test_users}), (second, split.second_users))
+        expected = sorted(
+            t.tweet_id for window, users in reads
+            for user in users for t in store.user_timeline(user, window)
+        )
         assert sorted(decoded) == expected
+        span = TimeWindow(first.start, second.end)
+        assert len(expected) < len(list(store.window_posts(span)))
         # Train, test and second test share the graph fitted on window 1.
         assert split.train.context.graph is split.test.context.graph
         assert split.second_test.context.graph is split.train.context.graph
+
+    def test_split_features_equal_the_all_users_read(self, lopsided_store):
+        # The oracle extracts each split from the Tweets of every user of
+        # its window, and its graph is the edges of all of them.
+        store = lopsided_store
+        config = fast_config()
+        first, second = config.windows()
+        split = extract_split_features(store, config)
+
+        def every_user(window):
+            return {user: store.user_timeline(user, window) for user in store.active_users(window)}
+
+        table = every_user(first)
+        train = extract_window_features(store, first, table, split.train_users, config)
+        oracle = [
+            train,
+            extract_window_features(store, first, table, split.test_users, config,
+                                    context=train.context),
+            extract_window_features(store, second, every_user(second), split.second_users,
+                                    config, context=train.context),
+        ]
+        assert len(split.train_users) + len(split.test_users) < len(table)
+        for got, want in zip((split.train, split.test, split.second_test), oracle):
+            assert got.combined.feature_names == want.combined.feature_names
+            assert got.combined.user_ids == want.combined.user_ids
+            assert got.combined.X.tobytes() == want.combined.X.tobytes()
+            assert got.combined.y.tobytes() == want.combined.y.tobytes()
+        graph = split.train.context.graph
+        expected = RelationGraph.from_edges(
+            tweet_edges(chain.from_iterable(table.values()), config.relations)
+        )
+        assert (graph.nodes, graph.edges) == (expected.nodes, expected.edges)
 
 
 class TestGraphReuse:
@@ -239,7 +296,7 @@ class TestGraphReuse:
         first, second = config.windows()
         store.ingest_tweets([tweet_line(id="bridge", user_id="n1_00000",
                                         created_at=first.start + 3600, mentions=["n2_00000"])])
-        second_graph = build_graph(store.tweets_in_window(second), relations=config.relations)
+        second_graph = build_graph(store.interactions(second), relations=config.relations)
         return extract_split_features(store, config), second_graph
 
     @staticmethod
@@ -319,7 +376,8 @@ class TestTraining:
         config = fast_config(families=("profile",))
         window, _ = config.windows()
         users = balanced_users(store, config, window)
-        features = extract_window_features(store, window, read_window(store, window), users, config)
+        tweets = read_window(store, window, users)
+        features = extract_window_features(store, window, tweets, users, config)
         model, _, _ = train_with_cv(features.combined, config)
         assert model.medians.shape == (int(model.selection_mask.sum()),)
 
@@ -407,9 +465,9 @@ class TestSplitContext:
         # reused as it is, so the train users extracted again from their
         # own window under it give the train matrix bit for bit.
         split, config = artifacts.split, artifacts.config
-        window, _ = config.windows()
+        window, users = config.windows()[0], split.train_users
         again = extract_window_features(
-            store, window, read_window(store, window), split.train_users, config,
+            store, window, read_window(store, window, users), users, config,
             context=split.train.context,
         )
         expected = split.train.combined
@@ -469,7 +527,7 @@ class TestClustering:
             u for u, lab in store.labels().items()
             if lab.status == "suspended" and window.contains(lab.status_date)
         )
-        tweets = read_window(store, window)
+        tweets = read_window(store, window, suspended)
         expected = [(t.tweet_id, t.user_id, t.text) for u in suspended for t in tweets.get(u, ())]
         assert len(expected) == 5 * 3
 
@@ -632,7 +690,7 @@ class TestGraphStage:
         store.ingest_snapshots([snapshot_line(user_id="u1"), snapshot_line(user_id="u2")])
         config = fast_config(families=("graph_embedding",))
         features = extract_window_features(
-            store, window, read_window(store, window), {"u1": 1, "u2": 0}, config
+            store, window, read_window(store, window, ["u1", "u2"]), {"u1": 1, "u2": 0}, config
         )
         assert features.context.graph.n_edges == 1
         assert features.context.node_embeddings is None

@@ -85,7 +85,7 @@ class TestClassSeparation:
                          out_dir=tmp_path)
         store, _ = ingest_all(paths)
         window = TimeWindow(DEFAULT_CORPUS_START, DEFAULT_CORPUS_START + 21 * DAY_SECONDS)
-        posts = [(t.tweet_id, t.user_id, t.text) for t in store.tweets_in_window(window)]
+        posts = list(store.window_posts(window))
         hits = extract_wallets(posts)
         assert hits, "no wallet addresses found in generated posts"
         expected_btc = base58check_encode(
