@@ -270,8 +270,12 @@ def cmd_explain(config: PipelineConfig, args: argparse.Namespace, workdir: Path)
         _write(workdir / "impact_summary.csv", write_summary_csv, summary),
     ]
     top = ", ".join(summary.ranking[:5])
-    print(f"explain: {len(explanations)} rows; top features: {top}")
-    return {"model": str(model_path), "features": str(matrix_path)}, outputs
+    print(f"explain: {len(rows)} rows; top features: {top}")
+    return {
+        "model": str(model_path),
+        "features": str(matrix_path),
+        "background": str(train_path),
+    }, outputs
 
 
 def cmd_cluster(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:

@@ -4,8 +4,9 @@ Candidates are maximal alphanumeric tokens, so an address glued to
 other letters or digits never matches.  Bitcoin legacy addresses must
 pass the Base58Check double-SHA256 checksum, segwit addresses the
 bech32 checksum; Ethereum addresses are matched by syntax (0x + 40
-hex digits).  Encoders live here too so tests can build known-good
-fixtures without network access.
+hex digits).  `base58check_encode` builds the synthetic corpus's demo
+wallet; the bech32 encoder that builds segwit test vectors is a test
+oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -107,13 +108,6 @@ def _bech32_polymod(values: Iterable[int]) -> int:
 
 def _bech32_hrp_expand(hrp: str) -> list[int]:
     return [ord(c) >> 5 for c in hrp] + [0] + [ord(c) & 31 for c in hrp]
-
-
-def bech32_encode(hrp: str, data: Sequence[int]) -> str:
-    values = _bech32_hrp_expand(hrp) + list(data)
-    polymod = _bech32_polymod(values + [0, 0, 0, 0, 0, 0]) ^ 1
-    checksum = [(polymod >> 5 * (5 - i)) & 31 for i in range(6)]
-    return hrp + "1" + "".join(_BECH32_CHARSET[d] for d in list(data) + checksum)
 
 
 def bech32_verify(address: str) -> tuple[str, list[int]] | None:

@@ -15,7 +15,7 @@ import pytest
 from suspkit import cli
 from suspkit.content_clustering import cluster_cosine
 from suspkit.corpus import CorpusStore
-from suspkit.explainability import explain_matrix, impact_summary, shapley_exact
+from suspkit.explainability import explain_matrix, impact_summary
 from suspkit.gbdt import GbdtClassifier
 from suspkit.graph_embedding import (
     RelationGraph,
@@ -34,10 +34,10 @@ from suspkit.suspension_model import (
 )
 from suspkit.synth import GeneratorConfig, generate
 from suspkit.text_embedding import pca_fit, pca_transform
-from suspkit.wallets import base58check_decode, bech32_encode, bech32_verify, extract_wallets
+from suspkit.wallets import base58check_decode, bech32_verify, extract_wallets
 
+from oracles import bech32_encode, oracle_shapley, shapley_exact
 from test_content_clustering import naive_leader_clustering, random_unit_rows
-from test_explainability import oracle_shapley
 from test_text_embedding import oracle_eigen, subspace_angle
 from test_wallets import (
     GENESIS_BTC,

@@ -4,7 +4,8 @@ is referenced somewhere in that code outside its own definition, every
 name a module of `src/suspkit` or `tests` imports is used in that
 module, every public dataclass field is read by that code, and every
 defaulted parameter of a function in `src/suspkit` is on an allowlist
-with its reason.
+with its reason.  The test oracles (`tests/oracles.py`) import nothing
+of the package but its exceptions.
 
 References are matched by name: a bare name, an attribute, an imported
 name, or a word of a string constant (`bench/layer_trace.py` wraps
@@ -24,9 +25,6 @@ SCANNED = (PACKAGE, ROOT / "bench")
 
 # name -> why it stays public although no program code calls it
 ALLOWED = {
-    "shapley_exact": "brute-force Shapley oracle that tests check the closed forms against",
-    "efficiency_gap": "Explanation's sum(phi) check that the Shapley tests assert on",
-    "bech32_encode": "builds the wallet test vectors that extraction is checked against",
     "read_manifest": "manifest reader kept for artifact lineage checks",
 }
 
@@ -193,6 +191,42 @@ def test_import_guard_catches_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(tmp_path) == {"mod:math", "mod:np", "mod:Path"}
+
+
+# The only module of the package the test oracles may use: an oracle
+# that shares code with what it judges would repeat its faults.
+ORACLE_IMPORTS = {"suspkit.errors"}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The `suspkit` modules a file imports from, by dotted name; a name
+    imported from the package itself counts as its submodule."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "suspkit":
+            found.update(f"suspkit.{a.name}" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+    return {name for name in found if name.split(".")[0] == "suspkit"}
+
+
+def test_oracles_share_no_code_with_the_program():
+    assert package_imports(ROOT / "tests" / "oracles.py") <= ORACLE_IMPORTS
+
+
+def test_oracle_guard_catches_a_program_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Mentions suspkit.wallets in a docstring."""\n\n'
+        "import numpy\nimport suspkit.corpus\n"
+        "from suspkit import gbdt\nfrom suspkit.errors import SchemaMismatch\n"
+        "from suspkit.wallets import _bech32_polymod\n",
+        encoding="utf-8",
+    )
+    assert package_imports(tmp_path / "mod.py") - ORACLE_IMPORTS == {
+        "suspkit.corpus", "suspkit.gbdt", "suspkit.wallets"}
 
 
 # Class.field -> why it stays although no program code reads it

@@ -130,6 +130,16 @@ class TestStageSequence:
             assert manifest["outputs"]
             assert (wd / f"{stage}.timing.json").exists()
 
+    def test_explain_manifest_names_its_background(self, workdir):
+        # The test split is explained against training rows: both files are inputs.
+        wd, _ = workdir
+        inputs = read_manifest(wd / "explain.manifest.json")["inputs"]
+        assert inputs == {
+            "model": str(wd / "model.json"),
+            "features": str(wd / "features_test.csv"),
+            "background": str(wd / "features_train.csv"),
+        }
+
     def test_ingest_stats_record_clean_parse(self, workdir):
         wd, _ = workdir
         stats = json.loads((wd / "ingest_stats.json").read_text())

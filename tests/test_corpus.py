@@ -311,6 +311,29 @@ class TestCorpusStore:
         )
         assert store.active_users(window) == ["amy", "zed"]
 
+    def test_active_users_at_the_window_bounds(self, window):
+        second = TimeWindow(window.end, window.end + (window.end - window.start))
+        stamps = [
+            bound + offset
+            for bound in (window.start, window.end, second.end)
+            for offset in (-1, 0, 1)
+        ]
+        users = ["amy", "Zed", "émile", "bo", "amy2", "u10", "u9"]
+        records = [
+            {"id": f"t{i}", "user_id": users[i % len(users)], "created_at": ts}
+            for i, ts in enumerate(stamps * 2)
+        ]
+        # Users who post only outside both windows.
+        records += [
+            {"id": "early", "user_id": "early_only", "created_at": window.start - 86400},
+            {"id": "late", "user_id": "late_only", "created_at": second.end + 86400},
+        ]
+        store = CorpusStore()
+        store.ingest_tweets([tweet_line(**r) for r in records])
+        for w in (window, second):
+            expected = sorted({r["user_id"] for r in records if w.contains(r["created_at"])})
+            assert expected and store.active_users(w) == expected
+
     def test_snapshot_roundtrip(self, window):
         store = CorpusStore()
         store.ingest_snapshots([snapshot_line(observed_at=WINDOW_START + 2)])

@@ -1,17 +1,12 @@
 import csv
-import itertools
-import math
 
 import numpy as np
 import pytest
 
 from suspkit.explainability import (
-    MAX_EXACT_FEATURES,
-    Explanation,
-    TooManyFeatures,
+    Explanations,
     explain_matrix,
     impact_summary,
-    shapley_exact,
     write_explanations_csv,
     write_summary_csv,
 )
@@ -25,41 +20,10 @@ from suspkit.suspension_model import (
     train,
 )
 
+from oracles import MAX_EXACT_FEATURES, TooManyFeatures, oracle_shapley, shapley_exact
+
 # Every setting of the fits below; the logistic kind reads reg_lambda only.
 HYPER = {"n_rounds": 6, "learning_rate": 0.3, "max_depth": 3, "reg_lambda": 1.0}
-
-
-def oracle_shapley(predict, x, background):
-    """Textbook Shapley values by direct coalition enumeration.
-
-    v(S) is the mean prediction over the background with the columns
-    in S overwritten by the instance.  Independent of the library
-    implementation on purpose: different loop order, subset-keyed
-    cache, pure-Python weights.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    m = x.shape[0]
-    cache = {}
-
-    def value(coalition):
-        key = frozenset(coalition)
-        if key not in cache:
-            rows = np.array(background, dtype=np.float64, copy=True)
-            for i in key:
-                rows[:, i] = x[i]
-            cache[key] = float(np.mean(predict(rows)))
-        return cache[key]
-
-    phi = np.zeros(m)
-    for i in range(m):
-        others = [j for j in range(m) if j != i]
-        for size in range(m):
-            weight = (
-                math.factorial(size) * math.factorial(m - size - 1) / math.factorial(m)
-            )
-            for subset in itertools.combinations(others, size):
-                phi[i] += weight * (value(subset + (i,)) - value(subset))
-    return phi, value(()), value(tuple(range(m)))
 
 
 def linear_predictor(w, b=0.0):
@@ -192,8 +156,18 @@ def tiny_model_and_matrices(n_features=4, n=40, seed=0, kind=MODEL_KIND_LOGISTIC
 def explain_background(model, train_m, background_size, seed):
     """The background rows explain_matrix draws, drawn the same way."""
     bg = train_m.X[:, model.selection_mask]
+    if bg.shape[0] <= background_size:
+        return bg
     rng = np.random.default_rng(seed)
     return bg[np.sort(rng.choice(bg.shape[0], size=background_size, replace=False))]
+
+
+def efficiency_gaps(model, exps, bg):
+    """|sum(phi) + base - f(x)| of each explained row, with f the model's
+    own margin and base its mean over the background."""
+    margin = model.inner.decision_function
+    base = float(margin(bg).mean())
+    return [abs(phi.sum() + base - out) for phi, out in zip(exps.phi, margin(exps.values))]
 
 
 class TestExplainMatrix:
@@ -201,9 +175,10 @@ class TestExplainMatrix:
         model, train_m, test_m = tiny_model_and_matrices()
         exps = explain_matrix(model, test_m, train_m, rows=[0, 3], background_size=100,
                               seed=0)
-        assert [e.user_id for e in exps] == ["te0", "te3"]
-        for exp in exps:
-            assert exp.efficiency_gap <= 1e-9
+        bg = explain_background(model, train_m, background_size=100, seed=0)
+        assert exps.user_ids == ["te0", "te3"]
+        for gap in efficiency_gaps(model, exps, bg):
+            assert gap <= 1e-9
 
     def test_matches_direct_exact_call(self):
         model, train_m, test_m = tiny_model_and_matrices()
@@ -212,27 +187,29 @@ class TestExplainMatrix:
         phi, base, out = shapley_exact(
             model.inner.decision_function, test_m.X[1, model.selection_mask], bg
         )
-        np.testing.assert_allclose(exps[0].phi, phi, atol=1e-12)
-        assert exps[0].base_value == pytest.approx(base, abs=1e-12)
-        assert exps[0].output == pytest.approx(out, abs=1e-12)
+        np.testing.assert_allclose(exps.phi[0], phi, atol=1e-12)
+        # The margins the explanation's efficiency holds against.
+        margin = model.inner.decision_function
+        assert float(margin(bg).mean()) == pytest.approx(base, abs=1e-12)
+        assert float(margin(exps.values)[0]) == pytest.approx(out, abs=1e-12)
 
     def test_explains_the_margin(self):
         model, train_m, test_m = tiny_model_and_matrices(n=120, kind=MODEL_KIND_GBDT)
         exps = explain_matrix(model, test_m, train_m, rows=[0, 2, 5], background_size=8, seed=1)
         bg = explain_background(model, train_m, background_size=8, seed=1)
         margin = model.inner.decision_function(test_m.X[:, model.selection_mask])
-        assert [e.output for e in exps] == [margin[0], margin[2], margin[5]]
-        assert exps[0].base_value == float(model.inner.decision_function(bg).mean())
-        for exp in exps:
-            assert exp.efficiency_gap <= 1e-12
+        assert list(model.inner.decision_function(exps.values)) == [
+            margin[0], margin[2], margin[5]]
+        for gap in efficiency_gaps(model, exps, bg):
+            assert gap <= 1e-12
 
     def test_background_subsample_is_seeded(self):
         model, train_m, test_m = tiny_model_and_matrices()
         a = explain_matrix(model, test_m, train_m, rows=[0], background_size=8, seed=3)
         b = explain_matrix(model, test_m, train_m, rows=[0], background_size=8, seed=3)
         c = explain_matrix(model, test_m, train_m, rows=[0], background_size=8, seed=4)
-        np.testing.assert_array_equal(a[0].phi, b[0].phi)
-        assert not np.array_equal(a[0].phi, c[0].phi)
+        np.testing.assert_array_equal(a.phi[0], b.phi[0])
+        assert not np.array_equal(a.phi[0], c.phi[0])
 
     def test_twenty_feature_gbdt_is_explained_exactly(self):
         model, train_m, test_m = tiny_model_and_matrices(n_features=20, n=120, kind=MODEL_KIND_GBDT)
@@ -244,18 +221,19 @@ class TestExplainMatrix:
         read = np.unique([f for tree in model.inner.trees for f in tree.feature if f >= 0])
         assert 0 < read.size <= MAX_EXACT_FEATURES
         unread = np.setdiff1d(np.arange(20), read)
-        for exp in exps:
-            assert exp.phi.shape == (20,)
-            assert exp.efficiency_gap <= 1e-9
-            assert np.all(exp.phi[unread] == 0.0)
+        assert exps.phi.shape == (2, 20)
+        for gap in efficiency_gaps(model, exps, bg):
+            assert gap <= 1e-9
+        for values, phi in zip(exps.values, exps.phi):
+            assert np.all(phi[unread] == 0.0)
 
-            def on_read(Z, x=exp.values):
+            def on_read(Z, x=values):
                 full = np.broadcast_to(x, (Z.shape[0], 20)).copy()
                 full[:, read] = Z
                 return model.inner.decision_function(full)
 
-            expected, _, _ = shapley_exact(on_read, exp.values[read], bg[:, read])
-            np.testing.assert_allclose(exp.phi[read], expected, atol=1e-9, rtol=0)
+            expected, _, _ = shapley_exact(on_read, values[read], bg[:, read])
+            np.testing.assert_allclose(phi[read], expected, atol=1e-9, rtol=0)
 
     def test_twenty_feature_logistic_is_explained_exactly(self):
         model, train_m, test_m = tiny_model_and_matrices(n_features=20)
@@ -263,14 +241,15 @@ class TestExplainMatrix:
         exps = explain_matrix(model, test_m, train_m, rows=[0, 1], background_size=8, seed=0)
         bg = explain_background(model, train_m, background_size=8, seed=0)
         margin = model.inner.decision_function
-        for exp in exps:
-            assert exp.efficiency_gap <= 1e-9
+        for gap in efficiency_gaps(model, exps, bg):
+            assert gap <= 1e-9
+        for values, phi in zip(exps.values, exps.phi):
             # An additive game gives each feature its own mean marginal.
             for j in range(20):
                 moved = bg.copy()
-                moved[:, j] = exp.values[j]
+                moved[:, j] = values[j]
                 expected = float(np.mean(margin(moved) - margin(bg)))
-                assert exp.phi[j] == pytest.approx(expected, abs=1e-9)
+                assert phi[j] == pytest.approx(expected, abs=1e-9)
 
     def test_schema_mismatch(self):
         model, train_m, test_m = tiny_model_and_matrices()
@@ -287,25 +266,12 @@ class TestExplainMatrix:
 
 
 def hand_explanations():
-    names = ("alpha", "beta")
-    return [
-        Explanation(
-            feature_names=names,
-            values=np.array([1.0, 2.0]),
-            phi=np.array([0.1, -0.4]),
-            base_value=0.5,
-            output=0.2,
-            user_id="u1",
-        ),
-        Explanation(
-            feature_names=names,
-            values=np.array([3.0, 4.0]),
-            phi=np.array([-0.3, 0.2]),
-            base_value=0.5,
-            output=0.4,
-            user_id="u2",
-        ),
-    ]
+    return Explanations(
+        feature_names=("alpha", "beta"),
+        user_ids=["u1", "u2"],
+        values=np.array([[1.0, 2.0], [3.0, 4.0]]),
+        phi=np.array([[0.1, -0.4], [-0.3, 0.2]]),
+    )
 
 
 class TestImpactSummary:
@@ -314,15 +280,10 @@ class TestImpactSummary:
         np.testing.assert_allclose(summary.mean_abs_phi, [0.2, 0.3])
         assert summary.ranking == ["beta", "alpha"]
 
-    def test_schema_disagreement(self):
-        exps = hand_explanations()
-        exps[1].feature_names = ("alpha", "gamma")
-        with pytest.raises(SchemaMismatch):
-            impact_summary(exps)
-
     def test_empty_input(self):
+        empty = Explanations(("alpha", "beta"), [], np.empty((0, 2)), np.empty((0, 2)))
         with pytest.raises(ValueError):
-            impact_summary([])
+            impact_summary(empty)
 
 
 class TestCsvOutputs:

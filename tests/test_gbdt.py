@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from suspkit import gbdt
-from suspkit.explainability import shapley_exact
 from suspkit.gbdt import (
     BinMapper,
     GbdtClassifier,
@@ -15,6 +14,8 @@ from suspkit.gbdt import (
     log_loss,
     sigmoid,
 )
+
+from oracles import shapley_exact
 
 # The classifier takes every setting explicitly; fits that only choose
 # their round count grow deep trees at the usual shrinkage.

@@ -10,7 +10,6 @@ from suspkit.wallets import (
     WalletHit,
     base58check_decode,
     base58check_encode,
-    bech32_encode,
     bech32_verify,
     classify_address,
     extract_wallets,
@@ -18,6 +17,8 @@ from suspkit.wallets import (
     read_wallet_csv,
     write_wallet_csv,
 )
+
+from oracles import bech32_encode
 
 # Well-known published addresses usable as ground truth.
 GENESIS_BTC = "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"
@@ -89,6 +90,13 @@ class TestBech32:
 
     def test_missing_separator_rejected(self):
         assert bech32_verify("qqqqqqqqqq") is None
+
+    def test_oracle_encodes_the_published_vector(self):
+        # BIP-173: witness version 0 and this 20-byte program give SEGWIT_BTC.
+        program = bytes.fromhex("751e76e8199196d454941c45d1b3a323f1433bd6")
+        bits = int.from_bytes(program, "big")
+        groups = [(bits >> 5 * i) & 31 for i in reversed(range(len(program) * 8 // 5))]
+        assert bech32_encode("bc", [0] + groups) == SEGWIT_BTC
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.lists(st.integers(0, 31), min_size=6, max_size=40))
