@@ -298,13 +298,7 @@ def cmd_cluster(config: PipelineConfig, args: argparse.Namespace, workdir: Path)
         tox = toxicity_summary(
             config.toxicity_scores, known_ids=known, threshold=config.toxicity_threshold
         )
-        payload = {
-            "scored": tox.scored,
-            "toxic": tox.toxic,
-            "fraction": tox.fraction,
-            "skipped_unknown": tox.skipped_unknown,
-            "threshold": tox.threshold,
-        }
+        payload = dataclasses.asdict(tox) | {"fraction": tox.fraction}
         outputs.append(_write(workdir / "toxicity.json", _json, payload))
         inputs["toxicity_scores"] = str(config.toxicity_scores)
     print(

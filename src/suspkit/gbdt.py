@@ -37,6 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _MAX_BINS = 256
+# A child must hold at least this much hessian (LightGBM's
+# min_sum_hessian_in_leaf default).
+_MIN_CHILD_HESS = 1e-3
 # Leaves with at most this many path features are attributed through a
 # (2^k, 2^k * k) table of pair values (4 MB at k = 8); leaves with more
 # pair every explained row with every background row instead.
@@ -59,10 +62,10 @@ def log_loss(y: np.ndarray, proba: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _quantile_uppers(column: np.ndarray, max_bins: int) -> np.ndarray:
+def _quantile_uppers(column: np.ndarray) -> np.ndarray:
     # Cut points are data quantiles; code b covers values <= uppers[b],
     # the last bin is unbounded above.
-    qs = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    qs = np.linspace(0.0, 1.0, _MAX_BINS + 1)[1:-1]
     return np.unique(np.quantile(column, qs))
 
 
@@ -71,8 +74,8 @@ class BinMapper:
     uppers: list[np.ndarray]  # per feature, sorted cut values
 
     @classmethod
-    def fit(cls, X: np.ndarray, max_bins: int = _MAX_BINS) -> "BinMapper":
-        return cls(uppers=[_quantile_uppers(X[:, j], max_bins) for j in range(X.shape[1])])
+    def fit(cls, X: np.ndarray) -> "BinMapper":
+        return cls(uppers=[_quantile_uppers(X[:, j]) for j in range(X.shape[1])])
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         codes = np.empty(X.shape, dtype=np.uint8)
@@ -170,7 +173,6 @@ def _best_splits(
     h: np.ndarray,
     layout: _BinLayout,
     lam: float,
-    min_child_hess: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gain, feature, split bin) per node, one histogram pass for all."""
     k, d = len(node_rows), codes.shape[1]
@@ -208,7 +210,9 @@ def _best_splits(
     gr, hr = total.reshape(2, -1)[:, pair]
     gr -= gl
     hr -= hl
-    # gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent, in place.
+    # gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent, in place.  An
+    # empty child at lam = 0 gives 0/0; the hessian floor makes it -inf,
+    # and no gain it keeps can be NaN.
     with np.errstate(divide="ignore", invalid="ignore"):
         parent = _scalar_square(total[0]) / (total[1] + lam)
         gain = np.square(gl)
@@ -217,14 +221,7 @@ def _best_splits(
         gr /= hr + lam
         gain += gr
         gain -= parent.ravel()[pair]
-    gain[(hl < min_child_hess) | (hr < min_child_hess)] = -np.inf
-    nan = np.isnan(gain)
-    if nan.any():
-        # A per-feature argmax would stop at the NaN, which then loses
-        # to any gain: such a feature offers no split at that node.
-        lost = np.zeros(k * d, dtype=bool)
-        lost[pair[nan]] = True
-        gain[lost[pair]] = -np.inf
+    gain[(hl < _MIN_CHILD_HESS) | (hr < _MIN_CHILD_HESS)] = -np.inf
     # The first maximum in candidate order: the first feature's first bin
     # among equal gains.  Every node holds candidates (bin 0 of each).
     starts = np.searchsorted(node, np.arange(k))
@@ -312,19 +309,14 @@ class GbdtClassifier:
         learning_rate: float,
         max_depth: int,
         reg_lambda: float,
-        min_child_hess: float = 1e-3,
-        max_bins: int = _MAX_BINS,
     ):
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.reg_lambda = reg_lambda
-        self.min_child_hess = min_child_hess
-        self.max_bins = max_bins
         self.trees: list[Tree] = []
         self.base_score = 0.0
         self.train_loss: list[float] = []
-        self.n_features = 0
         self._split_gain: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GbdtClassifier":
@@ -337,8 +329,7 @@ class GbdtClassifier:
         if not np.isin(y, (0.0, 1.0)).all():
             raise ValueError("labels must be 0 or 1")
         n, d = X.shape
-        self.n_features = d
-        mapper = BinMapper.fit(X, self.max_bins)
+        mapper = BinMapper.fit(X)
         codes = mapper.transform(X)
         layout = _BinLayout.of(mapper)
 
@@ -388,7 +379,7 @@ class GbdtClassifier:
             if not splittable:
                 break
             best_gain, best_feat, best_bin = _best_splits(
-                codes, [rows for _, rows in splittable], g, h, layout, lam, self.min_child_hess
+                codes, [rows for _, rows in splittable], g, h, layout, lam
             )
             frontier = []
             for i, (node_id, rows) in enumerate(splittable):
@@ -502,7 +493,8 @@ class GbdtClassifier:
         return phi.reshape(n, d)
 
     def feature_importance(self) -> np.ndarray:
-        """Total split gain per feature, normalized to sum to 1."""
+        """Total split gain per feature of this object's own fit,
+        normalized to sum to 1; model.json does not keep the gains."""
         if self._split_gain is None:
             raise ValueError("model not fitted")
         total = self._split_gain.sum()
@@ -517,11 +509,7 @@ class GbdtClassifier:
             "learning_rate": self.learning_rate,
             "max_depth": self.max_depth,
             "reg_lambda": self.reg_lambda,
-            "min_child_hess": self.min_child_hess,
-            "max_bins": self.max_bins,
             "base_score": self.base_score,
-            "n_features": self.n_features,
-            "split_gain": self._split_gain.tolist() if self._split_gain is not None else None,
             "trees": [tree.to_dict() for tree in self.trees],
         }
 
@@ -532,12 +520,7 @@ class GbdtClassifier:
             learning_rate=data["learning_rate"],
             max_depth=data["max_depth"],
             reg_lambda=data["reg_lambda"],
-            min_child_hess=data["min_child_hess"],
-            max_bins=data["max_bins"],
         )
         model.base_score = data["base_score"]
-        model.n_features = data["n_features"]
-        if data.get("split_gain") is not None:
-            model._split_gain = np.asarray(data["split_gain"], dtype=np.float64)
         model.trees = [Tree.from_dict(t) for t in data["trees"]]
         return model

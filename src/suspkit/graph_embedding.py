@@ -293,7 +293,6 @@ class RankingEval:
     mrr: float
     auc: float
     negatives_per_positive: int
-    seed: int
 
     def __post_init__(self):
         if not 0.0 < self.mrr <= 1.0:
@@ -324,7 +323,7 @@ def evaluate(
     pos_scores = np.sum(left * emb.vectors[dst], axis=1)
     neg_scores = np.einsum("bd,bkd->bk", left, emb.vectors[neg])
     mrr, auc = ranking_metrics(pos_scores, neg_scores)
-    return RankingEval(mrr=mrr, auc=auc, negatives_per_positive=negatives_per_positive, seed=seed)
+    return RankingEval(mrr=mrr, auc=auc, negatives_per_positive=negatives_per_positive)
 
 
 def export_node_features(emb: NodeEmbeddings, users: Sequence[str]) -> np.ndarray:

@@ -33,7 +33,6 @@ from .content_clustering import (
     keyword_search,
 )
 from .corpus import (
-    STATUS_SUSPENDED,
     CorpusStore,
     EmptyClass,
     TimeWindow,
@@ -503,14 +502,8 @@ def run_clustering(store: CorpusStore, config: PipelineConfig) -> ClusterArtifac
     """Cluster the window-1 suspended-account posts and scan them for
     keywords and wallet addresses."""
     window, _ = config.windows()
-    labels = store.labels()
-    suspended = {
-        u
-        for u, lab in labels.items()
-        if lab.status == STATUS_SUSPENDED
-        and lab.status_date is not None
-        and window.contains(lab.status_date)
-    }
+    # With no active users, the window's selection is its positives alone.
+    suspended = select_window_users(window, store.labels(), ())
     # (tweet_id, user_id, text) by user id, then by time within a user.
     posts = [post for post in store.window_posts(window) if post[1] in suspended]
 

@@ -36,6 +36,11 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 _BLOCK_BYTES = 1 << 16
 _BLOCK_TEXTS = 1024
 
+# The fallback encoder hashes character n-grams of these lengths, and
+# pca_fit fits on at most _SAMPLE_CAP rows.
+_MIN_N, _MAX_N = 3, 5
+_SAMPLE_CAP = 200_000
+
 
 class MissingEmbedding(SuspkitError):
     """An item id has no row in the precomputed embedding file."""
@@ -84,7 +89,8 @@ def _fnv1a_scalar(data: bytes) -> int:
 
 class HashedNgramEncoder:
     """Deterministic fallback encoder: character 3-5-gram feature
-    hashing over UTF-8 bytes, signed buckets, L2-normalized rows.
+    hashing (_MIN_N to _MAX_N) over UTF-8 bytes into `dim` signed
+    buckets, L2-normalized rows.
 
     Texts too short to yield any n-gram are hashed whole, so every row
     has unit norm.  All rows come from one batched pass over blocks of
@@ -94,14 +100,10 @@ class HashedNgramEncoder:
     is hashed once and its row copied to the repeats.
     """
 
-    def __init__(self, *, dim: int, min_n: int = 3, max_n: int = 5):
+    def __init__(self, *, dim: int):
         if dim < 1:
             raise ValueError("dim must be positive")
-        if not 1 <= min_n <= max_n:
-            raise ValueError("need 1 <= min_n <= max_n")
         self.dim = dim
-        self.min_n = min_n
-        self.max_n = max_n
 
     def embed(self, item_ids: Sequence[str], texts: Sequence[str]) -> np.ndarray:
         """One row per text, in one n x dim buffer; the ids are not read.
@@ -147,10 +149,10 @@ class HashedNgramEncoder:
         left = np.repeat(np.cumsum(lengths), lengths) - np.arange(data.size)
         keys, signs = [], []
         h = np.full(data.size, _FNV_OFFSET)
-        for n in range(1, self.max_n + 1):
+        for n in range(1, _MAX_N + 1):
             # FNV-1a of the n-gram at p extends that of the (n-1)-gram at p.
             h = (h[: max(data.size - n + 1, 0)] ^ data[n - 1 :]) * _FNV_PRIME
-            if n < self.min_n:
+            if n < _MIN_N:
                 continue
             inside = left[: h.size] >= n
             hn = h[inside]
@@ -159,7 +161,7 @@ class HashedNgramEncoder:
         rows = np.bincount(
             np.concatenate(keys), weights=np.concatenate(signs), minlength=len(chunks) * dim
         ).reshape(len(chunks), dim)
-        for r in np.flatnonzero(lengths < self.min_n):
+        for r in np.flatnonzero(lengths < _MIN_N):
             whole = _fnv1a_scalar(chunks[r])
             rows[r, whole % dim] = 1.0 - 2.0 * (whole >> 63)
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
@@ -192,13 +194,7 @@ def _sign_convention(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def pca_fit(
-    X: np.ndarray,
-    k: int,
-    *,
-    seed: int,
-    sample_cap: int = 200_000,
-) -> tuple[PcaModel, np.ndarray]:
+def pca_fit(X: np.ndarray, k: int, *, seed: int) -> tuple[PcaModel, np.ndarray]:
     """Fit the k leading principal components of the rows of X and
     project X on them: (model, reduced rows).
 
@@ -206,8 +202,9 @@ def pca_fit(
     projecting read one n x d buffer; pass a copy to keep X.  The
     components are the leading eigenvectors of the exact covariance
     matrix (`np.linalg.eigh`).  Data with zero variance yields zero
-    explained variance rather than an error.  Fitting uses a uniform row
-    sample capped at sample_cap, drawn under `seed`.
+    explained variance rather than an error.  Above _SAMPLE_CAP =
+    200,000 rows (a fixed cap), fitting uses a uniform sample of that
+    many rows, drawn under `seed`; every row is still projected.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -218,10 +215,10 @@ def pca_fit(
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} out of range for {n}x{d} data")
     fit_rows = X
-    if n > sample_cap:
+    if n > _SAMPLE_CAP:
         rng = np.random.default_rng(seed)
-        fit_rows = X[np.sort(rng.choice(n, size=sample_cap, replace=False))]
-        n = sample_cap
+        fit_rows = X[np.sort(rng.choice(n, size=_SAMPLE_CAP, replace=False))]
+        n = _SAMPLE_CAP
 
     mean = fit_rows.mean(axis=0)
     fit_rows -= mean

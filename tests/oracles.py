@@ -1,14 +1,17 @@
 """Reference implementations the program is checked against.
 
 Brute-force Shapley enumeration (`shapley_exact`, and `oracle_shapley`,
-written independently of it) for the closed-form attributions, and a
-BIP-173 bech32 encoder that builds segwit test vectors for wallet
-extraction.  None of them shares code with what it judges: the only
-suspkit module imported here is `suspkit.errors`.
+written independently of it) for the closed-form attributions; the
+exhaustive leader scan for content clustering; the dense eigensolver
+and the principal angle for the PCA; and Base58Check and BIP-173
+bech32 encoders with the published and fresh addresses they build for
+wallet extraction.  None of them shares code with what it judges: the
+only suspkit module imported here is `suspkit.errors`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from typing import Callable, Sequence
@@ -136,3 +139,83 @@ def bech32_encode(hrp: str, data: Sequence[int]) -> str:
     polymod = chk ^ 1
     checksum = [(polymod >> 5 * (5 - i)) & 31 for i in range(6)]
     return hrp + "1" + "".join(_BECH32_CHARSET[d] for d in list(data) + checksum)
+
+
+def naive_leader_clustering(vectors, tau):
+    """Pure-Python reference: scan all leaders, join the most similar
+    one at or above tau (earliest wins ties), else found a cluster."""
+
+    def unit(v):
+        norm = math.sqrt(sum(x * x for x in v))
+        return [x / norm for x in v] if norm else list(v)
+
+    units = [unit(v) for v in vectors]
+    labels, leaders = [], []
+    for i, v in enumerate(units):
+        best, best_sim = None, -math.inf
+        for c, row in enumerate(leaders):
+            sim = sum(a * b for a, b in zip(v, units[row]))
+            if sim > best_sim:
+                best, best_sim = c, sim
+        if best is not None and best_sim >= tau:
+            labels.append(best)
+        else:
+            leaders.append(i)
+            labels.append(len(leaders) - 1)
+    return labels, leaders
+
+
+def random_unit_rows(rng, n, d):
+    X = rng.standard_normal((n, d))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def oracle_eigen(X, k):
+    """Dense eigen-decomposition of the sample covariance."""
+    X = np.asarray(X, dtype=np.float64)
+    centered = X - X.mean(axis=0)
+    cov = centered.T @ centered / (X.shape[0] - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1][:k]
+    return eigvals[order], eigvecs[:, order].T
+
+
+def subspace_angle(A, B):
+    """Largest principal angle between the row spans of A and B."""
+    Qa = np.linalg.qr(A.T)[0]
+    Qb = np.linalg.qr(B.T)[0]
+    s = np.clip(np.linalg.svd(Qa.T @ Qb, compute_uv=False), -1.0, 1.0)
+    return float(np.arccos(s.min()))
+
+
+_BASE58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
+
+
+def oracle_base58check(payload: bytes) -> str:
+    """Base58Check string of `payload`: the payload and the first four
+    bytes of its double SHA-256 as one big-endian base-58 number, led by
+    one "1" per leading zero byte."""
+    data = payload + hashlib.sha256(hashlib.sha256(payload).digest()).digest()[:4]
+    number, digits = int.from_bytes(data, "big"), ""
+    while number:
+        number, digit = divmod(number, 58)
+        digits = _BASE58_ALPHABET[digit] + digits
+    return "1" * (len(data) - len(data.lstrip(b"\0"))) + digits
+
+
+# Well-known published addresses usable as ground truth.
+GENESIS_BTC = "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"
+SEGWIT_BTC = "bc1qw508d6qejxtdg4y5r3zarvary0c5xw7kv8f3t4"
+
+
+def fresh_btc_address(tag: bytes, version: int = 0) -> str:
+    return oracle_base58check(bytes([version]) + hashlib.sha256(tag).digest()[:20])
+
+
+def fresh_segwit_address(tag: bytes) -> str:
+    data = [0] + [b % 32 for b in hashlib.sha256(tag).digest()[:20]]
+    return bech32_encode("bc", data)
+
+
+def fresh_eth_address(tag: bytes) -> str:
+    return "0x" + hashlib.sha256(tag).hexdigest()[:40]

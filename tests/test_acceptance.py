@@ -36,15 +36,19 @@ from suspkit.synth import GeneratorConfig, generate
 from suspkit.text_embedding import pca_fit, pca_transform
 from suspkit.wallets import base58check_decode, bech32_verify, extract_wallets
 
-from oracles import bech32_encode, oracle_shapley, shapley_exact
-from test_content_clustering import naive_leader_clustering, random_unit_rows
-from test_text_embedding import oracle_eigen, subspace_angle
-from test_wallets import (
+from oracles import (
     GENESIS_BTC,
     SEGWIT_BTC,
+    bech32_encode,
     fresh_btc_address,
     fresh_eth_address,
     fresh_segwit_address,
+    naive_leader_clustering,
+    oracle_eigen,
+    oracle_shapley,
+    random_unit_rows,
+    shapley_exact,
+    subspace_angle,
 )
 
 

@@ -1,5 +1,7 @@
-"""The traced bench pass wraps suspkit functions by name; a name it lists
-must exist, or `layer_trace.Tracer.install()` fails at bench time."""
+"""The bench runs the program as its users do: the traced pass wraps
+suspkit functions by name, so a name it lists must exist, or
+`layer_trace.Tracer.install()` fails at bench time; and every round's
+outputs must pass `checks.check_workdir`."""
 
 import importlib
 import json
@@ -8,21 +10,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+from suspkit import cli
+
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _layers():
+def _bench_module(name):
+    """A module of bench/, imported with the process environment kept:
+    `run` sets the BLAS thread counts of its stage processes on import."""
+    environ = dict(os.environ)
     sys.path.insert(0, str(BENCH_DIR))
     try:
-        import layer_trace
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH_DIR))
-    return layer_trace.LAYERS
+        os.environ.clear()
+        os.environ.update(environ)
 
 
 def test_every_traced_name_resolves():
     missing = []
-    for _, targets in _layers():
+    for _, targets in _bench_module("layer_trace").LAYERS:
         for module_name, qualname, _ in targets:
             module = importlib.import_module(module_name)
             if "." in qualname:
@@ -90,3 +98,17 @@ def test_traced_pass_counts_one_graph_fit(tmp_path):
     )
     assert len(folds) == PipelineConfig().k_folds
     assert counts["gbdt.fits"] == 2 * (len(folds) + 1)
+
+
+def test_pipeline_2w_pass_passes_the_bench_checks(tmp_path):
+    """One pass of every stage, in process, over the bench's own
+    pipeline_2w corpus: the output checks of each bench round find no
+    problem.  A smaller corpus would hide the graph's MRR floor."""
+    run, checks = _bench_module("run"), _bench_module("checks")
+    workload = run.WORKLOADS["pipeline_2w"]
+    wd, synth = tmp_path / "work", tmp_path / "synth"
+    base = run.global_args(wd, None)
+    assert cli.main([*base, "synth", "--out", str(synth), *workload.synth_args]) == 0
+    for name, args in run.stage_commands(workload, synth):
+        assert cli.main([*base, *args]) == 0, name
+    assert checks.check_workdir(wd, synth, workload.splits) == []

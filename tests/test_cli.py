@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -177,6 +178,30 @@ class TestStageSequence:
         assert code == 0
         families = json.loads((other / "families.json").read_text())
         assert set(families) == {"profile", "activity"}
+
+    def test_toxicity_scores_flag(self, workdir, tmp_path):
+        wd, _ = workdir
+        _copy(["corpus.sqlite"], wd, tmp_path)
+        with open(wd / "clusters.jsonl", encoding="utf-8") as fh:
+            known = [json.loads(line)["leader_item_id"] for line in fh][:4]
+        scores = tmp_path / "toxicity.csv"
+        rows = zip(known + ["t-unknown-1", "t-unknown-2"], ["0.9", "0.2", "0.5", "0.7", "1", "0"])
+        scores.write_text("tweet_id,score\n" + "".join(f"{i},{v}\n" for i, v in rows),
+                          encoding="utf-8")
+        base = ["--workdir", str(tmp_path), "--seed", "3"]
+        assert cli.main(base + ["cluster", "--toxicity-scores", str(scores)]) == 0
+        assert cli.main(base + ["report"]) == 0
+        # 0.5 is not above the threshold.
+        expected = {"scored": 4, "toxic": 2, "fraction": 0.5, "skipped_unknown": 2,
+                    "threshold": 0.5}
+        toxicity = tmp_path / "toxicity.json"
+        assert toxicity.read_text(encoding="utf-8") == canonical_json(expected) + "\n"
+        manifest = read_manifest(tmp_path / "cluster.manifest.json")
+        assert manifest["inputs"]["toxicity_scores"] == str(scores)
+        digest = hashlib.sha256(toxicity.read_bytes()).hexdigest()
+        assert manifest["outputs"]["toxicity.json"] == digest
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["toxicity"] == expected
 
 
     def test_rows_enter_the_config_hash(self, workdir, tmp_path):

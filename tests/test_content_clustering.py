@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -17,29 +16,7 @@ from suspkit.content_clustering import (
 )
 from suspkit.corpus import MalformedRecord
 
-
-def naive_leader_clustering(vectors, tau):
-    """Pure-Python reference: scan all leaders, join the most similar
-    one at or above tau (earliest wins ties), else found a cluster."""
-
-    def unit(v):
-        norm = math.sqrt(sum(x * x for x in v))
-        return [x / norm for x in v] if norm else list(v)
-
-    units = [unit(v) for v in vectors]
-    labels, leaders = [], []
-    for i, v in enumerate(units):
-        best, best_sim = None, -math.inf
-        for c, row in enumerate(leaders):
-            sim = sum(a * b for a, b in zip(v, units[row]))
-            if sim > best_sim:
-                best, best_sim = c, sim
-        if best is not None and best_sim >= tau:
-            labels.append(best)
-        else:
-            leaders.append(i)
-            labels.append(len(leaders) - 1)
-    return labels, leaders
+from oracles import naive_leader_clustering, random_unit_rows
 
 
 def gemv_leader_clustering(X, tau):
@@ -67,11 +44,6 @@ def gemv_leader_clustering(X, tau):
         leader_rows.append(i)
         labels[i] = k
     return labels, leader_rows
-
-
-def random_unit_rows(rng, n, d):
-    X = rng.standard_normal((n, d))
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
 class TestClusterCosine:

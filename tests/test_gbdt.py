@@ -129,6 +129,19 @@ class TestSerialization:
         assert clone.learning_rate == 0.05
         assert clone.max_depth == 4
 
+    def test_loads_a_dict_with_the_retired_keys(self, deep_model):
+        # model.json once also held n_features, max_bins, min_child_hess
+        # and split_gain; a load ignores them and predicts the same bits.
+        model, X = deep_model
+        old = {**model.to_dict(), "n_features": X.shape[1], "max_bins": 256,
+               "min_child_hess": 1e-3, "split_gain": model._split_gain.tolist()}
+        clone = GbdtClassifier.from_dict(json.loads(json.dumps(old)))
+        probe = _probe_rows(model, X, 9)
+        assert clone.decision_function(probe).tobytes() == model.decision_function(probe).tobytes()
+        rows, background = probe[:8], X[:16]
+        assert (clone.shap_values(rows, background).tobytes()
+                == model.shap_values(rows, background).tobytes())
+
 
 def _reference_fit(X, y, n_rounds, learning_rate, max_depth, reg_lambda=1.0, min_child_hess=1e-3):
     """Pure-Python boosting: one split search per node, feature and bin.
@@ -269,16 +282,15 @@ class TestSplitSearchOracle:
         self._assert_same(model, expected, losses)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_nan_gains_without_regularization(self, seed):
-        # With no lambda and no hessian floor an empty left child gives
-        # 0/0: a feature with a NaN gain offers no split at that node.
+    def test_zero_lambda_at_the_hessian_floor(self, seed):
+        # With no lambda an empty child gives 0/0, which the hessian
+        # floor turns into no split.
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 4, (40, 3)).astype(float)
         y = (rng.random(40) > 0.5).astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            model = GbdtClassifier(n_rounds=4, learning_rate=0.3, max_depth=3,
-                                   reg_lambda=0.0, min_child_hess=0.0).fit(X, y)
-            expected, losses = _reference_fit(X, y, 4, 0.3, 3, reg_lambda=0.0, min_child_hess=0.0)
+        model = GbdtClassifier(n_rounds=4, learning_rate=0.3, max_depth=3,
+                               reg_lambda=0.0).fit(X, y)
+        expected, losses = _reference_fit(X, y, 4, 0.3, 3, reg_lambda=0.0)
         self._assert_same(model, expected, losses)
 
     def test_node_whose_rows_fill_only_last_bins(self):
@@ -299,7 +311,7 @@ class TestSplitSearchOracle:
     def _assert_same(model, expected, losses):
         got = model.to_dict()
         assert json.dumps(got["trees"]) == json.dumps(expected["trees"])
-        assert json.dumps(got["split_gain"]) == json.dumps(expected["split_gain"])
+        assert json.dumps(model._split_gain.tolist()) == json.dumps(expected["split_gain"])
         assert got["base_score"] == expected["base_score"]
         assert model.train_loss == losses
 
@@ -331,10 +343,10 @@ def _spread_splits(parts, monkeypatch):
         return [(r[0], r[-1] + 1, of(BinMapper(mapper.uppers[r[0]:r[-1] + 1])))
                 for r in ranges]
 
-    def search(codes, node_rows, g, h, ranges, lam, min_child_hess):
+    def search(codes, node_rows, g, h, ranges, lam):
         gain = None
         for lo, hi, layout in ranges:
-            g_, f_, b_ = best_splits(codes[:, lo:hi], node_rows, g, h, layout, lam, min_child_hess)
+            g_, f_, b_ = best_splits(codes[:, lo:hi], node_rows, g, h, layout, lam)
             if gain is None:
                 gain, feature, split_bin = g_.copy(), f_ + lo, b_.copy()
                 continue
@@ -372,8 +384,7 @@ def _redundant_tests_model():
     }
     return GbdtClassifier.from_dict({
         "n_rounds": 1, "learning_rate": 1.0, "max_depth": 3, "reg_lambda": 1.0,
-        "min_child_hess": 1e-3, "max_bins": 256, "base_score": 0.25, "n_features": 2,
-        "split_gain": None, "trees": [tree],
+        "base_score": 0.25, "trees": [tree],
     })
 
 

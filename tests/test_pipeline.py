@@ -600,10 +600,11 @@ class TestReducePosts:
         assert same is pca
         assert again.tobytes() == reference[3][:300].tobytes()
 
-    def test_sampled_fit_matches_the_out_of_place_reference(self, posts):
+    def test_sampled_fit_matches_the_out_of_place_reference(self, posts, monkeypatch):
         _, _, _, X = posts
+        monkeypatch.setattr(text_embedding, "_SAMPLE_CAP", 200)
         buffer = X.copy()
-        model, reduced = pca_fit(buffer, 5, seed=9, sample_cap=200)
+        model, reduced = pca_fit(buffer, 5, seed=9)
         assert_same_bits(model, reduced, reference_reduce(X, 5, 9, sample_cap=200))
         # A fit on a sample, too, leaves the caller's whole buffer centered.
         assert buffer.tobytes() == (X - model.mean).tobytes()

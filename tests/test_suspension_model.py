@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -403,6 +404,13 @@ class TestModelPersistence:
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.predict_proba(m), model.predict_proba(m))
         assert loaded.feature_names == model.feature_names
+
+    def test_gbdt_inner_keys(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, train(separable_matrix(), kind=MODEL_KIND_GBDT, hyper=SMALL_GBDT))
+        inner = json.loads(path.read_text(encoding="utf-8"))["inner"]
+        assert set(inner) == {"kind", "n_rounds", "learning_rate", "max_depth", "reg_lambda",
+                              "base_score", "trees"}
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "model.json"

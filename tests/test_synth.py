@@ -5,7 +5,9 @@ import pytest
 
 from suspkit.corpus import DAY_SECONDS, CorpusStore, TimeWindow, split_windows
 from suspkit.synth import DEFAULT_CORPUS_START, GeneratorConfig, generate
-from suspkit.wallets import base58check_encode, extract_wallets
+from suspkit.wallets import extract_wallets
+
+from oracles import oracle_base58check
 
 
 def small_config(**overrides):
@@ -88,7 +90,7 @@ class TestClassSeparation:
         posts = list(store.window_posts(window))
         hits = extract_wallets(posts)
         assert hits, "no wallet addresses found in generated posts"
-        expected_btc = base58check_encode(
+        expected_btc = oracle_base58check(
             b"\x00" + hashlib.sha256(b"corpus-demo-btc").digest()[:20]
         )
         addresses = {hit.address for hit in hits}

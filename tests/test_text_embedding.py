@@ -19,24 +19,7 @@ from suspkit.text_embedding import (
 from suspkit.vectors import EmbeddingMatrix, write_emb1
 
 from conftest import make_tweet, random_timelines
-
-
-def oracle_eigen(X, k):
-    """Dense eigen-decomposition of the sample covariance."""
-    X = np.asarray(X, dtype=np.float64)
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / (X.shape[0] - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:k]
-    return eigvals[order], eigvecs[:, order].T
-
-
-def subspace_angle(A, B):
-    """Largest principal angle between the row spans of A and B."""
-    Qa = np.linalg.qr(A.T)[0]
-    Qb = np.linalg.qr(B.T)[0]
-    s = np.clip(np.linalg.svd(Qa.T @ Qb, compute_uv=False), -1.0, 1.0)
-    return float(np.arccos(s.min()))
+from oracles import oracle_eigen, subspace_angle
 
 
 def encode_one(enc, text):
@@ -63,7 +46,7 @@ class TestHashedEncoder:
         assert not np.array_equal(first, second)
 
     def test_short_text_fallback_single_bucket(self):
-        enc = HashedNgramEncoder(dim=32, min_n=3)
+        enc = HashedNgramEncoder(dim=32)
         vec = encode_one(enc, "ab")  # too short for any 3-gram
         assert np.count_nonzero(vec) == 1
         assert abs(vec[np.flatnonzero(vec)[0]]) == 1.0
@@ -115,7 +98,7 @@ ORACLE_TEXTS = [
 class TestBatchedEncoderOracle:
     def check(self, texts, dim, min_n=3, max_n=5):
         raw, expected, norms = oracle_rows(texts, dim, min_n, max_n)
-        enc = HashedNgramEncoder(dim=dim, min_n=min_n, max_n=max_n)
+        enc = HashedNgramEncoder(dim=dim)
         got = enc.embed([str(i) for i in range(len(texts))], texts)
         np.testing.assert_array_equal(got, expected)
         # The batched kernel normalizes by sqrt of a row's dot product;
@@ -127,9 +110,11 @@ class TestBatchedEncoderOracle:
     def test_short_and_multibyte_texts(self):
         self.check(ORACLE_TEXTS, dim=64)
 
-    def test_other_ngram_ranges(self):
-        self.check(ORACLE_TEXTS, dim=32, min_n=1, max_n=2)
-        self.check(ORACLE_TEXTS, dim=32, min_n=2, max_n=6)
+    def test_other_ngram_ranges(self, monkeypatch):
+        for min_n, max_n in ((1, 2), (2, 6)):
+            monkeypatch.setattr(text_embedding, "_MIN_N", min_n)
+            monkeypatch.setattr(text_embedding, "_MAX_N", max_n)
+            self.check(ORACLE_TEXTS, dim=32, min_n=min_n, max_n=max_n)
 
     def test_text_longer_than_a_block(self):
         rng = np.random.default_rng(0)
@@ -156,12 +141,6 @@ class TestBatchedEncoderOracle:
         raw, _, norms = oracle_rows(texts, dim=1)
         assert (norms == 0).any()
         self.check(texts, dim=1)
-
-    def test_invalid_ngram_range(self):
-        with pytest.raises(ValueError):
-            HashedNgramEncoder(dim=8, min_n=4, max_n=3)
-        with pytest.raises(ValueError):
-            HashedNgramEncoder(dim=8, min_n=0, max_n=3)
 
 
 class TestPrecomputedProvider:
@@ -240,11 +219,12 @@ class TestPca:
         with pytest.raises(DimensionMismatch):
             pca_transform(model, np.ones((3, 5)))
 
-    def test_sample_cap_is_deterministic(self):
+    def test_sample_cap_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(text_embedding, "_SAMPLE_CAP", 100)
         rng = np.random.default_rng(14)
         X = rng.standard_normal((300, 5))
-        a, _ = pca_fit(X.copy(), k=3, sample_cap=100, seed=1)
-        b, _ = pca_fit(X.copy(), k=3, sample_cap=100, seed=1)
+        a, _ = pca_fit(X.copy(), k=3, seed=1)
+        b, _ = pca_fit(X.copy(), k=3, seed=1)
         np.testing.assert_array_equal(a.components, b.components)
 
     def test_wide_input_matches_eigen_oracle(self):

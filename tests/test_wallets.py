@@ -1,4 +1,3 @@
-import hashlib
 import random
 import re
 
@@ -18,24 +17,15 @@ from suspkit.wallets import (
     write_wallet_csv,
 )
 
-from oracles import bech32_encode
-
-# Well-known published addresses usable as ground truth.
-GENESIS_BTC = "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"
-SEGWIT_BTC = "bc1qw508d6qejxtdg4y5r3zarvary0c5xw7kv8f3t4"
-
-
-def fresh_btc_address(tag: bytes, version: int = 0) -> str:
-    return base58check_encode(bytes([version]) + hashlib.sha256(tag).digest()[:20])
-
-
-def fresh_segwit_address(tag: bytes) -> str:
-    data = [0] + [b % 32 for b in hashlib.sha256(tag).digest()[:20]]
-    return bech32_encode("bc", data)
-
-
-def fresh_eth_address(tag: bytes) -> str:
-    return "0x" + hashlib.sha256(tag).hexdigest()[:40]
+from oracles import (
+    GENESIS_BTC,
+    SEGWIT_BTC,
+    bech32_encode,
+    fresh_btc_address,
+    fresh_eth_address,
+    fresh_segwit_address,
+    oracle_base58check,
+)
 
 
 class TestBase58Check:
@@ -43,6 +33,16 @@ class TestBase58Check:
         payload = base58check_decode(GENESIS_BTC)
         assert len(payload) == 21
         assert payload[0] == 0
+
+    def test_oracle_encoder_gives_the_genesis_address(self):
+        payload = bytes.fromhex("0062e907b15cbf27d5425399ebf6f0fb50ebb88f18")
+        assert oracle_base58check(payload) == GENESIS_BTC
+        assert base58check_decode(GENESIS_BTC) == payload
+
+    @settings(max_examples=50, deadline=None)
+    @given(payload=st.binary(min_size=1, max_size=30))
+    def test_encoder_matches_the_oracle(self, payload):
+        assert base58check_encode(payload) == oracle_base58check(payload)
 
     def test_encode_decode_roundtrip(self):
         payload = b"\x00" + bytes(range(20))
