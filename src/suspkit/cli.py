@@ -187,7 +187,8 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace, workdir: Path
         "train": split.train_users,
         "test": split.test_users,
         "second_test": split.second_users,
-        "dropped": split.train.dropped_users + (split.test.dropped_users if split.test else []),
+        "dropped": [user for feats in (split.train, split.test, split.second_test) if feats
+                    for user in feats.dropped_users],
     }
     outputs.append(_write(workdir / "users.json", _json, users))
     # The graph stage ranks these two.  A file this run does not write is

@@ -90,6 +90,7 @@ from .text_embedding import (
     pca_fit,
     pca_transform,
     post_embedding_feature_names,
+    row_blocks,
 )
 from .wallets import WalletHit, extract_wallets
 
@@ -247,14 +248,20 @@ def _reduce_posts(
 ) -> tuple[np.ndarray, PcaModel]:
     """Post vectors reduced by `pca`, or by a PCA fitted on them under
     the seed of `stage` when `pca` is None: (reduced rows in post order,
-    PCA).  The post vectors are one n x dim buffer, which the PCA centers
-    in place."""
-    raw = provider.embed(ids, texts)
+    PCA).  A fit needs every post vector at once, in one n x dim buffer
+    that the PCA centers in place; a transform encodes, centers and
+    projects one `row_blocks` run of posts at a time, so it holds one
+    run's vectors and the n x k output.  Both project the same runs, so
+    the rows of a fit and of a transform over the same posts are equal
+    bit for bit."""
     if pca is None:
+        raw = provider.embed(ids, texts)
         k = min(config.pca_components, raw.shape[1], len(ids))
         pca, reduced = pca_fit(raw, k, seed=stage_seed(config.seed, stage))
-    else:
-        reduced = pca_transform(pca, raw)
+        return reduced, pca
+    reduced = np.empty((len(ids), pca.k))
+    for rows in row_blocks(len(ids)):
+        reduced[rows] = pca_transform(pca, provider.embed(ids[rows], texts[rows]))
     return reduced, pca
 
 

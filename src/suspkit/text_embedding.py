@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -35,6 +35,12 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 # texts are short.
 _BLOCK_BYTES = 1 << 16
 _BLOCK_TEXTS = 1024
+
+# Rows are projected on a PCA basis in near-equal blocks of at least
+# _BLOCK_ROWS rows (8 MB at dim 256).  BLAS rounds a product of a few
+# dozen rows on another path than a long one, so a block is never short
+# unless all the rows are.
+_BLOCK_ROWS = 4096
 
 # The fallback encoder hashes character n-grams of these lengths, and
 # pca_fit fits on at most _SAMPLE_CAP rows.
@@ -199,7 +205,9 @@ def pca_fit(X: np.ndarray, k: int, *, seed: int) -> tuple[PcaModel, np.ndarray]:
     project X on them: (model, reduced rows).
 
     X is centered in place, as `pca_transform` does, so fitting and
-    projecting read one n x d buffer; pass a copy to keep X.  The
+    projecting read one n x d buffer; pass a copy to keep X.  Both
+    project in the same `row_blocks` runs, so `pca_transform` of a run
+    of X's rows gives the bits of those rows here.  The
     components are the leading eigenvectors of the exact covariance
     matrix (`np.linalg.eigh`).  Data with zero variance yields zero
     explained variance rather than an error.  Above _SAMPLE_CAP =
@@ -229,7 +237,7 @@ def pca_fit(X: np.ndarray, k: int, *, seed: int) -> tuple[PcaModel, np.ndarray]:
     if fit_rows is not X:
         X -= mean
     model = PcaModel(mean=mean, components=components, explained_variance=variance)
-    return model, X @ components.T
+    return model, _project(model, X)
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
@@ -241,7 +249,26 @@ def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
             f"expected {model.dim_in} input dims, got {X.shape[1] if X.ndim == 2 else X.shape}"
         )
     X -= model.mean
-    return X @ model.components.T
+    return _project(model, X)
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """range(n) as max(1, n // _BLOCK_ROWS) near-equal runs of rows, in
+    order, so every run but a lone short one holds at least _BLOCK_ROWS
+    rows and fewer than twice that."""
+    parts = max(1, n // _BLOCK_ROWS)
+    for i in range(parts):
+        yield slice(n * i // parts, n * (i + 1) // parts)
+
+
+def _project(model: PcaModel, centered: np.ndarray) -> np.ndarray:
+    """Centered rows times the components, one `row_blocks` run per
+    product.  A run of rows, projected alone, thus gets the bits it gets
+    as one run of a larger buffer."""
+    out = np.empty((len(centered), model.k))
+    for rows in row_blocks(len(centered)):
+        out[rows] = centered[rows] @ model.components.T
+    return out
 
 
 def features_from_posts(reduced: np.ndarray, timelines: list[list[Tweet]]) -> np.ndarray:

@@ -532,6 +532,31 @@ class TestStaleSplits:
         assert [name for name in stale if (tmp_path / name).exists()] == []
 
 
+class TestDroppedUsers:
+    def test_users_json_names_a_dropped_second_test_user(self, two_window_run, tmp_path):
+        # The two-window corpus again, but one second-test user has no
+        # window-2 snapshot: features drops them, and users.json says so.
+        synth_dir = two_window_run / "synth"
+        lost = json.loads((two_window_run / "users.json").read_text())["second_test"]
+        lost = sorted(lost)[0]
+        snapshots = tmp_path / "snapshots.jsonl"
+        with open(synth_dir / "snapshots.jsonl", encoding="utf-8") as src, \
+                open(snapshots, "w", encoding="utf-8") as dest:
+            dest.writelines(line for line in src if json.loads(line)["user_id"] != lost)
+        _copy(["config.json"], two_window_run, tmp_path)
+        base = ["--config", str(tmp_path / "config.json"), "--workdir", str(tmp_path),
+                "--seed", "3"]
+        assert cli.main(base + ["ingest",
+                                "--tweets", str(synth_dir / "tweets.jsonl"),
+                                "--snapshots", str(snapshots),
+                                "--labels", str(synth_dir / "labels.csv")]) == 0
+        assert cli.main(base + ["features"]) == 0
+        users = json.loads((tmp_path / "users.json").read_text())
+        assert lost in users["second_test"]
+        assert lost not in FeatureMatrix.from_csv(tmp_path / "features_second_test.csv").user_ids
+        assert users["dropped"] == [lost]
+
+
 def _assert_no_child_processes():
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):

@@ -569,9 +569,10 @@ def assert_same_bits(model, reduced, reference):
 
 
 class TestReducePosts:
-    """`_reduce_posts` holds one n x dim buffer: the encoder fills it and
-    the PCA centers and projects it in place, bit for bit as an
-    out-of-place fit and projection over every text's own row."""
+    """`_reduce_posts` fits on one n x dim buffer, which the encoder fills
+    and the PCA centers and projects in place, and transforms one block
+    of posts at a time; both give the bits of an out-of-place fit and
+    projection over every text's own row."""
 
     @pytest.fixture(params=["hashed", "precomputed"])
     def posts(self, request, monkeypatch):
@@ -609,8 +610,28 @@ class TestReducePosts:
         # A fit on a sample, too, leaves the caller's whole buffer centered.
         assert buffer.tobytes() == (X - model.mean).tobytes()
 
+    def test_blocked_default_dims_match_the_out_of_place_reference(self):
+        # The default encoder and PCA widths over 3 blocks of unequal
+        # length: every block's product keeps the bits of one product
+        # over all the rows, in a fit and in a transform.
+        n = 3 * text_embedding._BLOCK_ROWS + 2
+        blocks = list(text_embedding.row_blocks(n))
+        assert len(blocks) == 3 and len({b.stop - b.start for b in blocks}) == 2
+        ids, texts = dup_heavy_posts(np.random.default_rng(8), n, n // 2)
+        config = PipelineConfig(seed=2)
+        provider = HashedNgramEncoder(dim=config.encoder_dim)
+        reduced, pca = pipeline._reduce_posts(provider, ids, texts, None, config, "pca")
+        reference = reference_reduce(provider.embed(ids, texts), config.pca_components,
+                                     stage_seed(2, "pca"))
+        assert_same_bits(pca, reduced, reference)
+        again, _ = pipeline._reduce_posts(provider, ids, texts, pca, config, "pca")
+        assert again.tobytes() == reference[3].tobytes()
+
     @pytest.mark.parametrize("fit", [True, False], ids=["fit", "transform-only"])
     def test_peak_memory_is_one_post_buffer(self, fit):
+        # A fit holds the n x dim buffer; a transform holds one block of
+        # it, the n x k output and the encoder's own scratch (a few hash
+        # blocks of bucket rows), however many blocks there are.
         rng = np.random.default_rng(6)
         ids, texts = dup_heavy_posts(rng, 20_000, 15_000)
         provider = HashedNgramEncoder(dim=256)
@@ -624,7 +645,17 @@ class TestReducePosts:
         finally:
             tracemalloc.stop()
         buffer = len(texts) * 256 * 8
-        assert peak < 1.5 * buffer, f"peak {peak / buffer:.2f} x the n x dim buffer"
+        if fit:
+            assert peak < 1.5 * buffer, f"peak {peak / buffer:.2f} x the n x dim buffer"
+            return
+        blocks = list(text_embedding.row_blocks(len(texts)))
+        assert len(blocks) >= 3
+        block = max(b.stop - b.start for b in blocks) * 256 * 8
+        output = len(texts) * config.pca_components * 8
+        scratch = 3 * text_embedding._BLOCK_TEXTS * 256 * 8
+        assert peak < block + output + scratch, (
+            f"peak {peak / 1e6:.1f} MB, block {block / 1e6:.1f} MB, "
+            f"output {output / 1e6:.1f} MB")
 
 
 class TestGraphStage:
