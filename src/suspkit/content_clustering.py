@@ -75,18 +75,6 @@ _TILE = 1024
 _U32 = 2.0 ** -24
 
 
-def _reserve(buf: np.ndarray, rows: int) -> np.ndarray:
-    """buf, or a copy of it with the capacity doubled until rows fit."""
-    cap = buf.shape[0]
-    if rows <= cap:
-        return buf
-    while cap < rows:
-        cap *= 2
-    grown = np.empty((cap, buf.shape[1]), dtype=buf.dtype)
-    grown[: buf.shape[0]] = buf
-    return grown
-
-
 def _best_leaders(block: np.ndarray, leaders: np.ndarray,
                   floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per block row: the highest GEMM similarity to any leader, that
@@ -148,11 +136,11 @@ def cluster_cosine(X: np.ndarray, tau: float,
     floor, sure = tau - eps, tau + eps
     labels = np.empty(n, dtype=np.int64)
     leader_rows: list[int] = []
-    # The leaders' rows, in float64 for the recompute and float32 for the screen.
-    leader_buf = np.empty((16, d))
-    leader32 = np.empty((16, d), dtype=np.float32)
+    # The screen's float32 leader rows.  There are at most n leaders, and
+    # np.empty commits pages only as rows are written; the recompute
+    # gathers its float64 leaders from unit by row.
+    leader32 = np.empty((n, d), dtype=np.float32)
     for start in range(0, n, _BLOCK):
-        block = unit[start:start + _BLOCK]
         block32 = unit32[start:start + _BLOCK]
         k0 = len(leader_rows)
         top, top_at, runner_up = _best_leaders(block32, leader32[:k0], floor)
@@ -177,10 +165,8 @@ def cluster_cosine(X: np.ndarray, tau: float,
             if best < floor:
                 founds[r] = True
             elif best < sure or best - rival <= eps:
-                k = k0 + int(np.count_nonzero(founds[:r]))
-                leader_buf = _reserve(leader_buf, k)
-                leader_buf[k0:k] = block[:r][founds[:r]]
-                exact, sim = _gemv_best(leader_buf[:k], unit[start + r])
+                rows = leader_rows + (start + np.flatnonzero(founds[:r])).tolist()
+                exact, sim = _gemv_best(unit[rows], unit[start + r])
                 if sim >= tau:
                     labels[start + r] = exact
                 else:
@@ -188,11 +174,7 @@ def cluster_cosine(X: np.ndarray, tau: float,
             else:
                 labels[start + r] = best_label
         new = np.flatnonzero(founds)
-        k = k0 + new.size
-        leader_buf = _reserve(leader_buf, k)
-        leader_buf[k0:k] = block[new]
-        leader32 = _reserve(leader32, k)
-        leader32[k0:k] = block32[new]
+        leader32[k0:k0 + new.size] = block32[new]
         labels[start + new] = k0 + np.arange(new.size)
         leader_rows.extend((start + new).tolist())
 
@@ -217,10 +199,7 @@ def cluster_report(assignment: ClusterAssignment, texts: Sequence[str], *,
     for cid in np.argsort(-sizes, kind="stable").tolist():
         size = int(sizes[cid])
         leader = assignment.leader_rows[cid]
-        if size == 1:
-            members = [leader] if sample_n else []
-        else:
-            members = by_cluster[starts[cid] : starts[cid] + min(size, sample_n)]
+        members = by_cluster[starts[cid] : starts[cid] + min(size, sample_n)]
         report.append(
             {
                 "cluster_id": cid,

@@ -244,20 +244,19 @@ def _reduce_posts(
     texts: list[str],
     pca: PcaModel | None,
     config: PipelineConfig,
-    stage: str,
 ) -> tuple[np.ndarray, PcaModel]:
-    """Post vectors reduced by `pca`, or by a PCA fitted on them under
-    the seed of `stage` when `pca` is None: (reduced rows in post order,
-    PCA).  A fit needs every post vector at once, in one n x dim buffer
-    that the PCA centers in place; a transform encodes, centers and
-    projects one `row_blocks` run of posts at a time, so it holds one
-    run's vectors and the n x k output.  Both project the same runs, so
-    the rows of a fit and of a transform over the same posts are equal
-    bit for bit."""
+    """Post vectors reduced by `pca`, or by a PCA fitted on them when
+    `pca` is None: (reduced rows in post order, PCA).  A fit needs every
+    post vector at once, in one n x dim buffer that the PCA centers in
+    place and fits on whole; a transform encodes, centers and projects
+    one `row_blocks` run of posts at a time, so it holds one run's
+    vectors and the n x k output.  Both project the same runs, so the
+    rows of a fit and of a transform over the same posts are equal bit
+    for bit."""
     if pca is None:
         raw = provider.embed(ids, texts)
         k = min(config.pca_components, raw.shape[1], len(ids))
-        pca, reduced = pca_fit(raw, k, seed=stage_seed(config.seed, stage))
+        pca, reduced = pca_fit(raw, k)
         return reduced, pca
     reduced = np.empty((len(ids), pca.k))
     for rows in row_blocks(len(ids)):
@@ -320,7 +319,7 @@ def extract_window_features(
             context.provider = make_provider(config)
         reduced, pca = _reduce_posts(
             context.provider, [t.tweet_id for t in posts], [t.text for t in posts],
-            context.pca, config, "pca",
+            context.pca, config,
         )
         if fit:
             context.pca = pca
@@ -517,9 +516,7 @@ def run_clustering(store: CorpusStore, config: PipelineConfig) -> ClusterArtifac
     post_ids = [post[0] for post in posts]
     texts = [post[2] for post in posts]
     if len(posts) >= 2:
-        reduced, _ = _reduce_posts(
-            make_provider(config), post_ids, texts, None, config, "cluster-pca"
-        )
+        reduced, _ = _reduce_posts(make_provider(config), post_ids, texts, None, config)
     else:
         reduced = np.zeros((len(posts), 1))
     assignment = cluster_cosine(reduced, config.tau, item_ids=post_ids)

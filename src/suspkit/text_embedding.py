@@ -20,11 +20,9 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import KIND_ORIGINAL, KIND_QUOTE, KIND_RETWEET, Tweet
+from .corpus import KINDS, Tweet
 from .errors import SuspkitError
 from .vectors import EmbeddingMatrix, read_emb1
-
-KIND_ORDER = (KIND_ORIGINAL, KIND_RETWEET, KIND_QUOTE)
 
 # FNV-1a 64-bit constants.
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -42,10 +40,8 @@ _BLOCK_TEXTS = 1024
 # unless all the rows are.
 _BLOCK_ROWS = 4096
 
-# The fallback encoder hashes character n-grams of these lengths, and
-# pca_fit fits on at most _SAMPLE_CAP rows.
+# The fallback encoder hashes character n-grams of these lengths.
 _MIN_N, _MAX_N = 3, 5
-_SAMPLE_CAP = 200_000
 
 
 class MissingEmbedding(SuspkitError):
@@ -200,19 +196,17 @@ def _sign_convention(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def pca_fit(X: np.ndarray, k: int, *, seed: int) -> tuple[PcaModel, np.ndarray]:
+def pca_fit(X: np.ndarray, k: int) -> tuple[PcaModel, np.ndarray]:
     """Fit the k leading principal components of the rows of X and
     project X on them: (model, reduced rows).
 
     X is centered in place, as `pca_transform` does, so fitting and
     projecting read one n x d buffer; pass a copy to keep X.  Both
     project in the same `row_blocks` runs, so `pca_transform` of a run
-    of X's rows gives the bits of those rows here.  The
-    components are the leading eigenvectors of the exact covariance
-    matrix (`np.linalg.eigh`).  Data with zero variance yields zero
-    explained variance rather than an error.  Above _SAMPLE_CAP =
-    200,000 rows (a fixed cap), fitting uses a uniform sample of that
-    many rows, drawn under `seed`; every row is still projected.
+    of X's rows gives the bits of those rows here.  The components are
+    the leading eigenvectors of the exact covariance matrix of every row
+    (`np.linalg.eigh`).  Data with zero variance yields zero explained
+    variance rather than an error.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -222,20 +216,12 @@ def pca_fit(X: np.ndarray, k: int, *, seed: int) -> tuple[PcaModel, np.ndarray]:
         raise ValueError("need at least 2 rows")
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} out of range for {n}x{d} data")
-    fit_rows = X
-    if n > _SAMPLE_CAP:
-        rng = np.random.default_rng(seed)
-        fit_rows = X[np.sort(rng.choice(n, size=_SAMPLE_CAP, replace=False))]
-        n = _SAMPLE_CAP
-
-    mean = fit_rows.mean(axis=0)
-    fit_rows -= mean
-    eigvals, eigvecs = np.linalg.eigh(fit_rows.T @ fit_rows / (n - 1))
+    mean = X.mean(axis=0)
+    X -= mean
+    eigvals, eigvecs = np.linalg.eigh(X.T @ X / (n - 1))
     order = np.argsort(eigvals)[::-1][:k]
     variance = np.clip(eigvals[order], 0.0, None)
     components = _sign_convention(eigvecs[:, order].T)
-    if fit_rows is not X:
-        X -= mean
     model = PcaModel(mean=mean, components=components, explained_variance=variance)
     return model, _project(model, X)
 
@@ -281,7 +267,7 @@ def features_from_posts(reduced: np.ndarray, timelines: list[list[Tweet]]) -> np
     post kind; a user with no posts gets an all-NaN row.
     """
     dim = reduced.shape[1]
-    out = np.full((len(timelines), dim + len(KIND_ORDER)), np.nan)
+    out = np.full((len(timelines), dim + len(KINDS)), np.nan)
     start = 0
     for i, timeline in enumerate(timelines):
         if not timeline:
@@ -291,8 +277,8 @@ def features_from_posts(reduced: np.ndarray, timelines: list[list[Tweet]]) -> np
         # a copy of their rows; a segmented sum (np.add.reduceat) sums
         # in another order and does not.
         out[i, :dim] = reduced[start:end].mean(axis=0)
-        kinds = np.bincount([KIND_ORDER.index(t.kind) for t in timeline],
-                            minlength=len(KIND_ORDER))
+        kinds = np.bincount([KINDS.index(t.kind) for t in timeline],
+                            minlength=len(KINDS))
         out[i, dim:] = kinds / len(timeline)
         start = end
     return out
@@ -300,5 +286,5 @@ def features_from_posts(reduced: np.ndarray, timelines: list[list[Tweet]]) -> np
 
 def post_embedding_feature_names(dim: int) -> tuple[str, ...]:
     names = [f"post_vec_{i:03d}" for i in range(dim)]
-    names += [f"post_kind_{kind}" for kind in KIND_ORDER]
+    names += [f"post_kind_{kind}" for kind in KINDS]
     return tuple(names)

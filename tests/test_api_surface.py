@@ -2,8 +2,9 @@
 and `bench`, public or private, and every private module-level constant
 is referenced somewhere in that code outside its own definition, every
 name a module of `src/suspkit` or `tests` imports is used in that
-module, every public dataclass field is read by that code, and every
-defaulted parameter of a function in `src/suspkit` is on an allowlist
+module, every local a function of `src/suspkit` assigns is read, every
+public dataclass field is read by that code, and every defaulted
+parameter of a function in `src/suspkit` is on an allowlist
 with its reason.  The test oracles (`tests/oracles.py`) import nothing
 of the package but its exceptions.
 
@@ -191,6 +192,62 @@ def test_import_guard_catches_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(tmp_path) == {"mod:math", "mod:np", "mod:Path"}
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of a function's body, outside the functions, lambdas and
+    classes it defines."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(root=PACKAGE) -> set[str]:
+    """`module.function:name` for each name without a leading underscore
+    that a function assigns and that no load in the function, its nested
+    functions included, reads.  An augmented assignment is no read, and
+    a name the function declares global or nonlocal is not its own."""
+    unused = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(_own_nodes(func))
+            shared = {name for node in own if isinstance(node, (ast.Global, ast.Nonlocal))
+                      for name in node.names}
+            stored = {node.id for node in own
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            loaded = {node.id for node in ast.walk(func)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unused.update(f"{path.stem}.{func.name}:{name}"
+                          for name in stored - loaded - shared if not name.startswith("_"))
+    return unused
+
+
+def test_every_local_is_read():
+    assert unused_locals() == set(), "locals a function of src/ assigns and never reads"
+
+
+def test_local_guard_catches_an_unused_local(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Mentions `spare` in a docstring."""\n\n'
+        "def f(rows):\n"
+        "    total, spare, _skipped = 0, 1, 2\n"
+        "    view = rows[:2]\n"
+        "    count = 0\n    count += 1\n"
+        "    for row in rows:\n        total += row\n"
+        "    def inner():\n        nonlocal total\n        total = 3\n        seen = total\n"
+        "    class Box:\n        lid = 4\n"
+        "    inner()\n"
+        "    return total + sum(x for x in rows)\n",
+        encoding="utf-8",
+    )
+    assert unused_locals(tmp_path) == {"mod.f:spare", "mod.f:view", "mod.f:count",
+                                       "mod.inner:seen"}
 
 
 # The only module of the package the test oracles may use: an oracle

@@ -40,7 +40,7 @@ from suspkit.suspension_model import (
     save_model,
 )
 from suspkit.synth import GeneratorConfig, generate
-from suspkit.text_embedding import HashedNgramEncoder, PrecomputedEmbeddings, pca_fit
+from suspkit.text_embedding import HashedNgramEncoder, PrecomputedEmbeddings
 from suspkit.vectors import EmbeddingMatrix
 
 from conftest import snapshot_line, tweet_edges, tweet_line
@@ -547,15 +547,12 @@ def dup_heavy_posts(rng, n, distinct):
     return [f"t{i}" for i in range(n)], [pool[k] for k in rng.permutation(pick)]
 
 
-def reference_reduce(X, k, seed, sample_cap=200_000):
+def reference_reduce(X, k):
     """Out-of-place PCA fit and projection: the mean, components and
-    variance of the sampled rows, and (X - mean) @ components.T."""
-    fit = X
-    if len(X) > sample_cap:
-        fit = X[np.sort(np.random.default_rng(seed).choice(len(X), sample_cap, replace=False))]
-    mean = fit.mean(axis=0)
-    centered = fit - mean
-    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / (len(fit) - 1))
+    variance of the rows, and (X - mean) @ components.T."""
+    mean = X.mean(axis=0)
+    centered = X - mean
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / (len(X) - 1))
     order = np.argsort(eigvals)[::-1][:k]
     components = text_embedding._sign_convention(eigvecs[:, order].T)
     return mean, components, np.clip(eigvals[order], 0.0, None), (X - mean) @ components.T
@@ -593,22 +590,13 @@ class TestReducePosts:
 
     def test_fit_and_transform_match_the_out_of_place_reference(self, posts):
         provider, ids, texts, X = posts
-        config = PipelineConfig(pca_components=6, seed=4)
-        reduced, pca = pipeline._reduce_posts(provider, ids, texts, None, config, "pca")
-        reference = reference_reduce(X, 6, stage_seed(4, "pca"))
+        config = PipelineConfig(pca_components=6)
+        reduced, pca = pipeline._reduce_posts(provider, ids, texts, None, config)
+        reference = reference_reduce(X, 6)
         assert_same_bits(pca, reduced, reference)
-        again, same = pipeline._reduce_posts(provider, ids[:300], texts[:300], pca, config, "pca")
+        again, same = pipeline._reduce_posts(provider, ids[:300], texts[:300], pca, config)
         assert same is pca
         assert again.tobytes() == reference[3][:300].tobytes()
-
-    def test_sampled_fit_matches_the_out_of_place_reference(self, posts, monkeypatch):
-        _, _, _, X = posts
-        monkeypatch.setattr(text_embedding, "_SAMPLE_CAP", 200)
-        buffer = X.copy()
-        model, reduced = pca_fit(buffer, 5, seed=9)
-        assert_same_bits(model, reduced, reference_reduce(X, 5, 9, sample_cap=200))
-        # A fit on a sample, too, leaves the caller's whole buffer centered.
-        assert buffer.tobytes() == (X - model.mean).tobytes()
 
     def test_blocked_default_dims_match_the_out_of_place_reference(self):
         # The default encoder and PCA widths over 3 blocks of unequal
@@ -618,13 +606,12 @@ class TestReducePosts:
         blocks = list(text_embedding.row_blocks(n))
         assert len(blocks) == 3 and len({b.stop - b.start for b in blocks}) == 2
         ids, texts = dup_heavy_posts(np.random.default_rng(8), n, n // 2)
-        config = PipelineConfig(seed=2)
+        config = PipelineConfig()
         provider = HashedNgramEncoder(dim=config.encoder_dim)
-        reduced, pca = pipeline._reduce_posts(provider, ids, texts, None, config, "pca")
-        reference = reference_reduce(provider.embed(ids, texts), config.pca_components,
-                                     stage_seed(2, "pca"))
+        reduced, pca = pipeline._reduce_posts(provider, ids, texts, None, config)
+        reference = reference_reduce(provider.embed(ids, texts), config.pca_components)
         assert_same_bits(pca, reduced, reference)
-        again, _ = pipeline._reduce_posts(provider, ids, texts, pca, config, "pca")
+        again, _ = pipeline._reduce_posts(provider, ids, texts, pca, config)
         assert again.tobytes() == reference[3].tobytes()
 
     @pytest.mark.parametrize("fit", [True, False], ids=["fit", "transform-only"])
@@ -635,12 +622,12 @@ class TestReducePosts:
         rng = np.random.default_rng(6)
         ids, texts = dup_heavy_posts(rng, 20_000, 15_000)
         provider = HashedNgramEncoder(dim=256)
-        config = PipelineConfig(seed=1)
+        config = PipelineConfig()
         pca = None if fit else pipeline._reduce_posts(
-            provider, ids[:500], texts[:500], None, config, "pca")[1]
+            provider, ids[:500], texts[:500], None, config)[1]
         tracemalloc.start()
         try:
-            pipeline._reduce_posts(provider, ids, texts, pca, config, "pca")
+            pipeline._reduce_posts(provider, ids, texts, pca, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,11 +1,12 @@
+import tracemalloc
 from itertools import chain
 
 import numpy as np
 import pytest
 
 from suspkit import text_embedding
+from suspkit.corpus import KINDS
 from suspkit.text_embedding import (
-    KIND_ORDER,
     DimensionMismatch,
     HashedNgramEncoder,
     MissingEmbedding,
@@ -162,7 +163,7 @@ class TestPca:
     def test_matches_eigen_oracle(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((60, 10))
-        model, _ = pca_fit(X.copy(), k=4, seed=0)
+        model, _ = pca_fit(X.copy(), k=4)
         oracle_vals, oracle_vecs = oracle_eigen(X, 4)
         np.testing.assert_allclose(model.explained_variance, oracle_vals, atol=1e-10)
         for j in range(1, 5):
@@ -170,62 +171,73 @@ class TestPca:
 
     def test_variance_non_increasing(self):
         rng = np.random.default_rng(8)
-        model, _ = pca_fit(rng.standard_normal((40, 6)), k=6, seed=0)
+        model, _ = pca_fit(rng.standard_normal((40, 6)), k=6)
         assert (np.diff(model.explained_variance) <= 1e-12).all()
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(9)
-        model, _ = pca_fit(rng.standard_normal((30, 8)), k=5, seed=0)
+        model, _ = pca_fit(rng.standard_normal((30, 8)), k=5)
         gram = model.components @ model.components.T
         np.testing.assert_allclose(gram, np.eye(5), atol=1e-10)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(10)
-        model, _ = pca_fit(rng.standard_normal((30, 8)), k=5, seed=0)
+        model, _ = pca_fit(rng.standard_normal((30, 8)), k=5)
         for comp in model.components:
             assert comp[np.argmax(np.abs(comp))] > 0
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((25, 6))
-        model, _ = pca_fit(X.copy(), k=6, seed=0)
+        model, _ = pca_fit(X.copy(), k=6)
         back = pca_transform(model, X.copy()) @ model.components + model.mean
         np.testing.assert_allclose(back, X, atol=1e-9)
 
     def test_transform_is_centered_projection(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((20, 5)) + 3.0
-        model, _ = pca_fit(X.copy(), k=2, seed=0)
+        model, _ = pca_fit(X.copy(), k=2)
         T = pca_transform(model, X)
         np.testing.assert_allclose(T.mean(axis=0), 0.0, atol=1e-10)
 
     def test_zero_variance_data(self):
         X = np.ones((10, 4))
-        model, _ = pca_fit(X, k=2, seed=0)
+        model, _ = pca_fit(X, k=2)
         np.testing.assert_allclose(model.explained_variance, 0.0, atol=1e-12)
 
     def test_k_out_of_range(self):
         X = np.ones((5, 3))
         with pytest.raises(ValueError):
-            pca_fit(X, k=4, seed=0)
+            pca_fit(X, k=4)
         with pytest.raises(ValueError):
-            pca_fit(X, k=0, seed=0)
+            pca_fit(X, k=0)
         with pytest.raises(ValueError):
-            pca_fit(np.ones((1, 3)), k=1, seed=0)
+            pca_fit(np.ones((1, 3)), k=1)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(13)
-        model, _ = pca_fit(rng.standard_normal((10, 4)), k=2, seed=0)
+        model, _ = pca_fit(rng.standard_normal((10, 4)), k=2)
         with pytest.raises(DimensionMismatch):
             pca_transform(model, np.ones((3, 5)))
 
-    def test_sample_cap_is_deterministic(self, monkeypatch):
-        monkeypatch.setattr(text_embedding, "_SAMPLE_CAP", 100)
-        rng = np.random.default_rng(14)
-        X = rng.standard_normal((300, 5))
-        a, _ = pca_fit(X.copy(), k=3, seed=1)
-        b, _ = pca_fit(X.copy(), k=3, seed=1)
-        np.testing.assert_array_equal(a.components, b.components)
+
+    def test_fit_uses_every_row(self):
+        # More rows than any workload fits: the mean and variance are
+        # those of every row, and the fit holds no copy of its input
+        # beside the n x k output.
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((250_000, 8)) * np.arange(1.0, 9.0)
+        buffer = X.copy()
+        tracemalloc.start()
+        try:
+            model, reduced = pca_fit(buffer, k=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.mean.tobytes() == X.mean(axis=0).tobytes()
+        oracle_vals, _ = oracle_eigen(X, 8)
+        np.testing.assert_allclose(model.explained_variance, oracle_vals, rtol=0, atol=1e-8)
+        assert peak <= reduced.nbytes + (1 << 20), f"peak {peak} for a {reduced.nbytes}-byte output"
 
     def test_wide_input_matches_eigen_oracle(self):
         # 1030 input dims, wider than any workload's encoder.
@@ -233,7 +245,7 @@ class TestPca:
         base = rng.standard_normal((40, 5)) * np.array([9.0, 6.0, 4.0, 2.0, 1.0])
         mix = rng.standard_normal((5, 1030))
         X = base @ mix + 0.01 * rng.standard_normal((40, 1030))
-        model, _ = pca_fit(X.copy(), k=3, seed=0)
+        model, _ = pca_fit(X.copy(), k=3)
         oracle_vals, oracle_vecs = oracle_eigen(X, 3)
         np.testing.assert_allclose(model.explained_variance, oracle_vals, rtol=1e-6)
         assert subspace_angle(model.components, oracle_vecs) <= 1e-5
@@ -242,14 +254,14 @@ class TestPca:
 def oracle_aggregate(post_ids, post_kinds, reduced, index):
     """The per-user post code the family replaced: the mean of the user's
     rows, looked up by post id, and the mean one-hot post kind."""
-    width = reduced.shape[1] + len(KIND_ORDER)
+    width = reduced.shape[1] + len(KINDS)
     if not post_ids:
         return np.full(width, np.nan)
     out = np.empty(width)
     out[: reduced.shape[1]] = reduced[[index[pid] for pid in post_ids]].mean(axis=0)
-    kinds = np.zeros(len(KIND_ORDER))
+    kinds = np.zeros(len(KINDS))
     for kind in post_kinds:
-        kinds[KIND_ORDER.index(kind)] += 1
+        kinds[KINDS.index(kind)] += 1
     out[reduced.shape[1] :] = kinds / len(post_kinds)
     return out
 
@@ -277,7 +289,7 @@ class TestAggregation:
         assert len(set(texts)) < len(texts) and "" in texts
         ids = [t.tweet_id for t in posts]
         raw = HashedNgramEncoder(dim=64).embed(ids, texts)
-        _, reduced = pca_fit(raw, 12, seed=0)
+        _, reduced = pca_fit(raw, 12)
         index = {pid: i for i, pid in enumerate(ids)}
         expected = np.asarray([
             oracle_aggregate([t.tweet_id for t in timeline], [t.kind for t in timeline],
@@ -285,7 +297,7 @@ class TestAggregation:
             for timeline in timelines
         ])
         block = features_from_posts(reduced, timelines)
-        assert block.shape == (80, 12 + len(KIND_ORDER))
+        assert block.shape == (80, 12 + len(KINDS))
         assert block.tobytes() == expected.tobytes()
 
     def test_feature_names(self):
