@@ -193,8 +193,10 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace, workdir: Path
     outputs.append(_write(workdir / "users.json", _json, users))
     # The graph stage ranks these two.  A file this run does not write is
     # removed, so that the graph stage cannot rank one left by an earlier
-    # run; the ranking derived from the old pair goes in either case.
-    (workdir / "graph_ranking.json").unlink(missing_ok=True)
+    # run; the ranking derived from the old pair goes in either case, with
+    # the graph manifest and timing that name it.
+    for stale in ("graph_ranking.json", "graph.manifest.json", "graph.timing.json"):
+        (workdir / stale).unlink(missing_ok=True)
     context = split.train.context
     for name, artifact, write in (
         ("graph.csv", context.graph, write_graph_csv),

@@ -34,9 +34,6 @@ class ClusterAssignment:
     def __post_init__(self):
         if len(self.item_ids) != self.labels.shape[0]:
             raise ValueError("labels and item_ids differ in length")
-        counts = np.bincount(self.labels, minlength=self.n_clusters) if len(self.item_ids) else []
-        if len(self.item_ids) and int(np.sum(counts)) != len(self.item_ids):
-            raise ValueError("cluster sizes do not sum to item count")
 
     @property
     def n_clusters(self) -> int:

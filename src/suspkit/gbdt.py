@@ -1,10 +1,12 @@
 """Gradient-boosted decision trees for binary classification.
 
 Histogram-based: features are quantile-binned once (at most 256 bins,
-uint8 codes) and split gains use second-order statistics of the
-logistic loss.  Split thresholds are stored as real feature values
-chosen so that binned decisions during training and float comparisons
-at prediction time agree exactly on the training data.
+uint8 codes; the cut values are a plain list of one sorted array per
+feature) and split gains use second-order statistics of the logistic
+loss.  Split thresholds are stored as real feature values chosen so
+that binned decisions during training and float comparisons at
+prediction time agree exactly on the training data.  A tree is five
+node arrays, and its JSON keys are their field names.
 
 Fitting grows each tree level-wise to a depth cap, with one histogram
 pass per level (LightGBM, Ke et al., NeurIPS 2017, without histogram
@@ -32,7 +34,7 @@ of the margin, computed leaf by leaf from each row's path masks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,52 +71,29 @@ def _quantile_uppers(column: np.ndarray) -> np.ndarray:
     return np.unique(np.quantile(column, qs))
 
 
-@dataclass
-class BinMapper:
-    uppers: list[np.ndarray]  # per feature, sorted cut values
-
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "BinMapper":
-        return cls(uppers=[_quantile_uppers(X[:, j]) for j in range(X.shape[1])])
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        codes = np.empty(X.shape, dtype=np.uint8)
-        for j, uppers in enumerate(self.uppers):
-            codes[:, j] = np.searchsorted(uppers, X[:, j], side="left")
-        return codes
-
-    def n_bins(self, j: int) -> int:
-        return len(self.uppers[j]) + 1
+# The dtype of each `Tree` field's (n_nodes,) array.
+_TREE_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+                "right": np.int32, "value": np.float64}
 
 
 @dataclass
 class Tree:
-    """Array-of-nodes binary tree; feature -1 marks a leaf."""
+    """Array-of-nodes binary tree; feature -1 marks a leaf.  Its JSON
+    form maps each field name to the field's list of node values."""
 
-    feature: np.ndarray  # (n_nodes,) int32
-    threshold: np.ndarray  # (n_nodes,) float64, go left when x <= threshold
-    left: np.ndarray  # (n_nodes,) int32
-    right: np.ndarray  # (n_nodes,) int32
-    value: np.ndarray  # (n_nodes,) float64, meaningful at leaves
+    feature: np.ndarray
+    threshold: np.ndarray  # go left when x <= threshold
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray  # meaningful at leaves
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(data["feature"], dtype=np.int32),
-            threshold=np.asarray(data["threshold"], dtype=np.float64),
-            left=np.asarray(data["left"], dtype=np.int32),
-            right=np.asarray(data["right"], dtype=np.int32),
-            value=np.asarray(data["value"], dtype=np.float64),
-        )
+        return cls(**{f.name: np.asarray(data[f.name], dtype=_TREE_DTYPES[f.name])
+                      for f in fields(cls)})
 
 
 @dataclass
@@ -137,8 +116,8 @@ class _BinLayout:
     split_bin: np.ndarray  # (splits,) candidate bin; codes <= bin go left
 
     @classmethod
-    def of(cls, mapper: BinMapper) -> "_BinLayout":
-        n_bins = np.array([mapper.n_bins(j) for j in range(len(mapper.uppers))], dtype=np.int64)
+    def of(cls, uppers: list[np.ndarray]) -> "_BinLayout":
+        n_bins = np.array([len(u) + 1 for u in uppers], dtype=np.int64)
         by_bins = np.argsort(n_bins, kind="stable")
         position = np.empty_like(n_bins)
         position[by_bins] = np.arange(n_bins.size)
@@ -331,9 +310,11 @@ class GbdtClassifier:
         if not np.isin(y, (0.0, 1.0)).all():
             raise ValueError("labels must be 0 or 1")
         n, d = X.shape
-        mapper = BinMapper.fit(X)
-        codes = mapper.transform(X)
-        layout = _BinLayout.of(mapper)
+        uppers = [_quantile_uppers(column) for column in X.T]
+        codes = np.empty(X.shape, dtype=np.uint8)
+        for j, u in enumerate(uppers):
+            codes[:, j] = np.searchsorted(u, X[:, j])
+        layout = _BinLayout.of(uppers)
 
         pos_rate = np.clip(y.mean(), 1e-6, 1.0 - 1e-6)
         self.base_score = float(np.log(pos_rate / (1.0 - pos_rate)))
@@ -346,7 +327,7 @@ class GbdtClassifier:
             p = sigmoid(raw)
             g = p - y
             h = p * (1.0 - p)
-            tree, leaves = self._grow_tree(codes, mapper, layout, g, h)
+            tree, leaves = self._grow_tree(codes, uppers, layout, g, h)
             self.trees.append(tree)
             for rows, value in leaves:
                 raw[rows] += self.learning_rate * value
@@ -354,63 +335,47 @@ class GbdtClassifier:
         return self
 
     def _grow_tree(
-        self, codes: np.ndarray, mapper: BinMapper, layout: _BinLayout,
+        self, codes: np.ndarray, uppers: list[np.ndarray], layout: _BinLayout,
         g: np.ndarray, h: np.ndarray,
     ) -> tuple[Tree, list[tuple[np.ndarray, float]]]:
-        """The tree, and (rows, value) of each of its leaves."""
+        """The tree, and (rows, value) of each of its leaves.  A split
+        sends codes <= bin left and keeps the feature's cut value
+        `uppers[j][bin]` as its threshold.  The nodes grow as one table of
+        [feature, threshold, left, right, value] records, in Tree's field
+        order."""
         lam = self.reg_lambda
-        feature = [np.int32(-1)]
-        threshold = [0.0]
-        left = [np.int32(-1)]
-        right = [np.int32(-1)]
-        value = [0.0]
+        blank = (-1, 0.0, -1, -1, 0.0)
+        nodes = [list(blank)]
         leaves: list[tuple[np.ndarray, float]] = []
 
-        def settle(node_id: int, rows: np.ndarray) -> None:
-            value[node_id] = -g[rows].sum() / (h[rows].sum() + lam)
-            leaves.append((rows, value[node_id]))
+        def settle(node: int, rows: np.ndarray) -> None:
+            nodes[node][4] = -g[rows].sum() / (h[rows].sum() + lam)
+            leaves.append((rows, nodes[node][4]))
 
         frontier = [(0, np.arange(codes.shape[0]))]  # (node id, rows) of one level
         for depth in range(self.max_depth + 1):
             splittable = []
-            for node_id, rows in frontier:
+            for node, rows in frontier:
                 if depth < self.max_depth and rows.size > 1:
-                    splittable.append((node_id, rows))
+                    splittable.append((node, rows))
                 else:
-                    settle(node_id, rows)
+                    settle(node, rows)
             if not splittable:
                 break
-            best_gain, best_feat, best_bin = _best_splits(
-                codes, [rows for _, rows in splittable], g, h, layout, lam
-            )
+            best = _best_splits(codes, [rows for _, rows in splittable], g, h, layout, lam)
             frontier = []
-            for i, (node_id, rows) in enumerate(splittable):
-                if best_gain[i] <= 0.0:
-                    settle(node_id, rows)
+            # Python ints: under NumPy 2 an int64 bin promotes the uint8 codes.
+            for (node, rows), gain, j, s in zip(splittable, *(a.tolist() for a in best)):
+                if gain <= 0.0:
+                    settle(node, rows)
                     continue
-                j, s = int(best_feat[i]), int(best_bin[i])
-                self._split_gain[j] += best_gain[i]
+                self._split_gain[j] += gain
                 go_left = codes[rows, j] <= s
-                feature[node_id] = np.int32(j)
-                threshold[node_id] = float(mapper.uppers[j][s])
-                for mask in (go_left, ~go_left):
-                    frontier.append((len(feature), rows[mask]))
-                    feature.append(np.int32(-1))
-                    threshold.append(0.0)
-                    left.append(np.int32(-1))
-                    right.append(np.int32(-1))
-                    value.append(0.0)
-                left[node_id] = np.int32(len(feature) - 2)
-                right[node_id] = np.int32(len(feature) - 1)
+                nodes[node][:4] = j, uppers[j][s], len(nodes), len(nodes) + 1
+                frontier += [(len(nodes), rows[go_left]), (len(nodes) + 1, rows[~go_left])]
+                nodes += [list(blank), list(blank)]
 
-        tree = Tree(
-            feature=np.asarray(feature, dtype=np.int32),
-            threshold=np.asarray(threshold, dtype=np.float64),
-            left=np.asarray(left, dtype=np.int32),
-            right=np.asarray(right, dtype=np.int32),
-            value=np.asarray(value, dtype=np.float64),
-        )
-        return tree, leaves
+        return Tree.from_dict(dict(zip([f.name for f in fields(Tree)], zip(*nodes)))), leaves
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         if not self.trees:

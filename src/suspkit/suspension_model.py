@@ -72,10 +72,6 @@ class FeatureMatrix:
             raise ValueError("labels must be 0 or 1")
 
     @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
     def width(self) -> int:
         return self.X.shape[1]
 

@@ -306,7 +306,7 @@ def test_criterion_08_age_and_rate_features_dominate(large_run):
         model,
         test_matrix,
         train_matrix,
-        rows=range(min(64, test_matrix.n)),
+        rows=range(min(64, len(test_matrix.user_ids))),
         background_size=64,
         seed=stage_seed(config.seed, "explain"),
     )

@@ -9,10 +9,13 @@ with its reason.  The test oracles (`tests/oracles.py`) import nothing
 of the package but its exceptions.
 
 References are matched by name: a bare name, an attribute, an imported
-name, or a word of a string constant (`bench/layer_trace.py` wraps
-functions it names in strings such as "CorpusStore.user_timeline").
-Tests do not count as references, so a name only tests use fails here
-unless it is on the allowlist with its reason.
+name, or a word of a string constant.  A method or property is used only
+through an attribute (`obj.method`) outside its own body, or through a
+"Class.method" string: `bench/layer_trace.py` wraps methods it names in
+strings such as "CorpusStore.user_timeline".  So a local `n` or the word
+`n` in a message is no use of a method `n`.  Tests do not count as
+references, so a name only tests use fails here unless it is on the
+allowlist with its reason.
 """
 
 import ast
@@ -32,23 +35,24 @@ ALLOWED = {
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
-    """(name, node) of the module-level functions, classes and constants,
-    and of the methods of classes."""
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST, str | None]]:
+    """(name, node, owner) of the module-level functions, classes and
+    constants, whose owner is None, and of the methods of classes, whose
+    owner is the class name."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found.append((node.name, node))
+            found.append((node.name, node, None))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            found.extend((t.id, node) for t in targets if isinstance(t, ast.Name))
+            found.extend((t.id, node, None) for t in targets if isinstance(t, ast.Name))
         if isinstance(node, ast.ClassDef):
             found.extend(
-                (item.name, item) for item in node.body
+                (item.name, item, node.name) for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
             )
     # Dunders (`__init__`, `__all__`) are used by Python itself.
-    return [(name, node) for name, node in found if not name.startswith("__")]
+    return [entry for entry in found if not entry[0].startswith("__")]
 
 
 def _docstrings(node: ast.AST) -> set[int]:
@@ -81,6 +85,11 @@ def _references(node: ast.AST) -> Counter:
     return names
 
 
+def _attributes(node: ast.AST) -> Counter:
+    """Attribute names accessed under a node."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def unreferenced_names(roots=SCANNED, *, private=False) -> set[str]:
     """Public functions, classes and methods, or with `private` private
     ones and private module-level constants, that nothing under `roots`
@@ -91,17 +100,29 @@ def unreferenced_names(roots=SCANNED, *, private=False) -> set[str]:
         for path in sorted(root.rglob("*.py"))
     ]
     everywhere: Counter = Counter()
+    attributes: Counter = Counter()
+    strings = []
     for tree in trees:
         everywhere.update(_references(tree))
+        attributes.update(_attributes(tree))
+        docstrings = _docstrings(tree)
+        strings.extend(node.value for node in ast.walk(tree)
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and id(node) not in docstrings)
     unused = set()
     for tree in trees:
-        for name, node in _definitions(tree):
+        for name, node, owner in _definitions(tree):
             if name.startswith("_") != private:
                 continue
             if not private and isinstance(node, (ast.Assign, ast.AnnAssign)):
                 continue
             # A recursive call is no use from outside.
-            if everywhere[name] - _references(node)[name] <= 0:
+            if owner is None:
+                used = everywhere[name] > _references(node)[name]
+            else:
+                used = (attributes[name] > _attributes(node)[name]
+                        or any(f"{owner}.{name}" in text for text in strings))
+            if not used:
                 unused.add(name)
     return unused
 
@@ -153,6 +174,24 @@ def test_guard_catches_an_unused_function(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced_names([tmp_path]) == {"unused", "Lid"}
+
+
+def test_guard_sees_methods_only_through_attributes(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Mentions `Matrix.docs` in a docstring."""\n\n'
+        "class Matrix:\n"
+        "    @property\n    def n(self):\n        return 1\n\n"
+        "    def docs(self):\n        return 2\n\n"
+        "    def again(self):\n        return self.again()\n\n"
+        "    def read(self):\n        return 3\n\n"
+        "    def wrapped(self):\n        return 4\n\n"
+        "def report(n, read, again):\n"
+        "    matrix = Matrix()\n"
+        "    return f'{n} rows, docs', matrix.read(), again\n\n"
+        "WRAPPED = ['Matrix.wrapped', report]\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_names([tmp_path]) == {"n", "docs", "again"}
 
 
 def test_every_private_name_is_used_by_the_program():

@@ -616,7 +616,7 @@ class TestTrainWorkers:
         # Column `rare` varies in one user only: the selection without that
         # user's fold keeps no column, the one on every user keeps it.
         matrix = FeatureMatrix.from_csv(train_dir / "features_train.csv")
-        rare = np.zeros((matrix.n, 1))
+        rare = np.zeros((len(matrix.user_ids), 1))
         rare[0] = 1.0
         matrix = FeatureMatrix(feature_names=("rare",), user_ids=matrix.user_ids, X=rare,
                                y=matrix.y)
@@ -764,7 +764,9 @@ class TestOneGraphFit:
         assert cli.main(base + ["graph"]) == 0
         assert (tmp_path / "graph_ranking.json").exists()
         assert cli.main(base + ["features", "--families", "profile,activity"]) == 0
-        assert not (tmp_path / "graph_ranking.json").exists()
+        # No graph manifest or timing is left to name the removed ranking.
+        for gone in ("graph_ranking.json", "graph.manifest.json", "graph.timing.json"):
+            assert not (tmp_path / gone).exists()
         assert cli.main(base + ["train"]) == 0
         assert cli.main(base + ["report"]) == 0
         report = json.loads((tmp_path / "report.json").read_text())

@@ -1,13 +1,13 @@
 import bisect
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from suspkit import gbdt
 from suspkit.gbdt import (
-    BinMapper,
     GbdtClassifier,
     _leaf_paths,
     _scalar_square,
@@ -129,6 +129,19 @@ class TestSerialization:
         assert clone.learning_rate == 0.05
         assert clone.max_depth == 4
 
+    def test_trees_keep_their_fields_and_dtypes(self, deep_model):
+        # A tree's JSON keys are its field names; a load restores the
+        # int32 node links and features and the float64 values.
+        model, _ = deep_model
+        clone = GbdtClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
+        names = [f.name for f in fields(gbdt.Tree)]
+        expected = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+                    "right": np.int32, "value": np.float64}
+        assert sorted(names) == sorted(expected)
+        for tree in clone.trees:
+            assert list(tree.to_dict()) == names
+            assert {name: getattr(tree, name).dtype for name in names} == expected
+
     def test_loads_a_dict_with_the_retired_keys(self, deep_model):
         # model.json once also held n_features, max_bins, min_child_hess
         # and split_gain; a load ignores them and predicts the same bits.
@@ -152,7 +165,7 @@ def _reference_fit(X, y, n_rounds, learning_rate, max_depth, reg_lambda=1.0, min
     gain wins.
     """
     n, d = X.shape
-    uppers = [u.tolist() for u in BinMapper.fit(X).uppers]
+    uppers = [gbdt._quantile_uppers(X[:, j]).tolist() for j in range(d)]
     codes = [[bisect.bisect_left(uppers[j], X[i, j]) for j in range(d)] for i in range(n)]
     pos_rate = np.clip(y.mean(), 1e-6, 1.0 - 1e-6)
     base_score = float(np.log(pos_rate / (1.0 - pos_rate)))
@@ -336,12 +349,11 @@ def _spread_splits(parts, monkeypatch):
     range's split among equal gains."""
     of, best_splits = gbdt._BinLayout.of, gbdt._best_splits
 
-    def layouts(mapper):
-        d = len(mapper.uppers)
+    def layouts(uppers):
+        d = len(uppers)
         ranges = np.array_split(np.arange(d), min(parts, d))
         assert all(r.size for r in ranges)
-        return [(r[0], r[-1] + 1, of(BinMapper(mapper.uppers[r[0]:r[-1] + 1])))
-                for r in ranges]
+        return [(r[0], r[-1] + 1, of(uppers[r[0]:r[-1] + 1])) for r in ranges]
 
     def search(codes, node_rows, g, h, ranges, lam):
         gain = None
