@@ -212,18 +212,22 @@ def cluster_report(assignment: ClusterAssignment, texts: Sequence[str], *,
 
 def write_cluster_report(report: Sequence[dict], jsonl_path: str | Path,
                          digest_path: str | Path) -> None:
+    """Write `report` as one JSON line per cluster and as a text digest.
+
+    The digest is a header line, then per cluster a blank line, its id
+    and size, its leader text and one line per sample.  Both files are
+    written entry by entry, so no copy of the report's texts is built
+    beside it."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(jsonl_path, "w", encoding="utf-8") as fh:
         fh.writelines(encode(entry) + "\n" for entry in report)
     total = sum(entry["size"] for entry in report)
-    lines = [f"{len(report)} clusters over {total} items", ""]
-    for entry in report:
-        lines.append(f"cluster {entry['cluster_id']} size={entry['size']}")
-        lines.append(f"  leader: {entry['leader_text']}")
-        for text in entry["samples"]:
-            lines.append(f"  - {text}")
-        lines.append("")
-    Path(digest_path).write_text("\n".join(lines), encoding="utf-8")
+    with open(digest_path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(report)} clusters over {total} items\n")
+        for entry in report:
+            fh.write(f"\ncluster {entry['cluster_id']} size={entry['size']}\n")
+            fh.write(f"  leader: {entry['leader_text']}\n")
+            fh.writelines(f"  - {text}\n" for text in entry["samples"])
 
 
 def keyword_search(assignment: ClusterAssignment, texts: Sequence[str],

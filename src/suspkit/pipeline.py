@@ -246,18 +246,16 @@ def _reduce_posts(
     config: PipelineConfig,
 ) -> tuple[np.ndarray, PcaModel]:
     """Post vectors reduced by `pca`, or by a PCA fitted on them when
-    `pca` is None: (reduced rows in post order, PCA).  A fit needs every
-    post vector at once, in one n x dim buffer that the PCA centers in
-    place and fits on whole; a transform encodes, centers and projects
-    one `row_blocks` run of posts at a time, so it holds one run's
-    vectors and the n x k output.  Both project the same runs, so the
-    rows of a fit and of a transform over the same posts are equal bit
-    for bit."""
+    `pca` is None: (reduced rows in post order, PCA).  The posts are
+    encoded one `row_blocks` run at a time, so no more than one run's
+    vectors and the n x k output are held: a fit reads every run once to
+    accumulate the PCA, then, like a transform, encodes each run again,
+    centers it and projects it."""
     if pca is None:
-        raw = provider.embed(ids, texts)
-        k = min(config.pca_components, raw.shape[1], len(ids))
-        pca, reduced = pca_fit(raw, k)
-        return reduced, pca
+        k = min(config.pca_components, provider.dim, len(ids))
+        pca = pca_fit(
+            (provider.embed(ids[rows], texts[rows]) for rows in row_blocks(len(ids))), k
+        )
     reduced = np.empty((len(ids), pca.k))
     for rows in row_blocks(len(ids)):
         reduced[rows] = pca_transform(pca, provider.embed(ids[rows], texts[rows]))

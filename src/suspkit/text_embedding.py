@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -34,10 +34,10 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 _BLOCK_BYTES = 1 << 16
 _BLOCK_TEXTS = 1024
 
-# Rows are projected on a PCA basis in near-equal blocks of at least
-# _BLOCK_ROWS rows (8 MB at dim 256).  BLAS rounds a product of a few
-# dozen rows on another path than a long one, so a block is never short
-# unless all the rows are.
+# Post vectors are encoded, fitted and projected in near-equal runs of
+# at least _BLOCK_ROWS rows (8 MB at dim 256).  BLAS rounds a product of
+# a few dozen rows on another path than a long one, so a run is never
+# short unless all the rows are.
 _BLOCK_ROWS = 4096
 
 # The fallback encoder hashes character n-grams of these lengths.
@@ -196,46 +196,63 @@ def _sign_convention(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def pca_fit(X: np.ndarray, k: int) -> tuple[PcaModel, np.ndarray]:
-    """Fit the k leading principal components of the rows of X and
-    project X on them: (model, reduced rows).
+def pca_fit(blocks: Iterable[np.ndarray], k: int) -> PcaModel:
+    """Fit the k leading principal components of the rows of `blocks`,
+    an iterable of 2-D float64 blocks of equal width, read once.
 
-    X is centered in place, as `pca_transform` does, so fitting and
-    projecting read one n x d buffer; pass a copy to keep X.  Both
-    project in the same `row_blocks` runs, so `pca_transform` of a run
-    of X's rows gives the bits of those rows here.  The components are
-    the leading eigenvectors of the exact covariance matrix of every row
-    (`np.linalg.eigh`).  Data with zero variance yields zero explained
-    variance rather than an error.
+    Each block is centered on its own mean in place and its scatter
+    matrix taken; the running mean and scatter absorb it by the pairwise
+    update of Chan, Golub & LeVeque (1983), so the fit holds one block
+    and two d x d matrices whatever the number of rows.  One block gets
+    the bits of a dense fit: its mean, then one `X.T @ X` over it
+    centered.  The components are the leading eigenvectors of the
+    covariance of every row (`np.linalg.eigh`).  Data with zero variance
+    yields zero explained variance rather than an error.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    n, d = X.shape
+    n = 0
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or (n and block.shape[1] != mean.shape[0]):
+            raise ValueError(f"blocks must be 2-D and of equal width, got {block.shape}")
+        m = len(block)
+        block_mean = block.mean(axis=0)
+        block -= block_mean
+        gram = block.T @ block
+        if not n:
+            mean, scatter = block_mean, gram
+        else:
+            delta = block_mean - mean
+            scatter += gram
+            # The mean shift's outer product reuses the gram's buffer.
+            np.multiply.outer(delta, delta, out=gram)
+            gram *= n * m / (n + m)
+            scatter += gram
+            mean += delta * (m / (n + m))
+        n += m
+        # No name holds the block while the next one is produced.
+        del block, gram
     if n < 2:
         raise ValueError("need at least 2 rows")
+    d = mean.shape[0]
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} out of range for {n}x{d} data")
-    mean = X.mean(axis=0)
-    X -= mean
-    eigvals, eigvecs = np.linalg.eigh(X.T @ X / (n - 1))
+    eigvals, eigvecs = np.linalg.eigh(scatter / (n - 1))
     order = np.argsort(eigvals)[::-1][:k]
     variance = np.clip(eigvals[order], 0.0, None)
     components = _sign_convention(eigvecs[:, order].T)
-    model = PcaModel(mean=mean, components=components, explained_variance=variance)
-    return model, _project(model, X)
+    return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
-    """The rows of X reduced by `model`.  X is centered in place; pass a
-    copy to keep X."""
+    """The rows of X reduced by `model`, in one product.  X is centered
+    in place; pass a copy to keep X."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim_in:
         raise DimensionMismatch(
             f"expected {model.dim_in} input dims, got {X.shape[1] if X.ndim == 2 else X.shape}"
         )
     X -= model.mean
-    return _project(model, X)
+    return X @ model.components.T
 
 
 def row_blocks(n: int) -> Iterator[slice]:
@@ -245,16 +262,6 @@ def row_blocks(n: int) -> Iterator[slice]:
     parts = max(1, n // _BLOCK_ROWS)
     for i in range(parts):
         yield slice(n * i // parts, n * (i + 1) // parts)
-
-
-def _project(model: PcaModel, centered: np.ndarray) -> np.ndarray:
-    """Centered rows times the components, one `row_blocks` run per
-    product.  A run of rows, projected alone, thus gets the bits it gets
-    as one run of a larger buffer."""
-    out = np.empty((len(centered), model.k))
-    for rows in row_blocks(len(centered)):
-        out[rows] = centered[rows] @ model.components.T
-    return out
 
 
 def features_from_posts(reduced: np.ndarray, timelines: list[list[Tweet]]) -> np.ndarray:

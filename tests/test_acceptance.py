@@ -137,7 +137,7 @@ def test_criterion_03_pca_matches_dense_eigensolver():
     worst_recon = 0.0
     for trial in range(10):
         X = rng.standard_normal((50, 8))
-        model, _ = pca_fit(X.copy(), k=8)
+        model = pca_fit([X.copy()], k=8)
         ref_vals, ref_vecs = oracle_eigen(X, 8)
         for j in range(1, 9):
             worst_angle = max(

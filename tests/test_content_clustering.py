@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,18 @@ def naive_cluster_report(assignment, texts, sample_n):
     return report
 
 
+def naive_digest(report):
+    """Reference: the digest's lines built in full, then joined."""
+    total = sum(entry["size"] for entry in report)
+    lines = [f"{len(report)} clusters over {total} items", ""]
+    for entry in report:
+        lines.append(f"cluster {entry['cluster_id']} size={entry['size']}")
+        lines.append(f"  leader: {entry['leader_text']}")
+        lines.extend(f"  - {text}" for text in entry["samples"])
+        lines.append("")
+    return "\n".join(lines)
+
+
 def naive_keyword_search(assignment, texts, keywords):
     """Reference: every member text of every cluster casefolded and counted."""
     hits = []
@@ -443,6 +456,31 @@ class TestGroupedReport:
         write_cluster_report(report, jsonl, digest)
         assert jsonl.read_text(encoding="utf-8") == "".join(
             json.dumps(e, ensure_ascii=False, sort_keys=True) + "\n" for e in expected)
+        assert digest.read_bytes() == naive_digest(expected).encode("utf-8")
+
+    def test_empty_report(self, tmp_path):
+        jsonl, digest = tmp_path / "c.jsonl", tmp_path / "d.txt"
+        write_cluster_report([], jsonl, digest)
+        assert jsonl.read_bytes() == b""
+        assert digest.read_bytes() == naive_digest([]).encode("utf-8")
+        assert digest.read_text(encoding="utf-8") == "0 clusters over 0 items\n"
+
+    def test_report_is_written_entry_by_entry(self, tmp_path):
+        # 20,000 entries of 200-character texts: the digest alone is
+        # about 16 MB, and no copy of it is built before it is written.
+        texts = [f"{i:06d}" + "x" * 194 for i in range(4)]
+        report = [{"cluster_id": c, "size": 3, "leader_item_id": f"p{c}", "leader_text": texts[0],
+                   "sample_item_ids": [f"p{c}"] * 3, "samples": texts[1:]}
+                  for c in range(20_000)]
+        jsonl, digest = tmp_path / "c.jsonl", tmp_path / "d.txt"
+        tracemalloc.start()
+        try:
+            write_cluster_report(report, jsonl, digest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest.stat().st_size > 16_000_000
+        assert peak < 1 << 20, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestKeywordSearch:

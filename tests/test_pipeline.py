@@ -566,10 +566,11 @@ def assert_same_bits(model, reduced, reference):
 
 
 class TestReducePosts:
-    """`_reduce_posts` fits on one n x dim buffer, which the encoder fills
-    and the PCA centers and projects in place, and transforms one block
-    of posts at a time; both give the bits of an out-of-place fit and
-    projection over every text's own row."""
+    """`_reduce_posts` encodes one run of posts at a time: a fit streams
+    the runs into the PCA, then projects them again as a transform does.
+    A one-run fit and every transform give the bits of an out-of-place
+    fit and projection over every text's own row; a fit over several
+    runs matches the out-of-place fit to rounding."""
 
     @pytest.fixture(params=["hashed", "precomputed"])
     def posts(self, request, monkeypatch):
@@ -599,26 +600,36 @@ class TestReducePosts:
         assert again.tobytes() == reference[3][:300].tobytes()
 
     def test_blocked_default_dims_match_the_out_of_place_reference(self):
-        # The default encoder and PCA widths over 3 blocks of unequal
-        # length: every block's product keeps the bits of one product
-        # over all the rows, in a fit and in a transform.
+        # The default encoder and PCA widths over 3 runs of unequal
+        # length.  Every run's product keeps the bits of one product over
+        # all the rows; the fit merges the runs' scatter matrices, so it
+        # matches the dense fit to rounding.
         n = 3 * text_embedding._BLOCK_ROWS + 2
         blocks = list(text_embedding.row_blocks(n))
         assert len(blocks) == 3 and len({b.stop - b.start for b in blocks}) == 2
         ids, texts = dup_heavy_posts(np.random.default_rng(8), n, n // 2)
         config = PipelineConfig()
         provider = HashedNgramEncoder(dim=config.encoder_dim)
+        X = provider.embed(ids, texts)
         reduced, pca = pipeline._reduce_posts(provider, ids, texts, None, config)
-        reference = reference_reduce(provider.embed(ids, texts), config.pca_components)
-        assert_same_bits(pca, reduced, reference)
+        # (a) The rows are the out-of-place projection on the fitted basis.
+        assert reduced.tobytes() == ((X - pca.mean) @ pca.components.T).tobytes()
+        # (b) The basis is the dense fit's.
+        mean, components, variance, _ = reference_reduce(X, config.pca_components)
+        np.testing.assert_allclose(pca.mean, mean, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(pca.explained_variance, variance, rtol=1e-12)
+        cosines = np.abs(np.einsum("ij,ij->i", pca.components, components))
+        assert cosines.min() >= 1 - 1e-12
+        # (c) A transform of the same posts gives the fit's rows.
         again, _ = pipeline._reduce_posts(provider, ids, texts, pca, config)
-        assert again.tobytes() == reference[3].tobytes()
+        assert again.tobytes() == reduced.tobytes()
 
     @pytest.mark.parametrize("fit", [True, False], ids=["fit", "transform-only"])
     def test_peak_memory_is_one_post_buffer(self, fit):
-        # A fit holds the n x dim buffer; a transform holds one block of
-        # it, the n x k output and the encoder's own scratch (a few hash
-        # blocks of bucket rows), however many blocks there are.
+        # A transform holds one run of post vectors, the n x k output and
+        # the encoder's own scratch (a few hash blocks of bucket rows),
+        # however many runs there are; a fit holds the PCA's two d x d
+        # matrices besides.
         rng = np.random.default_rng(6)
         ids, texts = dup_heavy_posts(rng, 20_000, 15_000)
         provider = HashedNgramEncoder(dim=256)
@@ -631,16 +642,13 @@ class TestReducePosts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        buffer = len(texts) * 256 * 8
-        if fit:
-            assert peak < 1.5 * buffer, f"peak {peak / buffer:.2f} x the n x dim buffer"
-            return
         blocks = list(text_embedding.row_blocks(len(texts)))
         assert len(blocks) >= 3
         block = max(b.stop - b.start for b in blocks) * 256 * 8
         output = len(texts) * config.pca_components * 8
         scratch = 3 * text_embedding._BLOCK_TEXTS * 256 * 8
-        assert peak < block + output + scratch, (
+        pca_state = 2 * 256 * 256 * 8 if fit else 0
+        assert peak < block + output + scratch + pca_state, (
             f"peak {peak / 1e6:.1f} MB, block {block / 1e6:.1f} MB, "
             f"output {output / 1e6:.1f} MB")
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import chain
 
@@ -163,7 +164,7 @@ class TestPca:
     def test_matches_eigen_oracle(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((60, 10))
-        model, _ = pca_fit(X.copy(), k=4)
+        model = pca_fit([X.copy()], k=4)
         oracle_vals, oracle_vecs = oracle_eigen(X, 4)
         np.testing.assert_allclose(model.explained_variance, oracle_vals, atol=1e-10)
         for j in range(1, 5):
@@ -171,73 +172,87 @@ class TestPca:
 
     def test_variance_non_increasing(self):
         rng = np.random.default_rng(8)
-        model, _ = pca_fit(rng.standard_normal((40, 6)), k=6)
+        model = pca_fit([rng.standard_normal((40, 6))], k=6)
         assert (np.diff(model.explained_variance) <= 1e-12).all()
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(9)
-        model, _ = pca_fit(rng.standard_normal((30, 8)), k=5)
+        model = pca_fit([rng.standard_normal((30, 8))], k=5)
         gram = model.components @ model.components.T
         np.testing.assert_allclose(gram, np.eye(5), atol=1e-10)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(10)
-        model, _ = pca_fit(rng.standard_normal((30, 8)), k=5)
+        model = pca_fit([rng.standard_normal((30, 8))], k=5)
         for comp in model.components:
             assert comp[np.argmax(np.abs(comp))] > 0
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((25, 6))
-        model, _ = pca_fit(X.copy(), k=6)
+        model = pca_fit([X.copy()], k=6)
         back = pca_transform(model, X.copy()) @ model.components + model.mean
         np.testing.assert_allclose(back, X, atol=1e-9)
 
     def test_transform_is_centered_projection(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((20, 5)) + 3.0
-        model, _ = pca_fit(X.copy(), k=2)
+        model = pca_fit([X.copy()], k=2)
         T = pca_transform(model, X)
         np.testing.assert_allclose(T.mean(axis=0), 0.0, atol=1e-10)
 
     def test_zero_variance_data(self):
         X = np.ones((10, 4))
-        model, _ = pca_fit(X, k=2)
+        model = pca_fit([X], k=2)
         np.testing.assert_allclose(model.explained_variance, 0.0, atol=1e-12)
 
     def test_k_out_of_range(self):
         X = np.ones((5, 3))
         with pytest.raises(ValueError):
-            pca_fit(X, k=4)
+            pca_fit([X], k=4)
         with pytest.raises(ValueError):
-            pca_fit(X, k=0)
+            pca_fit([X], k=0)
         with pytest.raises(ValueError):
-            pca_fit(np.ones((1, 3)), k=1)
+            pca_fit([np.ones((1, 3))], k=1)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(13)
-        model, _ = pca_fit(rng.standard_normal((10, 4)), k=2)
+        model = pca_fit([rng.standard_normal((10, 4))], k=2)
         with pytest.raises(DimensionMismatch):
             pca_transform(model, np.ones((3, 5)))
 
 
     def test_fit_uses_every_row(self):
-        # More rows than any workload fits: the mean and variance are
-        # those of every row, and the fit holds no copy of its input
-        # beside the n x k output.
+        # More rows than any workload fits, streamed in 61 runs: the mean
+        # is within 1e-15 of the exactly rounded mean of every row, the
+        # variance that of the dense eigensolver, and the fit holds one
+        # run and two d x d matrices at a time.
         rng = np.random.default_rng(16)
         X = rng.standard_normal((250_000, 8)) * np.arange(1.0, 9.0)
-        buffer = X.copy()
+        runs = list(text_embedding.row_blocks(len(X)))
+        assert len(runs) == 61
         tracemalloc.start()
         try:
-            model, reduced = pca_fit(buffer, k=8)
+            model = pca_fit((X[rows].copy() for rows in runs), k=8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert model.mean.tobytes() == X.mean(axis=0).tobytes()
+        exact = np.array([math.fsum(column) / len(X) for column in X.T])
+        np.testing.assert_allclose(model.mean, exact, rtol=0, atol=1e-15)
         oracle_vals, _ = oracle_eigen(X, 8)
         np.testing.assert_allclose(model.explained_variance, oracle_vals, rtol=0, atol=1e-8)
-        assert peak <= reduced.nbytes + (1 << 20), f"peak {peak} for a {reduced.nbytes}-byte output"
+        run = max(r.stop - r.start for r in runs) * 8 * 8
+        # The broadcast centering runs through numpy's ufunc buffer of
+        # getbufsize() elements; a few more KB hold the O(d) vectors.
+        scratch = 8 * np.getbufsize() + 4096
+        assert peak <= run + 2 * 8 * 8 * 8 + scratch, f"peak {peak} for a {run}-byte run"
+
+    def test_blocks_must_be_2d_and_of_equal_width(self):
+        rng = np.random.default_rng(17)
+        with pytest.raises(ValueError):
+            pca_fit(rng.standard_normal((10, 4)), k=2)  # iterated row by row
+        with pytest.raises(ValueError):
+            pca_fit([rng.standard_normal((10, 4)), rng.standard_normal((10, 5))], k=2)
 
     def test_wide_input_matches_eigen_oracle(self):
         # 1030 input dims, wider than any workload's encoder.
@@ -245,7 +260,7 @@ class TestPca:
         base = rng.standard_normal((40, 5)) * np.array([9.0, 6.0, 4.0, 2.0, 1.0])
         mix = rng.standard_normal((5, 1030))
         X = base @ mix + 0.01 * rng.standard_normal((40, 1030))
-        model, _ = pca_fit(X.copy(), k=3)
+        model = pca_fit([X.copy()], k=3)
         oracle_vals, oracle_vecs = oracle_eigen(X, 3)
         np.testing.assert_allclose(model.explained_variance, oracle_vals, rtol=1e-6)
         assert subspace_angle(model.components, oracle_vecs) <= 1e-5
@@ -289,7 +304,7 @@ class TestAggregation:
         assert len(set(texts)) < len(texts) and "" in texts
         ids = [t.tweet_id for t in posts]
         raw = HashedNgramEncoder(dim=64).embed(ids, texts)
-        _, reduced = pca_fit(raw, 12)
+        reduced = pca_transform(pca_fit([raw.copy()], 12), raw.copy())
         index = {pid: i for i, pid in enumerate(ids)}
         expected = np.asarray([
             oracle_aggregate([t.tweet_id for t in timeline], [t.kind for t in timeline],
