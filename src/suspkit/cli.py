@@ -76,7 +76,6 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         name: getattr(args, name, None)
         for name in ("workdir", "seed", "tweets", "snapshots", "labels", "tau", "toxicity_scores")
     }
-    overrides["explain_instances"] = getattr(args, "rows", None)
     if getattr(args, "families", None):
         overrides["families"] = tuple(args.families.split(","))
     return dataclasses.replace(
@@ -250,6 +249,9 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace, workdir: Path
     return {"model": str(model_path), "features": str(matrix_path)}, outputs
 
 
+BACKGROUND_SIZE = 64  # training rows sampled as the explainer's background
+
+
 def cmd_explain(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
     model_path = _require_artifact(workdir, "model.json", "train")
     train_path = _require_artifact(workdir, "features_train.csv", "features")
@@ -258,13 +260,11 @@ def cmd_explain(config: PipelineConfig, args: argparse.Namespace, workdir: Path)
     model = load_model(model_path)
     matrix = FeatureMatrix.from_csv(matrix_path)
     background = FeatureMatrix.from_csv(train_path)
-    rows = list(range(min(config.explain_instances, len(matrix.user_ids))))
     explanations = explain_matrix(
         model,
         matrix,
         background,
-        rows=rows,
-        background_size=config.background_size,
+        background_size=BACKGROUND_SIZE,
         seed=stage_seed(config.seed, "explain"),
     )
     summary = impact_summary(explanations)
@@ -273,12 +273,15 @@ def cmd_explain(config: PipelineConfig, args: argparse.Namespace, workdir: Path)
         _write(workdir / "impact_summary.csv", write_summary_csv, summary),
     ]
     top = ", ".join(summary.ranking[:5])
-    print(f"explain: {len(rows)} rows; top features: {top}")
+    print(f"explain: {len(explanations.user_ids)} rows; top features: {top}")
     return {
         "model": str(model_path),
         "features": str(matrix_path),
         "background": str(train_path),
     }, outputs
+
+
+TOXICITY_THRESHOLD = 0.5  # a post is toxic above this score
 
 
 def cmd_cluster(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
@@ -299,7 +302,7 @@ def cmd_cluster(config: PipelineConfig, args: argparse.Namespace, workdir: Path)
     if config.toxicity_scores:
         known = set(artifacts.assignment.item_ids)
         tox = toxicity_summary(
-            config.toxicity_scores, known_ids=known, threshold=config.toxicity_threshold
+            config.toxicity_scores, known_ids=known, threshold=TOXICITY_THRESHOLD
         )
         payload = dataclasses.asdict(tox) | {"fraction": tox.fraction}
         outputs.append(_write(workdir / "toxicity.json", _json, payload))
@@ -421,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a split with the trained model")
     p.add_argument("--split", choices=(SPLIT_TEST, SPLIT_SECOND_TEST), default=SPLIT_TEST)
 
-    p = sub.add_parser("explain", help="attribute predictions to features")
-    p.add_argument("--rows", type=int, help="number of rows to explain")
+    sub.add_parser("explain", help="attribute predictions to features")
 
     p = sub.add_parser("cluster", help="cluster suspended-account posts")
     p.add_argument("--tau", type=float)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 
 from .suspension_model import FeatureMatrix, TrainedModel
@@ -33,11 +31,10 @@ def explain_matrix(
     matrix: FeatureMatrix,
     background: FeatureMatrix,
     *,
-    rows: Sequence[int],
     background_size: int,
     seed: int,
 ) -> Explanations:
-    """Exact margin-space explanations for selected rows of a matrix,
+    """Exact margin-space explanations for every row of a matrix,
     against a seeded background sample drawn from the training matrix.
     Both matrices must have the model's input schema."""
     rng = np.random.default_rng(seed)
@@ -45,11 +42,10 @@ def explain_matrix(
     if bg.shape[0] > background_size:
         bg = bg[np.sort(rng.choice(bg.shape[0], size=background_size, replace=False))]
 
-    rows = list(rows)
-    X = model._prepare(matrix)[rows]
+    X = model._prepare(matrix)
     return Explanations(
         feature_names=model.feature_names,
-        user_ids=[matrix.user_ids[i] for i in rows],
+        user_ids=list(matrix.user_ids),
         values=X,
         phi=model.inner.shap_values(X, bg),
     )

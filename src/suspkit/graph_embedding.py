@@ -252,7 +252,7 @@ def train_embeddings(
         if not np.isfinite(losses[-1]):
             raise DivergedFit(
                 f"graph embedding loss is {losses[-1]} at epoch {epoch} of {epochs};"
-                " the fit diverged (lower graph_lr or graph_epochs)"
+                " the fit diverged (lower lr or epochs)"
             )
 
     return NodeEmbeddings(

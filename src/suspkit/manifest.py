@@ -79,10 +79,6 @@ def write_stage_manifest(
     return path
 
 
-def read_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def write_timing(workdir: str | Path, stage: str, seconds: float) -> Path:
     path = Path(workdir) / f"{stage}.timing.json"
     with atomic_path(path) as tmp:

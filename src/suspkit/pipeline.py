@@ -107,6 +107,11 @@ _ACCEPTED = {
 }
 
 
+# `PipelineConfig.hyper` fixes these beside its fields.
+LEARNING_RATE = 0.1
+REG_LAMBDA = 1.0
+
+
 @dataclass
 class PipelineConfig:
     tweets: str = ""
@@ -121,26 +126,13 @@ class PipelineConfig:
     encoder_dim: int = 256
     pca_components: int = 20
     tau: float = 0.9
-    cluster_sample_n: int = 10
-    keywords: tuple[str, ...] = ("crypto", "nft", "donation")
-    relations: tuple[str, ...] = RELATIONS
     graph_dim: int = 16
     graph_epochs: int = 20
-    graph_lr: float = 2.0
-    graph_negatives: int = 5
     graph_batch: int = 256
-    graph_holdout_fraction: float = 0.05
     model_kind: str = MODEL_KIND_GBDT
     n_rounds: int = 150
-    learning_rate: float = 0.1
     max_depth: int = 5
-    reg_lambda: float = 1.0
-    select_threshold: float = 0.002
     k_folds: int = 5
-    test_fraction: float = 0.25
-    explain_instances: int = 64
-    background_size: int = 64
-    toxicity_threshold: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -153,21 +145,11 @@ class PipelineConfig:
                 names = " or ".join(t.__name__ for t in accepted)
                 raise ValueError(f"config {f.name} must be {names}, not {value!r}")
         self.families = tuple(self.families)
-        self.keywords = tuple(self.keywords)
-        self.relations = tuple(self.relations)
         unknown = set(self.families) - set(FAMILY_ORDER)
         if unknown:
             raise ValueError(f"unknown families: {sorted(unknown)}")
         if not self.families:
             raise ValueError("no families given")
-        if self.cluster_sample_n < 0:
-            raise ValueError(f"config cluster_sample_n must be >= 0, not {self.cluster_sample_n}")
-        # Keywords match case-insensitively: a repeat would count each match twice.
-        folded = [kw.casefold() for kw in self.keywords]
-        if "" in folded or len(set(folded)) != len(folded):
-            raise ValueError(
-                f"config keywords must be non-empty and distinct, not {list(self.keywords)}"
-            )
 
     def window_start_epoch(self) -> int:
         epoch = parse_status_date(self.window_start)
@@ -181,9 +163,9 @@ class PipelineConfig:
     def hyper(self) -> dict:
         return {
             "n_rounds": self.n_rounds,
-            "learning_rate": self.learning_rate,
+            "learning_rate": LEARNING_RATE,
             "max_depth": self.max_depth,
-            "reg_lambda": self.reg_lambda,
+            "reg_lambda": REG_LAMBDA,
         }
 
     def to_dict(self) -> dict:
@@ -262,6 +244,10 @@ def _reduce_posts(
     return reduced, pca
 
 
+GRAPH_LR = 2.0  # the step size of the graph fit
+GRAPH_NEGATIVES = 5  # corrupted destinations per training edge
+
+
 def extract_window_features(
     store: CorpusStore,
     window: TimeWindow,
@@ -327,15 +313,15 @@ def extract_window_features(
 
     if "graph_embedding" in families:
         if fit:
-            context.graph = build_graph(store.interactions(window), relations=config.relations)
+            context.graph = build_graph(store.interactions(window), relations=RELATIONS)
             train_graph = _graph_split(context.graph, config)[0]
             if train_graph.n_edges:
                 context.node_embeddings = train_embeddings(
                     train_graph,
                     dim=config.graph_dim,
                     epochs=config.graph_epochs,
-                    lr=config.graph_lr,
-                    negatives_per_edge=config.graph_negatives,
+                    lr=GRAPH_LR,
+                    negatives_per_edge=GRAPH_NEGATIVES,
                     batch_size=config.graph_batch,
                     seed=stage_seed(config.seed, "graph"),
                 )
@@ -400,6 +386,9 @@ class SplitFeatures:
     second_test: WindowFeatures | None
 
 
+TEST_FRACTION = 0.25  # of each class of balanced window-1 users
+
+
 def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitFeatures:
     """Balance and split the window-1 users, then extract train, test
     and (when window 2 has users of both classes) second-test features,
@@ -410,7 +399,7 @@ def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitF
     windows = config.windows()
     users = balanced_users(store, config, windows[0])
     train_users, test_users = split_users(
-        users, config.test_fraction, stage_seed(config.seed, "split")
+        users, TEST_FRACTION, stage_seed(config.seed, "split")
     )
     tweets = read_window(store, windows[0], users)
     train = extract_window_features(store, windows[0], tweets, train_users, config)
@@ -482,15 +471,18 @@ def train_with_cv(
     return model, cv_folds, cv_mean([fold.report for fold in cv_folds])
 
 
+SELECT_THRESHOLD = 0.002  # the least importance share of a selected column
+
+
 def _train_task(task: int) -> TrainedModel | CvFold:
     """Task 0 selects features on every row and fits the final model on
     them; task i scores fold i - 1 (`kfold_cv`)."""
     matrix, folds, config = _TRAIN_DATA
     settings = {"kind": config.model_kind, "hyper": config.hyper()}
     if task == 0:
-        mask = select_features(matrix, threshold=config.select_threshold, **settings)
+        mask = select_features(matrix, threshold=SELECT_THRESHOLD, **settings)
         return train(matrix, mask=mask, **settings)
-    return kfold_cv(matrix, folds, task - 1, threshold=config.select_threshold, **settings)
+    return kfold_cv(matrix, folds, task - 1, threshold=SELECT_THRESHOLD, **settings)
 
 
 @dataclass
@@ -500,6 +492,10 @@ class ClusterArtifacts:
     keyword_hits: list[dict]
     wallet_hits: list[WalletHit]
     texts: list[str]
+
+
+CLUSTER_SAMPLE_N = 10  # member texts shown per cluster
+KEYWORDS = ("crypto", "nft", "donation")  # searched for in every cluster's texts
 
 
 def run_clustering(store: CorpusStore, config: PipelineConfig) -> ClusterArtifacts:
@@ -518,8 +514,8 @@ def run_clustering(store: CorpusStore, config: PipelineConfig) -> ClusterArtifac
     else:
         reduced = np.zeros((len(posts), 1))
     assignment = cluster_cosine(reduced, config.tau, item_ids=post_ids)
-    report = cluster_report(assignment, texts, sample_n=config.cluster_sample_n)
-    hits = keyword_search(assignment, texts, config.keywords)
+    report = cluster_report(assignment, texts, sample_n=CLUSTER_SAMPLE_N)
+    hits = keyword_search(assignment, texts, KEYWORDS)
     wallets = extract_wallets(posts)
     return ClusterArtifacts(
         assignment=assignment,
@@ -537,13 +533,16 @@ class GraphArtifacts:
     ranking: RankingEval
 
 
+GRAPH_HOLDOUT_FRACTION = 0.05  # of the window-1 graph's edges, held out for ranking
+
+
 def _graph_split(
     graph: RelationGraph, config: PipelineConfig
 ) -> tuple[RelationGraph, list[tuple[str, str, str]]]:
     """The training graph and held-out edges of the one graph fit."""
     return split_edges(
         graph,
-        fraction=config.graph_holdout_fraction,
+        fraction=GRAPH_HOLDOUT_FRACTION,
         seed=stage_seed(config.seed, "graph-split"),
     )
 

@@ -8,6 +8,7 @@ import pytest
 from suspkit.corpus import DAY_SECONDS, TimeWindow, Tweet
 from suspkit.graph_embedding import split_edges, train_embeddings
 from suspkit.manifest import stage_seed
+from suspkit.pipeline import GRAPH_HOLDOUT_FRACTION, GRAPH_LR, GRAPH_NEGATIVES
 
 WINDOW_START = 1_645_574_400  # 2022-02-23T00:00:00Z
 WINDOW_DAYS = 21
@@ -165,15 +166,15 @@ def graph_split_fit(graph, config):
     trained on the graph minus its held-out edges, and those edges."""
     train_graph, held_out = split_edges(
         graph,
-        fraction=config.graph_holdout_fraction,
+        fraction=GRAPH_HOLDOUT_FRACTION,
         seed=stage_seed(config.seed, "graph-split"),
     )
     emb = train_embeddings(
         train_graph,
         dim=config.graph_dim,
         epochs=config.graph_epochs,
-        lr=config.graph_lr,
-        negatives_per_edge=config.graph_negatives,
+        lr=GRAPH_LR,
+        negatives_per_edge=GRAPH_NEGATIVES,
         batch_size=config.graph_batch,
         seed=stage_seed(config.seed, "graph"),
     )

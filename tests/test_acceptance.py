@@ -25,7 +25,13 @@ from suspkit.graph_embedding import (
     train_embeddings,
 )
 from suspkit.manifest import stage_seed
-from suspkit.pipeline import PipelineConfig, extract_split_features, train_with_cv
+from suspkit.pipeline import (
+    GRAPH_LR,
+    GRAPH_NEGATIVES,
+    PipelineConfig,
+    extract_split_features,
+    train_with_cv,
+)
 from suspkit.suspension_model import (
     SPLIT_SECOND_TEST,
     SPLIT_TEST,
@@ -306,8 +312,7 @@ def test_criterion_08_age_and_rate_features_dominate(large_run):
         model,
         test_matrix,
         train_matrix,
-        rows=range(min(64, len(test_matrix.user_ids))),
-        background_size=64,
+        background_size=cli.BACKGROUND_SIZE,
         seed=stage_seed(config.seed, "explain"),
     )
     summary = impact_summary(explanations)
@@ -316,7 +321,7 @@ def test_criterion_08_age_and_rate_features_dominate(large_run):
     verdict(
         "criterion 08 age and posting-rate features rank in the top 5",
         ok,
-        f"top5={top5}",
+        f"rows={len(explanations.user_ids)} top5={top5}",
     )
 
 
@@ -326,7 +331,7 @@ def test_default_graph_schedule_leaves_the_loss_plateau(large_run):
     # it within its epochs without diverging on the hub-heavy graph.
     split, _, _, _, config, _ = large_run
     losses = split.train.context.node_embeddings.train_loss
-    plateau = np.log(1 + config.graph_negatives)
+    plateau = np.log(1 + GRAPH_NEGATIVES)
     ok = (
         len(losses) == config.graph_epochs
         and bool(np.isfinite(losses).all())
@@ -335,7 +340,7 @@ def test_default_graph_schedule_leaves_the_loss_plateau(large_run):
     verdict(
         "default graph schedule leaves the loss plateau",
         ok,
-        f"lr={config.graph_lr} epochs={len(losses)} first={losses[0]:.4f}"
+        f"lr={GRAPH_LR} epochs={len(losses)} first={losses[0]:.4f}"
         f" last={losses[-1]:.4f} (<{0.5 * plateau:.4f})",
     )
 
@@ -466,7 +471,7 @@ def test_criterion_11_reruns_yield_byte_identical_manifests(tmp_path_factory):
         base + ["train"],
         base + ["evaluate", "--split", "test"],
         base + ["evaluate", "--split", "second_test"],
-        base + ["explain", "--rows", "4"],
+        base + ["explain"],
         base + ["cluster"],
         base + ["graph"],
         base + ["report"],

@@ -50,7 +50,7 @@ def test_traced_pass_counts_one_graph_fit(tmp_path):
     through `suspkit.cli.main`, layers wrapped by name."""
     from suspkit.graph_embedding import read_graph_csv, split_edges
     from suspkit.manifest import stage_seed
-    from suspkit.pipeline import PipelineConfig
+    from suspkit.pipeline import GRAPH_HOLDOUT_FRACTION, PipelineConfig
 
     config = {"graph_dim": 8, "graph_epochs": 30, "graph_batch": 64, "encoder_dim": 64,
               "pca_components": 8}
@@ -85,7 +85,7 @@ def test_traced_pass_counts_one_graph_fit(tmp_path):
     assert counts["graph_embedding.fits"] == 1
     # The one fit trains on the window graph minus its held-out edges.
     train_graph, _ = split_edges(
-        read_graph_csv(wd / "graph.csv"), fraction=PipelineConfig().graph_holdout_fraction,
+        read_graph_csv(wd / "graph.csv"), fraction=GRAPH_HOLDOUT_FRACTION,
         seed=stage_seed(3, "graph-split"),
     )
     assert counts["graph_embedding.edge_epochs"] == train_graph.total_weight * config["graph_epochs"]

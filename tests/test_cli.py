@@ -14,6 +14,7 @@ from suspkit import cli, pipeline
 from suspkit.corpus import CorpusStore
 from suspkit.errors import SuspkitError
 from suspkit.graph_embedding import (
+    RELATIONS,
     build_graph,
     evaluate as evaluate_ranking,
     export_node_features,
@@ -24,8 +25,14 @@ from suspkit.graph_embedding import (
     train_embeddings,
     write_graph_csv,
 )
-from suspkit.manifest import canonical_json, config_hash, read_manifest, stage_seed
-from suspkit.pipeline import PipelineConfig, extract_split_features, train_with_cv
+from suspkit.manifest import canonical_json, config_hash, stage_seed
+from suspkit.pipeline import (
+    GRAPH_HOLDOUT_FRACTION,
+    SELECT_THRESHOLD,
+    PipelineConfig,
+    extract_split_features,
+    train_with_cv,
+)
 from suspkit.suspension_model import (
     SPLIT_SECOND_TEST,
     SPLIT_TEST,
@@ -60,7 +67,7 @@ def workdir(tmp_path_factory):
     codes["features"] = cli.main(base + ["features"])
     codes["train"] = cli.main(base + ["train"])
     codes["evaluate"] = cli.main(base + ["evaluate", "--split", "test"])
-    codes["explain"] = cli.main(base + ["explain", "--rows", "4"])
+    codes["explain"] = cli.main(base + ["explain"])
     codes["cluster"] = cli.main(base + ["cluster"])
     codes["graph"] = cli.main(base + ["graph"])
     codes["report"] = cli.main(base + ["report"])
@@ -124,7 +131,7 @@ class TestStageSequence:
             "explain", "cluster", "graph", "report",
         ]
         for stage in stages:
-            manifest = read_manifest(wd / f"{stage}.manifest.json")
+            manifest = json.loads((wd / f"{stage}.manifest.json").read_text())
             assert manifest["format"] == "run-manifest-v1"
             assert manifest["stage"] == stage
             assert manifest["root_seed"] == 3  # --seed flag propagates
@@ -134,7 +141,7 @@ class TestStageSequence:
     def test_explain_manifest_names_its_background(self, workdir):
         # The test split is explained against training rows: both files are inputs.
         wd, _ = workdir
-        inputs = read_manifest(wd / "explain.manifest.json")["inputs"]
+        inputs = json.loads((wd / "explain.manifest.json").read_text())["inputs"]
         assert inputs == {
             "model": str(wd / "model.json"),
             "features": str(wd / "features_test.csv"),
@@ -196,7 +203,7 @@ class TestStageSequence:
                     "threshold": 0.5}
         toxicity = tmp_path / "toxicity.json"
         assert toxicity.read_text(encoding="utf-8") == canonical_json(expected) + "\n"
-        manifest = read_manifest(tmp_path / "cluster.manifest.json")
+        manifest = json.loads((tmp_path / "cluster.manifest.json").read_text())
         assert manifest["inputs"]["toxicity_scores"] == str(scores)
         digest = hashlib.sha256(toxicity.read_bytes()).hexdigest()
         assert manifest["outputs"]["toxicity.json"] == digest
@@ -204,20 +211,34 @@ class TestStageSequence:
         assert report["toxicity"] == expected
 
 
-    def test_rows_enter_the_config_hash(self, workdir, tmp_path):
+    def test_stage_flags_enter_the_config_hash(self, workdir, tmp_path):
         wd, _ = workdir
-        _copy(["model.json", "features_train.csv", "features_test.csv"], wd, tmp_path)
+        _copy(["corpus.sqlite"], wd, tmp_path)
         base = ["--workdir", str(tmp_path), "--seed", "3"]
         hashes = []
-        for rows in (["--rows", "3"], []):
-            assert cli.main(base + ["explain", *rows]) == 0
-            hashes.append(read_manifest(tmp_path / "explain.manifest.json")["config_hash"])
-            if rows:
-                with open(tmp_path / "explanations.csv", newline="", encoding="utf-8") as fh:
-                    assert len({row["user_id"] for row in csv.DictReader(fh)}) == 3
-        config = PipelineConfig(workdir=str(tmp_path), seed=3, explain_instances=3)
+        for tau in (["--tau", "0.8"], []):
+            assert cli.main(base + ["cluster", *tau]) == 0
+            manifest = json.loads((tmp_path / "cluster.manifest.json").read_text())
+            hashes.append(manifest["config_hash"])
+        config = PipelineConfig(workdir=str(tmp_path), seed=3, tau=0.8)
         assert hashes[0] == config_hash(config.to_dict())
         assert hashes[0] != hashes[1]
+
+    def test_explain_covers_the_test_split(self, workdir):
+        wd, _ = workdir
+        test = FeatureMatrix.from_csv(wd / "features_test.csv")
+        with open(wd / "explanations.csv", newline="", encoding="utf-8") as fh:
+            explained = list(dict.fromkeys(row["user_id"] for row in csv.DictReader(fh)))
+        assert explained == test.user_ids
+        # So the explained users' label mix is the split's: both classes.
+        assert sorted(set(test.y.tolist())) == [0, 1]
+
+    def test_explain_takes_no_rows_flag(self, workdir, capsys):
+        wd, _ = workdir
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--workdir", str(wd), "explain", "--rows", "4"])
+        assert exc.value.code == 2
+        assert "--rows" in capsys.readouterr().err
 
 
 class TestFailureModes:
@@ -258,10 +279,8 @@ class TestFailureModes:
     @pytest.mark.parametrize(
         "content", ['{"window_days": "21"}', '{"n_rounds": "30"}', '{"tau": true}',
                     '{"families": "profile"}', '{"embeddings_file": 3}',
-                    '{"cluster_sample_n": -1}', '{"keywords": ["nft", "nft"]}',
-                    '{"keywords": ["crypto", ""]}'],
-        ids=["int", "int-rounds", "float", "tuple", "optional-str",
-             "negative-sample-n", "repeated-keyword", "empty-keyword"],
+                    '{"explain_instances": 64}'],
+        ids=["int", "int-rounds", "float", "tuple", "optional-str", "retired-key"],
     )
     def test_mistyped_config_value_exits_3(self, tmp_path, capsys, content):
         config = tmp_path / "config.json"
@@ -622,7 +641,7 @@ class TestTrainWorkers:
                                y=matrix.y)
         matrix.to_csv(train_dir / "features_train.csv")
         config = PipelineConfig.from_dict(json.loads((train_dir / "config.json").read_text()))
-        assert select_features(matrix, threshold=config.select_threshold,
+        assert select_features(matrix, threshold=SELECT_THRESHOLD,
                                kind=config.model_kind, hyper=config.hyper()).all()
         assert cli.main(self._argv(train_dir)) == 3
         err = json.loads(capsys.readouterr().err.strip())
@@ -686,11 +705,11 @@ class TestOneGraphFit:
         wd, config, _ = graph_run
         with CorpusStore(wd / "corpus.sqlite") as store:
             graph = build_graph(store.interactions(config.windows()[0]),
-                                relations=config.relations)
+                                relations=RELATIONS)
         emb, _ = graph_split_fit(graph, config)
         write_graph_csv(tmp_path / "graph.csv", graph)
         save_embeddings(tmp_path / "graph_embeddings.emb1", emb)
-        outputs = read_manifest(wd / "features.manifest.json")["outputs"]
+        outputs = json.loads((wd / "features.manifest.json").read_text())["outputs"]
         for name in ("graph.csv", "graph_embeddings.emb1"):
             assert (wd / name).read_bytes() == (tmp_path / name).read_bytes(), name
             assert name in outputs
@@ -703,7 +722,7 @@ class TestOneGraphFit:
     def test_graph_ranks_the_stored_embeddings(self, graph_run, tmp_path):
         wd, config, _ = graph_run
         _, held_out = split_edges(
-            read_graph_csv(wd / "graph.csv"), fraction=config.graph_holdout_fraction,
+            read_graph_csv(wd / "graph.csv"), fraction=GRAPH_HOLDOUT_FRACTION,
             seed=stage_seed(3, "graph-split"),
         )
 
@@ -728,7 +747,7 @@ class TestOneGraphFit:
                 "--seed", "3", "graph"]
         assert cli.main(argv) == 0
         assert check(tmp_path) != mrr
-        inputs = read_manifest(tmp_path / "graph.manifest.json")["inputs"]
+        inputs = json.loads((tmp_path / "graph.manifest.json").read_text())["inputs"]
         assert inputs == {"graph": str(tmp_path / "graph.csv"),
                           "embeddings": str(tmp_path / "graph_embeddings.emb1")}
 

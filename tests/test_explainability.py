@@ -173,7 +173,7 @@ def efficiency_gaps(model, exps, bg):
 class TestExplainMatrix:
     def test_auto_uses_exact_for_small_schemas(self):
         model, train_m, test_m = tiny_model_and_matrices()
-        exps = explain_matrix(model, test_m, train_m, rows=[0, 3], background_size=100,
+        exps = explain_matrix(model, test_m.subset_rows([0, 3]), train_m, background_size=100,
                               seed=0)
         bg = explain_background(model, train_m, background_size=100, seed=0)
         assert exps.user_ids == ["te0", "te3"]
@@ -182,7 +182,7 @@ class TestExplainMatrix:
 
     def test_matches_direct_exact_call(self):
         model, train_m, test_m = tiny_model_and_matrices()
-        exps = explain_matrix(model, test_m, train_m, rows=[1], background_size=1000, seed=0)
+        exps = explain_matrix(model, test_m.subset_rows([1]), train_m, background_size=1000, seed=0)
         bg = train_m.X[:, model.selection_mask]
         phi, base, out = shapley_exact(
             model.inner.decision_function, test_m.X[1, model.selection_mask], bg
@@ -195,7 +195,8 @@ class TestExplainMatrix:
 
     def test_explains_the_margin(self):
         model, train_m, test_m = tiny_model_and_matrices(n=120, kind=MODEL_KIND_GBDT)
-        exps = explain_matrix(model, test_m, train_m, rows=[0, 2, 5], background_size=8, seed=1)
+        exps = explain_matrix(model, test_m.subset_rows([0, 2, 5]), train_m, background_size=8,
+                              seed=1)
         bg = explain_background(model, train_m, background_size=8, seed=1)
         margin = model.inner.decision_function(test_m.X[:, model.selection_mask])
         assert list(model.inner.decision_function(exps.values)) == [
@@ -205,16 +206,16 @@ class TestExplainMatrix:
 
     def test_background_subsample_is_seeded(self):
         model, train_m, test_m = tiny_model_and_matrices()
-        a = explain_matrix(model, test_m, train_m, rows=[0], background_size=8, seed=3)
-        b = explain_matrix(model, test_m, train_m, rows=[0], background_size=8, seed=3)
-        c = explain_matrix(model, test_m, train_m, rows=[0], background_size=8, seed=4)
+        a = explain_matrix(model, test_m.subset_rows([0]), train_m, background_size=8, seed=3)
+        b = explain_matrix(model, test_m.subset_rows([0]), train_m, background_size=8, seed=3)
+        c = explain_matrix(model, test_m.subset_rows([0]), train_m, background_size=8, seed=4)
         np.testing.assert_array_equal(a.phi[0], b.phi[0])
         assert not np.array_equal(a.phi[0], c.phi[0])
 
     def test_twenty_feature_gbdt_is_explained_exactly(self):
         model, train_m, test_m = tiny_model_and_matrices(n_features=20, n=120, kind=MODEL_KIND_GBDT)
         assert len(model.feature_names) == 20 > MAX_EXACT_FEATURES
-        exps = explain_matrix(model, test_m, train_m, rows=[0, 1], background_size=8, seed=0)
+        exps = explain_matrix(model, test_m.subset_rows([0, 1]), train_m, background_size=8, seed=0)
         bg = explain_background(model, train_m, background_size=8, seed=0)
         # Features the trees never read are null players: the Shapley
         # values of the others are those of the game on the others alone.
@@ -238,7 +239,7 @@ class TestExplainMatrix:
     def test_twenty_feature_logistic_is_explained_exactly(self):
         model, train_m, test_m = tiny_model_and_matrices(n_features=20)
         assert len(model.feature_names) == 20 > MAX_EXACT_FEATURES
-        exps = explain_matrix(model, test_m, train_m, rows=[0, 1], background_size=8, seed=0)
+        exps = explain_matrix(model, test_m.subset_rows([0, 1]), train_m, background_size=8, seed=0)
         bg = explain_background(model, train_m, background_size=8, seed=0)
         margin = model.inner.decision_function
         for gap in efficiency_gaps(model, exps, bg):
@@ -260,9 +261,9 @@ class TestExplainMatrix:
             y=test_m.y,
         )
         with pytest.raises(SchemaMismatch):
-            explain_matrix(model, other, train_m, rows=[0], background_size=8, seed=0)
+            explain_matrix(model, other.subset_rows([0]), train_m, background_size=8, seed=0)
         with pytest.raises(SchemaMismatch):
-            explain_matrix(model, test_m, other, rows=[0], background_size=8, seed=0)
+            explain_matrix(model, test_m.subset_rows([0]), other, background_size=8, seed=0)
 
 
 def hand_explanations():

@@ -9,7 +9,6 @@ from suspkit.manifest import (
     canonical_json,
     config_hash,
     file_sha256,
-    read_manifest,
     stage_seed,
     write_stage_manifest,
     write_timing,
@@ -99,7 +98,7 @@ class TestStageManifest:
     def test_structure(self, tmp_path):
         path = self._write(tmp_path)
         assert path.name == "train.manifest.json"
-        manifest = read_manifest(path)
+        manifest = json.loads(path.read_text(encoding="utf-8"))
         assert manifest["format"] == MANIFEST_FORMAT
         assert manifest["stage"] == "train"
         assert manifest["root_seed"] == 7

@@ -10,6 +10,7 @@ from suspkit import pipeline, suspension_model, text_embedding
 from suspkit.corpus import CorpusStore, MalformedRecord, TimeWindow, read_window
 from suspkit.errors import MissingArtifact, StaleArtifact
 from suspkit.graph_embedding import (
+    RELATIONS,
     EmptyGraph,
     NodeEmbeddings,
     RelationGraph,
@@ -23,6 +24,7 @@ from suspkit.graph_embedding import (
 from suspkit.manifest import stage_seed
 from suspkit.profile_features import PROFILE_FEATURE_NAMES
 from suspkit.pipeline import (
+    GRAPH_HOLDOUT_FRACTION,
     PipelineConfig,
     balanced_users,
     extract_split_features,
@@ -93,8 +95,6 @@ def fast_config(**overrides):
         n_rounds=30,
         max_depth=3,
         k_folds=3,
-        explain_instances=8,
-        background_size=16,
         seed=0,
     )
     defaults.update(overrides)
@@ -118,7 +118,7 @@ class TestPipelineConfig:
         config = PipelineConfig(tau=1, families=["profile"], embeddings_file="e.emb1")
         assert config.tau == 1 and config.families == ("profile",)
         for bad in ({"seed": True}, {"tau": "0.9"}, {"families": ("profile", 1)},
-                    {"workdir": None}, {"keywords": "crypto"}):
+                    {"workdir": None}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 PipelineConfig(**bad)
 
@@ -273,7 +273,7 @@ class TestWindowReads:
             assert got.combined.y.tobytes() == want.combined.y.tobytes()
         graph = split.train.context.graph
         expected = RelationGraph.from_edges(
-            tweet_edges(chain.from_iterable(table.values()), config.relations)
+            tweet_edges(chain.from_iterable(table.values()), RELATIONS)
         )
         assert (graph.nodes, graph.edges) == (expected.nodes, expected.edges)
 
@@ -296,7 +296,7 @@ class TestGraphReuse:
         first, second = config.windows()
         store.ingest_tweets([tweet_line(id="bridge", user_id="n1_00000",
                                         created_at=first.start + 3600, mentions=["n2_00000"])])
-        second_graph = build_graph(store.interactions(second), relations=config.relations)
+        second_graph = build_graph(store.interactions(second), relations=RELATIONS)
         return extract_split_features(store, config), second_graph
 
     @staticmethod
@@ -670,7 +670,7 @@ class TestGraphStage:
         g = artifacts.graph
         train_graph, held_out = split_edges(
             g,
-            fraction=config.graph_holdout_fraction,
+            fraction=GRAPH_HOLDOUT_FRACTION,
             seed=stage_seed(config.seed, "graph-split"),
         )
         assert artifacts.held_out == held_out
