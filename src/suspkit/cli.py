@@ -5,12 +5,12 @@ config values.  Each stage writes versioned artifacts plus a manifest
 (config hash, seed, output hashes) into the workdir, and a separate
 timing sidecar, so reruns with the same config and seed produce
 byte-identical manifests.  `main` runs every stage the same way: it
-makes the workdir, times the command, and writes the manifest from the
-inputs and outputs the command returns.  The `features`, `train` and
-`evaluate` stages make the library's calls,
-`pipeline.extract_split_features`, `pipeline.train_with_cv` and
-`suspension_model.evaluate`, so the CLI and the library produce the
-same splits, model and reports.
+makes the workdir, removes the stage's stale artifacts (`remove_stale`),
+times the command, and writes the manifest from the inputs and outputs
+the command returns.  The `features`, `train` and `evaluate` stages make
+the library's calls, `pipeline.extract_split_features`,
+`pipeline.train_with_cv` and `suspension_model.evaluate`, so the CLI and
+the library produce the same splits, model and reports.
 
 Exit codes: 0 success, 2 usage error, 3 data or dependency error,
 4 internal error.
@@ -43,6 +43,7 @@ from .manifest import (
     atomic_path,
     canonical_json,
     config_hash,
+    remove_stale,
     stage_seed,
     write_stage_manifest,
     write_timing,
@@ -114,7 +115,7 @@ def _require_artifact(workdir: Path, name: str, hint: str) -> Path:
 
 # What a command returns to `main` for its stage manifest: the inputs
 # by role and the paths of the artifacts it wrote.
-_Lineage = tuple[dict[str, str], list[Path]]
+_Lineage = tuple[dict[str, str | Path], list[Path]]
 
 
 def cmd_synth(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
@@ -130,7 +131,7 @@ def cmd_synth(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -
     paths = generate(gen, seed=stage_seed(config.seed, "synth"), out_dir=out_dir)
     outputs = [paths["tweets"], paths["snapshots"], paths["labels"]]
     print(f"synth: wrote {len(outputs)} files to {out_dir}")
-    return {"out": str(out_dir)}, outputs
+    return {}, outputs
 
 
 def cmd_ingest(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
@@ -157,7 +158,7 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace, workdir: Path) 
     stats_path = _write(workdir / "ingest_stats.json", _json, payload)
     for name, s in stats.items():
         print(f"ingest: {name} parsed={s.parsed} skipped={s.skipped}")
-    inputs = {name: str(getattr(config, name)) for name in ("tweets", "snapshots", "labels")}
+    inputs = {name: getattr(config, name) for name in ("tweets", "snapshots", "labels")}
     return inputs, [db, stats_path]
 
 
@@ -173,14 +174,6 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace, workdir: Path
         if feats is not None:
             path = workdir / f"features_{name}.csv"
             outputs.append(_write(path, lambda tmp, matrix: matrix.to_csv(tmp), feats.combined))
-            continue
-        # A split without users this run loses the features, scores and
-        # evaluate manifest of an earlier run, so that `evaluate` and
-        # `report` cannot take them and no manifest names a missing file.
-        for stale in (f"features_{name}.csv", f"report_{name}.json", f"roc_{name}.csv",
-                      f"pr_{name}.csv", f"evaluate_{name}.manifest.json",
-                      f"evaluate_{name}.timing.json"):
-            (workdir / stale).unlink(missing_ok=True)
     outputs.append(_write(workdir / "families.json", _json, split.train.families))
     users = {
         "train": split.train_users,
@@ -190,20 +183,12 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace, workdir: Path
                     for user in feats.dropped_users],
     }
     outputs.append(_write(workdir / "users.json", _json, users))
-    # The graph stage ranks these two.  A file this run does not write is
-    # removed, so that the graph stage cannot rank one left by an earlier
-    # run; the ranking derived from the old pair goes in either case, with
-    # the graph manifest and timing that name it.
-    for stale in ("graph_ranking.json", "graph.manifest.json", "graph.timing.json"):
-        (workdir / stale).unlink(missing_ok=True)
     context = split.train.context
     for name, artifact, write in (
         ("graph.csv", context.graph, write_graph_csv),
         ("graph_embeddings.emb1", context.node_embeddings, save_embeddings),
     ):
-        if artifact is None:
-            (workdir / name).unlink(missing_ok=True)
-        else:
+        if artifact is not None:
             outputs.append(_write(workdir / name, write, artifact))
     print(
         f"features: train={len(split.train.combined.user_ids)}"
@@ -211,7 +196,7 @@ def cmd_features(config: PipelineConfig, args: argparse.Namespace, workdir: Path
         f" second_test={len(split.second_test.combined.user_ids) if split.second_test else 0}"
         f" columns={len(split.train.combined.feature_names)}"
     )
-    return {"corpus": str(_store_path(config))}, outputs
+    return {"corpus": _store_path(config)}, outputs
 
 
 def cmd_train(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
@@ -228,7 +213,7 @@ def cmd_train(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -
         f"train: kind={config.model_kind} selected={len(model.feature_names)}"
         f"/{len(matrix.feature_names)} cv_f1={cv_mean.f1:.4f}"
     )
-    return {"features": str(train_path)}, [model_path, cv_path]
+    return {"features": train_path}, [model_path, cv_path]
 
 
 def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
@@ -246,7 +231,7 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace, workdir: Path
         f"evaluate[{split}]: f1={report.f1:.4f} auc={report.roc_auc:.4f}"
         f" acc={report.accuracy:.4f} n={report.n_pos + report.n_neg}"
     )
-    return {"model": str(model_path), "features": str(matrix_path)}, outputs
+    return {"model": model_path, "features": matrix_path}, outputs
 
 
 BACKGROUND_SIZE = 64  # training rows sampled as the explainer's background
@@ -274,11 +259,7 @@ def cmd_explain(config: PipelineConfig, args: argparse.Namespace, workdir: Path)
     ]
     top = ", ".join(summary.ranking[:5])
     print(f"explain: {len(explanations.user_ids)} rows; top features: {top}")
-    return {
-        "model": str(model_path),
-        "features": str(matrix_path),
-        "background": str(train_path),
-    }, outputs
+    return {"model": model_path, "features": matrix_path, "background": train_path}, outputs
 
 
 TOXICITY_THRESHOLD = 0.5  # a post is toxic above this score
@@ -298,7 +279,7 @@ def cmd_cluster(config: PipelineConfig, args: argparse.Namespace, workdir: Path)
         _write(workdir / "wallets.csv", write_wallet_csv, artifacts.wallet_hits),
         _write(workdir / "keywords.json", _json, artifacts.keyword_hits),
     ]
-    inputs = {"corpus": str(_store_path(config))}
+    inputs = {"corpus": _store_path(config)}
     if config.toxicity_scores:
         known = set(artifacts.assignment.item_ids)
         tox = toxicity_summary(
@@ -306,7 +287,7 @@ def cmd_cluster(config: PipelineConfig, args: argparse.Namespace, workdir: Path)
         )
         payload = dataclasses.asdict(tox) | {"fraction": tox.fraction}
         outputs.append(_write(workdir / "toxicity.json", _json, payload))
-        inputs["toxicity_scores"] = str(config.toxicity_scores)
+        inputs["toxicity_scores"] = config.toxicity_scores
     print(
         f"cluster: {artifacts.assignment.n_clusters} clusters over"
         f" {len(artifacts.texts)} posts; {len(artifacts.wallet_hits)} wallet hits"
@@ -331,7 +312,7 @@ def cmd_graph(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -
         f"graph: {artifacts.graph.n_nodes} nodes {artifacts.graph.n_edges} edges;"
         f" held-out mrr={artifacts.ranking.mrr:.4f} auc={artifacts.ranking.auc:.4f}"
     )
-    return {"graph": str(graph_path), "embeddings": str(emb_path)}, [ranking_path]
+    return {"graph": graph_path, "embeddings": emb_path}, [ranking_path]
 
 
 def _json_section(path: Path):
@@ -376,7 +357,7 @@ _REPORT_SECTIONS = (
 
 
 def cmd_report(config: PipelineConfig, args: argparse.Namespace, workdir: Path) -> _Lineage:
-    sections = {}
+    sections, inputs = {}, {}
     for key, name, summarize in _REPORT_SECTIONS:
         path = workdir / name
         if not path.exists():
@@ -387,11 +368,12 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace, workdir: Path) 
             sections[key] = summarize(path)
         except (KeyError, TypeError, AttributeError) as exc:
             raise SchemaMismatch(f"{path} is not a {name} the stages write: {exc!r}") from None
+        inputs[key] = path
     if not sections:
         raise MissingArtifact("no stage outputs found in workdir; run stages first")
     report_path = _write(workdir / "report.json", _json, sections)
     print(f"report: {', '.join(sorted(sections))} -> {report_path}")
-    return {"workdir": str(workdir)}, [report_path]
+    return inputs, [report_path]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,13 +433,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    stage = f"evaluate_{args.split}" if args.stage == "evaluate" else args.stage
     try:
         config = _load_config(args)
         started = time.monotonic()
         workdir = Path(config.workdir)
         workdir.mkdir(parents=True, exist_ok=True)
+        remove_stale(workdir, stage)
         inputs, outputs = _COMMANDS[args.stage](config, args, workdir)
-        stage = f"evaluate_{args.split}" if args.stage == "evaluate" else args.stage
         write_stage_manifest(
             workdir,
             stage,

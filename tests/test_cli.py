@@ -3,8 +3,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from suspkit.graph_embedding import (
     train_embeddings,
     write_graph_csv,
 )
-from suspkit.manifest import canonical_json, config_hash, stage_seed
+from suspkit.manifest import canonical_json, config_hash, file_sha256, stage_seed
 from suspkit.pipeline import (
     GRAPH_HOLDOUT_FRACTION,
     SELECT_THRESHOLD,
@@ -143,9 +145,9 @@ class TestStageSequence:
         wd, _ = workdir
         inputs = json.loads((wd / "explain.manifest.json").read_text())["inputs"]
         assert inputs == {
-            "model": str(wd / "model.json"),
-            "features": str(wd / "features_test.csv"),
-            "background": str(wd / "features_train.csv"),
+            "model": "model.json",
+            "features": "features_test.csv",
+            "background": "features_train.csv",
         }
 
     def test_ingest_stats_record_clean_parse(self, workdir):
@@ -204,7 +206,7 @@ class TestStageSequence:
         toxicity = tmp_path / "toxicity.json"
         assert toxicity.read_text(encoding="utf-8") == canonical_json(expected) + "\n"
         manifest = json.loads((tmp_path / "cluster.manifest.json").read_text())
-        assert manifest["inputs"]["toxicity_scores"] == str(scores)
+        assert manifest["inputs"]["toxicity_scores"] == "toxicity.csv"
         digest = hashlib.sha256(toxicity.read_bytes()).hexdigest()
         assert manifest["outputs"]["toxicity.json"] == digest
         report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
@@ -404,6 +406,26 @@ class TestFailureModes:
 
     @pytest.mark.parametrize(
         "content",
+        ["{", "[]", "{}", '{"inputs": [], "outputs": {}}',
+         '{"inputs": {"a": []}, "outputs": {}}'],
+        ids=["not-json", "list", "empty-object", "inputs-a-list", "unhashable-input"],
+    )
+    def test_damaged_manifest_exits_3(self, tmp_path, capsys, content):
+        # A rerun reads each manifest in the workdir, and removes nothing
+        # when one is damaged.
+        (tmp_path / "cv_report.json").write_text('{"folds": [], "mean": {}}', encoding="utf-8")
+        argv = ["--workdir", str(tmp_path), "report"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        report = (tmp_path / "report.json").read_bytes()
+        (tmp_path / "graph.manifest.json").write_text(content, encoding="utf-8")
+        assert cli.main(argv) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "SchemaMismatch" and "graph.manifest.json" in err["message"]
+        assert (tmp_path / "report.json").read_bytes() == report
+
+    @pytest.mark.parametrize(
+        "content",
         ["source,relation,weight\nu1,mention,1\n",
          "source,relation,destination,weight\nu1,mention\n"],
         ids=["header-without-destination", "short-row"],
@@ -518,7 +540,8 @@ class TestStaleSplits:
         # is ingested into the same workdir and featurized.
         split_files = ["features_second_test.csv", "report_second_test.json",
                        "roc_second_test.csv", "pr_second_test.csv"]
-        _copy(["config.json", "features_test.csv", *split_files], two_window_run, tmp_path)
+        _copy(["config.json", "features_test.csv", *split_files, "features.manifest.json",
+               "evaluate_second_test.manifest.json"], two_window_run, tmp_path)
         synth_dir = workdir[0] / "synth"
         base = ["--config", str(tmp_path / "config.json"), "--workdir", str(tmp_path),
                 "--seed", "3"]
@@ -543,12 +566,123 @@ class TestStaleSplits:
         # that no longer exist.
         stale = ["features_second_test.csv", "report_second_test.json",
                  "evaluate_second_test.manifest.json", "evaluate_second_test.timing.json"]
-        _copy(["config.json", *stale], two_window_run, tmp_path)
+        _copy(["config.json", *stale, "features.manifest.json"], two_window_run, tmp_path)
         _copy(["corpus.sqlite"], workdir[0], tmp_path)
         argv = ["--config", str(tmp_path / "config.json"), "--workdir", str(tmp_path),
                 "--seed", "3", "features"]
         assert cli.main(argv) == 0
         assert [name for name in stale if (tmp_path / name).exists()] == []
+
+
+def _tree_bytes(root):
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestRerunLineage:
+    """A rerun removes what the stage's previous run wrote and everything
+    whose manifest names one of those files as an input."""
+
+    def test_manifests_close_over_the_workdir(self, workdir):
+        wd, _ = workdir
+        manifests = {p.name: json.loads(p.read_text()) for p in wd.glob("*.manifest.json")}
+        written = Counter(name for m in manifests.values() for name in m["outputs"])
+        inside = [name for m in manifests.values() for name in m["inputs"].values()
+                  if (wd / name).resolve().is_relative_to(wd.resolve())]
+        # The corpus files (synth -> ingest) and every file `report` read count.
+        assert {"synth/tweets.jsonl", "corpus.sqlite", "cv_report.json",
+                "impact_summary.csv"} <= set(inside)
+        assert {name: written[name] for name in inside} == {name: 1 for name in inside}
+        for m in manifests.values():
+            for name, digest in m["outputs"].items():
+                assert file_sha256(wd / name) == digest, name
+
+    def test_a_moved_workdir_reruns_on_its_own_files(self, workdir, tmp_path):
+        wd, _ = workdir
+        before = _tree_bytes(wd)
+        moved = tmp_path / "moved"
+        shutil.copytree(wd, moved)
+        assert cli.main(["--workdir", str(moved), "--seed", "3", "train"]) == 0
+        for gone in ("report_test.json", "roc_test.csv", "evaluate_test.manifest.json",
+                     "explanations.csv", "explain.manifest.json", "report.json",
+                     "report.manifest.json", "report.timing.json"):
+            assert not (moved / gone).exists(), gone
+        for kept in ("features_test.csv", "clusters.jsonl", "graph_ranking.json",
+                     "graph.manifest.json", "synth/tweets.jsonl", "corpus.sqlite"):
+            assert (moved / kept).read_bytes() == (wd / kept).read_bytes(), kept
+        assert _tree_bytes(wd) == before
+
+    def test_synth_leaves_an_outside_corpus_in_place(self, tmp_path):
+        wd, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+        base = ["--workdir", str(wd), "--seed", "3", "synth", "--suspended", "2", "--normal", "2"]
+        assert cli.main(base + ["--out", str(elsewhere)]) == 0
+        corpus = _tree_bytes(elsewhere)
+        assert len(corpus) == 3
+        assert cli.main(base) == 0
+        assert _tree_bytes(elsewhere) == corpus
+        assert sorted(_tree_bytes(wd / "synth")) == sorted(corpus)
+
+    def test_retrain_removes_the_old_models_scores(self, two_window_run, tmp_path):
+        wd = tmp_path / "run"
+        shutil.copytree(two_window_run, wd)
+
+        def run(config, *argv):
+            return cli.main(["--config", str(config), "--workdir", str(wd), "--seed", "3", *argv])
+
+        assert run(wd / "config.json", "explain") == 0
+        assert run(wd / "config.json", "report") == 0
+        old = json.loads((wd / "report.json").read_text())
+        assert {"cv", "test", "second_test", "top_features"} <= set(old)
+        logistic = tmp_path / "logistic.json"
+        logistic.write_text(json.dumps(dict(FAST_CONFIG, model_kind="logistic")))
+        assert run(logistic, "train") == 0
+        for stage in ("evaluate_test", "evaluate_second_test", "explain", "report"):
+            for gone in (f"{stage}.manifest.json", f"{stage}.timing.json"):
+                assert not (wd / gone).exists(), gone
+        for gone in ("report_test.json", "report_second_test.json", "roc_test.csv",
+                     "roc_second_test.csv", "pr_test.csv", "pr_second_test.csv",
+                     "explanations.csv", "impact_summary.csv", "report.json"):
+            assert not (wd / gone).exists(), gone
+        assert run(logistic, "report") == 0
+        report = json.loads((wd / "report.json").read_text())
+        assert set(report) == {"cv"}
+        assert report["cv"] != old["cv"]
+
+    def test_cluster_without_scores_drops_the_old_toxicity(self, workdir, tmp_path):
+        wd = tmp_path / "run"
+        shutil.copytree(workdir[0], wd)
+        with open(wd / "clusters.jsonl", encoding="utf-8") as fh:
+            known = [json.loads(line)["leader_item_id"] for line in fh][:2]
+        scores = tmp_path / "toxicity.csv"
+        scores.write_text(f"tweet_id,score\n{known[0]},0.9\n{known[1]},0.1\n", encoding="utf-8")
+        base = ["--workdir", str(wd), "--seed", "3"]
+        assert cli.main(base + ["cluster", "--toxicity-scores", str(scores)]) == 0
+        assert cli.main(base + ["report"]) == 0
+        assert "toxicity" in json.loads((wd / "report.json").read_text())
+        assert cli.main(base + ["cluster"]) == 0
+        assert not (wd / "toxicity.json").exists()
+        assert not (wd / "report.json").exists()
+        assert cli.main(base + ["report"]) == 0
+        report = json.loads((wd / "report.json").read_text())
+        assert "toxicity" not in report and "clusters" in report
+
+    def test_train_failing_midway_leaves_no_model_to_score(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        wd = tmp_path / "run"
+        shutil.copytree(workdir[0], wd)
+
+        def failing(matrix, config):
+            raise SuspkitError("fit failed")
+
+        monkeypatch.setattr(cli, "train_with_cv", failing)
+        base = ["--workdir", str(wd), "--seed", "3"]
+        assert cli.main(base + ["train"]) == 3
+        assert not (wd / "model.json").exists()
+        assert not (wd / "cv_report.json").exists()
+        capsys.readouterr()
+        assert cli.main(base + ["evaluate", "--split", "test"]) == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "MissingArtifact"
 
 
 class TestDroppedUsers:
@@ -748,8 +882,7 @@ class TestOneGraphFit:
         assert cli.main(argv) == 0
         assert check(tmp_path) != mrr
         inputs = json.loads((tmp_path / "graph.manifest.json").read_text())["inputs"]
-        assert inputs == {"graph": str(tmp_path / "graph.csv"),
-                          "embeddings": str(tmp_path / "graph_embeddings.emb1")}
+        assert inputs == {"graph": "graph.csv", "embeddings": "graph_embeddings.emb1"}
 
     def test_stale_embeddings_exit_3(self, graph_run, tmp_path, capsys):
         wd, _, _ = graph_run
@@ -762,7 +895,8 @@ class TestOneGraphFit:
 
     def test_features_without_graph_removes_graph_artifacts(self, graph_run, tmp_path, capsys):
         wd, _, _ = graph_run
-        _copy(["corpus.sqlite", "graph.csv", "graph_embeddings.emb1"], wd, tmp_path)
+        _copy(["corpus.sqlite", "graph.csv", "graph_embeddings.emb1", "features.manifest.json"],
+              wd, tmp_path)
         base = ["--workdir", str(tmp_path), "--seed", "3"]
         assert cli.main(base + ["features", "--families", "profile,activity"]) == 0
         assert not (tmp_path / "graph.csv").exists()
@@ -776,8 +910,8 @@ class TestOneGraphFit:
         self, graph_run, tmp_path
     ):
         wd, _, _ = graph_run
-        _copy(["corpus.sqlite", "graph.csv", "graph_embeddings.emb1", "config.json"],
-              wd, tmp_path)
+        _copy(["corpus.sqlite", "graph.csv", "graph_embeddings.emb1", "config.json",
+               "features.manifest.json"], wd, tmp_path)
         base = ["--config", str(tmp_path / "config.json"), "--workdir", str(tmp_path),
                 "--seed", "3"]
         assert cli.main(base + ["graph"]) == 0

@@ -84,6 +84,8 @@ class TestAtomicPath:
 
 class TestStageManifest:
     def _write(self, workdir):
+        features = workdir / "features.csv"
+        features.write_text("x\n0\n")
         artifact = workdir / "artifact.csv"
         artifact.write_text("x\n1\n")
         return write_stage_manifest(
@@ -91,7 +93,7 @@ class TestStageManifest:
             stage="train",
             config_digest="c" * 64,
             root_seed=7,
-            inputs={"features": "f" * 64},
+            inputs={"features": features},
             outputs=[artifact],
         )
 
@@ -103,9 +105,9 @@ class TestStageManifest:
         assert manifest["stage"] == "train"
         assert manifest["root_seed"] == 7
         assert manifest["stage_seed"] == stage_seed(7, "train")
-        # outputs keyed by path relative to the workdir
+        # inputs and outputs named by their path relative to the workdir
         assert manifest["outputs"] == {"artifact.csv": file_sha256(tmp_path / "artifact.csv")}
-        assert manifest["inputs"] == {"features": "f" * 64}
+        assert manifest["inputs"] == {"features": "features.csv"}
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         first = self._write(tmp_path).read_bytes()
