@@ -262,6 +262,7 @@ def cmd_explain(config: PipelineConfig, args: argparse.Namespace, workdir: Path)
     return {"model": model_path, "features": matrix_path, "background": train_path}, outputs
 
 
+CLUSTER_SAMPLE_N = 10  # member texts shown per cluster
 TOXICITY_THRESHOLD = 0.5  # a post is toxic above this score
 
 
@@ -270,9 +271,9 @@ def cmd_cluster(config: PipelineConfig, args: argparse.Namespace, workdir: Path)
         artifacts = run_clustering(store, config)
     clusters_path = workdir / "clusters.jsonl"
     digest_path = workdir / "clusters_digest.txt"
-    with atomic_path(clusters_path) as tmp_jsonl:
-        with atomic_path(digest_path) as tmp_digest:
-            write_cluster_report(artifacts.report, tmp_jsonl, tmp_digest)
+    with atomic_path(clusters_path) as tmp_jsonl, atomic_path(digest_path) as tmp_digest:
+        write_cluster_report(artifacts.assignment, artifacts.texts, tmp_jsonl, tmp_digest,
+                             sample_n=CLUSTER_SAMPLE_N)
     outputs = [
         clusters_path,
         digest_path,

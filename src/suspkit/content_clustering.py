@@ -18,7 +18,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -179,8 +179,8 @@ def cluster_cosine(X: np.ndarray, tau: float,
 
 
 def cluster_report(assignment: ClusterAssignment, texts: Sequence[str], *,
-                   sample_n: int) -> list[dict]:
-    """Cluster summaries sorted by size descending, ties by cluster id.
+                   sample_n: int) -> Iterator[dict]:
+    """Cluster summaries, yielded by size descending, ties by cluster id.
 
     Samples are the first sample_n member texts in item order.  Members
     are grouped by one stable sort of the labels, so each cluster's are
@@ -190,44 +190,42 @@ def cluster_report(assignment: ClusterAssignment, texts: Sequence[str], *,
         raise ValueError("texts and assignment differ in length")
     ids = assignment.item_ids
     sizes = assignment.sizes
-    by_cluster = np.argsort(assignment.labels, kind="stable").tolist()
-    starts = (np.cumsum(sizes) - sizes).tolist()
-    report = []
-    for cid in np.argsort(-sizes, kind="stable").tolist():
+    # Arrays, not lists of ints: 8 bytes an entry rather than up to 36.
+    by_cluster = np.argsort(assignment.labels, kind="stable")
+    ends = np.cumsum(sizes)
+    for cid in map(int, np.argsort(-sizes, kind="stable")):
         size = int(sizes[cid])
+        start = int(ends[cid]) - size
         leader = assignment.leader_rows[cid]
-        members = by_cluster[starts[cid] : starts[cid] + min(size, sample_n)]
-        report.append(
-            {
-                "cluster_id": cid,
-                "size": size,
-                "leader_item_id": ids[leader],
-                "leader_text": texts[leader],
-                "sample_item_ids": [ids[m] for m in members],
-                "samples": [texts[m] for m in members],
-            }
-        )
-    return report
+        members = by_cluster[start : start + min(size, sample_n)].tolist()
+        yield {
+            "cluster_id": cid,
+            "size": size,
+            "leader_item_id": ids[leader],
+            "leader_text": texts[leader],
+            "sample_item_ids": [ids[m] for m in members],
+            "samples": [texts[m] for m in members],
+        }
 
 
-def write_cluster_report(report: Sequence[dict], jsonl_path: str | Path,
-                         digest_path: str | Path) -> None:
-    """Write `report` as one JSON line per cluster and as a text digest.
+def write_cluster_report(assignment: ClusterAssignment, texts: Sequence[str],
+                         jsonl_path: str | Path, digest_path: str | Path, *,
+                         sample_n: int) -> None:
+    """Write the `cluster_report` entries as one JSON line per cluster
+    and as a text digest.
 
     The digest is a header line, then per cluster a blank line, its id
-    and size, its leader text and one line per sample.  Both files are
-    written entry by entry, so no copy of the report's texts is built
-    beside it."""
+    and size, its leader text and one line per sample.  Each entry is
+    written to both files as it is made, so no list of entries is held."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
-    with open(jsonl_path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode(entry) + "\n" for entry in report)
-    total = sum(entry["size"] for entry in report)
-    with open(digest_path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(report)} clusters over {total} items\n")
-        for entry in report:
-            fh.write(f"\ncluster {entry['cluster_id']} size={entry['size']}\n")
-            fh.write(f"  leader: {entry['leader_text']}\n")
-            fh.writelines(f"  - {text}\n" for text in entry["samples"])
+    with (open(jsonl_path, "w", encoding="utf-8") as jsonl,
+          open(digest_path, "w", encoding="utf-8") as digest):
+        digest.write(f"{assignment.n_clusters} clusters over {len(texts)} items\n")
+        for entry in cluster_report(assignment, texts, sample_n=sample_n):
+            jsonl.write(encode(entry) + "\n")
+            digest.write(f"\ncluster {entry['cluster_id']} size={entry['size']}\n")
+            digest.write(f"  leader: {entry['leader_text']}\n")
+            digest.writelines(f"  - {text}\n" for text in entry["samples"])
 
 
 def keyword_search(assignment: ClusterAssignment, texts: Sequence[str],

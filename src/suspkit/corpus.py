@@ -178,14 +178,13 @@ def _require(obj: dict, key: str):
 
 
 def _as_epoch(value, field: str) -> int:
-    # JSON integers may arrive as floats; accept only integral values.
-    if isinstance(value, bool):
-        raise MalformedRecord(f"{field} is not an integer")
-    if isinstance(value, int):
-        return value
+    # JSON integers may arrive as floats; accept only integral values
+    # that fit SQLite's signed 64-bit INTEGER.
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise MalformedRecord(f"{field} is not an integer epoch: {value!r}")
+        value = int(value)
+    if type(value) is not int or not -2**63 <= value < 2**63:
+        raise MalformedRecord(f"{field} is not a 64-bit integer: {value!r}")
+    return value
 
 
 def _as_str(value, field: str) -> str:
@@ -276,6 +275,14 @@ _SNAPSHOT_COUNTS = _COLUMNS["snapshots"][3:8]
 _SNAPSHOT_FLAGS = _COLUMNS["snapshots"][8:11]
 
 
+def _profile_text(obj: dict, key: str) -> str:
+    # Twitter's user object may carry a null here; it reads as a missing key.
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise MalformedRecord(f"{key} is not a string: {value!r}")
+    return value or ""
+
+
 def parse_snapshot_record(line: str) -> UserSnapshot:
     """Parse one JSON-Lines profile snapshot record."""
     obj = _json_object(line)
@@ -304,9 +311,9 @@ def parse_snapshot_record(line: str) -> UserSnapshot:
         user_id=user_id,
         observed_at=observed_at,
         account_created_at=account_created_at,
-        name=str(obj.get("name", "")),
-        screen_name=str(obj.get("screen_name", "")),
-        description=str(obj.get("description", "")),
+        name=_profile_text(obj, "name"),
+        screen_name=_profile_text(obj, "screen_name"),
+        description=_profile_text(obj, "description"),
         **counts,
         **flags,
     )

@@ -26,12 +26,7 @@ import numpy as np
 
 from .activity_features import ACTIVITY_FEATURE_NAMES
 from .activity_features import features_from_timeline as activity_features
-from .content_clustering import (
-    ClusterAssignment,
-    cluster_cosine,
-    cluster_report,
-    keyword_search,
-)
+from .content_clustering import ClusterAssignment, cluster_cosine, keyword_search
 from .corpus import (
     CorpusStore,
     EmptyClass,
@@ -488,13 +483,11 @@ def _train_task(task: int) -> TrainedModel | CvFold:
 @dataclass
 class ClusterArtifacts:
     assignment: ClusterAssignment
-    report: list[dict]
     keyword_hits: list[dict]
     wallet_hits: list[WalletHit]
     texts: list[str]
 
 
-CLUSTER_SAMPLE_N = 10  # member texts shown per cluster
 KEYWORDS = ("crypto", "nft", "donation")  # searched for in every cluster's texts
 
 
@@ -514,12 +507,10 @@ def run_clustering(store: CorpusStore, config: PipelineConfig) -> ClusterArtifac
     else:
         reduced = np.zeros((len(posts), 1))
     assignment = cluster_cosine(reduced, config.tau, item_ids=post_ids)
-    report = cluster_report(assignment, texts, sample_n=CLUSTER_SAMPLE_N)
     hits = keyword_search(assignment, texts, KEYWORDS)
     wallets = extract_wallets(posts)
     return ClusterArtifacts(
         assignment=assignment,
-        report=report,
         keyword_hits=hits,
         wallet_hits=wallets,
         texts=texts,

@@ -355,6 +355,37 @@ class TestFailureModes:
         assert stats["snapshots"] == clean["snapshots"]
 
     @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("tweets", b'"created_at": ', b'"created_at": 1e23, "x": '),
+            ("snapshots", b'"followers": ', b'"followers": 18446744073709551616, "x": '),
+        ],
+        ids=["tweet_created_at_1e23", "snapshot_followers_2_64"],
+    )
+    def test_integers_outside_64_bits_are_skipped_as_bad_values(
+        self, workdir, tmp_path, name, old, new
+    ):
+        # SQLite stores signed 64-bit integers; a larger one is a bad
+        # value of its record, not a failure of the stage.  The field's
+        # old value stays in the record under an unread key.
+        wd, _ = workdir
+        paths = {n: wd / "synth" / f"{n}.jsonl" for n in ("tweets", "snapshots")}
+        damaged = paths[name].read_bytes()
+        assert old in damaged
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_bytes(damaged.replace(old, new, 1))
+        code = cli.main(
+            ["--workdir", str(tmp_path), "--seed", "3", "ingest",
+             "--tweets", str(paths["tweets"]), "--snapshots", str(paths["snapshots"]),
+             "--labels", str(wd / "synth" / "labels.csv")]
+        )
+        assert code == 0
+        stats = json.loads((tmp_path / "ingest_stats.json").read_text())
+        clean = json.loads((wd / "ingest_stats.json").read_text())
+        assert stats[name]["skipped_by_reason"] == {"bad_value": 1}
+        assert stats[name]["parsed"] == clean[name]["parsed"] - 1
+
+    @pytest.mark.parametrize(
         "content, line",
         [
             ("", None),

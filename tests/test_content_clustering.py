@@ -339,26 +339,27 @@ class TestClusterReport:
         return cluster_cosine(X, 0.9, item_ids=["a", "b", "c", "d"])
 
     def test_sorted_by_size_then_id(self):
-        report = cluster_report(self._assignment(), ["ta", "tb", "tc", "td"], sample_n=10)
+        report = list(cluster_report(self._assignment(), ["ta", "tb", "tc", "td"], sample_n=10))
         assert [e["cluster_id"] for e in report] == [0, 1]
         assert [e["size"] for e in report] == [3, 1]
         assert report[0]["leader_item_id"] == "a"
         assert report[0]["leader_text"] == "ta"
 
     def test_sample_cap(self):
-        report = cluster_report(self._assignment(), ["ta", "tb", "tc", "td"], sample_n=2)
+        report = list(cluster_report(self._assignment(), ["ta", "tb", "tc", "td"], sample_n=2))
         assert report[0]["samples"] == ["ta", "tb"]
         assert report[0]["sample_item_ids"] == ["a", "b"]
 
     def test_length_mismatch(self):
+        entries = cluster_report(self._assignment(), ["only", "three", "texts"], sample_n=10)
         with pytest.raises(ValueError):
-            cluster_report(self._assignment(), ["only", "three", "texts"], sample_n=10)
+            next(entries)
 
     def test_write_jsonl_and_digest(self, tmp_path):
-        report = cluster_report(self._assignment(), ["ta", "tb", "tc", "td"], sample_n=10)
         jsonl = tmp_path / "clusters.jsonl"
         digest = tmp_path / "digest.txt"
-        write_cluster_report(report, jsonl, digest)
+        write_cluster_report(self._assignment(), ["ta", "tb", "tc", "td"], jsonl, digest,
+                             sample_n=10)
         lines = jsonl.read_text().splitlines()
         assert [json.loads(l)["size"] for l in lines] == [3, 1]
         text = digest.read_text()
@@ -372,7 +373,7 @@ class TestClusterReport:
 
     def test_empty_assignment(self):
         got = cluster_cosine(np.zeros((0, 2)), 0.5)
-        assert cluster_report(got, [], sample_n=10) == []
+        assert list(cluster_report(got, [], sample_n=10)) == []
         assert keyword_search(got, [], ["nft"]) == []
 
 
@@ -448,34 +449,35 @@ class TestGroupedReport:
         texts = [self.TEXTS[k] for k in rng.integers(len(self.TEXTS), size=n)]
         assert 1 in assignment.sizes and assignment.sizes.max() > 3
         expected = naive_cluster_report(assignment, texts, sample_n)
-        report = cluster_report(assignment, texts, sample_n=sample_n)
-        assert report == expected
+        assert list(cluster_report(assignment, texts, sample_n=sample_n)) == expected
         assert (keyword_search(assignment, texts, self.KEYWORDS)
                 == naive_keyword_search(assignment, texts, self.KEYWORDS))
         jsonl, digest = tmp_path / "c.jsonl", tmp_path / "d.txt"
-        write_cluster_report(report, jsonl, digest)
+        write_cluster_report(assignment, texts, jsonl, digest, sample_n=sample_n)
         assert jsonl.read_text(encoding="utf-8") == "".join(
             json.dumps(e, ensure_ascii=False, sort_keys=True) + "\n" for e in expected)
         assert digest.read_bytes() == naive_digest(expected).encode("utf-8")
 
     def test_empty_report(self, tmp_path):
         jsonl, digest = tmp_path / "c.jsonl", tmp_path / "d.txt"
-        write_cluster_report([], jsonl, digest)
+        empty = ClusterAssignment([], np.zeros(0, dtype=np.int64), [])
+        write_cluster_report(empty, [], jsonl, digest, sample_n=10)
         assert jsonl.read_bytes() == b""
         assert digest.read_bytes() == naive_digest([]).encode("utf-8")
         assert digest.read_text(encoding="utf-8") == "0 clusters over 0 items\n"
 
     def test_report_is_written_entry_by_entry(self, tmp_path):
-        # 20,000 entries of 200-character texts: the digest alone is
-        # about 16 MB, and no copy of it is built before it is written.
-        texts = [f"{i:06d}" + "x" * 194 for i in range(4)]
-        report = [{"cluster_id": c, "size": 3, "leader_item_id": f"p{c}", "leader_text": texts[0],
-                   "sample_item_ids": [f"p{c}"] * 3, "samples": texts[1:]}
-                  for c in range(20_000)]
+        # 20,000 clusters of one 400-character text: the digest alone is
+        # about 16 MB, and neither it nor a list of the 20,000 entries is
+        # built before it is written.
+        n = 20_000
+        assignment = ClusterAssignment([f"p{i}" for i in range(n)],
+                                       np.arange(n, dtype=np.int64), list(range(n)))
+        texts = [f"{i:06d}" + "x" * 394 for i in range(n)]
         jsonl, digest = tmp_path / "c.jsonl", tmp_path / "d.txt"
         tracemalloc.start()
         try:
-            write_cluster_report(report, jsonl, digest)
+            write_cluster_report(assignment, texts, jsonl, digest, sample_n=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -26,6 +26,8 @@ from suspkit.corpus import (
     _decode_list,
 )
 
+from suspkit.profile_features import PROFILE_FEATURE_NAMES, features_from_snapshots
+
 from conftest import WINDOW_START, snapshot_line, tweet_line
 
 
@@ -100,6 +102,16 @@ class TestParseTweet:
         with pytest.raises(MalformedRecord):
             parse_tweet_record(tweet_line(created_at=1.5))
 
+    @pytest.mark.parametrize("created_at", [1e23, 2**63, -2**63 - 1])
+    def test_epoch_outside_64_bits_rejected(self, created_at):
+        with pytest.raises(MalformedRecord) as err:
+            parse_tweet_record(tweet_line(created_at=created_at))
+        assert err.value.reason == "bad_value"
+
+    def test_epoch_at_the_64_bit_bounds_accepted(self):
+        for created_at in (2**63 - 1, -2**63):
+            assert parse_tweet_record(tweet_line(created_at=created_at)).created_at == created_at
+
 
 class TestParseSnapshot:
     def test_basic_fields(self):
@@ -117,6 +129,25 @@ class TestParseSnapshot:
             parse_snapshot_record(
                 snapshot_line(account_created_at=WINDOW_START + 10 * DAY_SECONDS)
             )
+
+    def test_count_outside_64_bits_rejected(self):
+        with pytest.raises(MalformedRecord) as err:
+            parse_snapshot_record(snapshot_line(followers=2**64))
+        assert err.value.reason == "bad_value"
+
+    @pytest.mark.parametrize("field", ["name", "screen_name", "description"])
+    def test_null_profile_text_reads_as_empty(self, field):
+        record = json.loads(snapshot_line())
+        record[field] = None
+        assert getattr(parse_snapshot_record(json.dumps(record)), field) == ""
+        del record[field]
+        assert getattr(parse_snapshot_record(json.dumps(record)), field) == ""
+
+    @pytest.mark.parametrize("value", [7, 1.5, True, ["a"], {"a": 1}])
+    def test_non_string_profile_text_rejected(self, value):
+        with pytest.raises(MalformedRecord) as err:
+            parse_snapshot_record(snapshot_line(description=value))
+        assert err.value.reason == "bad_value"
 
     def test_non_boolean_flag_rejected(self):
         with pytest.raises(MalformedRecord):
@@ -340,6 +371,17 @@ class TestCorpusStore:
         snaps = store.snapshots(["u1"], window)["u1"]
         assert len(snaps) == 1
         assert snaps[0].statuses == 30
+
+    def test_null_description_is_stored_empty(self, window):
+        record = json.loads(snapshot_line(observed_at=WINDOW_START + 2))
+        record["description"] = None
+        store = CorpusStore()
+        store.ingest_snapshots([json.dumps(record)])
+        snaps = store.snapshots(["u1"], window)["u1"]
+        (row,) = features_from_snapshots([snaps], window)
+        assert snaps[0].description == ""
+        at = PROFILE_FEATURE_NAMES.index
+        assert row[at("description_length")] == row[at("has_description")] == 0
 
     def test_snapshots_grouped_per_user_in_time_order(self, window):
         store = CorpusStore()

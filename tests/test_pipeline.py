@@ -1,3 +1,4 @@
+import json
 import pickle
 import tracemalloc
 from itertools import chain
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from suspkit import pipeline, suspension_model, text_embedding
+from suspkit.content_clustering import write_cluster_report
 from suspkit.corpus import CorpusStore, MalformedRecord, TimeWindow, read_window
 from suspkit.errors import MissingArtifact, StaleArtifact
 from suspkit.graph_embedding import (
@@ -478,7 +480,7 @@ class TestSplitContext:
 
 
 class TestClustering:
-    def test_artifacts(self, store):
+    def test_artifacts(self, store, tmp_path):
         config = fast_config()
         artifacts = run_clustering(store, config)
         assignment = artifacts.assignment
@@ -494,8 +496,12 @@ class TestClustering:
         assert assignment.item_ids == [
             t.tweet_id for u in suspended for t in store.user_timeline(u, window)
         ]
-        assert artifacts.report
-        assert artifacts.report[0]["size"] >= artifacts.report[-1]["size"]
+        jsonl = tmp_path / "clusters.jsonl"
+        write_cluster_report(assignment, artifacts.texts, jsonl, tmp_path / "digest.txt",
+                             sample_n=10)
+        sizes = [json.loads(line)["size"] for line in jsonl.read_text().splitlines()]
+        assert len(sizes) == assignment.n_clusters
+        assert sizes == sorted(sizes, reverse=True)
         # the planted promo text repeats, so wallets must surface
         assert artifacts.wallet_hits
         assert any(hit["matches"]["crypto"] > 0 for hit in artifacts.keyword_hits)
