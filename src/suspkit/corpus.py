@@ -250,9 +250,9 @@ def parse_tweet_record(line: str) -> Tweet:
                               reason="inconsistent")
 
     hashtags = tuple(h.lstrip("#") for h in _str_list(obj, "hashtags"))
-    lang = obj.get("lang") or "und"
-    if not isinstance(lang, str):
-        raise MalformedRecord("lang is not a string")
+    lang = obj.get("lang")
+    if lang is not None and not isinstance(lang, str):
+        raise MalformedRecord(f"lang is not a string: {lang!r}")
 
     return Tweet(
         tweet_id=tweet_id,
@@ -266,7 +266,7 @@ def parse_tweet_record(line: str) -> Tweet:
         hashtags=hashtags,
         urls=_str_list(obj, "urls"),
         mentions=_str_list(obj, "mentions"),
-        lang=lang,
+        lang=lang or "und",
     )
 
 

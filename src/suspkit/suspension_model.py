@@ -367,16 +367,12 @@ def select_features(
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.shape[0])
     sorted_vals = values[order]
-    i = 0
-    n = values.shape[0]
-    while i < n:
-        j = i
-        while j < n and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
+    # Each run of tied values [start, end) shares the rank (start + 1 + end) / 2.
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], values.shape[0]]
+    ranks = np.empty(values.shape[0])
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return ranks
 
 
@@ -437,16 +433,20 @@ def _curves(
     points at every distinct score, predicting 1 when score >= t."""
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
-    roc_points, pr_points = [], []
-    for t in np.unique(scores)[::-1]:
-        pred = scores >= t
-        tp = int((pred & (y == 1)).sum())
-        fp = int((pred & (y == 0)).sum())
-        tpr = tp / n_pos if n_pos else 0.0
-        fpr = fp / n_neg if n_neg else 0.0
-        precision = tp / (tp + fp) if tp + fp else 1.0
-        roc_points.append((float(t), fpr, tpr))
-        pr_points.append((float(t), tpr, precision))
+    order = np.argsort(scores)[::-1]
+    ranked = scores[order]
+    # The counts at a distinct score are those through the last of its ties.
+    last = np.ones(ranked.shape, dtype=bool)
+    last[:-1] = ranked[1:] != ranked[:-1]
+    tp = np.cumsum(y[order] == 1)[last]
+    fp = np.cumsum(y[order] == 0)[last]
+    tpr = tp / n_pos if n_pos else np.zeros(tp.shape)
+    fpr = fp / n_neg if n_neg else np.zeros(fp.shape)
+    precision = np.divide(tp, tp + fp, out=np.ones(tp.shape), where=tp + fp > 0)
+    thresholds = ranked[last].tolist()
+    tpr = tpr.tolist()
+    roc_points = list(zip(thresholds, fpr.tolist(), tpr))
+    pr_points = list(zip(thresholds, tpr, precision.tolist()))
     return roc_points, pr_points
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -195,18 +196,78 @@ def _iso(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
 
 
-def _hub_weights(n: int) -> np.ndarray:
+def _cdf(p) -> list[float]:
+    """The cdf `Generator.choice(k, p=p)` builds and searches."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _hub_cdf(n: int) -> list[float]:
     weights = 1.0 / np.arange(1, n + 1)
-    return weights / weights.sum()
+    return _cdf(weights / weights.sum())
+
+
+_TAG_COUNT_CDF = _cdf([0.35, 0.40, 0.25])
+
+
+class _Draws:
+    """`Generator.random`, `.integers` and `.choice(p=...)` draws, made
+    from the PCG64 word stream without a `Generator` call per draw.
+
+    numpy draws a bound up to 2**32 by Lemire's method (Lemire, ACM
+    TOMS 2019) on 32-bit halves: a fresh 64-bit word gives its low half
+    first and keeps its high half for the next 32-bit draw.  Calls that
+    read whole words (`random`, `lognormal`, `poisson`, ...) leave the
+    kept half alone.  Making the same reads here gives the same values
+    and leaves the generator in the same state.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self._raw = rng.bit_generator.random_raw
+        self._half: int | None = None
+
+    def random(self) -> float:
+        return (self._raw() >> 11) * 2.0**-53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._raw()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def below(self, n: int) -> int:
+        """Uniform on [0, n), as `Generator.integers(n)`."""
+        if n == 1:
+            return 0
+        if n > 1 << 32:
+            return int(self.rng.integers(n))
+        if n == 1 << 32:
+            return self._uint32()
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def pick(self, cdf: list[float]) -> int:
+        """An index drawn by `cdf`, as `Generator.choice(len(cdf), p=...)`."""
+        return bisect_right(cdf, self.random())
 
 
 class _UserWriter:
     """Draws one user's profile and posts and renders them as records."""
 
-    def __init__(self, rng: np.random.Generator, behavior: ClassBehavior,
+    def __init__(self, draws: _Draws, behavior: ClassBehavior,
                  window: TimeWindow, pool: tuple[str, ...], tags: list[str],
                  canonical: str, own_hubs: list[str], other_hubs: list[str]):
-        self.rng = rng
+        self.draws = draws
+        self.rng = draws.rng  # for the draws that read whole words only
         self.b = behavior
         self.window = window
         self.pool = pool
@@ -214,8 +275,14 @@ class _UserWriter:
         self.canonical = canonical
         self.own_hubs = own_hubs
         self.other_hubs = other_hubs
-        self.own_weights = _hub_weights(len(own_hubs))
-        self.other_weights = _hub_weights(len(other_hubs))
+        self.own_cdf = _hub_cdf(len(own_hubs))
+        self.other_cdf = _hub_cdf(len(other_hubs))
+        self.hour_cdf = None
+        if behavior.hour_center is not None:
+            weights = np.exp(
+                -0.5 * ((np.arange(24) - behavior.hour_center) / behavior.hour_sd) ** 2
+            )
+            self.hour_cdf = _cdf(weights / weights.sum())
 
     def _age_days(self) -> float:
         age = self.b.age_offset_days + self.rng.exponential(self.b.age_mean_days)
@@ -229,26 +296,27 @@ class _UserWriter:
         return int(self.rng.poisson(rate * age_days))
 
     def _words(self, n: int) -> list[str]:
+        draws = self.draws
         out = []
         for _ in range(n):
-            if self.rng.random() < _POOL_PROB:
-                out.append(self.pool[self.rng.integers(len(self.pool))])
+            if draws.random() < _POOL_PROB:
+                out.append(self.pool[draws.below(len(self.pool))])
             else:
-                out.append(_SHARED_WORDS[self.rng.integers(len(_SHARED_WORDS))])
+                out.append(_SHARED_WORDS[draws.below(len(_SHARED_WORDS))])
         return out
 
     def _compose(self) -> tuple[str, list[str], list[str]]:
-        words = self._words(int(self.rng.integers(6, 15)))
-        n_tags = int(self.rng.choice(3, p=[0.35, 0.40, 0.25]))
+        draws = self.draws
+        words = self._words(6 + draws.below(9))
         tags = []
-        for _ in range(n_tags):
-            if self.rng.random() < _TAG_POOL_PROB:
-                tags.append(self.tags[self.rng.integers(len(self.tags))])
+        for _ in range(draws.pick(_TAG_COUNT_CDF)):
+            if draws.random() < _TAG_POOL_PROB:
+                tags.append(self.tags[draws.below(len(self.tags))])
             else:
-                tags.append(_SHARED_TAGS[self.rng.integers(len(_SHARED_TAGS))])
+                tags.append(_SHARED_TAGS[draws.below(len(_SHARED_TAGS))])
         urls = []
-        if self.rng.random() < self.b.url_prob:
-            urls.append(f"https://t.co/{self.rng.integers(36**6):x}")
+        if draws.random() < self.b.url_prob:
+            urls.append(f"https://t.co/{draws.below(36**6):x}")
         text = " ".join(words).capitalize()
         if tags:
             text += " " + " ".join("#" + t for t in tags)
@@ -257,23 +325,21 @@ class _UserWriter:
         return text, tags, urls
 
     def _pick_hub(self) -> str:
-        if self.rng.random() < _OWN_HUB_PROB or not self.other_hubs:
-            return self.own_hubs[self.rng.choice(len(self.own_hubs), p=self.own_weights)]
-        return self.other_hubs[self.rng.choice(len(self.other_hubs), p=self.other_weights)]
+        if self.draws.random() < _OWN_HUB_PROB:
+            return self.own_hubs[self.draws.pick(self.own_cdf)]
+        return self.other_hubs[self.draws.pick(self.other_cdf)]
 
     def _timestamp(self, created_at: int) -> int:
+        draws = self.draws
         if created_at > self.window.start:
             span = self.window.end - created_at
-            return created_at + int(self.rng.integers(max(span, 1)))
-        day = int(self.rng.integers(self.window.days))
-        if self.b.hour_center is None:
-            hour = int(self.rng.integers(24))
+            return created_at + draws.below(max(span, 1))
+        day = draws.below(int(self.window.days))
+        if self.hour_cdf is None:
+            hour = draws.below(24)
         else:
-            weights = np.exp(
-                -0.5 * ((np.arange(24) - self.b.hour_center) / self.b.hour_sd) ** 2
-            )
-            hour = int(self.rng.choice(24, p=weights / weights.sum()))
-        return self.window.start + day * DAY_SECONDS + hour * 3600 + int(self.rng.integers(3600))
+            hour = draws.pick(self.hour_cdf)
+        return self.window.start + day * DAY_SECONDS + hour * 3600 + draws.below(3600)
 
     def snapshots(self, user_id: str) -> tuple[list[dict], int]:
         age_days = self._age_days()
@@ -293,16 +359,17 @@ class _UserWriter:
         favourites = self._accrued(self.b.favourites_per_day, age_days)
         listed = self._accrued(self.b.listed_per_day, age_days)
 
-        if self.rng.random() < self.b.name_digit_prob:
-            number = int(self.rng.integers(10_000, 99_999_999))
+        draws = self.draws
+        if draws.random() < self.b.name_digit_prob:
+            number = 10_000 + draws.below(99_999_999 - 10_000)
             name = screen_name = f"user{number}"
         else:
-            first = _SHARED_WORDS[self.rng.integers(len(_SHARED_WORDS))]
-            second = _SHARED_WORDS[self.rng.integers(len(_SHARED_WORDS))]
+            first = _SHARED_WORDS[draws.below(len(_SHARED_WORDS))]
+            second = _SHARED_WORDS[draws.below(len(_SHARED_WORDS))]
             name = f"{first.capitalize()} {second.capitalize()}"
             screen_name = first + second
         description = ""
-        if self.rng.random() < self.b.description_prob:
+        if draws.random() < self.b.description_prob:
             description = " ".join(self._words(8)).capitalize()
 
         common = {
@@ -311,9 +378,9 @@ class _UserWriter:
             "friends": friends,
             "favourites": favourites,
             "listed": listed,
-            "verified": bool(self.rng.random() < self.b.verified_prob),
-            "default_profile": bool(self.rng.random() < self.b.default_profile_prob),
-            "default_profile_image": bool(self.rng.random() < self.b.default_profile_image_prob),
+            "verified": draws.random() < self.b.verified_prob,
+            "default_profile": draws.random() < self.b.default_profile_prob,
+            "default_profile_image": draws.random() < self.b.default_profile_image_prob,
             "name": name,
             "screen_name": screen_name,
             "description": description,
@@ -338,17 +405,17 @@ class _UserWriter:
                 "created_at": ts,
                 "lang": "en",
             }
-            if self.rng.random() < self.b.duplicate_prob:
+            if self.draws.random() < self.b.duplicate_prob:
                 record["text"] = self.canonical
                 records.append(record)
                 continue
             text, tags, urls = self._compose()
             mentions = []
-            if self.rng.random() < self.b.mention_prob:
+            if self.draws.random() < self.b.mention_prob:
                 hub = self._pick_hub()
                 mentions.append(hub)
                 text = f"@{hub} " + text
-            roll = self.rng.random()
+            roll = self.draws.random()
             if roll < self.b.retweet_fraction:
                 hub = self._pick_hub()
                 delay = max(1, int(self.rng.lognormal(self.b.reaction_log_mean,
@@ -378,7 +445,8 @@ class _UserWriter:
 def generate(config: GeneratorConfig, seed: int, out_dir: str | Path) -> dict[str, Path]:
     """Write tweets.jsonl, snapshots.jsonl, and labels.csv."""
     config.validate()
-    rng = np.random.default_rng(seed)
+    draws = _Draws(np.random.default_rng(seed))
+    encode = json.JSONEncoder(sort_keys=True).encode
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -417,16 +485,16 @@ def generate(config: GeneratorConfig, seed: int, out_dir: str | Path) -> dict[st
                  hubs_n, hubs_s, STATUS_NORMAL),
             ]
             for prefix, count, behavior, pool, tags, canon, own, other, status in plan:
-                writer = _UserWriter(rng, behavior, window, pool, tags, canon, own, other)
+                writer = _UserWriter(draws, behavior, window, pool, tags, canon, own, other)
                 for u in range(count):
                     user_id = f"{prefix}{w_index}_{u:05d}"
                     snaps, created_at = writer.snapshots(user_id)
                     for snap in snaps:
-                        snaps_fh.write(json.dumps(snap, sort_keys=True) + "\n")
+                        snaps_fh.write(encode(snap) + "\n")
                     for record in writer.posts(user_id, created_at, next_id):
-                        tweets_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                        tweets_fh.write(encode(record) + "\n")
                     if status == STATUS_SUSPENDED:
-                        when = window.start + int(rng.integers(window.end - window.start))
+                        when = window.start + draws.below(window.end - window.start)
                         labels_fh.write(f"{user_id},{status},{_iso(when)}\n")
                     else:
                         labels_fh.write(f"{user_id},{status},\n")

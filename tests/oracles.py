@@ -3,9 +3,10 @@
 Brute-force Shapley enumeration (`shapley_exact`, and `oracle_shapley`,
 written independently of it) for the closed-form attributions; the
 exhaustive leader scan for content clustering; the dense eigensolver
-and the principal angle for the PCA; and Base58Check and BIP-173
-bech32 encoders with the published and fresh addresses they build for
-wallet extraction.  None of them shares code with what it judges: the
+and the principal angle for the PCA; a threshold scan for the ROC and
+PR curves and a tie-group scan for average ranks; and Base58Check and
+BIP-173 bech32 encoders with the published and fresh addresses they
+build for wallet extraction.  None of them shares code with what it judges: the
 only suspkit module imported here is `suspkit.errors`.
 """
 
@@ -186,6 +187,42 @@ def subspace_angle(A, B):
     Qb = np.linalg.qr(B.T)[0]
     s = np.clip(np.linalg.svd(Qa.T @ Qb, compute_uv=False), -1.0, 1.0)
     return float(np.arccos(s.min()))
+
+
+def oracle_curves(y, scores):
+    """ROC (threshold, fpr, tpr) and PR (threshold, recall, precision)
+    points, predicting 1 when score >= t, by recounting the predictions
+    at each distinct score from the highest down."""
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    roc_points, pr_points = [], []
+    for t in np.unique(scores)[::-1]:
+        pred = scores >= t
+        tp = int((pred & (y == 1)).sum())
+        fp = int((pred & (y == 0)).sum())
+        tpr = tp / n_pos if n_pos else 0.0
+        fpr = fp / n_neg if n_neg else 0.0
+        precision = tp / (tp + fp) if tp + fp else 1.0
+        roc_points.append((float(t), fpr, tpr))
+        pr_points.append((float(t), tpr, precision))
+    return roc_points, pr_points
+
+
+def oracle_average_ranks(values):
+    """1-based ranks, each run of tied values sharing its mean rank,
+    by walking the sorted values one at a time."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.shape[0])
+    sorted_vals = values[order]
+    i = 0
+    n = values.shape[0]
+    while i < n:
+        j = i
+        while j < n and sorted_vals[j] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j]] = (i + 1 + j) / 2.0
+        i = j
+    return ranks
 
 
 _BASE58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"

@@ -243,6 +243,27 @@ class TestStageSequence:
         assert "--rows" in capsys.readouterr().err
 
 
+def _assert_one_bad_value_skipped(workdir, tmp_path, name, old, new):
+    """Ingest the workdir's corpus with the first `old` in the `name`
+    file replaced by `new`; that one record is skipped as bad_value."""
+    wd, _ = workdir
+    paths = {n: wd / "synth" / f"{n}.jsonl" for n in ("tweets", "snapshots")}
+    damaged = paths[name].read_bytes()
+    assert old in damaged
+    paths[name] = tmp_path / f"{name}.jsonl"
+    paths[name].write_bytes(damaged.replace(old, new, 1))
+    code = cli.main(
+        ["--workdir", str(tmp_path), "--seed", "3", "ingest",
+         "--tweets", str(paths["tweets"]), "--snapshots", str(paths["snapshots"]),
+         "--labels", str(wd / "synth" / "labels.csv")]
+    )
+    assert code == 0
+    stats = json.loads((tmp_path / "ingest_stats.json").read_text())
+    clean = json.loads((wd / "ingest_stats.json").read_text())
+    assert stats[name]["skipped_by_reason"] == {"bad_value": 1}
+    assert stats[name]["parsed"] == clean[name]["parsed"] - 1
+
+
 class TestFailureModes:
     def test_evaluate_before_train_exits_3(self, tmp_path, capsys):
         code = cli.main(["--workdir", str(tmp_path), "evaluate", "--split", "test"])
@@ -368,22 +389,12 @@ class TestFailureModes:
         # SQLite stores signed 64-bit integers; a larger one is a bad
         # value of its record, not a failure of the stage.  The field's
         # old value stays in the record under an unread key.
-        wd, _ = workdir
-        paths = {n: wd / "synth" / f"{n}.jsonl" for n in ("tweets", "snapshots")}
-        damaged = paths[name].read_bytes()
-        assert old in damaged
-        paths[name] = tmp_path / f"{name}.jsonl"
-        paths[name].write_bytes(damaged.replace(old, new, 1))
-        code = cli.main(
-            ["--workdir", str(tmp_path), "--seed", "3", "ingest",
-             "--tweets", str(paths["tweets"]), "--snapshots", str(paths["snapshots"]),
-             "--labels", str(wd / "synth" / "labels.csv")]
+        _assert_one_bad_value_skipped(workdir, tmp_path, name, old, new)
+
+    def test_non_string_lang_is_skipped_as_bad_value(self, workdir, tmp_path):
+        _assert_one_bad_value_skipped(
+            workdir, tmp_path, "tweets", b'"lang": ', b'"lang": false, "x": '
         )
-        assert code == 0
-        stats = json.loads((tmp_path / "ingest_stats.json").read_text())
-        clean = json.loads((wd / "ingest_stats.json").read_text())
-        assert stats[name]["skipped_by_reason"] == {"bad_value": 1}
-        assert stats[name]["parsed"] == clean[name]["parsed"] - 1
 
     @pytest.mark.parametrize(
         "content, line",

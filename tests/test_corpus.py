@@ -108,6 +108,18 @@ class TestParseTweet:
             parse_tweet_record(tweet_line(created_at=created_at))
         assert err.value.reason == "bad_value"
 
+    @pytest.mark.parametrize("lang", [None, ""])
+    def test_null_or_empty_lang_reads_as_und(self, lang):
+        record = json.loads(tweet_line())
+        record["lang"] = lang
+        assert parse_tweet_record(json.dumps(record)).lang == "und"
+
+    @pytest.mark.parametrize("lang", [0, False, [], {}, 7, True, ["en"]])
+    def test_non_string_lang_rejected(self, lang):
+        with pytest.raises(MalformedRecord) as err:
+            parse_tweet_record(tweet_line(lang=lang))
+        assert err.value.reason == "bad_value"
+
     def test_epoch_at_the_64_bit_bounds_accepted(self):
         for created_at in (2**63 - 1, -2**63):
             assert parse_tweet_record(tweet_line(created_at=created_at)).created_at == created_at

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from suspkit.suspension_model import (
     LogisticModel,
     SchemaMismatch,
     TooFewSamples,
+    _average_ranks,
+    _curves,
     cv_mean,
     evaluate,
     evaluate_scores,
@@ -31,6 +34,8 @@ from suspkit.suspension_model import (
     train,
     write_curve_csv,
 )
+
+from oracles import oracle_average_ranks, oracle_curves
 
 # Every setting of the fits below: the library takes no defaults.
 LOGISTIC = {"reg_lambda": 1.0}
@@ -170,6 +175,38 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabels):
             roc_auc(np.ones(3), np.zeros(3))
+
+
+class TestCurvesAndRanks:
+    """`_curves` and `_average_ranks` against the scans they replaced."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(11)
+        yield np.array([], dtype=np.int64), np.array([])
+        yield np.zeros(3, dtype=np.int64), np.full(3, 0.4)
+        for n in (1, 2, 7, 50, 400):
+            y = rng.integers(0, 2, size=n)
+            yield y, rng.random(n)  # distinct scores
+            yield y, rng.integers(0, 6, size=n) / 5.0  # coarse grid forces ties
+
+    def test_curves_equal_the_threshold_scan(self):
+        for y, scores in self.cases():
+            assert _curves(y, scores) == oracle_curves(y, scores)
+
+    def test_average_ranks_equal_the_tie_scan(self):
+        for _, scores in self.cases():
+            np.testing.assert_array_equal(_average_ranks(scores), oracle_average_ranks(scores))
+
+    def test_curves_at_16k_rows_take_under_50_ms(self):
+        rng = np.random.default_rng(5)
+        y, scores = rng.integers(0, 2, size=16_000), rng.random(16_000)
+        seconds = []
+        for _ in range(3):
+            started = time.perf_counter()
+            _curves(y, scores)
+            seconds.append(time.perf_counter() - started)
+        assert min(seconds) < 0.05
 
 
 class TestF1:

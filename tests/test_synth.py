@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from suspkit.corpus import DAY_SECONDS, CorpusStore, TimeWindow, split_windows
-from suspkit.synth import DEFAULT_CORPUS_START, GeneratorConfig, generate
+from suspkit.synth import DEFAULT_CORPUS_START, GeneratorConfig, _cdf, _Draws, generate
 from suspkit.wallets import extract_wallets
 
 from oracles import oracle_base58check
@@ -62,6 +62,74 @@ class TestDeterminism:
         a = generate(small_config(), seed=5, out_dir=tmp_path / "a")
         b = generate(small_config(), seed=6, out_dir=tmp_path / "b")
         assert a["tweets"].read_bytes() != b["tweets"].read_bytes()
+
+
+# Recorded from the `Generator`-call implementation these draws
+# replaced: any change to the stream or the rendering shows here.
+PINNED_DIGESTS = {
+    "one_window": (dict(n_suspended=12, n_normal=9), 4, {
+        "tweets": "955743f01652f791151c25533b6262a50aa391489035e42b07deda9bfaed00d7",
+        "snapshots": "420d4132ccc93467799c48814de37024b66a4c0ccf3889ce59bdf5c9eefe167d",
+        "labels": "d76b3f7352ad2c711df9c96a0c72bf572abcca6a7e9e833ac9dfb67f68841b2d",
+    }),
+    "two_windows": (dict(n_suspended=10, n_normal=14, n_windows=2), 8, {
+        "tweets": "714044e4ff2f52c48178d43a990998ecfce9f47e994ef22c174c134f8e3cf6f5",
+        "snapshots": "7a77d1855b42046a93214c73286596416f2acdc4c8bbaeafc4a3f6d90ba0b3e6",
+        "labels": "2929778acd541a0a1983225c6fe30e1fbf1a0b549daa06f514c5d27aa7ec4346",
+    }),
+    "two_windows_drift": (dict(n_suspended=11, n_normal=10, n_windows=2, drift=True), 9, {
+        "tweets": "706448eb358186e9b1004379929a7e6e947f9735db2240e3db456bb05ce02557",
+        "snapshots": "dfb4e943620cc0dbcada2178bfd1e8f5bc66e62fcb33a23574b264e37b9d2c8e",
+        "labels": "2f59561e7e3d2ca81aa87e6b309bc75c9622afc538afcbcad27a46d1dd66f727",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_pinned_corpus_digests(tmp_path, name):
+    overrides, seed, digests = PINNED_DIGESTS[name]
+    paths = generate(GeneratorConfig(**overrides), seed=seed, out_dir=tmp_path)
+    for key, digest in digests.items():
+        assert hashlib.sha256(paths[key].read_bytes()).hexdigest() == digest, key
+
+
+class TestDraws:
+    # 1 draws nothing; 2**31 + 1 rejects about half its first draws;
+    # 2**32 takes a half word as is; above 2**32 reads whole words.
+    BOUNDS = (1, 2, 9, 24, 40, 3600, 1_814_400, 36**6, 2**31 + 1,
+              2**32 - 1, 2**32, 2**32 + 5)
+    PS = ([0.35, 0.40, 0.25], [0.5, 0.25, 1 / 6, 1 / 12], [1.0], [0.0, 0.3, 0.7])
+    CALLS = 120_000
+
+    def test_equal_to_generator_values_and_state(self):
+        ours, theirs = np.random.default_rng(2024), np.random.default_rng(2024)
+        draws = _Draws(ours)
+        plan = np.random.default_rng(0)
+        kinds = plan.integers(7, size=self.CALLS)
+        args = plan.integers(len(self.BOUNDS), size=self.CALLS)
+        cdfs = [_cdf(p) for p in self.PS]
+        for kind, arg in zip(kinds.tolist(), args.tolist()):
+            if kind == 0:
+                assert draws.random() == theirs.random()
+            elif kind == 1:
+                n = self.BOUNDS[arg]
+                assert draws.below(n) == theirs.integers(n), n
+            elif kind == 2:  # the two-bound form draws the width's value
+                n = self.BOUNDS[arg]
+                assert 10_000 + draws.below(n) == theirs.integers(10_000, 10_000 + n), n
+            elif kind == 3:
+                k = arg % len(self.PS)
+                p = self.PS[k]
+                assert draws.pick(cdfs[k]) == theirs.choice(len(p), p=p), p
+            elif kind == 4:
+                assert ours.lognormal(0.5, 1.0) == theirs.lognormal(0.5, 1.0)
+            elif kind == 5:
+                assert ours.poisson(3.5) == theirs.poisson(3.5)
+            else:
+                assert ours.exponential(2.0) == theirs.exponential(2.0)
+        state = theirs.bit_generator.state
+        assert ours.bit_generator.state["state"] == state["state"]
+        assert draws._half == (state["uinteger"] if state["has_uint32"] else None)
 
 
 class TestClassSeparation:
