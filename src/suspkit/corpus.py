@@ -12,10 +12,14 @@ parses, counts, inserts and commits all three files.
 
 Each read takes only what its consumer uses.  The tweets of a set of
 users in a window are decoded in one :meth:`CorpusStore.tweets_in_window`
-pass, which :func:`read_window` groups per user for the feature
-families.  The graph build reads four columns of the window's posts
-that can give an edge (:meth:`CorpusStore.interactions`), and content
-clustering the id, user and text columns (:meth:`CorpusStore.window_posts`).
+pass; the feature families read a split's users a chunk at a time.
+The fits of the textual and post-embedding families read narrower
+columns of the same users: their hashtags
+(:meth:`CorpusStore.post_hashtags`), their post count and their post
+texts (:meth:`CorpusStore.post_count`, :meth:`CorpusStore.post_texts`).
+The graph build reads four columns of the window's posts that can give
+an edge (:meth:`CorpusStore.interactions`), and content clustering the
+id, user and text columns (:meth:`CorpusStore.window_posts`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import logging
 import sqlite3
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import groupby, starmap
+from itertools import starmap
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -406,6 +410,12 @@ _INSERT = {
     for table, columns in _COLUMNS.items()
 }
 _SELECT = {table: f"SELECT {', '.join(columns)} FROM {table}" for table, columns in _COLUMNS.items()}
+# The in-window tweets of the users of a JSON array, which sqlite joins
+# on through the (user_id, created_at) index: no parameter per user, so
+# the list has no length limit, and no row of another user is read.
+_USERS_IN_WINDOW = (" WHERE user_id IN (SELECT value FROM json_each(?))"
+                    " AND created_at >= ? AND created_at < ?")
+_TIMELINE_ORDER = " ORDER BY user_id, created_at, tweet_id"
 
 
 def _encode_list(values: tuple[str, ...]) -> str:
@@ -511,19 +521,40 @@ class CorpusStore:
         )
         return [self._row_to_tweet(r) for r in rows]
 
+    def _users_in_window(
+        self, query: str, window: TimeWindow, users: Iterable[str]
+    ) -> sqlite3.Cursor:
+        """The rows of `query`, whose condition is _USERS_IN_WINDOW, for
+        `users` and `window`."""
+        return self._conn.execute(query, (json.dumps(list(users)), window.start, window.end))
+
     def tweets_in_window(self, window: TimeWindow, users: Iterable[str]) -> Iterator[Tweet]:
         """The in-window tweets of `users`, by user and per user in
-        `user_timeline` order.  The users go to sqlite as one JSON array,
-        which it joins on through the (user_id, created_at) index: no
-        parameter per user, so the list has no length limit, and no row
-        of another user is decoded."""
-        rows = self._conn.execute(
-            _SELECT["tweets"] + " WHERE user_id IN (SELECT value FROM json_each(?))"
-            " AND created_at >= ? AND created_at < ? ORDER BY user_id, created_at, tweet_id",
-            (json.dumps(list(users)), window.start, window.end),
-        )
-        for row in rows:
+        `user_timeline` order."""
+        query = _SELECT["tweets"] + _USERS_IN_WINDOW + _TIMELINE_ORDER
+        for row in self._users_in_window(query, window, users):
             yield self._row_to_tweet(row)
+
+    def post_count(self, window: TimeWindow, users: Iterable[str]) -> int:
+        """The number of in-window tweets of `users`."""
+        query = "SELECT COUNT(*) FROM tweets" + _USERS_IN_WINDOW
+        return self._users_in_window(query, window, users).fetchone()[0]
+
+    def post_texts(self, window: TimeWindow, users: Iterable[str]) -> Iterator[tuple[str, str]]:
+        """(tweet_id, text) of the in-window tweets of `users`, in the
+        order of `tweets_in_window`."""
+        query = "SELECT tweet_id, text FROM tweets" + _USERS_IN_WINDOW + _TIMELINE_ORDER
+        return self._users_in_window(query, window, users)
+
+    def post_hashtags(
+        self, window: TimeWindow, users: Iterable[str]
+    ) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """(user_id, hashtags) of the in-window tweets of `users` that
+        have a hashtag, by user."""
+        query = ("SELECT user_id, hashtags FROM tweets" + _USERS_IN_WINDOW
+                 + " AND hashtags != '[]' ORDER BY user_id")
+        for user, hashtags in self._users_in_window(query, window, users):
+            yield user, _decode_list(hashtags)
 
     def interactions(
         self, window: TimeWindow
@@ -580,16 +611,6 @@ class CorpusStore:
     def labels(self) -> dict[str, AccountLabel]:
         labels = starmap(AccountLabel, self._conn.execute(_SELECT["labels"]))
         return {label.user_id: label for label in labels}
-
-
-def read_window(
-    store: CorpusStore, window: TimeWindow, users: Iterable[str]
-) -> dict[str, list[Tweet]]:
-    """The window's tweets of `users` grouped per user, from one read.
-    Each list is in `user_timeline` order; a user without an in-window
-    tweet has no entry."""
-    tweets = store.tweets_in_window(window, users)
-    return {user: list(own) for user, own in groupby(tweets, attrgetter("user_id"))}
 
 
 def select_window_users(

@@ -46,8 +46,10 @@ _MIN_CHILD_HESS = 1e-3
 # (2^k, 2^k * k) table of pair values (4 MB at k = 8); leaves with more
 # pair every explained row with every background row instead.
 _TABLE_MAX_FEATURES = 8
-# Elements of the largest intermediate array per block of TreeSHAP work.
+# Elements of the largest intermediate array per block of TreeSHAP
+# leaves, and per block of rows explained against a block of leaves.
 _SHAP_BLOCK = 1 << 20
+_SHAP_ROW_BLOCK = 1 << 16
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -422,7 +424,7 @@ class GbdtClassifier:
                     lo, hi = zip(*bounds.values())
                     by_k.setdefault(len(bounds), []).append(
                         (list(bounds), lo, hi, self.learning_rate * tree.value[node]))
-        phi = np.zeros(n * d)
+        phi = np.zeros((n, d))
         for k, leaves in sorted(by_k.items()):
             feature, lo, hi, value = (np.asarray(a) for a in zip(*leaves))
             # A block of leaves holds (r, leaves, k) background values and
@@ -446,18 +448,21 @@ class GbdtClassifier:
                     counts = np.bincount((sb + (np.arange(n_leaves) << k)).ravel(),
                                          minlength=n_leaves << k).reshape(n_leaves, -1)
                     summed = (counts @ table).reshape(n_leaves, 1 << k, k)
-                rows_per_block = max(1, _SHAP_BLOCK // (n_leaves * k * paired))
+                # Each row's slots get one addition per block of leaves,
+                # whatever the block of rows.
+                rows_per_block = max(1, _SHAP_ROW_BLOCK // (n_leaves * k * paired))
                 for start in range(0, n, rows_per_block):
-                    rows = np.arange(start, min(n, start + rows_per_block))
+                    rows = slice(start, min(n, start + rows_per_block))
                     sx = _path_masks(X[rows], feature[leaf], lo[leaf], hi[leaf])  # (rows, L)
                     if table is not None:
                         contrib = summed[np.arange(n_leaves), sx]
                     else:
                         contrib = _pair_phi(sx[:, None, :], sb[None, :, :], k).sum(axis=1)
                     contrib *= scale[:, None]
-                    slot = rows[:, None, None] * d + feature[leaf]
-                    phi += np.bincount(slot.ravel(), weights=contrib.ravel(), minlength=n * d)
-        return phi.reshape(n, d)
+                    slot = np.arange(len(sx))[:, None, None] * d + feature[leaf]
+                    phi[rows] += np.bincount(slot.ravel(), weights=contrib.ravel(),
+                                             minlength=len(sx) * d).reshape(-1, d)
+        return phi
 
     def feature_importance(self) -> np.ndarray:
         """Total split gain per feature of this object's own fit,

@@ -3,9 +3,9 @@
 Every stage writes a manifest naming the config hash, the seeds, the
 files it read, and a SHA-256 per output file (paths relative to the
 workdir), so reruns can be compared byte-for-byte and stale artifacts
-found by lineage.  Wall-clock durations go to a separate timing
-sidecar; keeping them out of the manifest is what makes manifests
-reproducible.
+found by lineage.  Wall-clock durations and the stage's peak memory go
+to a separate timing sidecar; keeping them out of the manifest is what
+makes manifests reproducible.
 """
 
 from __future__ import annotations
@@ -83,11 +83,26 @@ def write_stage_manifest(
     return path
 
 
+def peak_rss_mb() -> float | None:
+    """This process's peak resident set in MB (2^20 bytes): `VmHWM` of
+    /proc/self/status, which `exec` resets, so a process spawned from a
+    large parent does not read the parent's peak; None without /proc."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return None
+
+
 def write_timing(workdir: str | Path, stage: str, seconds: float) -> Path:
+    """The stage's wall time and own peak memory, beside its manifest."""
     path = Path(workdir) / f"{stage}.timing.json"
+    timing = {"stage": stage, "seconds": seconds, "peak_rss_mb": peak_rss_mb()}
     with atomic_path(path) as tmp:
-        tmp.write_text(canonical_json({"stage": stage, "seconds": seconds}) + "\n",
-                       encoding="utf-8")
+        tmp.write_text(canonical_json(timing) + "\n", encoding="utf-8")
     return path
 
 

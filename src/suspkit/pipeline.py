@@ -3,10 +3,11 @@ split, per-family feature extraction for it and for window 2, training
 with cross-validation, clustering and graph ranking.  The CLI stages
 are thin wrappers over these calls.
 
-Each feature family is one call that returns the block of all kept
-users of a window, one row per user in one order.  Post vectors are
-plain rows: the posts are the users' timelines one after the other, so
-a user's rows are one slice, found by position rather than by post id.
+A window's kept users are read a chunk at a time, and each feature
+family is one call that returns the block of a chunk, one row per user
+in one order.  Post vectors are plain rows: the posts are the users'
+timelines one after the other, so a user's rows are one slice, found
+by position rather than by post id.
 
 All state fitted on training data (IDF table, PCA basis, graph and its
 embeddings) is carried in an ExtractionContext and reused verbatim
@@ -19,8 +20,11 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass, fields
-from itertools import chain
+from functools import partial
+from itertools import chain, groupby, islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from .corpus import (
     TimeWindow,
     Tweet,
     parse_status_date,
-    read_window,
     select_window_users,
     split_windows,
     undersample_balance,
@@ -215,6 +218,49 @@ class WindowFeatures:
     context: ExtractionContext
 
 
+def _embed(provider: EmbeddingProvider, posts: Iterable[tuple[str, str]]) -> np.ndarray:
+    """The vectors of the (id, text) `posts`."""
+    ids, texts = [], []
+    for post_id, text in posts:
+        ids.append(post_id)
+        texts.append(text)
+    return provider.embed(ids, texts)
+
+
+def _post_vectors(
+    provider: EmbeddingProvider, posts: Iterator[tuple[str, str]], runs: list[slice]
+) -> Iterator[np.ndarray]:
+    """The vectors of the (id, text) `posts`, one run of `runs` at a
+    time; nothing of a run is held here while its vectors are used."""
+    for rows in runs:
+        yield _embed(provider, islice(posts, rows.stop - rows.start))
+
+
+def _reduced_runs(
+    provider: EmbeddingProvider,
+    read_posts: Callable[[], Iterator[tuple[str, str]]],
+    n: int,
+    pca: PcaModel | None,
+    k: int,
+) -> tuple[PcaModel, Iterator[np.ndarray]]:
+    """(PCA, the reduced rows of n posts, one `row_blocks(n)` run at a
+    time).  Each call of `read_posts` reads the same (id, text) posts in
+    the same order.  With `pca` None, a PCA of k components is fitted
+    first: it reads every run once, and the transform encodes each run
+    again.  A one-run fit encodes its posts once: `pca_fit` centered the
+    run in place on what is the PCA mean, which is the transform's own
+    subtraction, so only the projection is left."""
+    runs = list(row_blocks(n))
+    if pca is None:
+        vectors = _post_vectors(provider, read_posts(), runs)
+        if len(runs) == 1:
+            (X,) = vectors
+            pca = pca_fit([X], k)
+            return pca, iter([X @ pca.components.T])
+        pca = pca_fit(vectors, k)
+    return pca, map(partial(pca_transform, pca), _post_vectors(provider, read_posts(), runs))
+
+
 def _reduce_posts(
     provider: EmbeddingProvider,
     ids: list[str],
@@ -223,49 +269,78 @@ def _reduce_posts(
     config: PipelineConfig,
 ) -> tuple[np.ndarray, PcaModel]:
     """Post vectors reduced by `pca`, or by a PCA fitted on them when
-    `pca` is None: (reduced rows in post order, PCA).  The posts are
-    encoded one `row_blocks` run at a time, so no more than one run's
-    vectors and the n x k output are held: a fit reads every run once to
-    accumulate the PCA, then, like a transform, encodes each run again,
-    centers it and projects it."""
-    if pca is None:
-        k = min(config.pca_components, provider.dim, len(ids))
-        pca = pca_fit(
-            (provider.embed(ids[rows], texts[rows]) for rows in row_blocks(len(ids))), k
-        )
+    `pca` is None: (reduced rows in post order, PCA).  No more than one
+    run's vectors and the n x k output are held (`_reduced_runs`)."""
+    k = min(config.pca_components, provider.dim, len(ids))
+    pca, runs = _reduced_runs(provider, lambda: zip(ids, texts), len(ids), pca, k)
     reduced = np.empty((len(ids), pca.k))
-    for rows in row_blocks(len(ids)):
-        reduced[rows] = pca_transform(pca, provider.embed(ids[rows], texts[rows]))
+    start = 0
+    for run in runs:
+        reduced[start : start + len(run)] = run
+        start += len(run)
     return reduced, pca
+
+
+class _Rows:
+    """The rows of a stream of blocks, taken in order a count at a time;
+    between takes it holds only the blocks the last take read into."""
+
+    def __init__(self, blocks: Iterator[np.ndarray], width: int):
+        self._blocks = blocks
+        self._rest = np.empty((0, width))
+
+    def take(self, m: int) -> np.ndarray:
+        parts = [self._rest]
+        held = len(self._rest)
+        while held < m:
+            parts.append(next(self._blocks))
+            held += len(parts[-1])
+        rows = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        self._rest = rows[m:]
+        return rows[:m]
+
+
+def _timelines(store: CorpusStore, window: TimeWindow, users: list[str]) -> list[list[Tweet]]:
+    """The in-window timeline of each of `users`, from one read; a user
+    without an in-window tweet gets an empty one."""
+    tweets = store.tweets_in_window(window, users)
+    own = {user: list(timeline) for user, timeline in groupby(tweets, attrgetter("user_id"))}
+    return [own.get(user, []) for user in users]
 
 
 GRAPH_LR = 2.0  # the step size of the graph fit
 GRAPH_NEGATIVES = 5  # corrupted destinations per training edge
 
+# A split's users are read, and their rows computed, this many at a
+# time, so no more than one chunk's tweets are held as objects.
+CHUNK_USERS = 128
+
 
 def extract_window_features(
     store: CorpusStore,
     window: TimeWindow,
-    tweets: dict[str, list[Tweet]],
     users: dict[str, int],
     config: PipelineConfig,
     context: ExtractionContext | None = None,
 ) -> WindowFeatures:
     """The feature matrix of `config.families` for one window's labeled users.
 
-    `tweets` is the window's `read_window` table of (at least) `users`,
-    so the store is read only for snapshots and, without a context, for
-    the graph.  Users without any in-window profile snapshot are
-    dropped.  Without a context, the IDF table, PCA basis, graph and
-    node embeddings are fitted here; pass the training window's context
-    when extracting an evaluation window and they are read from it as
-    they are, whatever the window.  The graph holds the interactions of
-    every user of the window (`CorpusStore.interactions`), not only of
-    `users`.  The node embeddings are the run's one graph fit: on the
-    window graph minus the edges the graph stage holds out for ranking.
-    A user outside the context's graph, or every user when no training
-    edge is left, gets an all-NaN graph row, which the model imputes
-    with its training medians.
+    Users without any in-window profile snapshot are dropped.  Without a
+    context, the IDF table, PCA basis, graph and node embeddings are
+    fitted here; pass the training window's context when extracting an
+    evaluation window and they are read from it as they are, whatever
+    the window.  The fits read only the columns they use: the kept
+    users' hashtags, and their post texts in `row_blocks` runs over all
+    their posts.  Then the kept users are read CHUNK_USERS at a time,
+    and every family computes the chunk's rows; the post vectors are
+    the same runs, encoded again unless the fit had one run, and a run
+    may span chunks.  The graph holds the interactions of every user of
+    the window (`CorpusStore.interactions`), not only of `users`.  The
+    node embeddings are the run's one graph fit: on the window graph
+    minus the edges the graph stage holds out for ranking.  A user
+    outside the context's graph, or every user when no training edge is
+    left, gets an all-NaN graph row, which the model imputes with its
+    training medians.
     """
     families = config.families
     fit = context is None
@@ -275,36 +350,33 @@ def extract_window_features(
     snaps_map = store.snapshots(sorted(users), window)
     kept = [user for user, snaps in snaps_map.items() if snaps]
     dropped = [user for user, snaps in snaps_map.items() if not snaps]
-    timelines = [tweets.get(u, []) for u in kept]
 
-    # (column names, block) per family, visited in FAMILY_ORDER.
-    blocks: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+    # The column names of each family, visited in FAMILY_ORDER.
+    names: dict[str, tuple[str, ...]] = {}
     if "profile" in families:
-        blocks["profile"] = PROFILE_FEATURE_NAMES, features_from_snapshots(
-            [snaps_map[u] for u in kept], window
-        )
+        names["profile"] = PROFILE_FEATURE_NAMES
     if "activity" in families:
-        blocks["activity"] = ACTIVITY_FEATURE_NAMES, activity_features(timelines)
+        names["activity"] = ACTIVITY_FEATURE_NAMES
     if "textual" in families:
         if fit:
-            context.idf = build_idf(dict(zip(kept, map(user_hashtag_counts, timelines))))
-        blocks["textual"] = TEXTUAL_FEATURE_NAMES, textual_features(timelines, context.idf)
+            counts = {user: {} for user in kept}
+            for user, rows in groupby(store.post_hashtags(window, kept), itemgetter(0)):
+                counts[user] = user_hashtag_counts(hashtags for _, hashtags in rows)
+            context.idf = build_idf(counts)
+        names["textual"] = TEXTUAL_FEATURE_NAMES
 
     if "post_embedding" in families:
-        posts = list(chain.from_iterable(timelines))
+        n = store.post_count(window, kept)
         if fit:
-            if len(posts) < 2:
+            if n < 2:
                 raise SuspkitError("too few posts to fit the embedding reduction")
             context.provider = make_provider(config)
-        reduced, pca = _reduce_posts(
-            context.provider, [t.tweet_id for t in posts], [t.text for t in posts],
-            context.pca, config,
+        context.pca, runs = _reduced_runs(
+            context.provider, partial(store.post_texts, window, kept), n, context.pca,
+            min(config.pca_components, context.provider.dim, n),
         )
-        if fit:
-            context.pca = pca
-        blocks["post_embedding"] = (
-            post_embedding_feature_names(pca.k), features_from_posts(reduced, timelines)
-        )
+        post_rows = _Rows(runs, context.pca.k)
+        names["post_embedding"] = post_embedding_feature_names(context.pca.k)
 
     if "graph_embedding" in families:
         if fit:
@@ -321,17 +393,35 @@ def extract_window_features(
                     seed=stage_seed(config.seed, "graph"),
                 )
         if context.node_embeddings is not None:
-            X = export_node_features(context.node_embeddings, kept)
+            graph_rows = export_node_features(context.node_embeddings, kept)
         else:
-            X = np.full((len(kept), config.graph_dim), np.nan)
-        blocks["graph_embedding"] = graph_feature_names(config.graph_dim), X
+            graph_rows = np.full((len(kept), config.graph_dim), np.nan)
+        names["graph_embedding"] = graph_feature_names(config.graph_dim)
+
+    X = np.empty((len(kept), sum(map(len, names.values()))))
+    for start in range(0, len(kept), CHUNK_USERS):
+        chunk = kept[start : start + CHUNK_USERS]
+        timelines = _timelines(store, window, chunk)
+        blocks = []
+        if "profile" in names:
+            blocks.append(features_from_snapshots([snaps_map[u] for u in chunk], window))
+        if "activity" in names:
+            blocks.append(activity_features(timelines))
+        if "textual" in names:
+            blocks.append(textual_features(timelines, context.idf))
+        if "post_embedding" in names:
+            reduced = post_rows.take(sum(map(len, timelines)))
+            blocks.append(features_from_posts(reduced, timelines))
+        if "graph_embedding" in names:
+            blocks.append(graph_rows[start : start + len(chunk)])
+        X[start : start + len(chunk)] = np.hstack(blocks)
 
     return WindowFeatures(
-        families={name: names for name, (names, _) in blocks.items()},
+        families=names,
         combined=FeatureMatrix(
-            feature_names=tuple(chain.from_iterable(names for names, _ in blocks.values())),
+            feature_names=tuple(chain.from_iterable(names.values())),
             user_ids=kept,
-            X=np.hstack([X for _, X in blocks.values()]),
+            X=X,
             y=np.asarray([users[u] for u in kept], dtype=np.int64),
         ),
         dropped_users=dropped,
@@ -387,32 +477,28 @@ TEST_FRACTION = 0.25  # of each class of balanced window-1 users
 def extract_split_features(store: CorpusStore, config: PipelineConfig) -> SplitFeatures:
     """Balance and split the window-1 users, then extract train, test
     and (when window 2 has users of both classes) second-test features,
-    the last two under the context fitted on the train split.  Tweets
-    are read only for the balanced users: one read for train and test,
-    freed before the read for the window-2 users.  The graph has its
-    own read of the window-1 interactions of every user."""
+    the last two under the context fitted on the train split.  Each
+    extraction reads the tweets of its own users only; the graph has
+    its own read of the window-1 interactions of every user."""
     windows = config.windows()
     users = balanced_users(store, config, windows[0])
     train_users, test_users = split_users(
         users, TEST_FRACTION, stage_seed(config.seed, "split")
     )
-    tweets = read_window(store, windows[0], users)
-    train = extract_window_features(store, windows[0], tweets, train_users, config)
+    train = extract_window_features(store, windows[0], train_users, config)
     test = None
     if test_users:
         test = extract_window_features(
-            store, windows[0], tweets, test_users, config, context=train.context
+            store, windows[0], test_users, config, context=train.context
         )
-    del tweets
     try:
         second_users = balanced_users(store, config, windows[1])
     except EmptyClass:
         second_users = {}
     second_test = None
     if second_users:
-        second_tweets = read_window(store, windows[1], second_users)
         second_test = extract_window_features(
-            store, windows[1], second_tweets, second_users, config, context=train.context
+            store, windows[1], second_users, config, context=train.context
         )
     return SplitFeatures(
         train_users=train_users,

@@ -453,6 +453,9 @@ def _curves(
 def evaluate_scores(y: np.ndarray, scores: np.ndarray, split: str) -> EvalReport:
     y = np.asarray(y, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        # NaN compares false both ways: it would rank and threshold as no score does.
+        raise ValueError(f"the {split} scores must be finite")
     pred = (scores >= 0.5).astype(np.int64)
     roc_points, pr_points = _curves(y, scores)
     return EvalReport(

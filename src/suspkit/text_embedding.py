@@ -28,11 +28,12 @@ from .vectors import EmbeddingMatrix, read_emb1
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
-# The encoder hashes texts in blocks of about _BLOCK_BYTES bytes; the
-# count cap bounds a block's bucket rows (texts x dim floats) when the
-# texts are short.
-_BLOCK_BYTES = 1 << 16
-_BLOCK_TEXTS = 1024
+# The encoder hashes texts in blocks of about _BLOCK_BYTES bytes, whose
+# index, hash and weight arrays take about 100 bytes per byte of text;
+# the count cap bounds a block's bucket rows (texts x dim floats) when
+# the texts are short.  Any partition gives the same bits.
+_BLOCK_BYTES = 1 << 14
+_BLOCK_TEXTS = 256
 
 # Post vectors are encoded, fitted and projected in near-equal runs of
 # at least _BLOCK_ROWS rows (8 MB at dim 256).  BLAS rounds a product of
@@ -149,7 +150,9 @@ class HashedNgramEncoder:
         row_of = np.repeat(np.arange(len(chunks)), lengths)
         # Bytes from each position to the end of its own text.
         left = np.repeat(np.cumsum(lengths), lengths) - np.arange(data.size)
-        keys, signs = [], []
+        # Bucket sums are small integers, so adding each n-gram length's
+        # counts apart gives the bits of one count over all of them.
+        rows = np.zeros(len(chunks) * dim)
         h = np.full(data.size, _FNV_OFFSET)
         for n in range(1, _MAX_N + 1):
             # FNV-1a of the n-gram at p extends that of the (n-1)-gram at p.
@@ -158,11 +161,10 @@ class HashedNgramEncoder:
                 continue
             inside = left[: h.size] >= n
             hn = h[inside]
-            keys.append(row_of[: h.size][inside] * dim + (hn % np.uint64(dim)).astype(np.int64))
-            signs.append(1.0 - 2.0 * (hn >> np.uint64(63)).astype(np.float64))
-        rows = np.bincount(
-            np.concatenate(keys), weights=np.concatenate(signs), minlength=len(chunks) * dim
-        ).reshape(len(chunks), dim)
+            keys = row_of[: h.size][inside] * dim + (hn % np.uint64(dim)).astype(np.int64)
+            rows += np.bincount(keys, weights=1.0 - 2.0 * (hn >> np.uint64(63)).astype(np.float64),
+                                minlength=rows.size)
+        rows = rows.reshape(len(chunks), dim)
         for r in np.flatnonzero(lengths < _MIN_N):
             whole = _fnv1a_scalar(chunks[r])
             rows[r, whole % dim] = 1.0 - 2.0 * (whole >> 63)

@@ -13,6 +13,7 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -43,10 +44,12 @@ def _fold_tag(hashtag: str) -> str:
     return hashtag.casefold()
 
 
-def user_hashtag_counts(timeline: list[Tweet]) -> dict[str, int]:
+def user_hashtag_counts(hashtags: Iterable[tuple[str, ...]]) -> dict[str, int]:
+    """The case-folded hashtag counts of one user, from the hashtags of
+    each of their posts."""
     counts: dict[str, int] = {}
-    for t in timeline:
-        for tag in t.hashtags:
+    for tags in hashtags:
+        for tag in tags:
             folded = _fold_tag(tag)
             counts[folded] = counts.get(folded, 0) + 1
     return counts

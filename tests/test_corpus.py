@@ -15,7 +15,6 @@ from suspkit.corpus import (
     parse_snapshot_record,
     parse_status_date,
     parse_tweet_record,
-    read_window,
     select_window_users,
     split_windows,
     undersample_balance,
@@ -300,26 +299,29 @@ class TestCorpusStore:
     def test_unknown_user_gets_empty_timeline(self, window):
         assert CorpusStore().user_timeline("ghost", window) == []
 
-    def test_read_window_groups_user_timelines(self, window):
+    def test_window_reads_follow_user_timelines(self, window):
         store = CorpusStore()
         store.ingest_tweets(
             [
-                tweet_line(id="b", user_id="u1", created_at=WINDOW_START + 10),
+                tweet_line(id="b", user_id="u1", created_at=WINDOW_START + 10, hashtags=["#X"]),
                 tweet_line(id="a", user_id="u1", created_at=WINDOW_START + 10),
-                tweet_line(id="c", user_id="u1", created_at=WINDOW_START + 5),
-                tweet_line(id="d", user_id="u2", created_at=window.start),
-                tweet_line(id="e", user_id="u2", created_at=window.end),
+                tweet_line(id="c", user_id="u1", created_at=WINDOW_START + 5,
+                           hashtags=["y", "x"]),
+                tweet_line(id="d", user_id="u2", created_at=window.start, text="second"),
+                tweet_line(id="e", user_id="u2", created_at=window.end, hashtags=["late"]),
                 tweet_line(id="f", user_id="u3", created_at=window.start - 1),
             ]
         )
-        table = read_window(store, window, ["u1", "u2", "u3"])
-        assert sorted(table) == store.active_users(window) == ["u1", "u2"]
-        for user in ("u1", "u2", "u3"):
-            assert table.get(user, []) == store.user_timeline(user, window)
+        users = ["u1", "u2", "u3"]
+        tweets = list(store.tweets_in_window(window, users))
         # Equal timestamps are ordered by id.
-        assert [t.tweet_id for t in table["u1"]] == ["c", "a", "b"]
-        assert [t.tweet_id for t in table["u2"]] == ["d"]
-        assert store.user_timeline("u3", window) == []
+        assert [t.tweet_id for t in tweets] == ["c", "a", "b", "d"]
+        assert tweets == [t for user in users for t in store.user_timeline(user, window)]
+        assert store.post_count(window, users) == 4
+        assert list(store.post_texts(window, users)) == [(t.tweet_id, t.text) for t in tweets]
+        # Hashtags come by user, in no order within a user.
+        assert sorted(store.post_hashtags(window, users)) == [("u1", ("X",)), ("u1", ("y", "x"))]
+        assert store.post_count(window, []) == 0
 
     def test_user_read_equals_each_timeline(self, window):
         # More users than SQLite's old limit of 999 host parameters, ids
@@ -337,11 +339,9 @@ class TestCorpusStore:
         expected = [t for user in sorted(set(asked)) for t in store.user_timeline(user, window)]
         assert list(store.tweets_in_window(window, asked)) == expected
         assert len(expected) == sum(i % 3 for i in range(len(users)))
-        table = read_window(store, window, asked)
-        assert list(table) == sorted(table)
-        for user in asked:
-            assert table.get(user, []) == store.user_timeline(user, window)
-        assert read_window(store, window, []) == {}
+        assert store.post_count(window, asked) == len(expected)
+        assert list(store.post_texts(window, asked)) == [(t.tweet_id, t.text) for t in expected]
+        assert list(store.tweets_in_window(window, [])) == []
 
     def test_active_users_distinct_sorted(self, window):
         store = CorpusStore()

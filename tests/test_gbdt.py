@@ -556,6 +556,21 @@ class TestTreeShap:
         monkeypatch.setattr(gbdt, "_TABLE_MAX_FEATURES", 0)
         np.testing.assert_allclose(model.shap_values(rows, X[:20]), expected, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("table_max", [gbdt._TABLE_MAX_FEATURES, 0], ids=["table", "paired"])
+    def test_row_blocks_keep_the_bits(self, monkeypatch, table_max):
+        # A block of one row and a block of every row give each row's
+        # slots one addition per block of leaves, as the default does.
+        X, y = _split_search_data(1)
+        model = GbdtClassifier(
+            n_rounds=10, learning_rate=0.3, max_depth=5, reg_lambda=1.0
+        ).fit(X, y)
+        monkeypatch.setattr(gbdt, "_TABLE_MAX_FEATURES", table_max)
+        rows = _explained_rows(model, X, 1)
+        expected = model.shap_values(rows, X[:20]).tobytes()
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(gbdt, "_SHAP_ROW_BLOCK", budget)
+            assert model.shap_values(rows, X[:20]).tobytes() == expected
+
     def test_sum_of_single_tree_values(self):
         X, y = _split_search_data(2)
         model = GbdtClassifier(

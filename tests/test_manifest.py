@@ -1,14 +1,21 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from suspkit import manifest
 from suspkit.manifest import (
     MANIFEST_FORMAT,
     atomic_path,
     canonical_json,
     config_hash,
     file_sha256,
+    peak_rss_mb,
     stage_seed,
     write_stage_manifest,
     write_timing,
@@ -121,7 +128,41 @@ class TestStageManifest:
 
 
 class TestTiming:
-    def test_sidecar_separate_from_manifest(self, tmp_path):
+    def test_sidecar_separate_from_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(manifest, "peak_rss_mb", lambda: 61.5)
         path = write_timing(tmp_path, "train", 1.25)
         assert path.name == "train.timing.json"
-        assert json.loads(path.read_text()) == {"stage": "train", "seconds": 1.25}
+        assert json.loads(path.read_text()) == {
+            "stage": "train", "seconds": 1.25, "peak_rss_mb": 61.5}
+
+    def test_peak_is_null_without_proc(self, tmp_path, monkeypatch):
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/status")
+
+        monkeypatch.setattr(manifest, "open", no_proc, raising=False)
+        assert peak_rss_mb() is None
+        path = write_timing(tmp_path, "train", 1.25)
+        assert json.loads(path.read_text())["peak_rss_mb"] is None
+
+    def test_stage_peak_excludes_a_large_parent(self, tmp_path):
+        # Linux carries a parent's peak into its child's ru_maxrss across
+        # exec, but not into the child's VmHWM.
+        src = str(Path(manifest.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def stage_peak(launcher, workdir):
+            argv = [sys.executable, "-m", "suspkit.cli", "--workdir", str(workdir),
+                    "synth", "--suspended", "2", "--normal", "2"]
+            subprocess.run(launcher + argv, env=env, check=True, timeout=120,
+                           capture_output=True)
+            return json.loads((workdir / "synth.timing.json").read_text())["peak_rss_mb"]
+
+        small = stage_peak([sys.executable, "-c", "import subprocess, sys; "
+                            "subprocess.run(sys.argv[1:], check=True)"], tmp_path / "small")
+        held = np.ones(110 * 2**20 // 8)
+        assert peak_rss_mb() >= 100
+        large = stage_peak([], tmp_path / "large")
+        del held
+        assert small is not None and large is not None
+        assert abs(large - small) < 5, (small, large)

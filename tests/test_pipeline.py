@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from suspkit import pipeline, suspension_model, text_embedding
+from suspkit.activity_features import features_from_timeline as activity_features
 from suspkit.content_clustering import write_cluster_report
-from suspkit.corpus import CorpusStore, MalformedRecord, TimeWindow, read_window
+from suspkit.corpus import CorpusStore, MalformedRecord, TimeWindow
 from suspkit.errors import MissingArtifact, StaleArtifact
 from suspkit.graph_embedding import (
     RELATIONS,
@@ -44,10 +45,12 @@ from suspkit.suspension_model import (
     save_model,
 )
 from suspkit.synth import GeneratorConfig, generate
-from suspkit.text_embedding import HashedNgramEncoder, PrecomputedEmbeddings
+from suspkit.text_embedding import HashedNgramEncoder, PrecomputedEmbeddings, features_from_posts
+from suspkit.textual_features import build_idf, user_hashtag_counts
+from suspkit.textual_features import features_from_timeline as textual_features
 from suspkit.vectors import EmbeddingMatrix
 
-from conftest import snapshot_line, tweet_edges, tweet_line
+from conftest import WINDOW_START, snapshot_line, tweet_edges, tweet_line
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +174,7 @@ class TestExtraction:
         config = fast_config()
         window, _ = config.windows()
         users = balanced_users(store, config, window)
-        tweets = read_window(store, window, users)
-        features = extract_window_features(store, window, tweets, users, config)
+        features = extract_window_features(store, window, users, config)
         assert set(features.families) == set(FAMILY_ORDER)
         total = sum(len(names) for names in features.families.values())
         assert features.combined.width == total
@@ -183,8 +185,7 @@ class TestExtraction:
         config = fast_config(families=tuple(reversed(FAMILY_ORDER)))
         window, _ = config.windows()
         users = balanced_users(store, config, window)
-        tweets = read_window(store, window, users)
-        features = extract_window_features(store, window, tweets, users, config)
+        features = extract_window_features(store, window, users, config)
         assert tuple(features.families) == FAMILY_ORDER
         names = features.combined.feature_names
         assert names == tuple(chain.from_iterable(features.families.values()))
@@ -194,19 +195,15 @@ class TestExtraction:
         config = fast_config(families=("profile", "activity"))
         window, _ = config.windows()
         users = balanced_users(store, config, window)
-        tweets = read_window(store, window, users)
-        features = extract_window_features(store, window, tweets, users, config)
+        features = extract_window_features(store, window, users, config)
         assert set(features.families) == {"profile", "activity"}
 
     def test_context_reuse_is_bit_identical(self, store):
         config = fast_config(families=("textual", "post_embedding"))
         window, _ = config.windows()
         users = balanced_users(store, config, window)
-        tweets = read_window(store, window, users)
-        first = extract_window_features(store, window, tweets, users, config)
-        again = extract_window_features(
-            store, window, read_window(store, window, users), users, config, context=first.context
-        )
+        first = extract_window_features(store, window, users, config)
+        again = extract_window_features(store, window, users, config, context=first.context)
         assert np.array_equal(first.combined.X, again.combined.X, equal_nan=True)
 
     def test_unknown_family_rejected(self):
@@ -248,23 +245,20 @@ class TestWindowReads:
         assert split.second_test.context.graph is split.train.context.graph
 
     def test_split_features_equal_the_all_users_read(self, lopsided_store):
-        # The oracle extracts each split from the Tweets of every user of
-        # its window, and its graph is the edges of all of them.
+        # Each split is one extraction of its own users under the train
+        # context, and the graph holds the edges of every user of window
+        # 1, not only of the split's.
         store = lopsided_store
         config = fast_config()
         first, second = config.windows()
         split = extract_split_features(store, config)
-
-        def every_user(window):
-            return {user: store.user_timeline(user, window) for user in store.active_users(window)}
-
-        table = every_user(first)
-        train = extract_window_features(store, first, table, split.train_users, config)
+        table = {user: store.user_timeline(user, first) for user in store.active_users(first)}
+        train = extract_window_features(store, first, split.train_users, config)
         oracle = [
             train,
-            extract_window_features(store, first, table, split.test_users, config,
+            extract_window_features(store, first, split.test_users, config,
                                     context=train.context),
-            extract_window_features(store, second, every_user(second), split.second_users,
+            extract_window_features(store, second, split.second_users,
                                     config, context=train.context),
         ]
         assert len(split.train_users) + len(split.test_users) < len(table)
@@ -278,6 +272,80 @@ class TestWindowReads:
             tweet_edges(chain.from_iterable(table.values()), RELATIONS)
         )
         assert (graph.nodes, graph.edges) == (expected.nodes, expected.edges)
+
+
+def per_user_store(tmp_path, per_user):
+    """48 users with `per_user` posts each in the first window; every
+    other user is suspended inside it, the rest are normal."""
+    users = [f"u{i:02d}" for i in range(48)]
+    store = CorpusStore()
+    store.ingest_tweets(
+        tweet_line(id=f"{user}-{j}", user_id=user, created_at=WINDOW_START + 3600 * j + i,
+                   text=f"post {j} by {user} on tag{j % 5}", hashtags=[f"tag{j % 5}"])
+        for i, user in enumerate(users) for j in range(per_user)
+    )
+    store.ingest_snapshots(snapshot_line(user_id=user) for user in users)
+    labels = tmp_path / f"labels-{per_user}.csv"
+    labels.write_text("user_id,status,status_date\n" + "".join(
+        f"{user},suspended,2022-03-01\n" if i % 2 else f"{user},normal,\n"
+        for i, user in enumerate(users)))
+    store.ingest_labels(labels)
+    return store, users
+
+
+class TestChunkedRows:
+    """A split's users are read CHUNK_USERS at a time, and its posts
+    encoded in `row_blocks` runs over all of them, which may span chunks."""
+
+    def test_chunks_and_runs_give_the_whole_split_rows(self, lopsided_store, monkeypatch):
+        # The oracle computes each family over every timeline of the split
+        # at once, with the posts reduced over all of them.
+        store = lopsided_store
+        config = fast_config(families=("activity", "textual", "post_embedding"))
+        window, _ = config.windows()
+        users = balanced_users(store, config, window)
+        kept = sorted(users)
+        timelines = [store.user_timeline(user, window) for user in kept]
+        posts = list(chain.from_iterable(timelines))
+        idf = build_idf({user: user_hashtag_counts(t.hashtags for t in timeline)
+                         for user, timeline in zip(kept, timelines)})
+        for block_rows in (text_embedding._BLOCK_ROWS, 16):
+            monkeypatch.setattr(text_embedding, "_BLOCK_ROWS", block_rows)
+            reduced, _ = pipeline._reduce_posts(
+                HashedNgramEncoder(dim=config.encoder_dim), [t.tweet_id for t in posts],
+                [t.text for t in posts], None, config)
+            expected = np.hstack((activity_features(timelines), textual_features(timelines, idf),
+                                  features_from_posts(reduced, timelines)))
+            for chunk in (1, 7, len(kept)):
+                monkeypatch.setattr(pipeline, "CHUNK_USERS", chunk)
+                got = extract_window_features(store, window, users, config).combined
+                assert got.user_ids == kept
+                assert got.X.tobytes() == expected.tobytes()
+
+    def test_peak_does_not_grow_with_tweets_per_user(self, tmp_path, monkeypatch):
+        # Four users and one run of under 2 x 64 posts at a time: eight
+        # times the tweets per user add far less to the peak than holding
+        # the split's tweets as objects would.
+        monkeypatch.setattr(pipeline, "CHUNK_USERS", 4)
+        monkeypatch.setattr(text_embedding, "_BLOCK_ROWS", 64)
+        config = fast_config(families=("profile", "activity", "textual", "post_embedding"))
+        window, _ = config.windows()
+        peaks, tables = [], []
+        for per_user in (10, 80):
+            store, users = per_user_store(tmp_path, per_user)
+            tracemalloc.start()
+            try:
+                split = extract_split_features(store, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                before = tracemalloc.get_traced_memory()[0]
+                tweets = list(store.tweets_in_window(window, users))
+                tables.append(tracemalloc.get_traced_memory()[0] - before)
+            finally:
+                tracemalloc.stop()
+            assert len(split.train.combined.user_ids) == 36 and len(tweets) == 48 * per_user
+        assert peaks[1] - peaks[0] < (tables[1] - tables[0]) / 4, (
+            f"peak {peaks[0] / 1e6:.2f} -> {peaks[1] / 1e6:.2f} MB, "
+            f"tweets {tables[0] / 1e6:.2f} -> {tables[1] / 1e6:.2f} MB")
 
 
 class TestGraphReuse:
@@ -378,8 +446,7 @@ class TestTraining:
         config = fast_config(families=("profile",))
         window, _ = config.windows()
         users = balanced_users(store, config, window)
-        tweets = read_window(store, window, users)
-        features = extract_window_features(store, window, tweets, users, config)
+        features = extract_window_features(store, window, users, config)
         model, _, _ = train_with_cv(features.combined, config)
         assert model.medians.shape == (int(model.selection_mask.sum()),)
 
@@ -469,8 +536,7 @@ class TestSplitContext:
         split, config = artifacts.split, artifacts.config
         window, users = config.windows()[0], split.train_users
         again = extract_window_features(
-            store, window, read_window(store, window, users), users, config,
-            context=split.train.context,
+            store, window, users, config, context=split.train.context,
         )
         expected = split.train.combined
         assert again.combined.feature_names == expected.feature_names
@@ -506,7 +572,7 @@ class TestClustering:
         assert artifacts.wallet_hits
         assert any(hit["matches"]["crypto"] > 0 for hit in artifacts.keyword_hits)
 
-    def test_posts_equal_the_read_window_selection(self, monkeypatch, tmp_path):
+    def test_posts_equal_the_suspended_timelines(self, monkeypatch, tmp_path):
         # Ids whose UTF-16 order differs from their code-point order
         # (U+1F600 sorts after U+FF21 only by code point), a suspended
         # user whose status date lies past the window, and tweets either
@@ -533,8 +599,8 @@ class TestClustering:
             u for u, lab in store.labels().items()
             if lab.status == "suspended" and window.contains(lab.status_date)
         )
-        tweets = read_window(store, window, suspended)
-        expected = [(t.tweet_id, t.user_id, t.text) for u in suspended for t in tweets.get(u, ())]
+        expected = [(t.tweet_id, t.user_id, t.text)
+                    for u in suspended for t in store.user_timeline(u, window)]
         assert len(expected) == 5 * 3
 
         seen = []
@@ -605,6 +671,21 @@ class TestReducePosts:
         assert same is pca
         assert again.tobytes() == reference[3][:300].tobytes()
 
+    @pytest.mark.parametrize("n, runs", [(100, 1), (3 * 64 + 5, 3)])
+    def test_a_one_run_fit_encodes_once(self, monkeypatch, n, runs):
+        # A fit over k runs encodes each run for the PCA and again for the
+        # projection; over one run, the run the PCA centered is projected.
+        monkeypatch.setattr(text_embedding, "_BLOCK_ROWS", 64)
+        assert len(list(text_embedding.row_blocks(n))) == runs
+        ids, texts = dup_heavy_posts(np.random.default_rng(9), n, n // 2)
+        provider = HashedNgramEncoder(dim=16)
+        calls = []
+        embed = provider.embed
+        monkeypatch.setattr(provider, "embed", lambda i, t: calls.append(len(t)) or embed(i, t))
+        pipeline._reduce_posts(provider, ids, texts, None, PipelineConfig(pca_components=4))
+        assert len(calls) == (1 if runs == 1 else 2 * runs)
+        assert sum(calls) == len(calls) // runs * n
+
     def test_blocked_default_dims_match_the_out_of_place_reference(self):
         # The default encoder and PCA widths over 3 runs of unequal
         # length.  Every run's product keeps the bits of one product over
@@ -633,9 +714,10 @@ class TestReducePosts:
     @pytest.mark.parametrize("fit", [True, False], ids=["fit", "transform-only"])
     def test_peak_memory_is_one_post_buffer(self, fit):
         # A transform holds one run of post vectors, the n x k output and
-        # the encoder's own scratch (a few hash blocks of bucket rows),
-        # however many runs there are; a fit holds the PCA's two d x d
-        # matrices besides.
+        # the encoder's own scratch, however many runs there are; a fit
+        # holds the PCA's two d x d matrices besides.  The scratch of a
+        # hash block is a few bucket rows per text and about a hundred
+        # bytes of index, hash and weight arrays per byte of text.
         rng = np.random.default_rng(6)
         ids, texts = dup_heavy_posts(rng, 20_000, 15_000)
         provider = HashedNgramEncoder(dim=256)
@@ -652,7 +734,7 @@ class TestReducePosts:
         assert len(blocks) >= 3
         block = max(b.stop - b.start for b in blocks) * 256 * 8
         output = len(texts) * config.pca_components * 8
-        scratch = 3 * text_embedding._BLOCK_TEXTS * 256 * 8
+        scratch = 3 * text_embedding._BLOCK_TEXTS * 256 * 8 + 96 * text_embedding._BLOCK_BYTES
         pca_state = 2 * 256 * 256 * 8 if fit else 0
         assert peak < block + output + scratch + pca_state, (
             f"peak {peak / 1e6:.1f} MB, block {block / 1e6:.1f} MB, "
@@ -722,9 +804,7 @@ class TestGraphStage:
         store.ingest_tweets([tweet_line(id="t1", user_id="u1", mentions=["u2"])])
         store.ingest_snapshots([snapshot_line(user_id="u1"), snapshot_line(user_id="u2")])
         config = fast_config(families=("graph_embedding",))
-        features = extract_window_features(
-            store, window, read_window(store, window, ["u1", "u2"]), {"u1": 1, "u2": 0}, config
-        )
+        features = extract_window_features(store, window, {"u1": 1, "u2": 0}, config)
         assert features.context.graph.n_edges == 1
         assert features.context.node_embeddings is None
         assert np.isnan(features.combined.X).all()

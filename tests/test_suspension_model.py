@@ -239,6 +239,12 @@ class TestEvaluateScores:
         _, recall, precision = report.pr_points[0]
         assert recall == 0.5 and precision == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="second_test scores must be finite"):
+            evaluate_scores(np.array([1, 0, 1, 0]), np.array([0.2, bad, 0.9, 0.1]),
+                            split="second_test")
+
     def test_curve_csv_roundtrip(self, tmp_path):
         report = evaluate_scores(np.array([1, 0]), np.array([0.8, 0.1]), split="test")
         path = tmp_path / "roc.csv"

@@ -97,12 +97,22 @@ ORACLE_TEXTS = [
 ]
 
 
+# (_BLOCK_BYTES, _BLOCK_TEXTS): one text per block, the module's own
+# caps, and a byte cap below most single texts.
+BLOCK_CAPS = [(1, 1), (text_embedding._BLOCK_BYTES, text_embedding._BLOCK_TEXTS), (5, 1 << 10)]
+
+
 class TestBatchedEncoderOracle:
     def check(self, texts, dim, min_n=3, max_n=5):
         raw, expected, norms = oracle_rows(texts, dim, min_n, max_n)
         enc = HashedNgramEncoder(dim=dim)
-        got = enc.embed([str(i) for i in range(len(texts))], texts)
-        np.testing.assert_array_equal(got, expected)
+        # Any partition into hash blocks gives the oracle's bits.
+        for block_bytes, block_texts in BLOCK_CAPS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(text_embedding, "_BLOCK_BYTES", block_bytes)
+                mp.setattr(text_embedding, "_BLOCK_TEXTS", block_texts)
+                got = enc.embed([str(i) for i in range(len(texts))], texts)
+            assert got.tobytes() == expected.tobytes()
         # The batched kernel normalizes by sqrt of a row's dot product;
         # the counts are integers, so that is np.linalg.norm exactly.
         np.testing.assert_array_equal(np.sqrt(np.einsum("ij,ij->i", raw, raw)), norms)
